@@ -28,7 +28,7 @@ from .profile import (
 )
 from .mesh import Mesh
 from .forms import FormSet, assemble, form_value
-from .eigen import EigenResult, c2_diagnostic, dense_spectrum, smallest_eig
+from .eigen import EigenResult, bottom_eig, c2_diagnostic, dense_spectrum, smallest_eig
 from .dispersion import (
     DispersionCurve,
     LatticeResult,

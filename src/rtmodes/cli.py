@@ -1,7 +1,7 @@
 """Command-line interface: one config file drives every subcommand.
 
-Exit codes: 0 success, 2 configuration error, 3 solver error,
-4 verification failure (verify only).
+Exit codes: 0 success, 2 configuration or input error (including
+out-of-domain arguments), 3 solver error, 4 verification failure (verify only).
 """
 
 import argparse
@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .config import key_help, load_config
 from .dispersion import Stable, growth_rate, lattice_modes, sweep
-from .errors import ConfigurationError, SolverError
+from .errors import ConfigurationError, DomainError, LayoutError, RangeError, SolverError
 from .evolution import integrate, mode_initial_data
 from .forms import assemble
 from .profile import verify_hydrostatic
@@ -94,7 +94,7 @@ def _cmd_mode(config, args):
     profile = config.profile()
     mesh = config.mesh()
     xi = args.xi if args.xi is not None else config["mode.xi"]
-    r = growth_rate(profile, mesh, xi, tol=config["solver.fixed_point_tol"])
+    r = growth_rate(profile, mesh, xi)
     if isinstance(r, Stable):
         print(f"stable at |xi| = {xi}: {r.reason}")
         _write_meta(config["output.dir"], config, "mode", {"xi": xi, "stable": 1})
@@ -115,7 +115,7 @@ def _cmd_dispersion(config, args):
     mesh = config.mesh()
     lo, hi = config.sweep_range(profile.xi_c)
     n = args.n or config["sweep.n"]
-    curve = sweep(profile, mesh, lo, hi, n=n, threads=args.threads)
+    curve = sweep(profile, mesh, lo, hi, n=n)
     out = Path(config["output.dir"]) / (args.out or "curve.csv")
     _write_csv(out, ["xi", "lambda", "s_star", "psi0", "residual"],
                [curve.xi, curve.lam, curve.s_star, curve.psi0, curve.residual])
@@ -134,8 +134,7 @@ def _cmd_lattice(config, args):
     L = args.L or config.get("lattice.L") or config.get("geometry.L")
     if L is None:
         raise ConfigurationError("lattice needs --L, lattice.L, or geometry.L")
-    lat = lattice_modes(profile, mesh, float(L), xi_max=config.get("lattice.xi_max"),
-                        threads=args.threads)
+    lat = lattice_modes(profile, mesh, float(L), xi_max=config.get("lattice.xi_max"))
     out = Path(config["output.dir"]) / (args.out or "lattice.csv")
     with open(out, "w") as fh:
         fh.write("k1,k2,xi,lambda\n")
@@ -208,7 +207,7 @@ def _cmd_evolve(config, args):
     xi = args.xi or config.get("evolve.xi")
     if xi is None:
         xi = min(1.0, 0.5 * profile.xi_c) if math.isfinite(profile.xi_c) else 1.0
-    r = growth_rate(profile, mesh, float(xi), tol=config["solver.fixed_point_tol"])
+    r = growth_rate(profile, mesh, float(xi))
     if isinstance(r, Stable):
         raise ConfigurationError(
             "evolve needs an unstable frequency; |xi| = %g is stable (%s)" % (xi, r.reason)
@@ -257,8 +256,6 @@ def build_parser():
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a configuration key")
         p.add_argument("--out", help="output file name (inside output.dir)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallel per-frequency solves (deterministic merge)")
 
     p = sub.add_parser("profile", help="emit the hydrostatic profile as CSV")
     common(p)
@@ -317,7 +314,7 @@ def main(argv=None):
         config = load_config(args.config, args.set)
         Path(config["output.dir"]).mkdir(parents=True, exist_ok=True)
         return _HANDLERS[args.command](config, args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, DomainError, RangeError, LayoutError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -47,7 +47,6 @@ KEYS = {
     "mesh.elements_per_side": (int, 256, "uniform elements on each side of the interface"),
     "mesh.order": (int, 2, "element order: 1 or 2"),
     "mesh.quadrature": (int, 3, "Gauss points per element"),
-    "solver.fixed_point_tol": (float, 1e-9, "|F(s)| tolerance for the rate fixed point"),
     "sweep.n": (int, 48, "log-spaced frequency samples in a dispersion sweep"),
     "sweep.xi_min": (float, None, "lowest frequency (default 0.02 xi_c)"),
     "sweep.xi_max": (float, None, "highest frequency (default 0.98 xi_c)"),
@@ -66,7 +65,6 @@ KEYS = {
     "evolve.xi": (float, None, "frequency for evolution runs (default argmax heuristics)"),
     "evolve.T": (float, None, "time horizon (default 5 / lambda)"),
     "evolve.dt": (float, None, "time step (default min(1e-2, 1e-2 / lambda))"),
-    "evolve.seed": (int, 7, "seed for random initial data (verify battery)"),
     "output.dir": (str, ".", "artifact output directory"),
 }
 
@@ -153,6 +151,8 @@ def _parse_value(key, raw):
             v = raw
     except ValueError as exc:
         raise ConfigurationError(f"{key}: cannot parse {raw!r} as {typ.__name__}") from exc
+    if typ is float and not math.isfinite(v):
+        raise ConfigurationError(f"{key}: {raw!r} is not a finite number")
     return v
 
 
@@ -168,6 +168,8 @@ def _validate(values):
         raise ConfigurationError("mesh.order must be 1 or 2")
     if values["mesh.elements_per_side"] < 2:
         raise ConfigurationError("mesh.elements_per_side must be >= 2")
+    if values["sweep.n"] < 1:
+        raise ConfigurationError("sweep.n must be >= 1")
     for side in ("lower", "upper"):
         if values[f"viscosity.{side}.eps"] <= 0:
             raise ConfigurationError(f"viscosity.{side}.eps must be > 0")

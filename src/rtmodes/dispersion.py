@@ -1,28 +1,26 @@
-"""Growth rates per frequency via the monotone fixed point s = lambda(xi, s).
+"""Growth rates per frequency: where the modified family stops being negative.
 
-For each frequency magnitude the modified family has mu(s) strictly
-increasing, so F(s) = s - sqrt(max(-mu(s), 0)) is strictly increasing and
-its unique root is the growth rate of a true growing mode.  Bisection is
-used rather than Newton: the theory supplies monotonicity and continuity
-but no smoothness in s.
+For each frequency magnitude mu(s) is strictly increasing, so the fixed
+point s = sqrt(-mu(s)) is unique and is the growth rate of a true growing
+mode.  mu(s) < -s^2 holds exactly when Q(s) = E0 + s E1 + s^2 J is not
+positive definite, so the rate is the point where a banded Cholesky
+factorization of Q(s) starts to succeed: bisection by inertia, with no
+eigensolver inside the loop.  The upper end 2 sqrt(g |xi|) is always
+definite because E0 + g |xi| J >= 0 holds exactly at the matrix level.
 """
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import smallest_eig
+from .eigen import _bands, _bisect, _factor, _inverse_iteration
 from .errors import ConfigurationError, DomainError, SolverError
 from .forms import assemble
 from .residuals import jump_residuals, strong_form_residual
 
-FIXED_POINT_TOL = 1e-9
 _S_LO = 1e-8
-_MAX_DOUBLINGS = 60
-_MAX_BISECT = 200
 
 
 @dataclass
@@ -59,34 +57,12 @@ class ModeSolution:
         return float(np.hypot(self.xi[0], self.xi[1]))
 
 
-class _MuEvaluator:
-    """mu(s) with warm starts and a safe adaptive shift from the bracket."""
-
-    def __init__(self, forms):
-        self.forms = forms
-        self.v0 = None
-        self.mu_floor = -forms.g * forms.xi  # exact discrete lower bound
-        self.best_known_floor = self.mu_floor
-        self.last = None
-
-    def __call__(self, s):
-        gap = max(1e-8, 1e-4 * abs(self.best_known_floor) + 1e-10)
-        res = smallest_eig(self.forms, s, v0=self.v0, sigma=self.best_known_floor - gap)
-        self.v0 = res.minimizer
-        self.last = res
-        return res.mu
-
-    def raise_floor(self, mu_at_bracket_lo):
-        # monotonicity: mu(s) >= mu(s_lo) inside the bracket
-        self.best_known_floor = max(self.best_known_floor, mu_at_bracket_lo)
-
-
-def growth_rate(profile, mesh, xi_mag, tol=FIXED_POINT_TOL, forms=None):
+def growth_rate(profile, mesh, xi_mag, forms=None):
     """Solve for the growing mode at one frequency, or certify stability.
 
     Returns a :class:`ModeSolution` with lambda = s_star at the fixed point,
     or :class:`Stable` when sigma > 0 and xi >= xi_c (no growing mode
-    exists) or when the modified energy is nonnegative at vanishing s.
+    exists) or when Q(s) is already positive definite at vanishing s.
     """
     if xi_mag <= 0:
         raise DomainError("frequency magnitude must be > 0")
@@ -96,73 +72,38 @@ def growth_rate(profile, mesh, xi_mag, tol=FIXED_POINT_TOL, forms=None):
 
     if forms is None:
         forms = assemble(profile, mesh, xi_mag)
-    mu = _MuEvaluator(forms)
+    E0b, E1b, Jb = _bands(forms)
+    band_at = lambda s: E0b + s * E1b + s**2 * Jb
 
-    mu_lo = mu(_S_LO)
-    if mu_lo >= 0 or _S_LO - math.sqrt(-mu_lo) > 0:
-        if sigma > 0 and xi_mag < profile.xi_c:
+    if _factor(band_at(_S_LO)) is not None:
+        if sigma > 0:
             warnings.warn(
-                "mu(%g) = %.3e >= 0 at xi = %g inside the unstable window; "
-                "the mesh may be too coarse to resolve the mode" % (_S_LO, mu_lo, xi_mag),
+                "Q(%g) is positive definite at xi = %g inside the unstable window; "
+                "the mesh may be too coarse to resolve the mode" % (_S_LO, xi_mag),
                 RuntimeWarning,
             )
         return Stable(xi_mag, "modified energy nonnegative as s -> 0")
 
-    F = lambda s, mu_s: s - math.sqrt(max(-mu_s, 0.0))
-    s_lo, f_lo = _S_LO, F(_S_LO, mu_lo)
-    mu.raise_floor(mu_lo)
-
-    s_hi = max(10 * _S_LO, 1e-3)
-    f_hi = None
-    for _ in range(_MAX_DOUBLINGS):
-        mu_hi = mu(s_hi)
-        f_hi = F(s_hi, mu_hi)
-        if mu_hi >= 0 or f_hi > 0:
-            break
-        s_lo, f_lo = s_hi, f_hi
-        mu.raise_floor(mu_hi)
-        s_hi *= 2.0
-    else:
-        raise SolverError(
-            "failed to bracket the fixed point after %d doublings" % _MAX_DOUBLINGS,
-            {"xi": xi_mag, "s_hi": s_hi, "f_hi": f_hi},
-        )
-
-    s_star, f_star = s_hi, f_hi
-    for _ in range(_MAX_BISECT):
-        s_mid = 0.5 * (s_lo + s_hi)
-        mu_mid = mu(s_mid)
-        f_mid = F(s_mid, mu_mid)
-        if f_mid >= 0:
-            s_hi, f_hi = s_mid, f_mid
-        else:
-            s_lo, f_lo = s_mid, f_mid
-            mu.raise_floor(mu_mid)
-        s_star, f_star = s_mid, f_mid
-        if abs(f_mid) <= tol:
-            break
-    else:
-        raise SolverError(
-            "fixed-point bisection stalled at |F| = %.3e" % abs(f_star),
-            {"xi": xi_mag, "s": s_star},
-        )
-
-    res = mu.last if mu.last is not None and mu.last.s == s_star else None
-    if res is None:
-        res = smallest_eig(forms, s_star, v0=mu.v0)
+    s_hi = 2.0 * math.sqrt(forms.g * xi_mag)
+    factor = _factor(band_at(s_hi))
+    if factor is None:
+        raise SolverError("Q(s) is not definite at s = 2 sqrt(g |xi|)", {"xi": xi_mag})
+    s_star, factor = _bisect(band_at, s_hi, factor, _S_LO)
+    x = _inverse_iteration(forms, factor, np.ones(forms.n))
+    mu = float(x @ (forms.E0 @ x)) + s_star * float(x @ (forms.E1 @ x))
     lam = s_star
-    phi, psi = forms.to_nodal(res.minimizer)
+    phi, psi = forms.to_nodal(x)
     return ModeSolution(
         xi=np.array([xi_mag, 0.0]),
         lam=lam,
         s_star=s_star,
         phi=phi,
         psi=psi,
-        psi0=forms.psi_trace(res.minimizer),
-        fixed_point_residual=abs(f_star),
+        psi0=forms.psi_trace(x),
+        fixed_point_residual=abs(s_star - math.sqrt(max(-mu, 0.0))),
         ode_residual=strong_form_residual(profile, mesh, phi, psi, xi_mag, s_star, -lam**2),
         jump_residuals=jump_residuals(profile, mesh, phi, psi, xi_mag, s_star),
-        minimizer=res.minimizer,
+        minimizer=x,
         forms=forms,
     )
 
@@ -186,19 +127,7 @@ class DispersionCurve:
         return float(self.lam[0]), float(self.lam[-1])
 
 
-def _solve_many(profile, mesh, mags, threads):
-    """growth_rate over a frequency list; results merged in input order.
-
-    Per-frequency solves share nothing, so any thread count reproduces the
-    single-threaded output exactly.
-    """
-    if threads <= 1:
-        return [growth_rate(profile, mesh, float(m)) for m in mags]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda m: growth_rate(profile, mesh, float(m)), mags))
-
-
-def sweep(profile, mesh, xi_min, xi_max, n=48, refine_peak=True, threads=1):
+def sweep(profile, mesh, xi_min, xi_max, n=48, refine_peak=True):
     """Log-spaced dispersion sweep over [xi_min, xi_max].
 
     Records the sampled maximum Lambda with a quadratic-fit refinement
@@ -207,15 +136,18 @@ def sweep(profile, mesh, xi_min, xi_max, n=48, refine_peak=True, threads=1):
     """
     if not (0 < xi_min < xi_max):
         raise ConfigurationError("need 0 < xi_min < xi_max")
+    if n < 1:
+        raise ConfigurationError("a sweep needs n >= 1 samples")
     sigma = profile.geometry.sigma
     if sigma > 0 and xi_max > profile.xi_c:
         raise ConfigurationError(
             "xi_max exceeds the critical frequency %.6g" % profile.xi_c
         )
-    mags = np.geomspace(xi_min, xi_max, n) if n > 1 else np.array([xi_min])
+    mags = np.geomspace(xi_min, xi_max, n)
     rows = []
     argmax_mode = None
-    for m, r in zip(mags, _solve_many(profile, mesh, mags, threads)):
+    for m in mags:
+        r = growth_rate(profile, mesh, float(m))
         if isinstance(r, Stable):
             rows.append((m, 0.0, 0.0, 0.0, 0.0))
             continue
@@ -268,7 +200,7 @@ class LatticeResult:
         return int(np.sum(self.points[:, 3] > 0)) if self.points.size else 0
 
 
-def lattice_modes(profile, mesh, L, xi_max=None, threads=1):
+def lattice_modes(profile, mesh, L, xi_max=None):
     """Enumerate unstable lattice frequencies and their rates.
 
     Rates depend on |xi| only, so lattice points are grouped by magnitude
@@ -314,7 +246,8 @@ def lattice_modes(profile, mesh, L, xi_max=None, threads=1):
     mags = sorted({round(p[2], 12) for p in pts})
     rate_of = {}
     modes = {}
-    for m, r in zip(mags, _solve_many(profile, mesh, mags, threads)):
+    for m in mags:
+        r = growth_rate(profile, mesh, float(m))
         if isinstance(r, Stable):
             rate_of[m] = 0.0
         else:

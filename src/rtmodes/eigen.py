@@ -1,32 +1,39 @@
-"""Smallest eigenpair of the symmetric-definite pencil (E0 + s E1, J).
+"""Bottom eigenpairs of symmetric-definite pencils (A, J) by matrix inertia.
 
-mu(s) is the constrained minimum of the modified energy over the J = 1
-sphere, realized as the bottom generalized eigenvalue.  Desk-scale problems
-(n <= dense cutoff) go through LAPACK; larger ones use ARPACK shift-invert
-with a shift strictly below the spectrum, which the exact discrete bound
-mu >= -g xi supplies for free.
+Every spectral question in the package is one question: where does the
+bottom of a banded pencil against the mass form J sit?  By Sylvester's law
+of inertia, A - m J is positive definite exactly when m lies below the
+bottom eigenvalue, and a banded Cholesky factorization (LAPACK ``dpbtrf``)
+succeeds exactly then.  Bisection on that test brackets the eigenvalue;
+inverse iteration with the last successful factor gives the eigenvector, and
+its Rayleigh quotient the eigenvalue.  Each factorization costs O(n) since
+the forms have half-bandwidth 2 * order + 1.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from .errors import DomainError, SolverError
 
-DENSE_CUTOFF = 900
-_MAX_POLISH = 4
+DENSE_CUTOFF = 900  # read by the benchmark's tracer; no solver branches on it
+_RTOL = 1e-12
+_ATOL = 1e-13
+_INVERSE_STEPS = 3
 
 
 @dataclass
 class EigenResult:
-    """Bottom eigenpair: mu, J-normalized minimizer, and the pencil residual."""
+    """Bottom eigenpair: mu, J-normalized minimizer, and the pencil residual.
+
+    ``s`` is the family parameter when the pencil is (E0 + s E1, J).
+    """
 
     mu: float
     minimizer: np.ndarray
     residual: float
-    s: float
+    s: float | None = None
 
 
 def _normalize(forms, x):
@@ -42,83 +49,85 @@ def _residual(forms, A, mu, x):
     return float(np.linalg.norm(A @ x - mu * (forms.J @ x)) / np.linalg.norm(x))
 
 
-def _polish(forms, A, mu, x, target):
-    """Inverse-iteration refinement toward the bottom eigenpair."""
-    for _ in range(_MAX_POLISH):
-        res = _residual(forms, A, mu, x)
-        if res <= target:
-            break
-        shift = mu - max(1e-8 * abs(mu), 1e-12 * (forms.norms()[0] + 1.0))
-        try:
-            lu = spla.splu((A - shift * forms.J).tocsc())
-        except RuntimeError:
-            break
-        y = lu.solve(forms.J @ x)
-        x = _normalize(forms, y)
-        mu = float(x @ (A @ x))
-    return mu, x
+def _band(forms, A):
+    """Upper band storage of a symmetric sparse matrix, as cholesky_banded reads it."""
+    u = 2 * forms.mesh.order + 1
+    A = A.tocoo()
+    A.sum_duplicates()
+    upper = A.row <= A.col
+    ab = np.zeros((u + 1, A.shape[0]))
+    ab[u + A.row[upper] - A.col[upper], A.col[upper]] = A.data[upper]
+    return ab
 
 
-def smallest_eig(forms, s, v0=None, sigma=None, dense_cutoff=DENSE_CUTOFF):
-    """Minimum of x^T (E0 + s E1) x over the J-unit sphere, with minimizer.
+def _bands(forms):
+    """(E0, E1, J) in upper band storage, built once per FormSet."""
+    if forms._bands is None:
+        forms._bands = tuple(_band(forms, M) for M in (forms.E0, forms.E1, forms.J))
+    return forms._bands
 
-    Parameters
-    ----------
-    forms : FormSet
-    s : float
-        Family parameter (>= 0).
-    v0 : ndarray, optional
-        Start vector for the iterative path (warm starts speed up parameter
-        sweeps; has no effect on the dense path).
-    sigma : float, optional
-        Shift for shift-invert; must lie strictly below the spectrum.  The
-        default uses the variational bound mu >= -g xi.
+
+def _factor(ab):
+    """Banded Cholesky factor, or None when the matrix is not positive definite."""
+    try:
+        return sla.cholesky_banded(ab, lower=False, check_finite=False)
+    except sla.LinAlgError:
+        return None
+
+
+def _bisect(band_at, good, factor, bad):
+    """Shrink [good, bad] to the point where band_at(t) stops factoring.
+
+    band_at(good) factors (``factor``) and band_at(bad) does not; either end
+    may be the larger.  The width stops at a relative-plus-absolute tolerance:
+    near a zero eigenvalue a pure relative stop drives t into denormals.
+    Returns the final definite end and its factor.
     """
+    while abs(bad - good) > _RTOL * (abs(good) + abs(bad)) + _ATOL:
+        mid = 0.5 * (good + bad)
+        f = _factor(band_at(mid))
+        if f is None:
+            bad = mid
+        else:
+            good, factor = mid, f
+    return good, factor
+
+
+def _inverse_iteration(forms, factor, x):
+    """A few inverse-iteration solves with a factor of (A - m J), m just below the bottom."""
+    for _ in range(_INVERSE_STEPS):
+        x = _normalize(forms, sla.cho_solve_banded((factor, False), forms.J @ x,
+                                                   check_finite=False))
+    return x
+
+
+def bottom_eig(forms, A):
+    """Bottom eigenpair of the pencil (A, J) for a symmetric A banded like the forms.
+
+    The lower bracket end doubles downward from -1 until A - m J factors;
+    the upper end is the Rayleigh quotient of a start vector smoothed by
+    inverse iteration with that factor.
+    """
+    Ab = _band(forms, A)
+    Jb = _bands(forms)[2]
+    band_at = lambda m: Ab - m * Jb
+    lo = -1.0
+    while (factor := _factor(band_at(lo))) is None:
+        lo *= 2.0
+        if not np.isfinite(lo):
+            raise SolverError("no definite shift below the spectrum", {"n": forms.n})
+    x = _inverse_iteration(forms, factor, np.ones(forms.n))
+    _, factor = _bisect(band_at, lo, factor, float(x @ (A @ x)))
+    x = _inverse_iteration(forms, factor, x)
+    mu = float(x @ (A @ x))
+    return EigenResult(mu, x, _residual(forms, A, mu, x))
+
+
+def smallest_eig(forms, s):
+    """Minimum of x^T (E0 + s E1) x over the J-unit sphere, with minimizer."""
     if s < 0:
         raise DomainError("family parameter s must be >= 0")
-    A = (forms.E0 + s * forms.E1).tocsr()
-    n = forms.n
-    target = 1e-9 * (forms.norms()[0] + s * forms.norms()[1])
-
-    if n <= dense_cutoff:
-        E0d, E1d, Jd = forms.dense()
-        vals, vecs = sla.eigh(E0d + s * E1d, Jd, subset_by_index=[0, 0])
-        mu = float(vals[0])
-        x = _normalize(forms, vecs[:, 0])
-        return EigenResult(mu, x, _residual(forms, A, mu, x), s)
-
-    if sigma is None:
-        lower = -forms.g * forms.xi
-        sigma = lower - max(1e-8, 1e-6 * abs(lower)) - 1e-9
-    if v0 is None:
-        v0 = np.ones(n)
-    try:
-        vals, vecs = spla.eigsh(
-            A, k=1, M=forms.J, sigma=sigma, which="LM",
-            v0=v0, tol=0, ncv=min(n, 48), maxiter=max(500, 10 * n),
-        )
-        mu = float(vals[0])
-        x = _normalize(forms, vecs[:, 0])
-    except spla.ArpackError as exc:
-        E0d, E1d, Jd = forms.dense()
-        try:
-            vals, vecs = sla.eigh(E0d + s * E1d, Jd, subset_by_index=[0, 0])
-        except sla.LinAlgError:
-            raise SolverError(
-                "eigensolver failed to converge",
-                {"s": s, "sigma": sigma, "arpack": str(exc)},
-            ) from exc
-        mu = float(vals[0])
-        x = _normalize(forms, vecs[:, 0])
-
-    mu, x = _polish(forms, A, mu, x, target)
-    res = _residual(forms, A, mu, x)
-    if res > 10 * target:
-        raise SolverError(
-            "eigenpair residual %.3e exceeds tolerance %.3e" % (res, target),
-            {"s": s, "mu": mu},
-        )
-    return EigenResult(mu, x, res, s)
+    return replace(bottom_eig(forms, forms.E0 + s * forms.E1), s=s)
 
 
 def dense_spectrum(forms, s):
@@ -127,21 +136,10 @@ def dense_spectrum(forms, s):
     return sla.eigh(E0d + s * E1d, Jd, eigvals_only=True)
 
 
-def c2_diagnostic(forms, dense_cutoff=DENSE_CUTOFF):
+def c2_diagnostic(forms):
     """Discrete inf of the viscous form over the constraint set.
 
     The bottom eigenvalue of (E1, J): a computable stand-in for the slope
     constant in mu(s) >= -g xi + s C2.  Positive whenever eps0 > 0.
     """
-    n = forms.n
-    if n <= dense_cutoff:
-        _, E1d, Jd = forms.dense()
-        vals = sla.eigh(E1d, Jd, subset_by_index=[0, 0], eigvals_only=True)
-        return float(vals[0])
-    v = np.ones(n)
-    scale = float(v @ (forms.E1 @ v)) / float(v @ (forms.J @ v))
-    vals, _ = spla.eigsh(
-        forms.E1.tocsr(), k=1, M=forms.J, sigma=-0.01 * scale - 1e-12,
-        which="LM", v0=v, tol=0, ncv=min(n, 48),
-    )
-    return float(vals[0])
+    return bottom_eig(forms, forms.E1).mu

@@ -17,13 +17,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .eigen import bottom_eig
 from .errors import ConfigurationError, DomainError, SolverError
 from .forms import assemble
-from .eigen import DENSE_CUTOFF
 
 
 @dataclass
@@ -58,9 +56,9 @@ class ModeTrajectory:
 def integrate(forms, u0, v0, dt, T, store_every=None):
     """Implicit-midpoint trajectory of (u, u_dot) from (u0, v0) to time T.
 
-    The step solve uses M = 2J + dt E1 + (dt^2/2) E0, positive definite for
-    dt^2 < 4 / (g xi) by the variational lower bound; a factorization is
-    reused across steps.
+    The step solve uses M = 2J + dt E1 + (dt^2/2) E0, positive definite only
+    for dt^2 < 4 / (g xi) by the variational lower bound, so a sparse LU
+    factorization (not Cholesky) is reused across steps.
     """
     if dt <= 0 or T < dt:
         raise DomainError("need dt > 0 and T >= dt")
@@ -72,15 +70,10 @@ def integrate(forms, u0, v0, dt, T, store_every=None):
 
     E0, E1, J = forms.E0, forms.E1, forms.J
     M = (2.0 * J + dt * E1 + 0.5 * dt**2 * E0).tocsc()
-    if forms.n <= DENSE_CUTOFF:
-        lu = sla.lu_factor(M.toarray())
-        solve = lambda b: sla.lu_solve(lu, b)
-    else:
-        try:
-            slu = spla.splu(M)
-        except RuntimeError as exc:
-            raise SolverError("step matrix factorization failed", {"dt": dt}) from exc
-        solve = slu.solve
+    try:
+        solve = spla.splu(M).solve
+    except RuntimeError as exc:
+        raise SolverError("step matrix factorization failed", {"dt": dt}) from exc
 
     nt = n_steps + 1
     kin = np.empty(nt)
@@ -154,18 +147,7 @@ def growth_bound_check(forms, Lambda, tol=1e-8):
     The discrete statement that the rate Lambda dominates this frequency:
     returns (ok, smallest generalized eigenvalue).
     """
-    A = (forms.E0 + Lambda * forms.E1 + Lambda**2 * forms.J).tocsr()
-    n = forms.n
-    if n <= DENSE_CUTOFF:
-        E0d, E1d, Jd = forms.dense()
-        vals = sla.eigh(E0d + Lambda * E1d + Lambda**2 * Jd, Jd,
-                        subset_by_index=[0, 0], eigvals_only=True)
-        ev = float(vals[0])
-    else:
-        sigma = -forms.g * forms.xi - 1.0
-        vals, _ = spla.eigsh(A, k=1, M=forms.J, sigma=sigma, which="LM",
-                             v0=np.ones(n), tol=0, ncv=min(n, 48))
-        ev = float(vals[0])
+    ev = bottom_eig(forms, forms.E0 + Lambda * forms.E1 + Lambda**2 * forms.J).mu
     return ev >= -tol, ev
 
 
@@ -222,10 +204,7 @@ def spectral_k_constants(forms, u0, v0):
         psi0 = u[forms.psi0_dof]
         return float(ud @ (J @ ud)) + float(u @ (CP @ u)) + sig * psi0**2
 
-    if forms.n <= DENSE_CUTOFF:
-        a0 = -sla.solve(forms.dense()[2], E1 @ v0 + E0 @ u0, assume_a="pos")
-    else:
-        a0 = -spla.spsolve(J.tocsc(), E1 @ v0 + E0 @ u0)
+    a0 = -spla.spsolve(J.tocsc(), E1 @ v0 + E0 @ u0)
     return k_of(v0, u0), k_of(a0, v0)
 
 
@@ -264,7 +243,7 @@ def periodic_stability_check(profile, mesh, L, data, T, dt=0.025):
     # xi = 0 certificate: the energy degenerates to the pure compression
     # stiffness (1/2) int P' rho0 (psi')^2 >= 0.
     f0 = assemble(profile, mesh, 0.0, _allow_zero=True)
-    e0_eigs = [_min_eig_vs_J(f0, f0.E0)]
+    e0_eigs = [bottom_eig(f0, f0.E0).mu]
 
     mags = []
     K1 = K2 = 0.0
@@ -274,7 +253,7 @@ def periodic_stability_check(profile, mesh, L, data, T, dt=0.025):
 
     for xi_mag, u0, v0 in data:
         forms = assemble(profile, mesh, float(xi_mag))
-        e0_eigs.append(_min_eig_vs_J(forms, forms.E0))
+        e0_eigs.append(bottom_eig(forms, forms.E0).mu)
         k1, k2 = spectral_k_constants(forms, np.asarray(u0, float), np.asarray(v0, float))
         K1 += k1
         K2 += k2
@@ -315,15 +294,3 @@ def periodic_stability_check(profile, mesh, L, data, T, dt=0.025):
         K1=K1, K2=K2, sqrt_bound_margin=sqrt_margin,
         ps0_margin=ps0, ps00_margin=ps00, ok=ok,
     )
-
-
-def _min_eig_vs_J(forms, A):
-    n = forms.n
-    if n <= DENSE_CUTOFF:
-        Jd = forms.dense()[2]
-        vals = sla.eigh(A.toarray(), Jd, subset_by_index=[0, 0], eigvals_only=True)
-        return float(vals[0])
-    sigma = -forms.g * max(forms.xi, 1.0) - 1.0
-    vals, _ = spla.eigsh(A.tocsr(), k=1, M=forms.J, sigma=sigma, which="LM",
-                         v0=np.ones(n), tol=0, ncv=min(n, 48))
-    return float(vals[0])

@@ -42,6 +42,7 @@ class FormSet:
     psi0_dof: int
     _dense: tuple | None = field(default=None, repr=False)
     _norms: tuple | None = field(default=None, repr=False)
+    _bands: tuple | None = field(default=None, repr=False)   # filled by eigen._bands
 
     @property
     def n(self):

@@ -41,6 +41,9 @@ class Mesh:
             raise ConfigurationError("breakpoints must be strictly increasing")
         if order not in (1, 2):
             raise ConfigurationError("element order must be 1 or 2")
+        if quad_points < order + 1:
+            # fewer points leave the element mass form J singular
+            raise ConfigurationError("quadrature needs at least order + 1 Gauss points per element")
         self.order = order
         self.quad_points = quad_points
 

@@ -61,6 +61,16 @@ def test_invalid_values_name_keys(cfg_path):
         load_config(cfg_path, overrides=["geometry.sigma=-1"])
     with pytest.raises(ConfigurationError, match="parse"):
         load_config(cfg_path, overrides=["geometry.g=abc"])
+    for raw in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigurationError, match="geometry.g"):
+            load_config(cfg_path, overrides=[f"geometry.g={raw}"])
+
+
+def test_sweep_needs_a_sample(cfg_path, profile):
+    with pytest.raises(ConfigurationError, match="sweep.n"):
+        load_config(cfg_path, overrides=["sweep.n=0"])
+    with pytest.raises(ConfigurationError):
+        rt.sweep(profile, rt.Mesh.uniform(1, 1, 8, order=2), 1.0, 2.0, n=0)
 
 
 def test_config_hash_tracks_values(cfg_path):
@@ -156,8 +166,18 @@ class TestCliRuns:
             row, col, val = lines[1].split()
             int(row), int(col), float(val)
 
-    def test_threads_flag_deterministic(self, cfg_path, tmp_path):
-        assert main(["dispersion", "--config", str(cfg_path), "--threads", "3"]) == 0
-        parallel = (tmp_path / "out" / "curve.csv").read_bytes()
-        assert main(["dispersion", "--config", str(cfg_path)]) == 0
-        assert (tmp_path / "out" / "curve.csv").read_bytes() == parallel
+    def test_negative_frequency_exits_2(self, cfg_path, capsys):
+        assert main(["mode", "--config", str(cfg_path), "--xi", "-1"]) == 2
+        assert "frequency" in capsys.readouterr().err
+
+    def test_inadmissible_gamma_exits_2(self, cfg_path, capsys):
+        assert main(["mode", "--config", str(cfg_path), "--set", "fluid.lower.gamma=0.5"]) == 2
+        assert "gamma" in capsys.readouterr().err
+
+    def test_underintegrated_mass_exits_2(self, cfg_path, capsys):
+        assert main(["mode", "--config", str(cfg_path), "--set", "mesh.quadrature=1"]) == 2
+        assert "quadrature" in capsys.readouterr().err
+
+    def test_nan_sigma_exits_2(self, cfg_path, capsys):
+        assert main(["mode", "--config", str(cfg_path), "--set", "geometry.sigma=nan"]) == 2
+        assert "geometry.sigma" in capsys.readouterr().err

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.optimize import brentq
 
 import rtmodes as rt
 from rtmodes.eigen import dense_spectrum
-from rtmodes.errors import ConfigurationError, DomainError, SolverError
+from rtmodes.errors import ConfigurationError, DomainError
 
 
 def oracle_rate(forms):
@@ -57,6 +58,41 @@ def test_sigma_zero_all_frequencies_unstable(profile_sigma0, mesh32):
 def test_fixed_point_residual(mode_xi1):
     assert mode_xi1.fixed_point_residual <= 1e-9
     assert abs(mode_xi1.s_star - mode_xi1.lam) == 0.0
+
+
+def test_fine_mesh_small_frequency_residual(profile):
+    # noise in mu reaches the fixed point amplified by 1/(2 sqrt(-mu)) ~ 316
+    # here; the rate must still meet the residual contract
+    mesh = rt.Mesh.uniform(1, 1, 96, order=2)
+    m = rt.growth_rate(profile, mesh, 0.02 * profile.xi_c)
+    assert not isinstance(m, rt.Stable)
+    assert m.fixed_point_residual <= 1e-9
+
+
+def qep_eigenvalues(forms):
+    """Every eigenvalue of (lambda^2 J + lambda E1 + E0) x = 0, by dense QZ.
+
+    First companion linearization (Tisseur & Meerbergen, SIAM Rev. 43, 2001):
+    [[0, I], [-E0, -E1]] z = lambda [[I, 0], [0, J]] z with z = (x, lambda x).
+    """
+    E0, E1, J = forms.dense()
+    eye, zero = np.eye(forms.n), np.zeros((forms.n, forms.n))
+    return sla.eig(np.block([[zero, eye], [-E0, -E1]]),
+                   np.block([[eye, zero], [zero, J]]), right=False)
+
+
+@pytest.mark.parametrize("n_el", [8, 16])
+def test_rate_is_top_of_quadratic_spectrum(profile, n_el):
+    mesh = rt.Mesh.uniform(1, 1, n_el, order=2)
+    for xi in (0.05 * profile.xi_c, 0.5 * profile.xi_c, 0.9 * profile.xi_c, 1.0):
+        m = rt.growth_rate(profile, mesh, xi)
+        assert not isinstance(m, rt.Stable)
+        ev = qep_eigenvalues(m.forms)
+        real = ev[np.abs(ev.imag) <= 1e-9 * (1.0 + np.abs(ev))].real
+        assert real.max() == pytest.approx(m.lam, abs=1e-9)
+        assert ev.real.max() <= m.lam + 1e-9
+    ev = qep_eigenvalues(rt.assemble(profile, mesh, 1.2 * profile.xi_c))
+    assert ev.real.max() <= 1e-8
 
 
 def test_mode_invariants(profile, mode_xi1):
