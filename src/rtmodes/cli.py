@@ -55,10 +55,9 @@ def _cmd_profile(config, args):
     cols = {k: np.empty_like(xs) for k in ("rho0", "Pprime_rho0", "eps0", "delta0")}
     for s in (-1, +1):
         msk = side == s
-        cols["rho0"][msk] = profile.density(xs[msk], side=s)
-        cols["Pprime_rho0"][msk] = profile.pprime_rho(xs[msk], side=s)
-        cols["eps0"][msk] = profile.eps0(xs[msk], side=s)
-        cols["delta0"][msk] = profile.delta0(xs[msk], side=s)
+        f = profile.fields(xs[msk], side=s)
+        for col, name in (("rho0", "rho"), ("Pprime_rho0", "pr"), ("eps0", "eps"), ("delta0", "delta")):
+            cols[col][msk] = f[name]
     out = Path(config["output.dir"]) / (args.out or "profile.csv")
     _write_csv(out, ["x3", "rho0", "Pprime_rho0", "eps0", "delta0"],
                [xs, cols["rho0"], cols["Pprime_rho0"], cols["eps0"], cols["delta0"]])
@@ -104,7 +103,7 @@ def _cmd_mode(config, args):
     _write_meta(config["output.dir"], config, "mode", {
         "xi": xi, "lambda": r.lam, "s_star": r.s_star, "psi0": r.psi0,
         "fixed_point_residual": r.fixed_point_residual,
-        "ode_residual": r.ode_residual,
+        "ode_residual": r.ode_residual if math.isfinite(r.ode_residual) else None,
     })
     print(f"lambda({xi}) = {r.lam:.12g}  psi(0) = {r.psi0:.6g}; wrote {out}")
     return 0
@@ -183,7 +182,12 @@ def _cmd_synthesize(config, args):
                     "f_a": f.a, "f_b": f.b}
 
     if args.grid:
-        nx, ny, nz = (int(v) for v in args.grid.split(","))
+        try:
+            nx, ny, nz = (int(v) for v in args.grid.split(","))
+        except ValueError as exc:
+            raise ConfigurationError(f"--grid must be three integers nx,ny,nz, got {args.grid!r}") from exc
+        if min(nx, ny, nz) < 1:
+            raise ConfigurationError(f"--grid sizes must be >= 1, got {args.grid!r}")
     else:
         nx, ny, nz = (config["synthesis.grid.nx"], config["synthesis.grid.ny"],
                       config["synthesis.grid.nz"])

@@ -168,8 +168,10 @@ def _validate(values):
         raise ConfigurationError("mesh.order must be 1 or 2")
     if values["mesh.elements_per_side"] < 2:
         raise ConfigurationError("mesh.elements_per_side must be >= 2")
-    if values["sweep.n"] < 1:
-        raise ConfigurationError("sweep.n must be >= 1")
+    for key in ("sweep.n", "synthesis.radial_nodes", "synthesis.angular_nodes",
+                "synthesis.grid.nx", "synthesis.grid.ny", "synthesis.grid.nz"):
+        if values[key] < 1:
+            raise ConfigurationError(f"{key} must be >= 1")
     for side in ("lower", "upper"):
         if values[f"viscosity.{side}.eps"] <= 0:
             raise ConfigurationError(f"viscosity.{side}.eps must be > 0")

@@ -47,7 +47,7 @@ class ModeSolution:
     psi: np.ndarray
     psi0: float
     fixed_point_residual: float
-    ode_residual: float
+    ode_residual: float          # nan on order-1 meshes (no pointwise second derivative)
     jump_residuals: np.ndarray
     minimizer: np.ndarray = field(repr=False)
     forms: object = field(repr=False, default=None)
@@ -101,7 +101,8 @@ def growth_rate(profile, mesh, xi_mag, forms=None):
         psi=psi,
         psi0=forms.psi_trace(x),
         fixed_point_residual=abs(s_star - math.sqrt(max(-mu, 0.0))),
-        ode_residual=strong_form_residual(profile, mesh, phi, psi, xi_mag, s_star, -lam**2),
+        ode_residual=(strong_form_residual(profile, mesh, phi, psi, xi_mag, s_star, -lam**2)
+                      if mesh.order >= 2 else math.nan),
         jump_residuals=jump_residuals(profile, mesh, phi, psi, xi_mag, s_star),
         minimizer=x,
         forms=forms,

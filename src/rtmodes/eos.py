@@ -2,26 +2,32 @@
 
 Each fluid is described by a strictly increasing pressure law P(rho).  The
 enthalpy h(rho) = int_1^rho P'(r)/r dr and its inverse drive the hydrostatic
-profile construction.  Two kinds are supported: polytropic P = K rho^gamma
-(closed forms throughout) and tabulated (monotone cubic interpolation of
-(rho, P) samples, quadrature + bisection for the enthalpy pair).
+profile construction.  Two kinds are supported, both in closed form:
+
+* polytropic P = K rho^gamma: h = K gamma/(gamma-1) (rho^(gamma-1) - 1),
+  or K log(rho) at gamma = 1;
+* tabulated: the monotone cubic (PCHIP) interpolant of (rho, P) samples.
+  On each piece P' is a quadratic in t = r - x_k, so dividing by r = t + x_k
+  gives h as a quadratic in t plus a log1p(t / x_k) term, summed over the
+  knots.  The enthalpy and pressure inverses are a bracket-safeguarded
+  Newton iteration inside the piece found by searching the knot values.
 """
 
 import math
-import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import DomainError, RangeError
 
-# Quadrature / inversion tolerances.  Fixed well below mesh discretization
-# error so profile evaluation never dominates the error budget.
-_QUAD_RTOL = 1e-12
 _INV_TOL = 1e-11
 _DPDRHO_FLOOR = 1e-12
+_NEWTON_STEPS = 100   # bisection fallback halves a piece 53 times at most
+
+
+def _piece(knots, v):
+    """Index k of the piece [knots[k], knots[k+1]] holding v (ends clamped)."""
+    return np.clip(np.searchsorted(knots, v, side="right") - 1, 0, knots.size - 2)
 
 
 class PressureLaw:
@@ -56,6 +62,7 @@ class PressureLaw:
             self._d2interp = self._interp.derivative(2)
             self.rho_min, self.rho_max = float(rho[0]), float(rho[-1])
             self._check_derivative_floor(rho)
+            self._build_enthalpy()
         else:
             raise DomainError(f"unknown pressure law kind {kind!r}")
 
@@ -77,6 +84,47 @@ class PressureLaw:
                 "tabulated law has vanishing dP/drho (min %.3e); "
                 "supply samples with strictly positive slope" % dmin
             )
+
+    def _build_enthalpy(self):
+        # With P'(x_k + t) = a t^2 + b t + c on piece k, division by t + x_k gives
+        # int_0^t P'/r = (a/2) t^2 + (b - a x_k) t + (c - (b - a x_k) x_k) log1p(t / x_k).
+        x, cub = self._interp.x, self._interp.c      # P = c0 t^3 + c1 t^2 + c2 t + c3
+        lin = 2.0 * cub[1] - 3.0 * cub[0] * x[:-1]
+        self._h_coef = (1.5 * cub[0], lin, cub[2] - lin * x[:-1])
+        knots = np.concatenate([[0.0], np.cumsum(self._h_piece(np.arange(x.size - 1), x[1:]))])
+        base = min(max(1.0, self.rho_min), self.rho_max)
+        kb = _piece(x, base)
+        self._h_knots = knots - (knots[kb] + self._h_piece(kb, base))
+
+    def _h_piece(self, k, r):
+        """int_{x_k}^r P'(s)/s ds on piece k."""
+        quad_, lin, log_ = (coef[k] for coef in self._h_coef)
+        t = r - self._interp.x[k]
+        return t * (quad_ * t + lin) + log_ * np.log1p(t / self._interp.x[k])
+
+    def _invert(self, knot_values, target, value, slope):
+        """rho with value(rho) = target for an increasing value with knot_values at the knots.
+
+        Newton steps from the secant guess inside the piece that brackets
+        the target; a step that leaves the current bracket is replaced by
+        bisection, so the iteration cannot escape the piece.
+        """
+        k = _piece(knot_values, target)
+        x = self._interp.x
+        lo, hi = x[k], x[k + 1]
+        v_lo, v_hi = knot_values[k], knot_values[k + 1]
+        r = lo + (hi - lo) * ((target - v_lo) / (v_hi - v_lo))
+        for _ in range(_NEWTON_STEPS):
+            res = value(r) - target
+            lo = np.where(res <= 0, r, lo)
+            hi = np.where(res >= 0, r, hi)
+            step = r - res / slope(r)
+            new = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+            done = np.all(np.abs(new - r) <= 4.0 * np.finfo(float).eps * r)
+            r = new
+            if done:
+                break
+        return r
 
     def _require_in_range(self, rho):
         rho = np.asarray(rho, dtype=float)
@@ -116,31 +164,24 @@ class PressureLaw:
         return out if out.ndim else float(out)
 
     def enthalpy(self, rho):
-        """h(rho) = int_1^rho P'(r)/r dr.
+        """h(rho) = int_1^rho P'(r)/r dr, in closed form for both kinds.
 
-        Closed form for polytropic laws; adaptive quadrature (relative
-        tolerance 1e-12) for tabulated laws.
+        For a tabulated law the lower limit 1 is clamped into the working
+        range, and h is the exact integral of the PCHIP interpolant's P'/r
+        (one knot search, then one expression per point).
         """
         rho = self._require_in_range(rho)
         if self.kind == "polytropic":
-            if self.gamma == 1.0:
+            g = self.gamma
+            if g == 1.0:
                 out = self.K * np.log(rho)
             else:
-                g = self.gamma
-                out = self.K * g / (g - 1.0) * (rho ** (g - 1.0) - 1.0)
-            return out if out.ndim else float(out)
-        if rho.ndim:
-            return np.array([self.enthalpy(float(r)) for r in rho])
-        base = min(max(1.0, self.rho_min), self.rho_max)
-        with warnings.catch_warnings():
-            # at rtol 1e-12 the integrator may flag roundoff; accuracy is
-            # still far below mesh discretization error
-            warnings.simplefilter("ignore", IntegrationWarning)
-            val, _ = quad(
-                lambda r: self._dinterp(r) / r, base, float(rho),
-                epsabs=0.0, epsrel=_QUAD_RTOL, limit=200,
-            )
-        return val
+                # expm1 keeps h accurate (and increasing) as gamma -> 1
+                out = self.K * g / (g - 1.0) * np.expm1((g - 1.0) * np.log(rho))
+        else:
+            k = _piece(self._interp.x, rho)
+            out = self._h_knots[k] + self._h_piece(k, rho)
+        return out if out.ndim else float(out)
 
     def enthalpy_range(self):
         """(h_lo, h_hi): the open image of the enthalpy on the working range."""
@@ -149,7 +190,7 @@ class PressureLaw:
                 return (-math.inf, math.inf)
             g = self.gamma
             return (-self.K * g / (g - 1.0), math.inf)
-        return (self.enthalpy(self.rho_min), self.enthalpy(self.rho_max))
+        return (float(self._h_knots[0]), float(self._h_knots[-1]))
 
     def enthalpy_inverse(self, h):
         """rho with enthalpy(rho) = h, to 1e-11*(1+|h|).
@@ -157,27 +198,10 @@ class PressureLaw:
         Raises :class:`RangeError` when h lies outside the enthalpy image;
         physically this is the vacuum boundary of the hydrostatic profile.
         """
-        h = float(h)
-        lo, hi = self.enthalpy_range()
-        if not (lo < h < hi):
-            raise RangeError(
-                "enthalpy %g outside attainable range (%g, %g)" % (h, lo, hi)
-            )
-        if self.kind == "polytropic":
-            if self.gamma == 1.0:
-                return math.exp(h / self.K)
-            g = self.gamma
-            return (1.0 + (g - 1.0) * h / (self.K * g)) ** (1.0 / (g - 1.0))
-        rho = brentq(
-            lambda r: self.enthalpy(r) - h, self.rho_min, self.rho_max,
-            xtol=1e-15, rtol=8.9e-16, maxiter=200,
-        )
-        if abs(self.enthalpy(rho) - h) > _INV_TOL * (1.0 + abs(h)):
-            raise RangeError("enthalpy inversion failed to meet tolerance")
-        return float(rho)
+        return float(self.enthalpy_inverse_vec(float(h)))
 
     def enthalpy_inverse_vec(self, h):
-        """Vectorized enthalpy inverse (closed form for polytropic laws)."""
+        """Vectorized enthalpy inverse; see :meth:`enthalpy_inverse`."""
         h = np.asarray(h, dtype=float)
         lo, hi = self.enthalpy_range()
         if np.any(h <= lo) or np.any(h >= hi):
@@ -186,8 +210,11 @@ class PressureLaw:
             if self.gamma == 1.0:
                 return np.exp(h / self.K)
             g = self.gamma
-            return (1.0 + (g - 1.0) * h / (self.K * g)) ** (1.0 / (g - 1.0))
-        return np.array([self.enthalpy_inverse(float(v)) for v in np.atleast_1d(h)])
+            return np.exp(np.log1p((g - 1.0) * h / (self.K * g)) / (g - 1.0))
+        rho = self._invert(self._h_knots, h, self.enthalpy, lambda r: self._dinterp(r) / r)
+        if np.any(np.abs(self.enthalpy(rho) - h) > _INV_TOL * (1.0 + np.abs(h))):
+            raise RangeError("enthalpy inversion failed to meet tolerance")
+        return rho
 
     def pressure_inverse(self, p):
         """rho with P(rho) = p; :class:`RangeError` if p is not attained."""
@@ -196,12 +223,11 @@ class PressureLaw:
             if p <= 0:
                 raise RangeError("pressure must be > 0")
             return (p / self.K) ** (1.0 / self.gamma)
-        p_lo = float(self._interp(self.rho_min))
-        p_hi = float(self._interp(self.rho_max))
+        p_lo, p_hi = self.pressure_image()
         if not (p_lo <= p <= p_hi):
             raise RangeError("pressure %g outside tabulated image [%g, %g]" % (p, p_lo, p_hi))
-        return float(brentq(lambda r: self._interp(r) - p, self.rho_min, self.rho_max,
-                            xtol=1e-15, rtol=8.9e-16, maxiter=200))
+        knots = self._interp(self._interp.x)
+        return float(self._invert(knots, p, self._interp, self._dinterp))
 
     def pressure_image(self):
         if self.kind == "polytropic":

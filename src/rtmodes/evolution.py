@@ -101,14 +101,15 @@ def integrate(forms, u0, v0, dt, T, store_every=None):
             st_idx.append(i)
             st_u.append(u.copy())
             st_v.append(w.copy())
+        return Jw, E0u
 
-    record(0, u, w)
+    Jw, E0u = record(0, u, w)
     for i in range(1, nt):
-        wm = solve(2.0 * (J @ w) - dt * (E0 @ u))
+        wm = solve(2.0 * Jw - dt * E0u)
         u = u + dt * wm
         w = 2.0 * wm - w
         dmid[i] = dmid[i - 1] + dt * float(wm @ (E1 @ wm))
-        record(i, u, w)
+        Jw, E0u = record(i, u, w)
         dtrap[i] = dtrap[i - 1] + 0.5 * dt * (n2d[i - 1] + n2d[i]) / 2.0
         if not (np.isfinite(kin[i]) and np.isfinite(pot[i])):
             raise SolverError("trajectory blew up", {"step": i, "dt": dt})

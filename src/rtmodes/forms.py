@@ -216,21 +216,9 @@ def assemble(profile, mesh, xi, _allow_zero=False):
     xq = mesh.quad_x           # (n_el, nq)
     wq = mesh.quad_w
 
-    rho = np.empty_like(xq)
-    pr = np.empty_like(xq)
-    eps = np.empty_like(xq)
-    dlt = np.empty_like(xq)
-    gop = np.empty_like(xq)    # g / P'(rho0)
-    for s in (-1, +1):
-        msk = mesh.element_side == s
-        x_s = xq[msk].ravel()
-        rho_s = profile.density(x_s, side=s)
-        dp_s = profile.dpressure(x_s, side=s)
-        rho[msk] = rho_s.reshape(-1, mesh.quad_points)
-        pr[msk] = (dp_s * rho_s).reshape(-1, mesh.quad_points)
-        eps[msk] = profile.eps0(x_s, side=s).reshape(-1, mesh.quad_points)
-        dlt[msk] = profile.delta0(x_s, side=s).reshape(-1, mesh.quad_points)
-        gop[msk] = (profile.geometry.g / dp_s).reshape(-1, mesh.quad_points)
+    # Gauss points are interior to elements, so each side is the sign of x3
+    f = profile.fields(xq)
+    rho, pr, eps, dlt, gop = f["rho"], f["pr"], f["eps"], f["delta"], f["gop"]
 
     g = profile.geometry.g
     v_phi, v_psi, v_div, v_sh1, v_sh2 = _field_vectors(mesh, xi)

@@ -80,6 +80,10 @@ class FluidViscosity:
     delta: ViscosityLaw = field(default_factory=lambda: ViscosityLaw.constant(0.0))
 
 
+_FIELDS = ("rho", "rho_prime", "P", "dp", "pr", "pr_prime", "gop",
+           "eps", "eps_prime", "delta", "delta_prime")
+
+
 class SteadyProfile:
     """Hydrostatic steady state with closed-form side evaluators.
 
@@ -117,99 +121,81 @@ class SteadyProfile:
             raise DomainError("x3 outside the slab [-m, ell]")
         return x3, side_arr
 
-    def _per_side(self, x3, side, fn):
+    # -- fields --------------------------------------------------------
+
+    def density(self, x3, side=None):
+        """rho0(x3) = h^{-1}(h(rho_interface) - g x3) on each side."""
         x3, side_arr = self._sides(x3, side)
         out = np.empty(x3.shape, dtype=float)
         for s in (-1, +1):
             mask = side_arr == s
             if np.any(mask):
-                out[mask] = fn(s, x3[mask])
+                h = self._h_at_interface[s] - self.geometry.g * x3[mask]
+                out[mask] = self.laws[s].enthalpy_inverse_vec(h)
         return out if out.ndim else float(out)
 
-    # -- primary fields ------------------------------------------------
+    def fields(self, x3, side=None):
+        """Every coefficient field at x3 from one density evaluation.
 
-    def density(self, x3, side=None):
-        """rho0(x3) = h^{-1}(h(rho_interface) - g x3) on each side."""
-
-        def fn(s, x):
-            law = self.laws[s]
-            h0 = self._h_at_interface[s]
-            return law.enthalpy_inverse_vec(h0 - self.geometry.g * np.atleast_1d(x))
-
-        return self._per_side(x3, side, fn)
+        Returns a dict of arrays shaped like x3 (floats for scalar x3):
+        ``rho`` = rho0; ``rho_prime`` = -g rho0 / P'(rho0), from the
+        hydrostatic ODE; ``P``; ``dp`` = P'(rho0); ``pr`` = P'(rho0) rho0;
+        ``pr_prime`` = (P' rho0)' by the chain rule; ``gop`` = g / P'(rho0);
+        and ``eps``, ``eps_prime``, ``delta``, ``delta_prime``, the viscosity
+        laws at rho0 and their x3-derivatives eps'(rho0) rho0' (no numerical
+        differentiation).
+        """
+        rho = np.asarray(self.density(x3, side))
+        x3, side_arr = self._sides(x3, side)
+        g = self.geometry.g
+        out = {name: np.empty(x3.shape, dtype=float) for name in _FIELDS}
+        for s in (-1, +1):
+            mask = side_arr == s
+            if not np.any(mask):
+                continue
+            law, visc, r = self.laws[s], self.visc[s], rho[mask]
+            dp = np.asarray(law.dpressure(r))
+            r_p = -g * r / dp
+            vals = {
+                "rho": r, "rho_prime": r_p, "P": law.pressure(r), "dp": dp, "pr": dp * r,
+                "pr_prime": (np.asarray(law.d2pressure(r)) * r + dp) * r_p, "gop": g / dp,
+                "eps": visc.eps(r), "eps_prime": np.asarray(visc.eps.derivative(r)) * r_p,
+                "delta": visc.delta(r), "delta_prime": np.asarray(visc.delta.derivative(r)) * r_p,
+            }
+            for name in _FIELDS:
+                out[name][mask] = vals[name]
+        return {name: v if v.ndim else float(v) for name, v in out.items()}
 
     def dpressure(self, x3, side=None):
-        def fn(s, x):
-            rho = np.atleast_1d(self.density(x, side=s))
-            return np.asarray(self.laws[s].dpressure(rho))
-
-        return self._per_side(x3, side, fn)
+        return self.fields(x3, side)["dp"]
 
     def pprime_rho(self, x3, side=None):
         """P'(rho0) * rho0, the compression modulus weighting the forms."""
-
-        def fn(s, x):
-            rho = np.atleast_1d(self.density(x, side=s))
-            return np.asarray(self.laws[s].dpressure(rho)) * rho
-
-        return self._per_side(x3, side, fn)
+        return self.fields(x3, side)["pr"]
 
     def density_prime(self, x3, side=None):
         """rho0' = -g rho0 / P'(rho0), from the hydrostatic ODE."""
-
-        def fn(s, x):
-            rho = np.atleast_1d(self.density(x, side=s))
-            return -self.geometry.g * rho / np.asarray(self.laws[s].dpressure(rho))
-
-        return self._per_side(x3, side, fn)
+        return self.fields(x3, side)["rho_prime"]
 
     def pprime_rho_prime(self, x3, side=None):
         """(P'(rho0) rho0)' by the chain rule, using the hydrostatic ODE."""
-
-        def fn(s, x):
-            law = self.laws[s]
-            rho = np.atleast_1d(self.density(x, side=s))
-            dp = np.asarray(law.dpressure(rho))
-            d2p = np.asarray(law.d2pressure(rho))
-            rho_p = -self.geometry.g * rho / dp
-            return (d2p * rho + dp) * rho_p
-
-        return self._per_side(x3, side, fn)
+        return self.fields(x3, side)["pr_prime"]
 
     def eps0(self, x3, side=None):
-        return self._per_side(
-            x3, side, lambda s, x: np.asarray(self.visc[s].eps(np.atleast_1d(self.density(x, side=s))))
-        )
+        return self.fields(x3, side)["eps"]
 
     def delta0(self, x3, side=None):
-        return self._per_side(
-            x3, side, lambda s, x: np.asarray(self.visc[s].delta(np.atleast_1d(self.density(x, side=s))))
-        )
+        return self.fields(x3, side)["delta"]
 
     def eps0_prime(self, x3, side=None):
         """eps0' = eps'(rho0) rho0', avoiding numerical differentiation."""
-
-        def fn(s, x):
-            rho = np.atleast_1d(self.density(x, side=s))
-            rho_p = -self.geometry.g * rho / np.asarray(self.laws[s].dpressure(rho))
-            return np.asarray(self.visc[s].eps.derivative(rho)) * rho_p
-
-        return self._per_side(x3, side, fn)
+        return self.fields(x3, side)["eps_prime"]
 
     def delta0_prime(self, x3, side=None):
-        def fn(s, x):
-            rho = np.atleast_1d(self.density(x, side=s))
-            rho_p = -self.geometry.g * rho / np.asarray(self.laws[s].dpressure(rho))
-            return np.asarray(self.visc[s].delta.derivative(rho)) * rho_p
-
-        return self._per_side(x3, side, fn)
+        return self.fields(x3, side)["delta_prime"]
 
     def pressure(self, x3, side=None):
-        def fn(s, x):
-            rho = np.atleast_1d(self.density(x, side=s))
-            return np.asarray(self.laws[s].pressure(rho))
-
-        return self._per_side(x3, side, fn)
+        return self.fields(x3, side)["P"]
 
 
 def build_profile(lower, upper, rho_minus, geometry, viscosity=None):

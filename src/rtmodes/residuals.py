@@ -15,29 +15,22 @@ from .errors import DomainError
 _FLOOR = 1e-300
 
 
-def coefficient_fields(profile, x, side, s):
-    """Modified-viscosity coefficient bundle at points x on one side."""
-    rho = profile.density(x, side=side)
-    pr = profile.pprime_rho(x, side=side)
-    pr_p = profile.pprime_rho_prime(x, side=side)
-    eps = s * profile.eps0(x, side=side)
-    eps_p = s * profile.eps0_prime(x, side=side)
-    dlt = s * profile.delta0(x, side=side)
-    dlt_p = s * profile.delta0_prime(x, side=side)
-    return rho, pr, pr_p, eps, eps_p, dlt, dlt_p
+def coefficient_fields(f, s):
+    """Modified-viscosity coefficient bundle from a ``SteadyProfile.fields`` dict."""
+    return (f["rho"], f["pr"], f["pr_prime"], s * f["eps"], s * f["eps_prime"],
+            s * f["delta"], s * f["delta_prime"])
 
 
-def ode_second_derivatives(profile, mesh, phi, psi, xi, s, mu, x, side):
-    """(phi'', psi'') at points x from the strong-form ODEs.
+def _ode_terms(fields, g, mesh, phi, psi, xi, s, mu, x, side):
+    """Both ODEs at points x, split off from their second-derivative parts.
 
-    Uses the nodal fields' values and first derivatives plus the analytic
-    coefficient derivatives; this is the bootstrap route, independent of the
-    elementwise second derivative of the interpolant.
+    phi: -(eps phi')' + xi^2 B phi + xi (M psi' + (eps' - g rho) psi) - mu rho phi = 0
+    psi: -(B psi')' + eps xi^2 psi - xi (M' phi + M phi' + (g rho - eps') phi) - mu rho psi = 0
+    with B = 4 eps/3 + delta + P' rho, M = delta + eps/3 + P' rho and the
+    viscosities scaled by s.  Returns (eps, eps', B, B'), (phi', psi') and
+    the three remaining terms of each equation.
     """
-    if s <= 0:
-        raise DomainError("derivative bootstrap needs a positive family parameter")
-    g = profile.geometry.g
-    rho, pr, pr_p, eps, eps_p, dlt, dlt_p = coefficient_fields(profile, x, side, s)
+    rho, pr, pr_p, eps, eps_p, dlt, dlt_p = coefficient_fields(fields, s)
     f = mesh.eval_nodal(phi, x, side=side)
     fp = mesh.eval_nodal(phi, x, side=side, deriv=1)
     p = mesh.eval_nodal(psi, x, side=side)
@@ -47,12 +40,24 @@ def ode_second_derivatives(profile, mesh, phi, psi, xi, s, mu, x, side):
     big_p = 4 * eps_p / 3 + dlt_p + pr_p
     mid = dlt + eps / 3 + pr
     mid_p = dlt_p + eps_p / 3 + pr_p
+    t_phi = (xi**2 * big * f, xi * (mid * pp + (eps_p - g * rho) * p), -mu * rho * f)
+    t_psi = (eps * xi**2 * p, -xi * (mid_p * f + mid * fp + (g * rho - eps_p) * f), -mu * rho * p)
+    return (eps, eps_p, big, big_p), (fp, pp), t_phi, t_psi
 
-    d_eps_phi = -mu * rho * f + xi**2 * big * f + xi * (mid * pp + (eps_p - g * rho) * p)
-    phi2 = (d_eps_phi - eps_p * fp) / eps
-    d_big_psi = -mu * rho * p + eps * xi**2 * p - xi * (mid_p * f + mid * fp + (g * rho - eps_p) * f)
-    psi2 = (d_big_psi - big_p * pp) / big
-    return phi2, psi2
+
+def ode_second_derivatives(fields, g, mesh, phi, psi, xi, s, mu, x, side):
+    """(phi'', psi'') at points x from the strong-form ODEs.
+
+    ``fields`` is ``profile.fields(x, side)`` and ``g`` the gravity.  Uses
+    the nodal fields' values and first derivatives plus the analytic
+    coefficient derivatives; this is the bootstrap route, independent of the
+    elementwise second derivative of the interpolant.
+    """
+    if s <= 0:
+        raise DomainError("derivative bootstrap needs a positive family parameter")
+    (eps, eps_p, big, big_p), (fp, pp), (a1, a2, a3), (b1, b2, b3) = _ode_terms(
+        fields, g, mesh, phi, psi, xi, s, mu, x, side)
+    return (a3 + a1 + a2 - eps_p * fp) / eps, (b3 + b1 + b2 - big_p * pp) / big
 
 
 def strong_form_residual(profile, mesh, phi, psi, xi, s, mu):
@@ -65,38 +70,18 @@ def strong_form_residual(profile, mesh, phi, psi, xi, s, mu):
         raise DomainError("strong-form residual needs order >= 2 elements")
     if s <= 0:
         raise DomainError("strong-form residual needs a positive family parameter")
-    g = profile.geometry.g
     num = 0.0
     den = 0.0
     count = 0
     for side in (-1, +1):
         msk = mesh.element_side == side
         xs = 0.5 * (mesh.element_breaks[:-1] + mesh.element_breaks[1:])[msk]
-        rho, pr, pr_p, eps, eps_p, dlt, dlt_p = coefficient_fields(profile, xs, side, s)
-        f = mesh.eval_nodal(phi, xs, side=side)
-        fp = mesh.eval_nodal(phi, xs, side=side, deriv=1)
+        (eps, eps_p, big, big_p), (fp, pp), t_phi, t_psi = _ode_terms(
+            profile.fields(xs, side), profile.geometry.g, mesh, phi, psi, xi, s, mu, xs, side)
         f2 = mesh.eval_nodal(phi, xs, side=side, deriv=2)
-        p = mesh.eval_nodal(psi, xs, side=side)
-        pp = mesh.eval_nodal(psi, xs, side=side, deriv=1)
         p2 = mesh.eval_nodal(psi, xs, side=side, deriv=2)
-
-        big = 4 * eps / 3 + dlt + pr
-        big_p = 4 * eps_p / 3 + dlt_p + pr_p
-        mid = dlt + eps / 3 + pr
-        mid_p = dlt_p + eps_p / 3 + pr_p
-
-        t_phi = [
-            -(eps_p * fp + eps * f2),
-            xi**2 * big * f,
-            xi * (mid * pp + (eps_p - g * rho) * p),
-            -mu * rho * f,
-        ]
-        t_psi = [
-            -(big_p * pp + big * p2),
-            eps * xi**2 * p,
-            -xi * (mid_p * f + mid * fp + (g * rho - eps_p) * f),
-            -mu * rho * p,
-        ]
+        t_phi = [-(eps_p * fp + eps * f2), *t_phi]
+        t_psi = [-(big_p * pp + big * p2), *t_psi]
         r_phi = sum(t_phi)
         r_psi = sum(t_psi)
         num += float(np.sum(r_phi**2 + r_psi**2))
@@ -116,7 +101,7 @@ def jump_residuals(profile, mesh, phi, psi, xi, s):
     vals = {}
     for side in (-1, +1):
         rho, pr, pr_p, eps, eps_p, dlt, dlt_p = coefficient_fields(
-            profile, np.array([0.0]), side, s
+            profile.fields(np.array([0.0]), side), s
         )
         vals[side] = dict(
             pr=pr[0], eps=eps[0], dlt=dlt[0],

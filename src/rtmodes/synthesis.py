@@ -107,15 +107,14 @@ class _ModeProfileTable:
             fp = mesh.eval_nodal(phi, xq, side=side, deriv=1)
             p = mesh.eval_nodal(psi, xq, side=side)
             pp = mesh.eval_nodal(psi, xq, side=side, deriv=1)
+            fields = profile.fields(xq, side)
             f2, p2 = ode_second_derivatives(
-                profile, mesh, phi, psi, xi, lam, -lam**2, xq, side
+                fields, profile.geometry.g, mesh, phi, psi, xi, lam, -lam**2, xq, side
             )
-            rho = profile.density(xq, side=side)
-            rho_p = profile.density_prime(xq, side=side)
             self.weights[side] = wq
             self.deriv[side] = {
                 "phi": (f, fp, f2), "psi": (p, pp, p2),
-                "rho": (rho, rho_p),
+                "rho": (fields["rho"], fields["rho_prime"]),
             }
 
     def w_sq_integral(self, j):

@@ -178,6 +178,26 @@ class TestCliRuns:
         assert main(["mode", "--config", str(cfg_path), "--set", "mesh.quadrature=1"]) == 2
         assert "quadrature" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["mode", "--xi", "1"], ["dispersion", "--n", "3"]])
+    def test_order_one_mesh_runs(self, cfg_path, tmp_path, command):
+        assert main([*command, "--config", str(cfg_path), "--set", "mesh.order=1",
+                     "--set", "mesh.elements_per_side=3"]) == 0
+        meta = json.loads((tmp_path / "out" / "run.json").read_text())
+        lam = meta["lambda"] if command[0] == "mode" else meta["Lambda"]
+        assert math.isfinite(lam) and lam > 0
+        if command[0] == "mode":
+            assert meta["ode_residual"] is None
+
+    def test_empty_synthesis_grid_exits_2(self, cfg_path, capsys):
+        assert main(["synthesize", "--config", str(cfg_path), "--grid", "0,2,2"]) == 2
+        assert "--grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["synthesis.grid.ny", "synthesis.radial_nodes",
+                                     "synthesis.angular_nodes"])
+    def test_empty_synthesis_size_exits_2(self, cfg_path, capsys, key):
+        assert main(["synthesize", "--config", str(cfg_path), "--set", f"{key}=0"]) == 2
+        assert key in capsys.readouterr().err
+
     def test_nan_sigma_exits_2(self, cfg_path, capsys):
         assert main(["mode", "--config", str(cfg_path), "--set", "geometry.sigma=nan"]) == 2
         assert "geometry.sigma" in capsys.readouterr().err

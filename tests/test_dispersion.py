@@ -25,6 +25,22 @@ def oracle_rate(forms):
     return brentq(F, 1e-8, s_hi, xtol=1e-12)
 
 
+def test_tabulated_copy_reproduces_polytropic_rates(profile):
+    # PCHIP reproduces a linear P(rho) exactly, so only the enthalpy pair can differ
+    rng = np.random.default_rng(11)
+    logs = np.linspace(np.log(0.05), np.log(20.0), 40)
+    logs[1:-1] += rng.uniform(-0.4, 0.4, 38) * (logs[1] - logs[0])
+    rho = np.exp(logs)
+    tab = rt.build_profile(
+        rt.PressureLaw.tabulated(rho, 2.0 * rho), rt.PressureLaw.tabulated(rho, rho),
+        1.0, profile.geometry, (profile.visc[-1], profile.visc[+1]),
+    )
+    mesh = rt.Mesh.uniform(1, 1, 32, order=2)
+    for xi in (0.1, 1.0, 0.9 * profile.xi_c):
+        assert rt.growth_rate(tab, mesh, xi).lam == pytest.approx(
+            rt.growth_rate(profile, mesh, xi).lam, rel=1e-6)
+
+
 def test_rate_against_oracle_and_resolutions(profile):
     xi = profile.xi_c / 2
     lams = {}

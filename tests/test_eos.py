@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 import rtmodes as rt
 from rtmodes.errors import DomainError, RangeError
@@ -62,6 +63,14 @@ def test_enthalpy_strictly_increasing(r1, r2, K, gamma):
         assert law.enthalpy(lo) < law.enthalpy(hi)
 
 
+def test_enthalpy_near_isothermal():
+    # gamma - 1 = 2^-52: rho^(gamma-1) - 1 rounds to the same value at rho = 2 and 3
+    law = rt.PressureLaw.polytropic(1.0, 1.0 + 2.0**-52)
+    assert law.enthalpy(2.0) < law.enthalpy(3.0)
+    assert law.enthalpy(3.0) == pytest.approx(math.log(3.0), rel=1e-12)
+    assert law.enthalpy_inverse(law.enthalpy(3.0)) == pytest.approx(3.0, rel=1e-12)
+
+
 def test_admissible_isothermal():
     k2 = rt.PressureLaw.polytropic(2, 1)
     k1 = rt.PressureLaw.polytropic(1, 1)
@@ -94,6 +103,27 @@ def pair():
     return poly, tab
 
 
+@pytest.fixture(scope="module")
+def jittered():
+    """A 40-sample gamma = 1.4 table with interior samples moved up to 40% of a log-step."""
+    rng = np.random.default_rng(7)
+    logs = np.linspace(np.log(0.05), np.log(20.0), 40)
+    step = logs[1] - logs[0]
+    logs[1:-1] += rng.uniform(-0.4, 0.4, 38) * step
+    rho = np.exp(logs)
+    return rt.PressureLaw.tabulated(rho, 1.3 * rho**1.4)
+
+
+def knot_split_enthalpy(law, rho):
+    """int_1^rho P'(r)/r dr by adaptive quadrature, one interval per PCHIP piece."""
+    dp = law._interp.derivative()
+    lo, hi = sorted((1.0, rho))
+    pts = [lo, *(x for x in law._interp.x if lo < x < hi), hi]
+    total = sum(quad(lambda r: dp(r) / r, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                for a, b in zip(pts[:-1], pts[1:]))
+    return total if rho >= 1.0 else -total
+
+
 class TestTabulated:
     def test_matches_polytropic(self, pair):
         poly, tab = pair
@@ -108,6 +138,34 @@ class TestTabulated:
             h = tab.enthalpy(rho)
             back = tab.enthalpy_inverse(h)
             assert abs(tab.enthalpy(back) - h) <= 1e-11 * (1 + abs(h))
+
+    def test_closed_form_enthalpy_matches_knot_split_quadrature(self, jittered):
+        rho = np.clip(np.geomspace(0.05, 20.0, 61), jittered.rho_min, jittered.rho_max)
+        h = jittered.enthalpy(rho)
+        ref = np.array([knot_split_enthalpy(jittered, r) for r in rho])
+        assert np.all(np.abs(h - ref) <= 1e-12 * (1 + np.abs(ref)))
+        assert abs(jittered.enthalpy(1.0)) <= 1e-15
+
+    def test_vectorized_inverse_roundtrip(self, jittered):
+        lo, hi = jittered.enthalpy_range()
+        h = np.linspace(lo, hi, 1203)[1:-1]
+        rho = jittered.enthalpy_inverse_vec(h)
+        assert np.all(np.diff(rho) > 0)
+        assert np.all(np.abs(jittered.enthalpy(rho) - h) <= 1e-11 * (1 + np.abs(h)))
+        knots = jittered._interp.x[1:-1]     # inversions landing exactly on knots
+        assert jittered.enthalpy_inverse_vec(jittered.enthalpy(knots)) == pytest.approx(knots, rel=1e-14)
+        assert jittered.enthalpy_inverse(h[500]) == rho[500]
+        for outside in (lo - 1e-9 * (1 + abs(lo)), hi + 1e-9 * (1 + abs(hi))):
+            with pytest.raises(RangeError):
+                jittered.enthalpy_inverse_vec(np.array([h[0], outside]))
+            with pytest.raises(RangeError):
+                jittered.enthalpy_inverse(outside)
+
+    def test_pressure_inverse_roundtrip(self, jittered):
+        for r in (jittered.rho_min, 0.0512, 1.0, 3.3, jittered.rho_max):
+            assert jittered.pressure_inverse(jittered.pressure(r)) == pytest.approx(r, rel=1e-14)
+        with pytest.raises(RangeError):
+            jittered.pressure_inverse(2.0 * jittered.pressure(jittered.rho_max))
 
     def test_working_range_enforced(self, pair):
         _, tab = pair

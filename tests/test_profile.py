@@ -110,6 +110,32 @@ def test_eps0_prime_matches_finite_differences():
         assert prof.pprime_rho_prime(x, side=side) == pytest.approx(fd, rel=1e-7)
 
 
+def test_fields_match_pointwise_evaluators():
+    visc = (
+        rt.FluidViscosity(rt.ViscosityLaw.power(0.2, 1.5), rt.ViscosityLaw.power(0.05, 1.0)),
+        rt.FluidViscosity(rt.ViscosityLaw.power(0.3, 0.5), rt.ViscosityLaw.constant(0.02)),
+    )
+    prof = rt.build_profile(
+        rt.PressureLaw.polytropic(2, 1.4), rt.PressureLaw.polytropic(1, 1.2),
+        1.0, rt.SlabGeometry(m=1, ell=1, g=1), visc,
+    )
+    xs = np.array([-0.9, -0.31, -1e-3, 2e-3, 0.4, 0.97])
+    f = prof.fields(xs)                       # both sides in one call
+    named = {
+        "rho": prof.density, "rho_prime": prof.density_prime, "P": prof.pressure,
+        "dp": prof.dpressure, "pr": prof.pprime_rho, "pr_prime": prof.pprime_rho_prime,
+        "eps": prof.eps0, "eps_prime": prof.eps0_prime,
+        "delta": prof.delta0, "delta_prime": prof.delta0_prime,
+    }
+    for name, evaluator in named.items():
+        pointwise = [evaluator(x, side=1 if x > 0 else -1) for x in xs]
+        assert all(isinstance(v, float) for v in pointwise)
+        assert f[name] == pytest.approx(pointwise, rel=1e-15, abs=0.0), name
+    assert f["gop"] == pytest.approx(1.0 / f["dp"], rel=1e-15)
+    assert prof.fields(0.0, side=-1)["rho"] == pytest.approx(prof.rho_minus, rel=1e-14)
+    assert prof.fields(0.0, side=+1)["rho"] == pytest.approx(prof.rho_plus, rel=1e-14)
+
+
 def test_interface_needs_side(profile):
     with pytest.raises(DomainError):
         profile.density(0.0)
