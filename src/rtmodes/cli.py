@@ -25,6 +25,39 @@ from .verify import format_table, run_battery
 _FMT = "%.17g"
 
 
+def _finite_float(text):
+    """argparse type: a finite float (nan and inf exit 2 like any bad value)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_int(text):
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _finite_floats(text):
+    """argparse type: comma-separated finite floats."""
+    return [_finite_float(v) for v in text.split(",")]
+
+
+def _first_given(*values):
+    """The first value that is not None; an explicit 0 is kept, so it fails
+    downstream validation instead of silently falling back to a default."""
+    return next((v for v in values if v is not None), None)
+
+
 def _write_csv(path, header, columns):
     rows = zip(*columns)
     with open(path, "w") as fh:
@@ -113,7 +146,7 @@ def _cmd_dispersion(config, args):
     profile = config.profile()
     mesh = config.mesh()
     lo, hi = config.sweep_range(profile.xi_c)
-    n = args.n or config["sweep.n"]
+    n = _first_given(args.n, config["sweep.n"])
     curve = sweep(profile, mesh, lo, hi, n=n)
     out = Path(config["output.dir"]) / (args.out or "curve.csv")
     _write_csv(out, ["xi", "lambda", "s_star", "psi0", "residual"],
@@ -130,7 +163,7 @@ def _cmd_dispersion(config, args):
 def _cmd_lattice(config, args):
     profile = config.profile()
     mesh = config.mesh()
-    L = args.L or config.get("lattice.L") or config.get("geometry.L")
+    L = _first_given(args.L, config.get("lattice.L"), config.get("geometry.L"))
     if L is None:
         raise ConfigurationError("lattice needs --L, lattice.L, or geometry.L")
     lat = lattice_modes(profile, mesh, float(L), xi_max=config.get("lattice.xi_max"))
@@ -153,12 +186,12 @@ def _cmd_lattice(config, args):
 def _cmd_synthesize(config, args):
     profile = config.profile()
     mesh = config.mesh()
-    times = [float(t) for t in args.t.split(",")] if args.t else [0.0]
+    times = args.t or [0.0]
     outdir = Path(config["output.dir"]) / (args.out or "fields")
     outdir.mkdir(parents=True, exist_ok=True)
 
     if args.periodic:
-        L = config.get("lattice.L") or config.get("geometry.L")
+        L = _first_given(config.get("lattice.L"), config.get("geometry.L"))
         if L is None:
             raise ConfigurationError("periodic synthesis needs geometry.L or lattice.L")
         field = PeriodicField(profile, mesh, float(L))
@@ -208,7 +241,7 @@ def _cmd_synthesize(config, args):
 def _cmd_evolve(config, args):
     profile = config.profile()
     mesh = config.mesh()
-    xi = args.xi or config.get("evolve.xi")
+    xi = _first_given(args.xi, config.get("evolve.xi"))
     if xi is None:
         xi = min(1.0, 0.5 * profile.xi_c) if math.isfinite(profile.xi_c) else 1.0
     r = growth_rate(profile, mesh, float(xi))
@@ -217,8 +250,8 @@ def _cmd_evolve(config, args):
             "evolve needs an unstable frequency; |xi| = %g is stable (%s)" % (xi, r.reason)
         )
     lam = r.lam
-    dt = args.dt or config.get("evolve.dt") or min(1e-2, 1e-2 / lam)
-    T = args.T or config.get("evolve.T") or 5.0 / lam
+    dt = _first_given(args.dt, config.get("evolve.dt"), min(1e-2, 1e-2 / lam))
+    T = _first_given(args.T, config.get("evolve.T"), 5.0 / lam)
     u0, v0 = mode_initial_data(r)
     traj = integrate(r.forms, u0, v0, float(dt), float(T))
     out = Path(config["output.dir"]) / (args.out or "traj.csv")
@@ -263,36 +296,36 @@ def build_parser():
 
     p = sub.add_parser("profile", help="emit the hydrostatic profile as CSV")
     common(p)
-    p.add_argument("--resolution", type=int, default=512)
+    p.add_argument("--resolution", type=_positive_int, default=512)
 
     p = sub.add_parser("forms", help="assemble the quadratic forms at one frequency")
     common(p)
-    p.add_argument("--xi", type=float, required=True)
+    p.add_argument("--xi", type=_finite_float, required=True)
     p.add_argument("--dump", action="store_true", help="write (row, col, value) matrices")
 
     p = sub.add_parser("mode", help="solve the growing mode at one frequency")
     common(p)
-    p.add_argument("--xi", type=float)
+    p.add_argument("--xi", type=_finite_float)
 
     p = sub.add_parser("dispersion", help="sweep lambda(|xi|) and report Lambda")
     common(p)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_positive_int)
 
     p = sub.add_parser("lattice", help="enumerate lattice modes or certify stability")
     common(p)
-    p.add_argument("--L", type=float)
+    p.add_argument("--L", type=_finite_float)
 
     p = sub.add_parser("synthesize", help="sample synthesized 3D growing fields")
     common(p)
-    p.add_argument("--t", help="comma-separated sample times (default 0)")
+    p.add_argument("--t", type=_finite_floats, help="comma-separated sample times (default 0)")
     p.add_argument("--grid", help="nx,ny,nz sample grid")
     p.add_argument("--periodic", action="store_true")
 
     p = sub.add_parser("evolve", help="integrate a mode's second-order system")
     common(p)
-    p.add_argument("--xi", type=float)
-    p.add_argument("--T", type=float)
-    p.add_argument("--dt", type=float)
+    p.add_argument("--xi", type=_finite_float)
+    p.add_argument("--T", type=_finite_float)
+    p.add_argument("--dt", type=_finite_float)
 
     p = sub.add_parser("verify", help="run the invariant battery")
     common(p)

@@ -16,7 +16,6 @@ profile construction.  Two kinds are supported, both in closed form:
 import math
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, RangeError
 
@@ -28,6 +27,40 @@ _NEWTON_STEPS = 100   # bisection fallback halves a piece 53 times at most
 def _piece(knots, v):
     """Index k of the piece [knots[k], knots[k+1]] holding v (ends clamped)."""
     return np.clip(np.searchsorted(knots, v, side="right") - 1, 0, knots.size - 2)
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope with Moler's shape-preserving clamp."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(x, y):
+    """PCHIP (Fritsch & Carlson 1980) cubics, c[:, k] = (c0, c1, c2, c3) on piece k.
+
+    P(x_k + t) = c0 t^3 + c1 t^2 + c2 t + c3.  Interior slopes are the
+    weighted harmonic mean of the adjacent secants (0 where they change sign
+    or vanish); 2 samples give the linear interpolant.  The arithmetic
+    follows scipy's PCHIP interpolator, so the coefficients match it bit for bit.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.empty_like(y)
+    if x.size == 2:
+        d[:] = m[0]
+    else:
+        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
 
 
 class PressureLaw:
@@ -47,7 +80,7 @@ class PressureLaw:
             self.K, self.gamma = float(K), float(gamma)
             self.rho_min, self.rho_max = 0.0, math.inf
         elif kind == "tabulated":
-            rho = np.asarray(params["rho"], dtype=float)
+            rho = np.array(params["rho"], dtype=float)   # a copy: the law keeps it
             P = np.asarray(params["P"], dtype=float)
             if rho.ndim != 1 or rho.shape != P.shape or rho.size < 2:
                 raise DomainError("tabulated law needs matching 1D (rho, P) samples")
@@ -57,9 +90,7 @@ class PressureLaw:
                 raise DomainError("tabulated samples must have rho > 0 and P > 0")
             # Shape-preserving cubic keeps P' >= 0 structurally; on strictly
             # increasing data the interior derivative is positive.
-            self._interp = PchipInterpolator(rho, P)
-            self._dinterp = self._interp.derivative()
-            self._d2interp = self._interp.derivative(2)
+            self._x, self._c = rho, _pchip_coefficients(rho, P)
             self.rho_min, self.rho_max = float(rho[0]), float(rho[-1])
             self._check_derivative_floor(rho)
             self._build_enthalpy()
@@ -74,12 +105,26 @@ class PressureLaw:
     def tabulated(cls, rho, P):
         return cls("tabulated", rho=rho, P=P)
 
+    def _cubic(self, rho, nu):
+        """The PCHIP cubic's nu-th derivative (nu = 0, 1, 2) at rho.
+
+        Terms are summed in rising powers, as scipy's PPoly evaluates them.
+        """
+        k = _piece(self._x, rho)
+        t = rho - self._x[k]
+        c0, c1, c2, c3 = self._c[:, k]
+        if nu == 0:
+            return c3 + c2 * t + c1 * (t * t) + c0 * (t * t * t)
+        if nu == 1:
+            return c2 + (2.0 * c1) * t + (3.0 * c0) * (t * t)
+        return 2.0 * c1 + (6.0 * c0) * t
+
     def _check_derivative_floor(self, rho):
         # The analysis needs 1/P' locally bounded; PCHIP endpoint slopes can
         # collapse on pathological data, so enforce a machine-positive floor.
         dense = np.linspace(self.rho_min, self.rho_max, 64 * rho.size)
-        dmin = float(np.min(self._dinterp(dense)))
-        if dmin < _DPDRHO_FLOOR * (self._interp(self.rho_max) / self.rho_max):
+        dmin = float(np.min(self._cubic(dense, 1)))
+        if dmin < _DPDRHO_FLOOR * (self._cubic(self.rho_max, 0) / self.rho_max):
             raise DomainError(
                 "tabulated law has vanishing dP/drho (min %.3e); "
                 "supply samples with strictly positive slope" % dmin
@@ -88,7 +133,7 @@ class PressureLaw:
     def _build_enthalpy(self):
         # With P'(x_k + t) = a t^2 + b t + c on piece k, division by t + x_k gives
         # int_0^t P'/r = (a/2) t^2 + (b - a x_k) t + (c - (b - a x_k) x_k) log1p(t / x_k).
-        x, cub = self._interp.x, self._interp.c      # P = c0 t^3 + c1 t^2 + c2 t + c3
+        x, cub = self._x, self._c      # P = c0 t^3 + c1 t^2 + c2 t + c3
         lin = 2.0 * cub[1] - 3.0 * cub[0] * x[:-1]
         self._h_coef = (1.5 * cub[0], lin, cub[2] - lin * x[:-1])
         knots = np.concatenate([[0.0], np.cumsum(self._h_piece(np.arange(x.size - 1), x[1:]))])
@@ -99,8 +144,8 @@ class PressureLaw:
     def _h_piece(self, k, r):
         """int_{x_k}^r P'(s)/s ds on piece k."""
         quad_, lin, log_ = (coef[k] for coef in self._h_coef)
-        t = r - self._interp.x[k]
-        return t * (quad_ * t + lin) + log_ * np.log1p(t / self._interp.x[k])
+        t = r - self._x[k]
+        return t * (quad_ * t + lin) + log_ * np.log1p(t / self._x[k])
 
     def _invert(self, knot_values, target, value, slope):
         """rho with value(rho) = target for an increasing value with knot_values at the knots.
@@ -110,7 +155,7 @@ class PressureLaw:
         bisection, so the iteration cannot escape the piece.
         """
         k = _piece(knot_values, target)
-        x = self._interp.x
+        x = self._x
         lo, hi = x[k], x[k + 1]
         v_lo, v_hi = knot_values[k], knot_values[k + 1]
         r = lo + (hi - lo) * ((target - v_lo) / (v_hi - v_lo))
@@ -142,7 +187,7 @@ class PressureLaw:
         if self.kind == "polytropic":
             out = self.K * rho**self.gamma
         else:
-            out = self._interp(rho)
+            out = self._cubic(rho, 0)
         return out if out.ndim else float(out)
 
     def dpressure(self, rho):
@@ -151,7 +196,7 @@ class PressureLaw:
         if self.kind == "polytropic":
             out = self.K * self.gamma * rho ** (self.gamma - 1.0)
         else:
-            out = self._dinterp(rho)
+            out = self._cubic(rho, 1)
         return out if out.ndim else float(out)
 
     def d2pressure(self, rho):
@@ -160,7 +205,7 @@ class PressureLaw:
         if self.kind == "polytropic":
             out = self.K * self.gamma * (self.gamma - 1.0) * rho ** (self.gamma - 2.0)
         else:
-            out = self._d2interp(rho)
+            out = self._cubic(rho, 2)
         return out if out.ndim else float(out)
 
     def enthalpy(self, rho):
@@ -179,7 +224,7 @@ class PressureLaw:
                 # expm1 keeps h accurate (and increasing) as gamma -> 1
                 out = self.K * g / (g - 1.0) * np.expm1((g - 1.0) * np.log(rho))
         else:
-            k = _piece(self._interp.x, rho)
+            k = _piece(self._x, rho)
             out = self._h_knots[k] + self._h_piece(k, rho)
         return out if out.ndim else float(out)
 
@@ -211,7 +256,7 @@ class PressureLaw:
                 return np.exp(h / self.K)
             g = self.gamma
             return np.exp(np.log1p((g - 1.0) * h / (self.K * g)) / (g - 1.0))
-        rho = self._invert(self._h_knots, h, self.enthalpy, lambda r: self._dinterp(r) / r)
+        rho = self._invert(self._h_knots, h, self.enthalpy, lambda r: self._cubic(r, 1) / r)
         if np.any(np.abs(self.enthalpy(rho) - h) > _INV_TOL * (1.0 + np.abs(h))):
             raise RangeError("enthalpy inversion failed to meet tolerance")
         return rho
@@ -226,13 +271,14 @@ class PressureLaw:
         p_lo, p_hi = self.pressure_image()
         if not (p_lo <= p <= p_hi):
             raise RangeError("pressure %g outside tabulated image [%g, %g]" % (p, p_lo, p_hi))
-        knots = self._interp(self._interp.x)
-        return float(self._invert(knots, p, self._interp, self._dinterp))
+        knots = self._cubic(self._x, 0)
+        return float(self._invert(knots, p, lambda r: self._cubic(r, 0),
+                                  lambda r: self._cubic(r, 1)))
 
     def pressure_image(self):
         if self.kind == "polytropic":
             return (0.0, math.inf)
-        return (float(self._interp(self.rho_min)), float(self._interp(self.rho_max)))
+        return (float(self._cubic(self.rho_min, 0)), float(self._cubic(self.rho_max, 0)))
 
     def __repr__(self):
         if self.kind == "polytropic":

@@ -27,8 +27,9 @@ def _ode_terms(fields, g, mesh, phi, psi, xi, s, mu, x, side):
     phi: -(eps phi')' + xi^2 B phi + xi (M psi' + (eps' - g rho) psi) - mu rho phi = 0
     psi: -(B psi')' + eps xi^2 psi - xi (M' phi + M phi' + (g rho - eps') phi) - mu rho psi = 0
     with B = 4 eps/3 + delta + P' rho, M = delta + eps/3 + P' rho and the
-    viscosities scaled by s.  Returns (eps, eps', B, B'), (phi', psi') and
-    the three remaining terms of each equation.
+    viscosities scaled by s.  Returns (eps, eps', B, B'), the nodal fields'
+    (phi, phi', psi, psi') at x, and the three remaining terms of each
+    equation.
     """
     rho, pr, pr_p, eps, eps_p, dlt, dlt_p = coefficient_fields(fields, s)
     f = mesh.eval_nodal(phi, x, side=side)
@@ -42,22 +43,24 @@ def _ode_terms(fields, g, mesh, phi, psi, xi, s, mu, x, side):
     mid_p = dlt_p + eps_p / 3 + pr_p
     t_phi = (xi**2 * big * f, xi * (mid * pp + (eps_p - g * rho) * p), -mu * rho * f)
     t_psi = (eps * xi**2 * p, -xi * (mid_p * f + mid * fp + (g * rho - eps_p) * f), -mu * rho * p)
-    return (eps, eps_p, big, big_p), (fp, pp), t_phi, t_psi
+    return (eps, eps_p, big, big_p), (f, fp, p, pp), t_phi, t_psi
 
 
 def ode_second_derivatives(fields, g, mesh, phi, psi, xi, s, mu, x, side):
-    """(phi'', psi'') at points x from the strong-form ODEs.
+    """(phi, phi', phi'') and (psi, psi', psi'') at points x.
 
-    ``fields`` is ``profile.fields(x, side)`` and ``g`` the gravity.  Uses
-    the nodal fields' values and first derivatives plus the analytic
-    coefficient derivatives; this is the bootstrap route, independent of the
+    ``fields`` is ``profile.fields(x, side)`` and ``g`` the gravity.  The
+    values and first derivatives are the nodal fields' own; the second
+    derivatives come from the strong-form ODEs with the analytic coefficient
+    derivatives.  This is the bootstrap route, independent of the
     elementwise second derivative of the interpolant.
     """
     if s <= 0:
         raise DomainError("derivative bootstrap needs a positive family parameter")
-    (eps, eps_p, big, big_p), (fp, pp), (a1, a2, a3), (b1, b2, b3) = _ode_terms(
+    (eps, eps_p, big, big_p), (f, fp, p, pp), (a1, a2, a3), (b1, b2, b3) = _ode_terms(
         fields, g, mesh, phi, psi, xi, s, mu, x, side)
-    return (a3 + a1 + a2 - eps_p * fp) / eps, (b3 + b1 + b2 - big_p * pp) / big
+    return ((f, fp, (a3 + a1 + a2 - eps_p * fp) / eps),
+            (p, pp, (b3 + b1 + b2 - big_p * pp) / big))
 
 
 def strong_form_residual(profile, mesh, phi, psi, xi, s, mu):
@@ -76,7 +79,7 @@ def strong_form_residual(profile, mesh, phi, psi, xi, s, mu):
     for side in (-1, +1):
         msk = mesh.element_side == side
         xs = 0.5 * (mesh.element_breaks[:-1] + mesh.element_breaks[1:])[msk]
-        (eps, eps_p, big, big_p), (fp, pp), t_phi, t_psi = _ode_terms(
+        (eps, eps_p, big, big_p), (_, fp, _, pp), t_phi, t_psi = _ode_terms(
             profile.fields(xs, side), profile.geometry.g, mesh, phi, psi, xi, s, mu, xs, side)
         f2 = mesh.eval_nodal(phi, xs, side=side, deriv=2)
         p2 = mesh.eval_nodal(psi, xs, side=side, deriv=2)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import j0, j1
 
 from .dispersion import Stable, growth_rate, lattice_modes
 from .errors import ConfigurationError, DomainError
@@ -103,17 +102,13 @@ class _ModeProfileTable:
             msk = mesh.element_side == side
             xq = mesh.quad_x[msk].ravel()
             wq = mesh.quad_w[msk].ravel()
-            f = mesh.eval_nodal(phi, xq, side=side)
-            fp = mesh.eval_nodal(phi, xq, side=side, deriv=1)
-            p = mesh.eval_nodal(psi, xq, side=side)
-            pp = mesh.eval_nodal(psi, xq, side=side, deriv=1)
             fields = profile.fields(xq, side)
-            f2, p2 = ode_second_derivatives(
+            phi_d, psi_d = ode_second_derivatives(
                 fields, profile.geometry.g, mesh, phi, psi, xi, lam, -lam**2, xq, side
             )
             self.weights[side] = wq
             self.deriv[side] = {
-                "phi": (f, fp, f2), "psi": (p, pp, p2),
+                "phi": phi_d, "psi": psi_d,
                 "rho": (fields["rho"], fields["rho_prime"]),
             }
 
@@ -340,6 +335,8 @@ class NonperiodicField:
         qf = np.zeros(npts, dtype=complex)
 
         if angular == "bessel":
+            from scipy.special import j0, j1   # here, so that importing rtmodes skips scipy.special
+
             s = np.hypot(pts[:, 0], pts[:, 1])
             with np.errstate(invalid="ignore", divide="ignore"):
                 cb = np.where(s > 0, pts[:, 0] / np.where(s > 0, s, 1.0), 1.0)

@@ -201,3 +201,32 @@ class TestCliRuns:
     def test_nan_sigma_exits_2(self, cfg_path, capsys):
         assert main(["mode", "--config", str(cfg_path), "--set", "geometry.sigma=nan"]) == 2
         assert "geometry.sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--resolution", "-5"],
+        ["synthesize", "--t", "a"],
+        ["synthesize", "--t", "0,inf"],
+        ["lattice", "--L", "nan"],
+        ["evolve", "--dt", "nan"],
+        ["evolve", "--T", "inf"],
+        ["mode", "--xi", "nan"],
+        ["forms", "--xi", "inf"],
+        ["dispersion", "--n", "0"],
+    ])
+    def test_bad_numeric_flag_exits_2(self, cfg_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(cfg_path)])
+        assert exc.value.code == 2
+        assert argv[1] in capsys.readouterr().err
+        assert not (cfg_path.parent / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["lattice", "--L", "0", "--set", "geometry.L=1.5"],
+        ["lattice", "--set", "lattice.L=0", "--set", "geometry.L=1.5"],
+        ["evolve", "--xi", "0"],
+        ["evolve", "--xi", "1", "--dt", "0"],
+        ["evolve", "--xi", "1", "--T", "0"],
+    ])
+    def test_explicit_zero_is_not_a_default(self, cfg_path, capsys, argv):
+        assert main([*argv, "--config", str(cfg_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err

@@ -1,12 +1,15 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
 import rtmodes as rt
+from rtmodes.eos import _pchip_coefficients
 from rtmodes.errors import DomainError, RangeError
 
 
@@ -116,12 +119,45 @@ def jittered():
 
 def knot_split_enthalpy(law, rho):
     """int_1^rho P'(r)/r dr by adaptive quadrature, one interval per PCHIP piece."""
-    dp = law._interp.derivative()
+    dp = law.dpressure
     lo, hi = sorted((1.0, rho))
-    pts = [lo, *(x for x in law._interp.x if lo < x < hi), hi]
+    pts = [lo, *(x for x in law._x if lo < x < hi), hi]
     total = sum(quad(lambda r: dp(r) / r, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                 for a, b in zip(pts[:-1], pts[1:]))
     return total if rho >= 1.0 else -total
+
+
+def _oracle_tables():
+    """(rho, P) tables: jittered, 2-sample, and two whose end slopes hit the clamps."""
+    rng = np.random.default_rng(11)
+    tables = []
+    for n in (3, 4, 17, 40):
+        logs = np.linspace(np.log(0.05), np.log(20.0), n)
+        logs[1:-1] += rng.uniform(-0.4, 0.4, n - 2) * (logs[1] - logs[0])
+        rho = np.exp(logs)
+        tables.append((rho, rng.uniform(0.5, 2.0) * rho ** rng.uniform(1.0, 2.0)))
+    tables.append((np.array([0.3, 4.0]), np.array([0.2, 5.0])))
+    # first secant 0.1 then 10: the three-point end slope is negative, clamped to 0
+    tables.append((np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 1.1, 11.1, 12.0])))
+    # secants 1 then -4: the end slope 3.5 exceeds 3 m0 and is clamped to 3
+    tables.append((np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, -3.0])))
+    return tables
+
+
+@pytest.mark.parametrize("rho, P", _oracle_tables())
+def test_pchip_matches_scipy_bit_for_bit(rho, P):
+    ref = PchipInterpolator(rho, P)
+    c = _pchip_coefficients(rho, P)
+    assert np.array_equal(c, ref.c)
+    pts = np.concatenate([rho, np.linspace(rho[0], rho[-1], 997)])
+    law = SimpleNamespace(_x=rho, _c=c)
+    for nu in (0, 1, 2):
+        assert np.array_equal(rt.PressureLaw._cubic(law, pts, nu), ref.derivative(nu)(pts))
+    if np.all(np.diff(P) > 0) and ref.derivative()(pts).min() > 0:
+        law = rt.PressureLaw.tabulated(rho, P)
+        for nu, f in enumerate((law.pressure, law.dpressure, law.d2pressure)):
+            assert np.array_equal(f(pts), ref.derivative(nu)(pts))
+            assert f(float(pts[5])) == float(ref.derivative(nu)(pts[5]))
 
 
 class TestTabulated:
@@ -152,7 +188,7 @@ class TestTabulated:
         rho = jittered.enthalpy_inverse_vec(h)
         assert np.all(np.diff(rho) > 0)
         assert np.all(np.abs(jittered.enthalpy(rho) - h) <= 1e-11 * (1 + np.abs(h)))
-        knots = jittered._interp.x[1:-1]     # inversions landing exactly on knots
+        knots = jittered._x[1:-1]     # inversions landing exactly on knots
         assert jittered.enthalpy_inverse_vec(jittered.enthalpy(knots)) == pytest.approx(knots, rel=1e-14)
         assert jittered.enthalpy_inverse(h[500]) == rho[500]
         for outside in (lo - 1e-9 * (1 + abs(lo)), hi + 1e-9 * (1 + abs(hi))):
@@ -186,3 +222,9 @@ class TestTabulated:
             rt.PressureLaw.tabulated([1.0, 2.0, 1.5], [1.0, 2.0, 3.0])
         with pytest.raises(DomainError):
             rt.PressureLaw.tabulated([1.0, 2.0, 3.0], [1.0, 1.0, 3.0])
+
+    def test_law_does_not_alias_its_samples(self):
+        rho = np.linspace(0.5, 4.0, 8)
+        law = rt.PressureLaw.tabulated(rho, 2.0 * rho)
+        rho *= 2.0
+        assert law.pressure(2.0) == 4.0
