@@ -18,7 +18,7 @@ from .dispersion import Stable, growth_rate, lattice_modes, sweep
 from .errors import ConfigurationError, DomainError, LayoutError, RangeError, SolverError
 from .evolution import integrate, mode_initial_data
 from .forms import assemble
-from .profile import verify_hydrostatic
+from .profile import by_side, verify_hydrostatic
 from .synthesis import BumpProfile, NonperiodicField, PeriodicField
 from .verify import format_table, run_battery
 
@@ -84,16 +84,14 @@ def _cmd_profile(config, args):
         np.linspace(-geom.m, 0.0, n // 2, endpoint=False),
         np.linspace(0.0, geom.ell, n - n // 2),
     ])
-    side = np.where(xs >= 0, 1, -1)
-    cols = {k: np.empty_like(xs) for k in ("rho0", "Pprime_rho0", "eps0", "delta0")}
-    for s in (-1, +1):
-        msk = side == s
-        f = profile.fields(xs[msk], side=s)
-        for col, name in (("rho0", "rho"), ("Pprime_rho0", "pr"), ("eps0", "eps"), ("delta0", "delta")):
-            cols[col][msk] = f[name]
+
+    def columns(x, side):
+        f = profile.fields(x, side=side)
+        return np.stack([f["rho"], f["pr"], f["eps"], f["delta"]], axis=-1)
+
     out = Path(config["output.dir"]) / (args.out or "profile.csv")
     _write_csv(out, ["x3", "rho0", "Pprime_rho0", "eps0", "delta0"],
-               [xs, cols["rho0"], cols["Pprime_rho0"], cols["eps0"], cols["delta0"]])
+               [xs, *by_side(xs, columns).T])
     _write_meta(config["output.dir"], config, "profile", {
         "rho_plus": profile.rho_plus, "rho_jump": profile.rho_jump,
         "xi_c": profile.xi_c if math.isfinite(profile.xi_c) else "inf",
@@ -199,18 +197,17 @@ def _cmd_synthesize(config, args):
         headline = {"Lambda_L": field.Lambda_L,
                     "xi1_k1": field.xi1[0] * L, "xi1_k2": field.xi1[1] * L}
     else:
-        a = config.get("synthesis.f.a")
-        b = config.get("synthesis.f.b")
+        a, b = config.get("synthesis.f.a"), config.get("synthesis.f.b")
         if a is None or b is None:
-            f = BumpProfile.default(profile.xi_c, amp=config["synthesis.f.amp"])
-        else:
-            f = BumpProfile(a, b, amp=config["synthesis.f.amp"])
+            edges = BumpProfile.default(profile.xi_c)   # each missing edge takes its own default
+            a, b = _first_given(a, edges.a), _first_given(b, edges.b)
+        f = BumpProfile(a, b, amp=config["synthesis.f.amp"])
         field = NonperiodicField(
             profile, mesh, f,
             n_radial=config["synthesis.radial_nodes"],
             n_angular=config["synthesis.angular_nodes"],
         )
-        extent = config.get("synthesis.grid.extent") or math.pi / f.a
+        extent = _first_given(config.get("synthesis.grid.extent"), math.pi / f.a)
         headline = {"lambda0": field.lambda0, "Lambda_nodes": field.Lambda,
                     "f_a": f.a, "f_b": f.b}
 
@@ -233,7 +230,7 @@ def _cmd_synthesize(config, args):
         path = outdir / ("t%g.csv" % t)
         _write_csv(path, header, [cols[h] for h in header])
         print(f"wrote {path}")
-    headline["imag_residual"] = getattr(field, "last_imag_residual", 0.0)
+    headline["imag_residual"] = field.last_imag_residual
     _write_meta(config["output.dir"], config, "synthesize", headline)
     return 0
 

@@ -162,8 +162,9 @@ def _validate(values):
     for key in ("geometry.m", "geometry.ell", "geometry.g"):
         if values[key] <= 0:
             raise ConfigurationError(f"{key} must be > 0")
-    if values.get("geometry.L") is not None and values["geometry.L"] <= 0:
-        raise ConfigurationError("geometry.L must be > 0")
+    for key in ("geometry.L", "synthesis.grid.extent"):
+        if values.get(key) is not None and values[key] <= 0:
+            raise ConfigurationError(f"{key} must be > 0")
     if values["mesh.order"] not in (1, 2):
         raise ConfigurationError("mesh.order must be 1 or 2")
     if values["mesh.elements_per_side"] < 2:

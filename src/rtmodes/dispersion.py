@@ -214,15 +214,11 @@ def lattice_modes(profile, mesh, L, xi_max=None):
         raise ConfigurationError("period scale L must be > 0")
     sigma = profile.geometry.sigma
     if sigma > 0:
-        # the small-period dichotomy is on L itself: at or below the
-        # threshold the smallest nonzero magnitude 1/L already reaches xi_c
+        # the small-period dichotomy is on L itself: at or below the threshold
+        # the smallest nonzero magnitude 1/L already reaches xi_c, so the cap
+        # admits no lattice point and the certificate below is returned
         threshold = math.sqrt(sigma / (profile.geometry.g * profile.rho_jump))
-        if L <= threshold:
-            return LatticeResult(
-                L=L, points=np.zeros((0, 4)), magnitudes=np.zeros(0),
-                rates=np.zeros(0), Lambda_L=0.0, certificate=True,
-            )
-        cap = profile.xi_c
+        cap = profile.xi_c if L > threshold else 0.0
     else:
         if xi_max is None:
             raise ConfigurationError("sigma = 0 leaves the lattice unbounded; pass xi_max")

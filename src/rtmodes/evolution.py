@@ -91,11 +91,12 @@ def integrate(forms, u0, v0, dt, T, store_every=None):
     def record(i, u, w):
         Ju, E0u, E1u = J @ u, E0 @ u, E1 @ u
         Jw, E1w = J @ w, E1 @ w
-        kin[i] = 0.5 * float(w @ Jw)
+        wJw = float(w @ Jw)
+        kin[i] = 0.5 * wJw
         pot[i] = 0.5 * float(u @ E0u)
         n1[i] = 2.0 * float(u @ Ju)
         n2[i] = 2.0 * float(u @ E1u)
-        n1d[i] = 2.0 * float(w @ Jw)
+        n1d[i] = 2.0 * wJw
         n2d[i] = 2.0 * float(w @ E1w)
         if i % store_every == 0 or i == n_steps:
             st_idx.append(i)

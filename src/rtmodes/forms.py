@@ -62,13 +62,6 @@ class FormSet:
 
     # -- layout ----------------------------------------------------------
 
-    def dof_indices(self, node):
-        """(phi_dof, psi_dof) for a global node index; -1 at Dirichlet nodes."""
-        if node <= 0 or node >= self.mesh.n_nodes - 1:
-            return (-1, -1)
-        k = node - 1
-        return (2 * k, 2 * k + 1)
-
     def from_nodal(self, phi, psi):
         """Pack nodal fields into a dof vector (boundary values dropped)."""
         phi = np.asarray(phi, dtype=float)

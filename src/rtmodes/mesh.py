@@ -137,7 +137,3 @@ class Mesh:
         else:
             raise DomainError("deriv must be 0, 1, or 2")
         return out
-
-    def integrate(self, f):
-        """Quadrature of a callable f(x) with the mesh's shared rule."""
-        return float(np.sum(self.quad_w * f(self.quad_x)))

@@ -84,6 +84,26 @@ _FIELDS = ("rho", "rho_prime", "P", "dp", "pr", "pr_prime", "gop",
            "eps", "eps_prime", "delta", "delta_prime")
 
 
+def by_side(x3, evaluate):
+    """Evaluate a piecewise-smooth quantity on each fluid's own domain.
+
+    Runs ``evaluate(x3[mask], side)`` on x3 < 0 with side = -1 (the lower
+    fluid; its breaks take derivatives from the element on the left) and on
+    x3 >= 0 with side = +1, and stitches the results back in place.
+    ``evaluate`` may return trailing axes, which the result keeps.
+    """
+    x3 = np.asarray(x3, dtype=float)
+    upper = x3 >= 0
+    parts = [(mask, np.asarray(evaluate(x3[mask], side)))
+             for side, mask in ((-1, ~upper), (+1, upper)) if np.any(mask)]
+    if not parts:
+        return np.asarray(evaluate(x3, +1))
+    out = np.empty(x3.shape + parts[0][1].shape[1:], dtype=np.result_type(*(v for _, v in parts)))
+    for mask, vals in parts:
+        out[mask] = vals
+    return out
+
+
 class SteadyProfile:
     """Hydrostatic steady state with closed-form side evaluators.
 

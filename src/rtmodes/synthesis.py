@@ -17,6 +17,7 @@ import numpy as np
 
 from .dispersion import Stable, growth_rate, lattice_modes
 from .errors import ConfigurationError, DomainError
+from .profile import by_side
 from .residuals import ode_second_derivatives
 
 _MAX_SOBOLEV_ORDER = 2   # x3-derivative bootstrap depth for (phi, psi)
@@ -90,6 +91,18 @@ def _as_points(x):
     if x.shape[-1] != 3:
         raise DomainError("sample points must have a trailing dimension of 3")
     return x.reshape(-1, 3)
+
+
+def _sample(evaluate, grid):
+    """Columns x1, x2, x3, eta1..3, v1..3, q of ``evaluate(points) -> (eta, v, q)``
+    on the rectilinear grid (x1s, x2s, x3s)."""
+    X = np.meshgrid(*(np.asarray(g, dtype=float) for g in grid), indexing="ij")
+    eta, vel, qf = evaluate(np.stack(X, axis=-1))
+    cols = {f"x{i + 1}": X[i].ravel() for i in range(3)}
+    cols.update({f"eta{i + 1}": eta[..., i].ravel() for i in range(3)})
+    cols.update({f"v{i + 1}": vel[..., i].ravel() for i in range(3)})
+    cols["q"] = qf.ravel()
+    return cols
 
 
 class _ModeProfileTable:
@@ -182,60 +195,37 @@ class PeriodicField:
         self._table = None
         self.last_imag_residual = 0.0
 
-    def _profiles(self, x3):
-        mesh = self.mesh
-        m3 = self.mode3d
-        f = mesh.eval_nodal(m3.phi, x3)
-        th = mesh.eval_nodal(m3.theta, x3)
-        p = mesh.eval_nodal(m3.psi, x3)
-        x3 = np.asarray(x3, dtype=float)
-        pp = np.empty_like(x3)
-        rho = np.empty_like(x3)
-        side = np.where(x3 >= 0, 1, -1)
-        for s in (-1, +1):
-            msk = side == s
-            if np.any(msk):
-                pp[msk] = mesh.eval_nodal(m3.psi, x3[msk], side=s, deriv=1)
-                rho[msk] = self.profile.density(x3[msk], side=s)
-        return f, th, p, pp, rho
+    def _evaluate(self, x, t):
+        """(eta, v, q) at points x from one evaluation of the mode's heights."""
+        pts = _as_points(x)
+        x3 = pts[:, 2]
+        mesh, m3 = self.mesh, self.mode3d
+        f, th, p, phi_r = (mesh.eval_nodal(a, x3)
+                           for a in (m3.phi, m3.theta, m3.psi, self.mode.phi))
+        rho, pp = by_side(x3, lambda xs, s: np.stack(
+            [self.profile.density(xs, side=s), mesh.eval_nodal(m3.psi, xs, side=s, deriv=1)],
+            axis=-1)).T
+        phase = pts[:, 0] * self.xi1[0] + pts[:, 1] * self.xi1[1]
+        amp = math.exp(self.Lambda_L * t)
+        shape = np.asarray(x).shape
+        eta = amp * np.stack(
+            [2 * f * np.sin(phase), 2 * th * np.sin(phase), 2 * p * np.cos(phase)], axis=-1
+        ).reshape(shape)
+        q = -rho * 2 * (self.mode.xi_mag * phi_r + pp) * np.cos(phase)
+        return eta, self.Lambda_L * eta, amp * q.reshape(shape[:-1])
 
     def eta(self, x, t=0.0):
-        pts = _as_points(x)
-        f, th, p, _, _ = self._profiles(pts[:, 2])
-        phase = pts[:, 0] * self.xi1[0] + pts[:, 1] * self.xi1[1]
-        amp = math.exp(self.Lambda_L * t)
-        out = np.stack(
-            [2 * f * np.sin(phase), 2 * th * np.sin(phase), 2 * p * np.cos(phase)], axis=-1
-        )
-        return amp * out.reshape(np.asarray(x).shape)
+        return self._evaluate(x, t)[0]
 
     def v(self, x, t=0.0):
-        return self.Lambda_L * self.eta(x, t)
+        return self._evaluate(x, t)[1]
 
     def q(self, x, t=0.0):
-        pts = _as_points(x)
-        _, _, _, pp, rho = self._profiles(pts[:, 2])
-        phi_r = self.mesh.eval_nodal(self.mode.phi, pts[:, 2])
-        phase = pts[:, 0] * self.xi1[0] + pts[:, 1] * self.xi1[1]
-        amp = math.exp(self.Lambda_L * t)
-        vals = -rho * 2 * (self.mode.xi_mag * phi_r + pp) * np.cos(phase)
-        return amp * vals.reshape(np.asarray(x).shape[:-1])
+        return self._evaluate(x, t)[2]
 
     def sample(self, grid, t=0.0):
         """Point samples on a rectilinear grid (x1s, x2s, x3s)."""
-        x1s, x2s, x3s = (np.asarray(g, dtype=float) for g in grid)
-        X1, X2, X3 = np.meshgrid(x1s, x2s, x3s, indexing="ij")
-        pts = np.stack([X1, X2, X3], axis=-1)
-        eta = self.eta(pts, t)
-        vv = self.v(pts, t)
-        qq = self.q(pts, t)
-        cols = dict(x1=X1.ravel(), x2=X2.ravel(), x3=X3.ravel())
-        for i, name in enumerate(("eta1", "eta2", "eta3")):
-            cols[name] = eta[..., i].ravel()
-        for i, name in enumerate(("v1", "v2", "v3")):
-            cols[name] = vv[..., i].ravel()
-        cols["q"] = qq.ravel()
-        return cols
+        return _sample(lambda pts: self._evaluate(pts, t), grid)
 
     def table(self):
         if self._table is None:
@@ -301,34 +291,18 @@ class NonperiodicField:
     # -- field evaluation -------------------------------------------------
 
     def _mode_heights(self, x3):
-        """phi, psi, psi' values of every radial mode at heights x3."""
-        x3 = np.asarray(x3, dtype=float)
-        side = np.where(x3 >= 0, 1, -1)
-        out = []
-        for m in self.modes:
-            ph = self.mesh.eval_nodal(m.phi, x3)
-            ps = self.mesh.eval_nodal(m.psi, x3)
-            psp = np.empty_like(x3)
-            for s in (-1, +1):
-                msk = side == s
-                if np.any(msk):
-                    psp[msk] = self.mesh.eval_nodal(m.psi, x3[msk], side=s, deriv=1)
-            out.append((ph, ps, psp))
-        return out
-
-    def _rho_at(self, x3):
-        side = np.where(np.asarray(x3) >= 0, 1, -1)
-        rho = np.empty_like(np.asarray(x3, dtype=float))
-        for s in (-1, +1):
-            msk = side == s
-            if np.any(msk):
-                rho[msk] = self.profile.density(np.asarray(x3)[msk], side=s)
-        return rho
+        """rho0, and phi, psi, psi' of every radial mode, at heights x3."""
+        mesh = self.mesh
+        sided = by_side(x3, lambda xs, s: np.stack(
+            [self.profile.density(xs, side=s)]
+            + [mesh.eval_nodal(m.psi, xs, side=s, deriv=1) for m in self.modes], axis=-1))
+        heights = [(mesh.eval_nodal(m.phi, x3), mesh.eval_nodal(m.psi, x3), sided[:, k + 1])
+                   for k, m in enumerate(self.modes)]
+        return sided[:, 0], heights
 
     def _evaluate(self, x, t, angular):
         pts = _as_points(x)
-        heights = self._mode_heights(pts[:, 2])
-        rho = self._rho_at(pts[:, 2])
+        rho, heights = self._mode_heights(pts[:, 2])
         npts = pts.shape[0]
         eta = np.zeros((npts, 3), dtype=complex)
         vel = np.zeros((npts, 3), dtype=complex)
@@ -394,17 +368,8 @@ class NonperiodicField:
         return self._evaluate(x, t, angular)[2]
 
     def sample(self, grid, t=0.0, angular="quadrature"):
-        x1s, x2s, x3s = (np.asarray(g, dtype=float) for g in grid)
-        X1, X2, X3 = np.meshgrid(x1s, x2s, x3s, indexing="ij")
-        pts = np.stack([X1, X2, X3], axis=-1)
-        eta, vel, qf = self._evaluate(pts, t, angular)
-        cols = dict(x1=X1.ravel(), x2=X2.ravel(), x3=X3.ravel())
-        for i, name in enumerate(("eta1", "eta2", "eta3")):
-            cols[name] = eta[..., i].ravel()
-        for i, name in enumerate(("v1", "v2", "v3")):
-            cols[name] = vel[..., i].ravel()
-        cols["q"] = qf.ravel()
-        return cols
+        """Point samples on a rectilinear grid (x1s, x2s, x3s)."""
+        return _sample(lambda pts: self._evaluate(pts, t, angular), grid)
 
     # -- spectral-side norms -----------------------------------------------
 

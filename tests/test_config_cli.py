@@ -226,7 +226,27 @@ class TestCliRuns:
         ["evolve", "--xi", "0"],
         ["evolve", "--xi", "1", "--dt", "0"],
         ["evolve", "--xi", "1", "--T", "0"],
+        ["synthesize", "--set", "synthesis.grid.extent=0", "--grid", "2,1,1"],
+        ["synthesize", "--set", "synthesis.grid.extent=-3", "--grid", "2,1,1"],
     ])
     def test_explicit_zero_is_not_a_default(self, cfg_path, capsys, argv):
         assert main([*argv, "--config", str(cfg_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edge, given, other, other_default", [
+        ("a", 1.2, "b", 0.7), ("b", 2.0, "a", 0.3),
+    ])
+    def test_bump_edge_set_alone_is_kept(self, cfg_path, tmp_path, capsys, edge, given, other,
+                                         other_default):
+        small = ["--grid", "2,1,1", "--set", "synthesis.radial_nodes=2",
+                 "--set", "synthesis.angular_nodes=4"]
+        assert main(["synthesize", "--config", str(cfg_path), *small,
+                     "--set", f"synthesis.f.{edge}={given}"]) == 0
+        meta = json.loads((tmp_path / "out" / "run.json").read_text())
+        xi_c = math.sqrt(10.0)      # sqrt(g [rho0] / sigma) with [rho0] = 1, sigma = 0.1
+        assert meta[f"f_{edge}"] == given
+        assert meta[f"f_{other}"] == pytest.approx(other_default * xi_c, rel=1e-12)
+        # without surface tension there is no xi_c to default the other edge from
+        assert main(["synthesize", "--config", str(cfg_path), *small, "--set", "geometry.sigma=0",
+                     "--set", f"synthesis.f.{edge}={given}"]) == 2
+        assert "xi_c" in capsys.readouterr().err

@@ -147,3 +147,22 @@ def test_interface_needs_side(profile):
 def test_outside_slab_rejected(profile):
     with pytest.raises(DomainError):
         profile.density(1.5)
+
+
+def test_by_side_splits_at_the_interface(profile):
+    x3 = np.array([0.25, -0.75, 0.0, -1e-15, 1.0])
+    calls = []
+
+    def evaluate(x, side):
+        calls.append((side, x.copy()))
+        return np.stack([np.full_like(x, side), profile.density(x, side=side)], axis=-1)
+
+    out = rt.profile.by_side(x3, evaluate)
+    assert [side for side, _ in calls] == [-1, +1]
+    assert np.array_equal(calls[0][1], [-0.75, -1e-15])
+    assert np.array_equal(calls[1][1], [0.25, 0.0, 1.0])
+    assert out.shape == (5, 2)
+    assert np.array_equal(out[:, 0], [1, -1, 1, -1, 1])
+    assert out[2, 1] == profile.density(0.0, side=+1)    # x3 = 0 belongs to the upper fluid
+    one_sided = rt.profile.by_side(np.array([0.5, 0.75]), lambda x, side: x * side)
+    assert np.array_equal(one_sided, [0.5, 0.75])

@@ -204,6 +204,21 @@ class TestNonperiodic:
                                       n_angular=31)
 
 
+@pytest.mark.parametrize("kind", ["periodic", "nonperiodic"])
+def test_sample_columns_match_pointwise_fields(kind, periodic_field, np_field):
+    field = periodic_field if kind == "periodic" else np_field
+    # x3 = 0 and negative element breaks (mesh spacing 1/32), where psi' is one-sided
+    grid = (np.linspace(-1, 1, 3), np.array([-0.4, 0.7]), np.array([-0.75, -0.5, 0.0, 0.3]))
+    cols = field.sample(grid, 0.5)
+    pts = np.column_stack([cols["x1"], cols["x2"], cols["x3"]])
+    eta, v, q = field.eta(pts, 0.5), field.v(pts, 0.5), field.q(pts, 0.5)
+    for i in range(3):
+        assert np.array_equal(cols[f"eta{i + 1}"], eta[:, i])
+        assert np.array_equal(cols[f"v{i + 1}"], v[:, i])
+    assert np.array_equal(cols["q"], q)
+    assert np.any(q != 0.0)
+
+
 def test_mode_ode_residual_refines(profile):
     # the per-mode linearized residual is the mode's strong-form defect;
     # it must shrink under mesh refinement for synthesized fields to converge
