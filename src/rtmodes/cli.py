@@ -193,7 +193,7 @@ def _cmd_synthesize(config, args):
         if L is None:
             raise ConfigurationError("periodic synthesis needs geometry.L or lattice.L")
         field = PeriodicField(profile, mesh, float(L))
-        extent = 2 * math.pi * float(L)
+        extent = _first_given(config.get("synthesis.grid.extent"), 2 * math.pi * float(L))
         headline = {"Lambda_L": field.Lambda_L,
                     "xi1_k1": field.xi1[0] * L, "xi1_k2": field.xi1[1] * L}
     else:

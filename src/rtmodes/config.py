@@ -61,7 +61,7 @@ KEYS = {
     "synthesis.grid.nx": (int, 8, "sample grid points along x1"),
     "synthesis.grid.ny": (int, 8, "sample grid points along x2"),
     "synthesis.grid.nz": (int, 9, "sample grid points along x3"),
-    "synthesis.grid.extent": (float, None, "horizontal half-width (default pi / f.a)"),
+    "synthesis.grid.extent": (float, None, "horizontal half-width (default pi / f.a; periodic: 2 pi L)"),
     "evolve.xi": (float, None, "frequency for evolution runs (default argmax heuristics)"),
     "evolve.T": (float, None, "time horizon (default 5 / lambda)"),
     "evolve.dt": (float, None, "time step (default min(1e-2, 1e-2 / lambda))"),

@@ -17,9 +17,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
+import scipy.linalg as sla
+import scipy.sparse as sp
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .eigen import bottom_eig
+from .eigen import _bands, _factor, bottom_eig
 from .errors import ConfigurationError, DomainError, SolverError
 from .forms import assemble
 
@@ -53,12 +55,35 @@ class ModeTrajectory:
         return self.kinetic + self.potential
 
 
+def _step_solver(forms, dt):
+    """Solve with M = 2J + dt E1 + (dt^2/2) E0, factored once by banded LU.
+
+    M is formed from the cached upper bands of the forms and mirrored into
+    LAPACK's general band layout (kl = ku = 2 * order + 1, plus kl rows for
+    the fill-in of partial pivoting).  LU, not Cholesky: M is positive
+    definite only for dt^2 < 4 / (g xi) by the variational lower bound.
+    """
+    E0b, E1b, Jb = _bands(forms)
+    k = Jb.shape[0] - 1
+    upper = 2.0 * Jb + dt * E1b + 0.5 * dt**2 * E0b
+    ab = np.zeros((3 * k + 1, forms.n))
+    ab[k:2 * k + 1] = upper
+    for d in range(1, k + 1):       # subdiagonal d mirrors superdiagonal d
+        ab[2 * k + d, :-d] = upper[k - d, d:]
+    lu, piv, info = dgbtrf(ab, k, k, overwrite_ab=1)
+    if info != 0:
+        raise SolverError("step matrix factorization failed", {"dt": dt})
+    return lambda b: dgbtrs(lu, k, k, b, piv, overwrite_b=1)[0]
+
+
 def integrate(forms, u0, v0, dt, T, store_every=None):
     """Implicit-midpoint trajectory of (u, u_dot) from (u0, v0) to time T.
 
-    The step solve uses M = 2J + dt E1 + (dt^2/2) E0, positive definite only
-    for dt^2 < 4 / (g xi) by the variational lower bound, so a sparse LU
-    factorization (not Cholesky) is reused across steps.
+    Each step solves M wm = 2 J w - dt E0 u for the midpoint velocity wm,
+    with M = 2J + dt E1 + (dt^2/2) E0 factored once by banded LU from the
+    cached bands, and advances u += dt wm, w = 2 wm - w.  One stacked
+    mat-vec [J; E1; E0] wm per step carries the products J u, E1 u, E0 u,
+    J w, E1 w through the same linear updates and gives the midpoint power.
     """
     if dt <= 0 or T < dt:
         raise DomainError("need dt > 0 and T >= dt")
@@ -68,57 +93,54 @@ def integrate(forms, u0, v0, dt, T, store_every=None):
     if store_every is None:
         store_every = max(1, n_steps // 256)
 
-    E0, E1, J = forms.E0, forms.E1, forms.J
-    M = (2.0 * J + dt * E1 + 0.5 * dt**2 * E0).tocsc()
-    try:
-        solve = spla.splu(M).solve
-    except RuntimeError as exc:
-        raise SolverError("step matrix factorization failed", {"dt": dt}) from exc
+    solve = _step_solver(forms, dt)
+    n = forms.n
+    S = sp.vstack([forms.J, forms.E1, forms.E0], format="csr")
+    Pu = (S @ u).reshape(3, n)              # J u, E1 u, E0 u
+    Pw = (S @ w).reshape(3, n)[:2]          # J w, E1 w
+    Jw, E0u = Pw[0], Pu[2]
 
     nt = n_steps + 1
-    kin = np.empty(nt)
-    pot = np.empty(nt)
-    dmid = np.zeros(nt)
-    dtrap = np.zeros(nt)
-    n1 = np.empty(nt)
-    n2 = np.empty(nt)
-    n1d = np.empty(nt)
-    n2d = np.empty(nt)
+    # row i: u J u, u E1 u, u E0 u, w J w, w E1 w at step i; wm E1 wm of the step into i
+    ledger = np.zeros((nt, 6))
     st_idx = []
     st_u = []
     st_v = []
 
-    def record(i, u, w):
-        Ju, E0u, E1u = J @ u, E0 @ u, E1 @ u
-        Jw, E1w = J @ w, E1 @ w
-        wJw = float(w @ Jw)
-        kin[i] = 0.5 * wJw
-        pot[i] = 0.5 * float(u @ E0u)
-        n1[i] = 2.0 * float(u @ Ju)
-        n2[i] = 2.0 * float(u @ E1u)
-        n1d[i] = 2.0 * wJw
-        n2d[i] = 2.0 * float(w @ E1w)
+    def record(i):
+        row = ledger[i]
+        np.dot(Pu, u, out=row[:3])
+        np.dot(Pw, w, out=row[3:5])
         if i % store_every == 0 or i == n_steps:
             st_idx.append(i)
             st_u.append(u.copy())
             st_v.append(w.copy())
-        return Jw, E0u
+        return row
 
-    Jw, E0u = record(0, u, w)
+    record(0)
     for i in range(1, nt):
         wm = solve(2.0 * Jw - dt * E0u)
-        u = u + dt * wm
-        w = 2.0 * wm - w
-        dmid[i] = dmid[i - 1] + dt * float(wm @ (E1 @ wm))
-        Jw, E0u = record(i, u, w)
-        dtrap[i] = dtrap[i - 1] + 0.5 * dt * (n2d[i - 1] + n2d[i]) / 2.0
-        if not (np.isfinite(kin[i]) and np.isfinite(pot[i])):
+        p = (S @ wm).reshape(3, n)          # J wm, E1 wm, E0 wm
+        u += dt * wm
+        np.subtract(2.0 * wm, w, out=w)
+        Pu += dt * p
+        np.subtract(2.0 * p[:2], Pw, out=Pw)
+        row = record(i)
+        row[5] = wm @ p[1]
+        if not (math.isfinite(row[2]) and math.isfinite(row[3])):
             raise SolverError("trajectory blew up", {"step": i, "dt": dt})
 
+    n2d = 2.0 * ledger[:, 4]
+    dmid = np.zeros(nt)
+    dtrap = np.zeros(nt)
+    np.cumsum(dt * ledger[1:, 5], out=dmid[1:])
+    np.cumsum(0.5 * dt * (n2d[:-1] + n2d[1:]) / 2.0, out=dtrap[1:])
     return ModeTrajectory(
         forms=forms, dt=dt, times=dt * np.arange(nt),
-        kinetic=kin, potential=pot, dissipated_mid=dmid, dissipated_trap=dtrap,
-        norm1_sq=n1, norm2_sq=n2, norm1_dot_sq=n1d, norm2_dot_sq=n2d,
+        kinetic=0.5 * ledger[:, 3], potential=0.5 * ledger[:, 2],
+        dissipated_mid=dmid, dissipated_trap=dtrap,
+        norm1_sq=2.0 * ledger[:, 0], norm2_sq=2.0 * ledger[:, 1],
+        norm1_dot_sq=2.0 * ledger[:, 3], norm2_dot_sq=n2d,
         state_times=dt * np.asarray(st_idx, dtype=float),
         states_u=np.asarray(st_u), states_v=np.asarray(st_v),
     )
@@ -206,7 +228,8 @@ def spectral_k_constants(forms, u0, v0):
         psi0 = u[forms.psi0_dof]
         return float(ud @ (J @ ud)) + float(u @ (CP @ u)) + sig * psi0**2
 
-    a0 = -spla.spsolve(J.tocsc(), E1 @ v0 + E0 @ u0)
+    a0 = -sla.cho_solve_banded((_factor(_bands(forms)[2]), False), E1 @ v0 + E0 @ u0,
+                               check_finite=False)
     return k_of(v0, u0), k_of(a0, v0)
 
 

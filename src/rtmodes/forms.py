@@ -40,9 +40,10 @@ class FormSet:
     mesh: Mesh
     profile: object
     psi0_dof: int
-    _dense: tuple | None = field(default=None, repr=False)
-    _norms: tuple | None = field(default=None, repr=False)
-    _bands: tuple | None = field(default=None, repr=False)   # filled by eigen._bands
+    # caches, empty in every new instance (a dataclasses.replace copy too)
+    _dense: tuple | None = field(default=None, init=False, repr=False)
+    _norms: tuple | None = field(default=None, init=False, repr=False)
+    _bands: tuple | None = field(default=None, init=False, repr=False)   # filled by eigen._bands
 
     @property
     def n(self):

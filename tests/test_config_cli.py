@@ -146,6 +146,14 @@ class TestCliRuns:
             assert head[0] == "x1,x2,x3,eta1,eta2,eta3,v1,v2,v3,q"
             assert len(head) == 1 + 3 * 3 * 4
 
+    @pytest.mark.parametrize("extent, x1", [(["--set", "synthesis.grid.extent=1"], 1.0),
+                                            ([], 3.0 * math.pi)])
+    def test_periodic_synthesis_honours_extent(self, cfg_path, tmp_path, extent, x1):
+        assert main(["synthesize", "--config", str(cfg_path), "--periodic", "--grid", "2,1,1",
+                     "--set", "geometry.L=1.5", *extent]) == 0
+        rows = (tmp_path / "out" / "fields" / "t0.csv").read_text().splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == pytest.approx([-x1, x1], rel=1e-12)
+
     def test_exit_codes(self, cfg_path):
         assert main(["mode", "--config", str(cfg_path), "--set", "geometry.sigma=-1"]) == 2
         assert main(["mode", "--config", str(cfg_path), "--set", "bogus.key=1"]) == 2

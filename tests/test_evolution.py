@@ -109,7 +109,7 @@ def test_envelope_random_stable(profile, mesh32, mode_xi1, rng):
 def test_time_reversibility_conservative_pencil(forms_xi1, rng):
     # with E1 = 0 the midpoint map is symmetric: forward T then reversed T
     # returns the initial state
-    conservative = dataclasses.replace(forms_xi1, E1=0.0 * forms_xi1.E1, _norms=None, _dense=None)
+    conservative = dataclasses.replace(forms_xi1, E1=0.0 * forms_xi1.E1)
     u0 = rng.standard_normal(forms_xi1.n)
     v0 = rng.standard_normal(forms_xi1.n)
     fwd = rt.integrate(conservative, u0, v0, 0.01, 1.0, store_every=10**9)
@@ -119,6 +119,63 @@ def test_time_reversibility_conservative_pencil(forms_xi1, rng):
     scale = math.sqrt(float(fwd.norm1_sq.max()))
     assert np.linalg.norm(back.states_u[-1] - u0) <= n_steps * 1e-10 * scale
     assert np.linalg.norm(back.states_v[-1] + v0) <= n_steps * 1e-10 * scale
+
+
+def _dense_midpoint(forms, u0, v0, dt, n_steps):
+    """Reference implicit midpoint: a dense solve and direct products at every step.
+
+    Returns every state and the eight ledger arrays, keyed as ModeTrajectory.
+    """
+    E0, E1, J = forms.dense()
+    M = 2.0 * J + dt * E1 + 0.5 * dt**2 * E0
+    u, w = u0.copy(), v0.copy()
+    out = {k: [] for k in ("states_u", "states_v", "kinetic", "potential", "norm1_sq",
+                           "norm2_sq", "norm1_dot_sq", "norm2_dot_sq")}
+    dmid, dtrap = [0.0], [0.0]
+    for i in range(n_steps + 1):
+        if i:
+            wm = np.linalg.solve(M, 2.0 * (J @ w) - dt * (E0 @ u))
+            u = u + dt * wm
+            w = 2.0 * wm - w
+            dmid.append(dmid[-1] + dt * (wm @ (E1 @ wm)))
+        out["states_u"].append(u)
+        out["states_v"].append(w)
+        out["kinetic"].append(0.5 * (w @ (J @ w)))
+        out["potential"].append(0.5 * (u @ (E0 @ u)))
+        out["norm1_sq"].append(2.0 * (u @ (J @ u)))
+        out["norm2_sq"].append(2.0 * (u @ (E1 @ u)))
+        out["norm1_dot_sq"].append(2.0 * (w @ (J @ w)))
+        out["norm2_dot_sq"].append(2.0 * (w @ (E1 @ w)))
+        if i:
+            n2d = out["norm2_dot_sq"]
+            dtrap.append(dtrap[-1] + 0.5 * dt * (n2d[-2] + n2d[-1]) / 2.0)
+    out["dissipated_mid"], out["dissipated_trap"] = dmid, dtrap
+    return {k: np.asarray(v) for k, v in out.items()}
+
+
+# dt^2 g |xi| = 0.0025 and 400: the step matrix is definite, then indefinite
+@pytest.mark.parametrize("dt, definite", [(0.05, True), (20.0, False)])
+def test_stepper_matches_dense_midpoint_oracle(profile, dt, definite):
+    forms = rt.assemble(profile, rt.Mesh.uniform(1, 1, 16, order=2), 1.0)
+    E0, E1, J = forms.dense()
+    M = 2.0 * J + dt * E1 + 0.5 * dt**2 * E0
+    assert (np.linalg.eigvalsh(M)[0] > 0) == definite
+    r = np.random.default_rng(5)
+    u0, v0 = r.standard_normal(forms.n), r.standard_normal(forms.n)
+    n_steps = 40
+    traj = rt.integrate(forms, u0, v0, dt, n_steps * dt, store_every=1)
+    ref = _dense_midpoint(forms, u0, v0, dt, n_steps)
+    rel = lambda a, b: np.max(np.abs(a - b)) / np.max(np.abs(b))
+    for name, expect in ref.items():
+        assert rel(getattr(traj, name), expect) <= 1e-10, name
+    # the ledger's carried products against direct products at the stored states
+    quad = lambda X, A: np.einsum("ij,jk,ik->i", X, A, X)
+    U, W = traj.states_u, traj.states_v
+    direct = {"kinetic": 0.5 * quad(W, J), "potential": 0.5 * quad(U, E0),
+              "norm1_sq": 2.0 * quad(U, J), "norm2_sq": 2.0 * quad(U, E1),
+              "norm1_dot_sq": 2.0 * quad(W, J), "norm2_dot_sq": 2.0 * quad(W, E1)}
+    for name, expect in direct.items():
+        assert rel(getattr(traj, name), expect) <= 1e-10, name
 
 
 def test_integrate_validates_steps(forms_xi1):

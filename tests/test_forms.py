@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import rtmodes as rt
 from rtmodes.errors import DomainError, LayoutError
-from rtmodes.eigen import dense_spectrum
+from rtmodes.eigen import _bands, dense_spectrum
 
 from conftest import make_profile
 
@@ -27,6 +29,16 @@ def test_symmetry(forms_xi1):
     for M in (forms_xi1.E0, forms_xi1.E1, forms_xi1.J):
         asym = abs(M - M.T).max()
         assert asym <= 1e-13 * abs(M).max()
+
+
+def test_replace_copy_starts_with_empty_caches(forms_xi1):
+    _bands(forms_xi1)
+    forms_xi1.dense()
+    forms_xi1.norms()
+    copy = dataclasses.replace(forms_xi1, E1=0.0 * forms_xi1.E1)
+    assert np.all(_bands(copy)[1] == 0.0)
+    assert np.all(copy.dense()[1] == 0.0)
+    assert copy.norms()[1] == 0.0
 
 
 def test_j_positive_definite_e1_psd(forms_xi1):
