@@ -131,10 +131,11 @@ def _cmd_mode(config, args):
         return 0
     out = Path(config["output.dir"]) / (args.out or "mode.csv")
     _write_csv(out, ["x3", "phi", "psi"], [mesh.nodes, r.phi, r.psi])
+    ode_residual = r.ode_residual     # computed on each read
     _write_meta(config["output.dir"], config, "mode", {
         "xi": xi, "lambda": r.lam, "s_star": r.s_star, "psi0": r.psi0,
         "fixed_point_residual": r.fixed_point_residual,
-        "ode_residual": r.ode_residual if math.isfinite(r.ode_residual) else None,
+        "ode_residual": ode_residual if math.isfinite(ode_residual) else None,
     })
     print(f"lambda({xi}) = {r.lam:.12g}  psi(0) = {r.psi0:.6g}; wrote {out}")
     return 0

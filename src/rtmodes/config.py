@@ -32,18 +32,14 @@ KEYS = {
     "fluid.upper.K": (float, 1.0, "polytropic pressure scale K > 0"),
     "fluid.upper.gamma": (float, 1.0, "polytropic adiabatic exponent >= 1"),
     "fluid.upper.table": (str, None, "CSV path (header rho,P) for tabulated law"),
-    "viscosity.lower.eps": (float, 0.1, "shear viscosity coefficient > 0"),
-    "viscosity.lower.eps_kind": (str, "constant", "constant | power"),
-    "viscosity.lower.eps_power": (float, 0.0, "density exponent for power kind"),
-    "viscosity.lower.delta": (float, 0.0, "bulk viscosity coefficient >= 0"),
-    "viscosity.lower.delta_kind": (str, "constant", "constant | power"),
-    "viscosity.lower.delta_power": (float, 0.0, "density exponent for power kind"),
-    "viscosity.upper.eps": (float, 0.1, "shear viscosity coefficient > 0"),
-    "viscosity.upper.eps_kind": (str, "constant", "constant | power"),
-    "viscosity.upper.eps_power": (float, 0.0, "density exponent for power kind"),
-    "viscosity.upper.delta": (float, 0.0, "bulk viscosity coefficient >= 0"),
-    "viscosity.upper.delta_kind": (str, "constant", "constant | power"),
-    "viscosity.upper.delta_power": (float, 0.0, "density exponent for power kind"),
+    "viscosity.lower.eps": (float, 0.1, "shear viscosity eps = c rho^p: coefficient c > 0"),
+    "viscosity.lower.eps_power": (float, 0.0, "shear viscosity exponent p (0: constant eps = c)"),
+    "viscosity.lower.delta": (float, 0.0, "bulk viscosity delta = c rho^p: coefficient c >= 0"),
+    "viscosity.lower.delta_power": (float, 0.0, "bulk viscosity exponent p (0: constant delta = c)"),
+    "viscosity.upper.eps": (float, 0.1, "shear viscosity eps = c rho^p: coefficient c > 0"),
+    "viscosity.upper.eps_power": (float, 0.0, "shear viscosity exponent p (0: constant eps = c)"),
+    "viscosity.upper.delta": (float, 0.0, "bulk viscosity delta = c rho^p: coefficient c >= 0"),
+    "viscosity.upper.delta_power": (float, 0.0, "bulk viscosity exponent p (0: constant delta = c)"),
     "mesh.elements_per_side": (int, 256, "uniform elements on each side of the interface"),
     "mesh.order": (int, 2, "element order: 1 or 2"),
     "mesh.quadrature": (int, 3, "Gauss points per element"),
@@ -51,7 +47,7 @@ KEYS = {
     "sweep.xi_min": (float, None, "lowest frequency (default 0.02 xi_c)"),
     "sweep.xi_max": (float, None, "highest frequency (default 0.98 xi_c)"),
     "lattice.L": (float, None, "period scale for lattice enumeration (falls back to geometry.L)"),
-    "lattice.xi_max": (float, None, "frequency cap for sigma = 0 lattices"),
+    "lattice.xi_max": (float, None, "frequency cap > 0, required by sigma = 0 lattices"),
     "mode.xi": (float, 1.0, "frequency magnitude for single-mode solves"),
     "synthesis.f.a": (float, None, "bump support lower edge (default 0.3 xi_c)"),
     "synthesis.f.b": (float, None, "bump support upper edge (default 0.7 xi_c)"),
@@ -110,10 +106,7 @@ class RunConfig:
 
     def _viscosity(self, side):
         mk = lambda which: ViscosityLaw(
-            self[f"viscosity.{side}.{which}_kind"],
-            c=self[f"viscosity.{side}.{which}"],
-            p=self[f"viscosity.{side}.{which}_power"],
-        )
+            self[f"viscosity.{side}.{which}"], p=self[f"viscosity.{side}.{which}_power"])
         return FluidViscosity(eps=mk("eps"), delta=mk("delta"))
 
     def profile(self):
@@ -162,7 +155,7 @@ def _validate(values):
     for key in ("geometry.m", "geometry.ell", "geometry.g"):
         if values[key] <= 0:
             raise ConfigurationError(f"{key} must be > 0")
-    for key in ("geometry.L", "synthesis.grid.extent"):
+    for key in ("geometry.L", "lattice.xi_max", "synthesis.grid.extent"):
         if values.get(key) is not None and values[key] <= 0:
             raise ConfigurationError(f"{key} must be > 0")
     if values["mesh.order"] not in (1, 2):

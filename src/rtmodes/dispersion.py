@@ -37,7 +37,8 @@ class ModeSolution:
 
     phi, psi are nodal profiles of the J-normalized minimizer; theta
     vanishes identically in this frame and is reintroduced by rotation in
-    the synthesis stage.
+    the synthesis stage.  The residual diagnostics are computed from
+    ``forms`` each time they are read.
     """
 
     xi: np.ndarray                # 2D frequency vector, reduced frame
@@ -47,14 +48,26 @@ class ModeSolution:
     psi: np.ndarray
     psi0: float
     fixed_point_residual: float
-    ode_residual: float          # nan on order-1 meshes (no pointwise second derivative)
-    jump_residuals: np.ndarray
     minimizer: np.ndarray = field(repr=False)
-    forms: object = field(repr=False, default=None)
+    forms: object = field(repr=False)
 
     @property
     def xi_mag(self):
         return float(np.hypot(self.xi[0], self.xi[1]))
+
+    @property
+    def ode_residual(self):
+        """Strong-form defect of (phi, psi); nan on order-1 meshes (no pointwise second derivative)."""
+        if self.forms.mesh.order < 2:
+            return math.nan
+        return strong_form_residual(self.forms.profile, self.forms.mesh, self.phi, self.psi,
+                                    self.xi_mag, self.s_star, -self.lam**2)
+
+    @property
+    def jump_residuals(self):
+        """Defects of the four interface conditions; see :func:`residuals.jump_residuals`."""
+        return jump_residuals(self.forms.profile, self.forms.mesh, self.phi, self.psi,
+                              self.xi_mag, self.s_star)
 
 
 def growth_rate(profile, mesh, xi_mag, forms=None):
@@ -101,9 +114,6 @@ def growth_rate(profile, mesh, xi_mag, forms=None):
         psi=psi,
         psi0=forms.psi_trace(x),
         fixed_point_residual=abs(s_star - math.sqrt(max(-mu, 0.0))),
-        ode_residual=(strong_form_residual(profile, mesh, phi, psi, xi_mag, s_star, -lam**2)
-                      if mesh.order >= 2 else math.nan),
-        jump_residuals=jump_residuals(profile, mesh, phi, psi, xi_mag, s_star),
         minimizer=x,
         forms=forms,
     )
@@ -206,9 +216,10 @@ def lattice_modes(profile, mesh, L, xi_max=None):
 
     Rates depend on |xi| only, so lattice points are grouped by magnitude
     and each magnitude is solved once.  For sigma > 0 the enumeration is
-    capped by xi_c; for sigma = 0 a finite cap ``xi_max`` must be supplied.
-    When L <= sqrt(sigma / (g [rho0])) the unstable set is empty and a
-    stability certificate is returned.
+    capped by xi_c; for sigma = 0 a finite cap ``xi_max`` must be supplied,
+    and a cap that admits no lattice point is an error, not a certificate.
+    When sigma > 0 and L <= sqrt(sigma / (g [rho0])) the unstable set is
+    empty and a stability certificate is returned.
     """
     if L <= 0:
         raise ConfigurationError("period scale L must be > 0")
@@ -235,6 +246,10 @@ def lattice_modes(profile, mesh, L, xi_max=None):
                 pts.append((k1, k2, mag))
 
     if not pts:
+        if sigma == 0:
+            raise ConfigurationError(
+                "xi_max = %g admits no lattice frequency: the smallest lattice "
+                "magnitude is 1/L = %g" % (cap, 1.0 / L))
         return LatticeResult(
             L=L, points=np.zeros((0, 4)), magnitudes=np.zeros(0), rates=np.zeros(0),
             Lambda_L=0.0, certificate=True,

@@ -83,14 +83,6 @@ class FormSet:
         psi[1:-1] = x[1::2]
         return phi, psi
 
-    def interpolate(self, phi_fn, psi_fn):
-        """Nodal interpolant of callables phi_fn(x3), psi_fn(x3)."""
-        xs = self.mesh.nodes
-        return self.from_nodal(
-            np.asarray([phi_fn(x) for x in xs], dtype=float),
-            np.asarray([psi_fn(x) for x in xs], dtype=float),
-        )
-
     def psi_trace(self, x):
         """psi(0) read off the interface dof."""
         return float(self._check(x)[self.psi0_dof])
@@ -102,10 +94,6 @@ class FormSet:
         return x
 
     # -- form evaluation ---------------------------------------------------
-
-    def j_value(self, x):
-        x = self._check(x)
-        return float(x @ (self.J @ x))
 
     def e0_value(self, x):
         x = self._check(x)

@@ -38,36 +38,32 @@ class SlabGeometry:
 
 
 class ViscosityLaw:
-    """Smooth density dependence of a viscosity coefficient.
+    """Smooth density dependence c * rho**p of a viscosity coefficient.
 
-    Built-in kinds: ``constant`` (value c) and ``power`` (c * rho**p).
+    p = 0 (the default) is the constant law c, exactly.
     """
 
-    def __init__(self, kind="constant", c=0.1, p=0.0):
-        if kind not in ("constant", "power"):
-            raise ConfigurationError(f"unknown viscosity kind {kind!r}")
-        self.kind, self.c, self.p = kind, float(c), float(p)
+    def __init__(self, c, p=0.0):
+        self.c, self.p = float(c), float(p)
 
     @classmethod
     def constant(cls, c):
-        return cls("constant", c=c)
+        return cls(c)
 
     @classmethod
     def power(cls, c, p):
-        return cls("power", c=c, p=p)
+        return cls(c, p)
 
     def __call__(self, rho):
-        if self.kind == "constant":
-            return np.full_like(np.asarray(rho, dtype=float), self.c) if np.ndim(rho) else self.c
-        return self.c * np.asarray(rho, dtype=float) ** self.p
+        out = self.c * np.asarray(rho, dtype=float) ** self.p
+        return out if out.ndim else float(out)
 
     def derivative(self, rho):
-        if self.kind == "constant":
-            return np.zeros_like(np.asarray(rho, dtype=float)) if np.ndim(rho) else 0.0
-        return self.c * self.p * np.asarray(rho, dtype=float) ** (self.p - 1.0)
+        out = self.c * self.p * np.asarray(rho, dtype=float) ** (self.p - 1.0)
+        return out if out.ndim else float(out)
 
     def __repr__(self):
-        if self.kind == "constant":
+        if self.p == 0.0:
             return f"ViscosityLaw.constant({self.c})"
         return f"ViscosityLaw.power({self.c}, {self.p})"
 
@@ -105,12 +101,12 @@ def by_side(x3, evaluate):
 
 
 class SteadyProfile:
-    """Hydrostatic steady state with closed-form side evaluators.
+    """Hydrostatic steady state with closed-form evaluators.
 
-    Evaluators take x3 (scalar or array) and an optional ``side`` (+1 upper,
-    -1 lower) to disambiguate the interface point x3 = 0.  All evaluators are
-    compositions of the enthalpy inverse, so any mesh may sample them without
-    interpolation error.
+    ``density`` and ``fields`` take x3 (scalar or array) and an optional
+    ``side`` (+1 upper, -1 lower) to disambiguate the interface point x3 = 0.
+    Both are compositions of the enthalpy inverse, so any mesh may sample
+    them without interpolation error.
     """
 
     def __init__(self, geometry, lower, upper, rho_minus, rho_plus, viscosity):
@@ -127,95 +123,54 @@ class SteadyProfile:
         g, sigma = geometry.g, geometry.sigma
         self.xi_c = math.sqrt(g * self.rho_jump / sigma) if sigma > 0 else math.inf
 
-    # -- side handling -------------------------------------------------
+    # -- fields --------------------------------------------------------
 
-    def _sides(self, x3, side):
+    def _on_sides(self, x3, side, evaluate):
+        """``evaluate(x3, side)`` in one pass when ``side`` is given, else once
+        per fluid through :func:`by_side` (x3 = 0 then needs a side)."""
         x3 = np.asarray(x3, dtype=float)
-        if side is None:
-            if np.any(x3 == 0.0):
-                raise DomainError("x3 = 0 is ambiguous; pass side=+1 or side=-1")
-            side_arr = np.where(x3 > 0, 1, -1)
-        else:
-            side_arr = np.full(x3.shape, int(side))
         if np.any((x3 < -self.geometry.m) | (x3 > self.geometry.ell)):
             raise DomainError("x3 outside the slab [-m, ell]")
-        return x3, side_arr
-
-    # -- fields --------------------------------------------------------
+        if side is not None:
+            return evaluate(x3, int(side))
+        if np.any(x3 == 0.0):
+            raise DomainError("x3 = 0 is ambiguous; pass side=+1 or side=-1")
+        return by_side(x3, evaluate)
 
     def density(self, x3, side=None):
         """rho0(x3) = h^{-1}(h(rho_interface) - g x3) on each side."""
-        x3, side_arr = self._sides(x3, side)
-        out = np.empty(x3.shape, dtype=float)
-        for s in (-1, +1):
-            mask = side_arr == s
-            if np.any(mask):
-                h = self._h_at_interface[s] - self.geometry.g * x3[mask]
-                out[mask] = self.laws[s].enthalpy_inverse_vec(h)
+        out = self._on_sides(x3, side, lambda x, s: self.laws[s].enthalpy_inverse_vec(
+            self._h_at_interface[s] - self.geometry.g * x))
         return out if out.ndim else float(out)
+
+    def _field_columns(self, x3, side):
+        """The fields of one fluid at x3, stacked along a trailing axis in _FIELDS order."""
+        law, visc, g = self.laws[side], self.visc[side], self.geometry.g
+        r = np.asarray(self.density(x3, side))
+        dp = np.asarray(law.dpressure(r))
+        r_p = -g * r / dp
+        return np.stack([
+            r, r_p, law.pressure(r), dp, dp * r,
+            (np.asarray(law.d2pressure(r)) * r + dp) * r_p, g / dp,
+            visc.eps(r), np.asarray(visc.eps.derivative(r)) * r_p,
+            visc.delta(r), np.asarray(visc.delta.derivative(r)) * r_p,
+        ], axis=-1)
 
     def fields(self, x3, side=None):
         """Every coefficient field at x3 from one density evaluation.
 
-        Returns a dict of arrays shaped like x3 (floats for scalar x3):
-        ``rho`` = rho0; ``rho_prime`` = -g rho0 / P'(rho0), from the
+        The only coefficient evaluator: with ``side`` given it makes one pass,
+        otherwise it splits the points once by fluid (x3 < 0 lower, x3 > 0
+        upper).  Returns a dict of arrays shaped like x3 (floats for scalar
+        x3): ``rho`` = rho0; ``rho_prime`` = -g rho0 / P'(rho0), from the
         hydrostatic ODE; ``P``; ``dp`` = P'(rho0); ``pr`` = P'(rho0) rho0;
         ``pr_prime`` = (P' rho0)' by the chain rule; ``gop`` = g / P'(rho0);
         and ``eps``, ``eps_prime``, ``delta``, ``delta_prime``, the viscosity
         laws at rho0 and their x3-derivatives eps'(rho0) rho0' (no numerical
         differentiation).
         """
-        rho = np.asarray(self.density(x3, side))
-        x3, side_arr = self._sides(x3, side)
-        g = self.geometry.g
-        out = {name: np.empty(x3.shape, dtype=float) for name in _FIELDS}
-        for s in (-1, +1):
-            mask = side_arr == s
-            if not np.any(mask):
-                continue
-            law, visc, r = self.laws[s], self.visc[s], rho[mask]
-            dp = np.asarray(law.dpressure(r))
-            r_p = -g * r / dp
-            vals = {
-                "rho": r, "rho_prime": r_p, "P": law.pressure(r), "dp": dp, "pr": dp * r,
-                "pr_prime": (np.asarray(law.d2pressure(r)) * r + dp) * r_p, "gop": g / dp,
-                "eps": visc.eps(r), "eps_prime": np.asarray(visc.eps.derivative(r)) * r_p,
-                "delta": visc.delta(r), "delta_prime": np.asarray(visc.delta.derivative(r)) * r_p,
-            }
-            for name in _FIELDS:
-                out[name][mask] = vals[name]
-        return {name: v if v.ndim else float(v) for name, v in out.items()}
-
-    def dpressure(self, x3, side=None):
-        return self.fields(x3, side)["dp"]
-
-    def pprime_rho(self, x3, side=None):
-        """P'(rho0) * rho0, the compression modulus weighting the forms."""
-        return self.fields(x3, side)["pr"]
-
-    def density_prime(self, x3, side=None):
-        """rho0' = -g rho0 / P'(rho0), from the hydrostatic ODE."""
-        return self.fields(x3, side)["rho_prime"]
-
-    def pprime_rho_prime(self, x3, side=None):
-        """(P'(rho0) rho0)' by the chain rule, using the hydrostatic ODE."""
-        return self.fields(x3, side)["pr_prime"]
-
-    def eps0(self, x3, side=None):
-        return self.fields(x3, side)["eps"]
-
-    def delta0(self, x3, side=None):
-        return self.fields(x3, side)["delta"]
-
-    def eps0_prime(self, x3, side=None):
-        """eps0' = eps'(rho0) rho0', avoiding numerical differentiation."""
-        return self.fields(x3, side)["eps_prime"]
-
-    def delta0_prime(self, x3, side=None):
-        return self.fields(x3, side)["delta_prime"]
-
-    def pressure(self, x3, side=None):
-        return self.fields(x3, side)["P"]
+        cols = self._on_sides(x3, side, self._field_columns)
+        return {name: v if v.ndim else float(v) for name, v in zip(_FIELDS, np.moveaxis(cols, -1, 0))}
 
 
 def build_profile(lower, upper, rho_minus, geometry, viscosity=None):
@@ -284,7 +239,7 @@ def verify_hydrostatic(profile, n_check=64, h_fd=1e-4):
     for s, a, b in ((-1, -geom.m, 0.0), (+1, 0.0, geom.ell)):
         pad = max(2 * h_fd, 1e-3 * (b - a))
         x = np.linspace(a + pad, b - pad, n_check)
-        dP = (profile.pressure(x + h_fd, side=s) - profile.pressure(x - h_fd, side=s)) / (2 * h_fd)
+        dP = (profile.fields(x + h_fd, side=s)["P"] - profile.fields(x - h_fd, side=s)["P"]) / (2 * h_fd)
         resid = np.abs(dP + geom.g * profile.density(x, side=s))
         out = max(out, float(np.max(resid)))
     return out

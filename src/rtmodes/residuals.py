@@ -6,6 +6,9 @@ its natural jump conditions, which the weak form only enforces in the limit.
 Residuals are sampled at element midpoints, where second derivatives of
 quadratic elements carry their best accuracy; order-1 meshes have no
 meaningful pointwise second derivative, so order >= 2 is required.
+Midpoints and Gauss points never lie on an element break, so one
+``profile.fields`` call and side-free nodal evaluations cover both fluids;
+only the interface conditions evaluate each side separately, at x3 = 0.
 """
 
 import numpy as np
@@ -21,7 +24,7 @@ def coefficient_fields(f, s):
             s * f["delta"], s * f["delta_prime"])
 
 
-def _ode_terms(fields, g, mesh, phi, psi, xi, s, mu, x, side):
+def _ode_terms(fields, g, mesh, phi, psi, xi, s, mu, x):
     """Both ODEs at points x, split off from their second-derivative parts.
 
     phi: -(eps phi')' + xi^2 B phi + xi (M psi' + (eps' - g rho) psi) - mu rho phi = 0
@@ -32,10 +35,10 @@ def _ode_terms(fields, g, mesh, phi, psi, xi, s, mu, x, side):
     equation.
     """
     rho, pr, pr_p, eps, eps_p, dlt, dlt_p = coefficient_fields(fields, s)
-    f = mesh.eval_nodal(phi, x, side=side)
-    fp = mesh.eval_nodal(phi, x, side=side, deriv=1)
-    p = mesh.eval_nodal(psi, x, side=side)
-    pp = mesh.eval_nodal(psi, x, side=side, deriv=1)
+    f = mesh.eval_nodal(phi, x)
+    fp = mesh.eval_nodal(phi, x, deriv=1)
+    p = mesh.eval_nodal(psi, x)
+    pp = mesh.eval_nodal(psi, x, deriv=1)
 
     big = 4 * eps / 3 + dlt + pr
     big_p = 4 * eps_p / 3 + dlt_p + pr_p
@@ -46,19 +49,19 @@ def _ode_terms(fields, g, mesh, phi, psi, xi, s, mu, x, side):
     return (eps, eps_p, big, big_p), (f, fp, p, pp), t_phi, t_psi
 
 
-def ode_second_derivatives(fields, g, mesh, phi, psi, xi, s, mu, x, side):
+def ode_second_derivatives(fields, g, mesh, phi, psi, xi, s, mu, x):
     """(phi, phi', phi'') and (psi, psi', psi'') at points x.
 
-    ``fields`` is ``profile.fields(x, side)`` and ``g`` the gravity.  The
-    values and first derivatives are the nodal fields' own; the second
-    derivatives come from the strong-form ODEs with the analytic coefficient
-    derivatives.  This is the bootstrap route, independent of the
-    elementwise second derivative of the interpolant.
+    ``fields`` is ``profile.fields(x)`` and ``g`` the gravity; the points x
+    must avoid the element breaks.  The values and first derivatives are the
+    nodal fields' own; the second derivatives come from the strong-form ODEs
+    with the analytic coefficient derivatives.  This is the bootstrap route,
+    independent of the elementwise second derivative of the interpolant.
     """
     if s <= 0:
         raise DomainError("derivative bootstrap needs a positive family parameter")
     (eps, eps_p, big, big_p), (f, fp, p, pp), (a1, a2, a3), (b1, b2, b3) = _ode_terms(
-        fields, g, mesh, phi, psi, xi, s, mu, x, side)
+        fields, g, mesh, phi, psi, xi, s, mu, x)
     return ((f, fp, (a3 + a1 + a2 - eps_p * fp) / eps),
             (p, pp, (b3 + b1 + b2 - big_p * pp) / big))
 
@@ -66,31 +69,21 @@ def ode_second_derivatives(fields, g, mesh, phi, psi, xi, s, mu, x, side):
 def strong_form_residual(profile, mesh, phi, psi, xi, s, mu):
     """Relative strong-form defect of the coupled ODE pair.
 
-    Samples element midpoints per side; the defect is the RMS of both
-    equations' imbalance over the RMS size of their individual terms.
+    Samples every element midpoint in one pass; the defect is the RMS of
+    both equations' imbalance over the RMS size of their individual terms.
     """
     if mesh.order < 2:
         raise DomainError("strong-form residual needs order >= 2 elements")
     if s <= 0:
         raise DomainError("strong-form residual needs a positive family parameter")
-    num = 0.0
-    den = 0.0
-    count = 0
-    for side in (-1, +1):
-        msk = mesh.element_side == side
-        xs = 0.5 * (mesh.element_breaks[:-1] + mesh.element_breaks[1:])[msk]
-        (eps, eps_p, big, big_p), (_, fp, _, pp), t_phi, t_psi = _ode_terms(
-            profile.fields(xs, side), profile.geometry.g, mesh, phi, psi, xi, s, mu, xs, side)
-        f2 = mesh.eval_nodal(phi, xs, side=side, deriv=2)
-        p2 = mesh.eval_nodal(psi, xs, side=side, deriv=2)
-        t_phi = [-(eps_p * fp + eps * f2), *t_phi]
-        t_psi = [-(big_p * pp + big * p2), *t_psi]
-        r_phi = sum(t_phi)
-        r_psi = sum(t_psi)
-        num += float(np.sum(r_phi**2 + r_psi**2))
-        den += float(np.sum(sum(np.abs(t) for t in t_phi) ** 2 + sum(np.abs(t) for t in t_psi) ** 2))
-        count += xs.size
-    return np.sqrt(num / count) / max(np.sqrt(den / count), _FLOOR)
+    xs = 0.5 * (mesh.element_breaks[:-1] + mesh.element_breaks[1:])
+    (eps, eps_p, big, big_p), (_, fp, _, pp), t_phi, t_psi = _ode_terms(
+        profile.fields(xs), profile.geometry.g, mesh, phi, psi, xi, s, mu, xs)
+    t_phi = [-(eps_p * fp + eps * mesh.eval_nodal(phi, xs, deriv=2)), *t_phi]
+    t_psi = [-(big_p * pp + big * mesh.eval_nodal(psi, xs, deriv=2)), *t_psi]
+    num = np.mean(sum(t_phi) ** 2 + sum(t_psi) ** 2)
+    den = np.mean(sum(np.abs(t) for t in t_phi) ** 2 + sum(np.abs(t) for t in t_psi) ** 2)
+    return np.sqrt(num) / max(np.sqrt(den), _FLOOR)
 
 
 def jump_residuals(profile, mesh, phi, psi, xi, s):

@@ -106,50 +106,38 @@ def _sample(evaluate, grid):
 
 
 class _ModeProfileTable:
-    """Per-side quadrature samples of a mode and its x3-derivatives."""
+    """Gauss-point samples of a mode and its x3-derivatives over both fluids.
+
+    Gauss points never lie on an element break, so one ``profile.fields``
+    call and side-free nodal evaluations give each fluid's own values; the
+    integrals below are piecewise (no regularity across the interface)
+    without a per-side split.
+    """
 
     def __init__(self, profile, mesh, lam, phi, psi, xi):
-        self.weights = {}
-        self.deriv = {}
-        for side in (-1, +1):
-            msk = mesh.element_side == side
-            xq = mesh.quad_x[msk].ravel()
-            wq = mesh.quad_w[msk].ravel()
-            fields = profile.fields(xq, side)
-            phi_d, psi_d = ode_second_derivatives(
-                fields, profile.geometry.g, mesh, phi, psi, xi, lam, -lam**2, xq, side
-            )
-            self.weights[side] = wq
-            self.deriv[side] = {
-                "phi": phi_d, "psi": psi_d,
-                "rho": (fields["rho"], fields["rho_prime"]),
-            }
+        xq = mesh.quad_x.ravel()
+        self.weights = mesh.quad_w.ravel()
+        fields = profile.fields(xq)
+        self.phi, self.psi = ode_second_derivatives(
+            fields, profile.geometry.g, mesh, phi, psi, xi, lam, -lam**2, xq)
+        self.rho, self.rho_prime = fields["rho"], fields["rho_prime"]
 
     def w_sq_integral(self, j):
         """int over both sides of (d^j phi)^2 + (d^j psi)^2."""
         if j > _MAX_SOBOLEV_ORDER:
             raise DomainError("x3-derivative order %d exceeds the bootstrap depth" % j)
-        out = 0.0
-        for side in (-1, +1):
-            d = self.deriv[side]
-            out += float(np.sum(self.weights[side] * (d["phi"][j] ** 2 + d["psi"][j] ** 2)))
-        return out
+        return float(np.sum(self.weights * (self.phi[j] ** 2 + self.psi[j] ** 2)))
 
     def q_sq_integral(self, j, r):
         """int of (d^j q-profile)^2 with q-profile = -rho0 (r phi + psi')."""
         if j > 1:
             raise DomainError("q-profile derivatives available up to order 1")
-        out = 0.0
-        for side in (-1, +1):
-            d = self.deriv[side]
-            rho, rho_p = d["rho"]
-            base = r * d["phi"][0] + d["psi"][1]
-            if j == 0:
-                q = rho * base
-            else:
-                q = rho_p * base + rho * (r * d["phi"][1] + d["psi"][2])
-            out += float(np.sum(self.weights[side] * q**2))
-        return out
+        base = r * self.phi[0] + self.psi[1]
+        if j == 0:
+            q = self.rho * base
+        else:
+            q = self.rho_prime * base + self.rho * (r * self.phi[1] + self.psi[2])
+        return float(np.sum(self.weights * q**2))
 
 
 def _sobolev_weighted(table, which, k, r, lam, t, coeff):

@@ -54,6 +54,9 @@ def test_unknown_key_rejected(cfg_path, tmp_path):
         load_config(bad)
     with pytest.raises(ConfigurationError, match="nope"):
         load_config(cfg_path, overrides=["nope=1"])
+    # the viscosity law is c rho^p; its former kind selectors are gone
+    with pytest.raises(ConfigurationError, match="viscosity.upper.delta_kind"):
+        load_config(cfg_path, overrides=["viscosity.upper.delta_kind=power"])
 
 
 def test_invalid_values_name_keys(cfg_path):
@@ -61,9 +64,19 @@ def test_invalid_values_name_keys(cfg_path):
         load_config(cfg_path, overrides=["geometry.sigma=-1"])
     with pytest.raises(ConfigurationError, match="parse"):
         load_config(cfg_path, overrides=["geometry.g=abc"])
+    for raw in ("0", "-1"):
+        with pytest.raises(ConfigurationError, match="lattice.xi_max"):
+            load_config(cfg_path, overrides=[f"lattice.xi_max={raw}"])
     for raw in ("nan", "inf", "-inf"):
         with pytest.raises(ConfigurationError, match="geometry.g"):
             load_config(cfg_path, overrides=[f"geometry.g={raw}"])
+
+
+def test_viscosity_exponent_alone_selects_the_power_law(cfg_path):
+    prof = load_config(cfg_path, overrides=["viscosity.lower.eps_power=2"]).profile()
+    f = prof.fields(np.array([-0.5, 0.5]))
+    assert f["eps"][0] == pytest.approx(0.1 * f["rho"][0] ** 2, rel=1e-15)
+    assert f["eps"][1] == 0.1
 
 
 def test_sweep_needs_a_sample(cfg_path, profile):
@@ -120,6 +133,13 @@ class TestCliRuns:
         assert "certificate" not in text
         meta = json.loads((tmp_path / "out" / "run.json").read_text())
         assert meta["Lambda_L"] > 0
+
+    def test_sigma_zero_lattice_is_never_certified(self, cfg_path, tmp_path, capsys):
+        for xi_max in ("-1", "0", "0.5"):
+            assert main(["lattice", "--config", str(cfg_path), "--L", "1",
+                         "--set", "geometry.sigma=0", "--set", f"lattice.xi_max={xi_max}"]) == 2
+            assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "lattice.csv").exists()
 
     def test_lattice_vs_dispersion_metadata(self, cfg_path, tmp_path):
         assert main(["dispersion", "--config", str(cfg_path)]) == 0

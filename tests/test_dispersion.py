@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 import rtmodes as rt
 from rtmodes.eigen import dense_spectrum
 from rtmodes.errors import ConfigurationError, DomainError
+from rtmodes.residuals import jump_residuals, strong_form_residual
 
 
 def oracle_rate(forms):
@@ -123,6 +124,24 @@ def test_mode_invariants(profile, mode_xi1):
     assert mode_xi1.lam**2 <= g * (g * profile.rho_jump - sigma * xi**2) / (sigma * xi) + 1e-6
 
 
+def test_solve_evaluates_the_profile_once(mesh32, monkeypatch):
+    from conftest import make_profile
+
+    profile = make_profile()
+    calls = []
+    fields = profile.fields
+    monkeypatch.setattr(profile, "fields", lambda *a, **k: calls.append(a) or fields(*a, **k))
+    m = rt.growth_rate(profile, mesh32, 1.0)
+    assert len(calls) == 1           # the assembly's Gauss points; no residual is computed
+    # the diagnostics are computed when read, from the mode's own forms
+    phi, psi = m.phi, m.psi
+    assert m.ode_residual == strong_form_residual(profile, mesh32, phi, psi, 1.0, m.s_star, -m.lam**2)
+    assert np.array_equal(m.jump_residuals, jump_residuals(profile, mesh32, phi, psi, 1.0, m.s_star))
+    linear = rt.growth_rate(profile, rt.Mesh.uniform(1, 1, 32, order=1), 1.0)
+    assert math.isnan(linear.ode_residual)
+    assert np.all(np.isfinite(linear.jump_residuals))
+
+
 def test_invalid_frequency(profile, mesh32):
     with pytest.raises(DomainError):
         rt.growth_rate(profile, mesh32, 0.0)
@@ -199,6 +218,13 @@ class TestLattice:
         lat = rt.lattice_modes(profile, mesh32, 1.0)
         curve = rt.sweep(profile, mesh32, 0.02 * profile.xi_c, 0.98 * profile.xi_c, n=24)
         assert lat.Lambda_L <= curve.Lambda + 1e-3
+
+    def test_sigma_zero_empty_enumeration_is_no_certificate(self, profile_sigma0, mesh32):
+        # without surface tension nothing certifies stability: a cap below the
+        # smallest lattice magnitude 1/L is an input error
+        for xi_max in (0.5, 0.0, -1.0):
+            with pytest.raises(ConfigurationError, match="1/L = 1"):
+                rt.lattice_modes(profile_sigma0, mesh32, 1.0, xi_max=xi_max)
 
     def test_sigma_zero_needs_cap(self, profile_sigma0, mesh32):
         with pytest.raises(ConfigurationError):

@@ -49,7 +49,7 @@ def test_monotone_and_lipschitz(forms_xi1):
 
 def test_normalization_and_residual(forms_xi1):
     r = rt.smallest_eig(forms_xi1, 0.3)
-    assert abs(forms_xi1.j_value(r.minimizer) - 1.0) <= 1e-12
+    assert abs(r.minimizer @ (forms_xi1.J @ r.minimizer) - 1.0) <= 1e-12
     n0, n1, _ = forms_xi1.norms()
     assert r.residual <= 1e-9 * (n0 + 0.3 * n1)
 

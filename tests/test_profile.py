@@ -77,8 +77,8 @@ def test_interface_pressure_continuity():
             rt.PressureLaw.polytropic(Km, gm), rt.PressureLaw.polytropic(Kp, gp),
             rho, rt.SlabGeometry(m=0.5, ell=0.4, g=1.0),
         )
-        p_lo = prof.pressure(np.array([0.0]), side=-1)[0]
-        p_hi = prof.pressure(np.array([0.0]), side=+1)[0]
+        p_lo = prof.fields(np.array([0.0]), side=-1)["P"][0]
+        p_hi = prof.fields(np.array([0.0]), side=+1)["P"][0]
         assert abs(p_hi - p_lo) <= 1e-10 * p_lo
 
 
@@ -102,12 +102,11 @@ def test_eps0_prime_matches_finite_differences():
     )
     h = 1e-6
     for side, x in ((-1, -0.4), (+1, 0.6)):
-        fd = (prof.eps0(x + h, side=side) - prof.eps0(x - h, side=side)) / (2 * h)
-        assert prof.eps0_prime(x, side=side) == pytest.approx(fd, rel=1e-7)
-        fd = (prof.delta0(x + h, side=side) - prof.delta0(x - h, side=side)) / (2 * h)
-        assert prof.delta0_prime(x, side=side) == pytest.approx(fd, rel=1e-6, abs=1e-12)
-        fd = (prof.pprime_rho(x + h, side=side) - prof.pprime_rho(x - h, side=side)) / (2 * h)
-        assert prof.pprime_rho_prime(x, side=side) == pytest.approx(fd, rel=1e-7)
+        f, up, down = (prof.fields(y, side=side) for y in (x, x + h, x - h))
+        fd = lambda name: (up[name] - down[name]) / (2 * h)
+        assert f["eps_prime"] == pytest.approx(fd("eps"), rel=1e-7)
+        assert f["delta_prime"] == pytest.approx(fd("delta"), rel=1e-6, abs=1e-12)
+        assert f["pr_prime"] == pytest.approx(fd("pr"), rel=1e-7)
 
 
 def test_fields_match_pointwise_evaluators():
@@ -121,16 +120,21 @@ def test_fields_match_pointwise_evaluators():
     )
     xs = np.array([-0.9, -0.31, -1e-3, 2e-3, 0.4, 0.97])
     f = prof.fields(xs)                       # both sides in one call
-    named = {
-        "rho": prof.density, "rho_prime": prof.density_prime, "P": prof.pressure,
-        "dp": prof.dpressure, "pr": prof.pprime_rho, "pr_prime": prof.pprime_rho_prime,
-        "eps": prof.eps0, "eps_prime": prof.eps0_prime,
-        "delta": prof.delta0, "delta_prime": prof.delta0_prime,
-    }
-    for name, evaluator in named.items():
-        pointwise = [evaluator(x, side=1 if x > 0 else -1) for x in xs]
-        assert all(isinstance(v, float) for v in pointwise)
-        assert f[name] == pytest.approx(pointwise, rel=1e-15, abs=0.0), name
+    pointwise = [prof.fields(x, side=1 if x > 0 else -1) for x in xs]
+    for name in f:
+        assert all(isinstance(p[name], float) for p in pointwise)
+        assert f[name] == pytest.approx([p[name] for p in pointwise], rel=1e-15, abs=0.0), name
+    # closed forms of the polytropes K rho^gamma and of the viscosity laws
+    rho = prof.density(xs)
+    lower = xs < 0
+    K, gamma = np.where(lower, 2.0, 1.0), np.where(lower, 1.4, 1.2)
+    dp = K * gamma * rho ** (gamma - 1)
+    assert f["rho"] == pytest.approx(rho, rel=1e-15)
+    assert f["P"] == pytest.approx(K * rho**gamma, rel=1e-14)
+    assert f["dp"] == pytest.approx(dp, rel=1e-14)
+    assert f["rho_prime"] == pytest.approx(-rho / dp, rel=1e-14)
+    assert f["eps"] == pytest.approx(np.where(lower, 0.2 * rho**1.5, 0.3 * rho**0.5), rel=1e-14)
+    assert f["delta"] == pytest.approx(np.where(lower, 0.05 * rho, 0.02), rel=1e-14)
     assert f["gop"] == pytest.approx(1.0 / f["dp"], rel=1e-15)
     assert prof.fields(0.0, side=-1)["rho"] == pytest.approx(prof.rho_minus, rel=1e-14)
     assert prof.fields(0.0, side=+1)["rho"] == pytest.approx(prof.rho_plus, rel=1e-14)
@@ -166,3 +170,45 @@ def test_by_side_splits_at_the_interface(profile):
     assert out[2, 1] == profile.density(0.0, side=+1)    # x3 = 0 belongs to the upper fluid
     one_sided = rt.profile.by_side(np.array([0.5, 0.75]), lambda x, side: x * side)
     assert np.array_equal(one_sided, [0.5, 0.75])
+
+
+def _power_viscosity():
+    return (
+        rt.FluidViscosity(rt.ViscosityLaw.power(0.2, 1.5), rt.ViscosityLaw.power(0.05, 1.0)),
+        rt.FluidViscosity(rt.ViscosityLaw.power(0.3, 0.5), rt.ViscosityLaw.constant(0.02)),
+    )
+
+
+@pytest.mark.parametrize("kind", ["polytropic", "tabulated"])
+def test_fields_side_split_matches_per_side_calls(kind):
+    geom = rt.SlabGeometry(m=1, ell=1, g=1, sigma=0.1)
+    if kind == "polytropic":
+        lower, upper = rt.PressureLaw.polytropic(2, 1.4), rt.PressureLaw.polytropic(1, 1.2)
+    else:
+        rho = np.geomspace(0.05, 20.0, 12)      # coarse: Newton needs several steps
+        lower = rt.PressureLaw.tabulated(rho, 2.0 * rho**2)
+        upper = rt.PressureLaw.tabulated(rho, rho**1.2)
+    prof = rt.build_profile(lower, upper, 1.0, geom, _power_viscosity())
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, 41)
+    f = prof.fields(x)
+    lo, hi = prof.fields(x[x < 0], -1), prof.fields(x[x > 0], +1)
+    for name in f:
+        assert np.array_equal(f[name][x < 0], lo[name]), name     # bit for bit
+        assert np.array_equal(f[name][x > 0], hi[name]), name
+    with pytest.raises(DomainError):
+        prof.fields(0.0)
+    with pytest.raises(DomainError):
+        prof.fields(np.array([-0.5, 0.0, 0.5]))
+
+
+def test_viscosity_law_exponent_zero_is_the_constant_law():
+    rho = np.geomspace(0.01, 100.0, 9)
+    law = rt.ViscosityLaw(0.1)
+    assert np.array_equal(law(rho), np.full_like(rho, 0.1))
+    assert np.array_equal(law.derivative(rho), np.zeros_like(rho))
+    assert law(2.0) == 0.1 and isinstance(law(2.0), float)
+    assert repr(law) == "ViscosityLaw.constant(0.1)"
+    power = rt.ViscosityLaw(0.1, p=2.0)
+    assert power(rho) == pytest.approx(0.1 * rho**2, rel=1e-15)
+    assert power.derivative(rho) == pytest.approx(0.2 * rho, rel=1e-15)
+    assert repr(power) == "ViscosityLaw.power(0.1, 2.0)"
