@@ -44,8 +44,6 @@ from .synthesis import (
     NormalMode3D,
     PeriodicField,
     extend_to_plane,
-    synthesize_nonperiodic,
-    synthesize_periodic,
 )
 from .evolution import (
     ModeTrajectory,

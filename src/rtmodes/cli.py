@@ -52,12 +52,6 @@ def _finite_floats(text):
     return [_finite_float(v) for v in text.split(",")]
 
 
-def _first_given(*values):
-    """The first value that is not None; an explicit 0 is kept, so it fails
-    downstream validation instead of silently falling back to a default."""
-    return next((v for v in values if v is not None), None)
-
-
 def _write_csv(path, header, columns):
     rows = zip(*columns)
     with open(path, "w") as fh:
@@ -123,7 +117,7 @@ def _cmd_forms(config, args):
 def _cmd_mode(config, args):
     profile = config.profile()
     mesh = config.mesh()
-    xi = args.xi if args.xi is not None else config["mode.xi"]
+    xi = config["mode.xi"]
     r = growth_rate(profile, mesh, xi)
     if isinstance(r, Stable):
         print(f"stable at |xi| = {xi}: {r.reason}")
@@ -145,8 +139,7 @@ def _cmd_dispersion(config, args):
     profile = config.profile()
     mesh = config.mesh()
     lo, hi = config.sweep_range(profile.xi_c)
-    n = _first_given(args.n, config["sweep.n"])
-    curve = sweep(profile, mesh, lo, hi, n=n)
+    curve = sweep(profile, mesh, lo, hi, n=config["sweep.n"])
     out = Path(config["output.dir"]) / (args.out or "curve.csv")
     _write_csv(out, ["xi", "lambda", "s_star", "psi0", "residual"],
                [curve.xi, curve.lam, curve.s_star, curve.psi0, curve.residual])
@@ -162,10 +155,10 @@ def _cmd_dispersion(config, args):
 def _cmd_lattice(config, args):
     profile = config.profile()
     mesh = config.mesh()
-    L = _first_given(args.L, config.get("lattice.L"), config.get("geometry.L"))
+    L = config.get("geometry.L")
     if L is None:
-        raise ConfigurationError("lattice needs --L, lattice.L, or geometry.L")
-    lat = lattice_modes(profile, mesh, float(L), xi_max=config.get("lattice.xi_max"))
+        raise ConfigurationError("lattice needs --L or geometry.L")
+    lat = lattice_modes(profile, mesh, L, xi_max=config.get("lattice.xi_max"))
     out = Path(config["output.dir"]) / (args.out or "lattice.csv")
     with open(out, "w") as fh:
         fh.write("k1,k2,xi,lambda\n")
@@ -174,7 +167,7 @@ def _cmd_lattice(config, args):
         for k1, k2, xi, lam in lat.points:
             fh.write(",".join(_FMT % v for v in (k1, k2, xi, lam)) + "\n")
     _write_meta(config["output.dir"], config, "lattice", {
-        "L": float(L), "Lambda_L": lat.Lambda_L,
+        "L": L, "Lambda_L": lat.Lambda_L,
         "certificate": int(lat.certificate), "unstable_count": lat.unstable_count,
     })
     status = "stable (certificate)" if lat.certificate else f"Lambda_L = {lat.Lambda_L:.12g}"
@@ -190,25 +183,21 @@ def _cmd_synthesize(config, args):
     outdir.mkdir(parents=True, exist_ok=True)
 
     if args.periodic:
-        L = _first_given(config.get("lattice.L"), config.get("geometry.L"))
+        L = config.get("geometry.L")
         if L is None:
-            raise ConfigurationError("periodic synthesis needs geometry.L or lattice.L")
-        field = PeriodicField(profile, mesh, float(L))
-        extent = _first_given(config.get("synthesis.grid.extent"), 2 * math.pi * float(L))
+            raise ConfigurationError("periodic synthesis needs geometry.L")
+        field = PeriodicField(profile, mesh, L)
+        extent = config.get("synthesis.grid.extent", 2 * math.pi * L)
         headline = {"Lambda_L": field.Lambda_L,
                     "xi1_k1": field.xi1[0] * L, "xi1_k2": field.xi1[1] * L}
     else:
         a, b = config.get("synthesis.f.a"), config.get("synthesis.f.b")
         if a is None or b is None:
             edges = BumpProfile.default(profile.xi_c)   # each missing edge takes its own default
-            a, b = _first_given(a, edges.a), _first_given(b, edges.b)
+            a, b = config.get("synthesis.f.a", edges.a), config.get("synthesis.f.b", edges.b)
         f = BumpProfile(a, b, amp=config["synthesis.f.amp"])
-        field = NonperiodicField(
-            profile, mesh, f,
-            n_radial=config["synthesis.radial_nodes"],
-            n_angular=config["synthesis.angular_nodes"],
-        )
-        extent = _first_given(config.get("synthesis.grid.extent"), math.pi / f.a)
+        field = NonperiodicField(profile, mesh, f, n_radial=config["synthesis.radial_nodes"])
+        extent = config.get("synthesis.grid.extent", math.pi / f.a)
         headline = {"lambda0": field.lambda0, "Lambda_nodes": field.Lambda,
                     "f_a": f.a, "f_b": f.b}
 
@@ -231,7 +220,6 @@ def _cmd_synthesize(config, args):
         path = outdir / ("t%g.csv" % t)
         _write_csv(path, header, [cols[h] for h in header])
         print(f"wrote {path}")
-    headline["imag_residual"] = field.last_imag_residual
     _write_meta(config["output.dir"], config, "synthesize", headline)
     return 0
 
@@ -239,25 +227,25 @@ def _cmd_synthesize(config, args):
 def _cmd_evolve(config, args):
     profile = config.profile()
     mesh = config.mesh()
-    xi = _first_given(args.xi, config.get("evolve.xi"))
+    xi = config.get("evolve.xi")
     if xi is None:
         xi = min(1.0, 0.5 * profile.xi_c) if math.isfinite(profile.xi_c) else 1.0
-    r = growth_rate(profile, mesh, float(xi))
+    r = growth_rate(profile, mesh, xi)
     if isinstance(r, Stable):
         raise ConfigurationError(
             "evolve needs an unstable frequency; |xi| = %g is stable (%s)" % (xi, r.reason)
         )
     lam = r.lam
-    dt = _first_given(args.dt, config.get("evolve.dt"), min(1e-2, 1e-2 / lam))
-    T = _first_given(args.T, config.get("evolve.T"), 5.0 / lam)
+    dt = config.get("evolve.dt", min(1e-2, 1e-2 / lam))
+    T = config.get("evolve.T", 5.0 / lam)
     u0, v0 = mode_initial_data(r)
-    traj = integrate(r.forms, u0, v0, float(dt), float(T))
+    traj = integrate(r.forms, u0, v0, dt, T)
     out = Path(config["output.dir"]) / (args.out or "traj.csv")
     _write_csv(out, ["t", "kinetic", "potential", "dissipated_cum", "norm1", "norm2"],
                [traj.times, traj.kinetic, traj.potential, traj.dissipated_mid,
                 np.sqrt(traj.norm1_sq), np.sqrt(traj.norm2_sq)])
     _write_meta(config["output.dir"], config, "evolve", {
-        "xi": float(xi), "lambda": lam, "dt": float(dt), "T": float(T),
+        "xi": xi, "lambda": lam, "dt": dt, "T": T,
         "final_norm1": float(np.sqrt(traj.norm1_sq[-1])),
     })
     print(f"integrated mode at |xi| = {xi} for T = {T}; wrote {out}")
@@ -301,17 +289,18 @@ def build_parser():
     p.add_argument("--xi", type=_finite_float, required=True)
     p.add_argument("--dump", action="store_true", help="write (row, col, value) matrices")
 
+    # a flag whose dest is a configuration key overrides that key after --set
     p = sub.add_parser("mode", help="solve the growing mode at one frequency")
     common(p)
-    p.add_argument("--xi", type=_finite_float)
+    p.add_argument("--xi", type=_finite_float, dest="mode.xi")
 
     p = sub.add_parser("dispersion", help="sweep lambda(|xi|) and report Lambda")
     common(p)
-    p.add_argument("--n", type=_positive_int)
+    p.add_argument("--n", type=_positive_int, dest="sweep.n")
 
     p = sub.add_parser("lattice", help="enumerate lattice modes or certify stability")
     common(p)
-    p.add_argument("--L", type=_finite_float)
+    p.add_argument("--L", type=_finite_float, dest="geometry.L")
 
     p = sub.add_parser("synthesize", help="sample synthesized 3D growing fields")
     common(p)
@@ -321,9 +310,9 @@ def build_parser():
 
     p = sub.add_parser("evolve", help="integrate a mode's second-order system")
     common(p)
-    p.add_argument("--xi", type=_finite_float)
-    p.add_argument("--T", type=_finite_float)
-    p.add_argument("--dt", type=_finite_float)
+    p.add_argument("--xi", type=_finite_float, dest="evolve.xi")
+    p.add_argument("--T", type=_finite_float, dest="evolve.T")
+    p.add_argument("--dt", type=_finite_float, dest="evolve.dt")
 
     p = sub.add_parser("verify", help="run the invariant battery")
     common(p)
@@ -346,7 +335,9 @@ _HANDLERS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, args.set)
+        flags = [f"{key}={value!r}" for key, value in vars(args).items()
+                 if "." in key and value is not None]
+        config = load_config(args.config, args.set + flags)
         Path(config["output.dir"]).mkdir(parents=True, exist_ok=True)
         return _HANDLERS[args.command](config, args)
     except (ConfigurationError, DomainError, RangeError, LayoutError) as exc:

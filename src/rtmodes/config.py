@@ -22,7 +22,8 @@ KEYS = {
     "geometry.ell": (float, 1.0, "upper slab depth ell > 0"),
     "geometry.g": (float, 1.0, "gravitational acceleration > 0"),
     "geometry.sigma": (float, 0.1, "surface tension coefficient >= 0"),
-    "geometry.L": (float, None, "horizontal period scale (period 2*pi*L); optional"),
+    "geometry.L": (float, None, "horizontal period scale (period 2*pi*L) of lattices and "
+                               "periodic synthesis; optional (lattice --L)"),
     "fluid.lower.law": (str, "polytropic", "pressure law kind: polytropic | tabulated"),
     "fluid.lower.K": (float, 2.0, "polytropic pressure scale K > 0"),
     "fluid.lower.gamma": (float, 1.0, "polytropic adiabatic exponent >= 1"),
@@ -43,24 +44,23 @@ KEYS = {
     "mesh.elements_per_side": (int, 256, "uniform elements on each side of the interface"),
     "mesh.order": (int, 2, "element order: 1 or 2"),
     "mesh.quadrature": (int, 3, "Gauss points per element"),
-    "sweep.n": (int, 48, "log-spaced frequency samples in a dispersion sweep"),
+    "sweep.n": (int, 48, "log-spaced frequency samples in a dispersion sweep (dispersion --n)"),
     "sweep.xi_min": (float, None, "lowest frequency (default 0.02 xi_c)"),
     "sweep.xi_max": (float, None, "highest frequency (default 0.98 xi_c)"),
-    "lattice.L": (float, None, "period scale for lattice enumeration (falls back to geometry.L)"),
     "lattice.xi_max": (float, None, "frequency cap > 0, required by sigma = 0 lattices"),
-    "mode.xi": (float, 1.0, "frequency magnitude for single-mode solves"),
+    "mode.xi": (float, 1.0, "frequency magnitude for single-mode solves (mode --xi)"),
     "synthesis.f.a": (float, None, "bump support lower edge (default 0.3 xi_c)"),
     "synthesis.f.b": (float, None, "bump support upper edge (default 0.7 xi_c)"),
     "synthesis.f.amp": (float, 1.0, "bump amplitude"),
-    "synthesis.radial_nodes": (int, 16, "Gauss-Legendre radial quadrature nodes"),
-    "synthesis.angular_nodes": (int, 64, "trapezoid angular quadrature nodes (even)"),
+    "synthesis.radial_nodes": (int, 16, "Gauss-Legendre radial quadrature nodes "
+                                        "(the angular integral is exact: Bessel J0, J1)"),
     "synthesis.grid.nx": (int, 8, "sample grid points along x1"),
     "synthesis.grid.ny": (int, 8, "sample grid points along x2"),
     "synthesis.grid.nz": (int, 9, "sample grid points along x3"),
     "synthesis.grid.extent": (float, None, "horizontal half-width (default pi / f.a; periodic: 2 pi L)"),
-    "evolve.xi": (float, None, "frequency for evolution runs (default argmax heuristics)"),
-    "evolve.T": (float, None, "time horizon (default 5 / lambda)"),
-    "evolve.dt": (float, None, "time step (default min(1e-2, 1e-2 / lambda))"),
+    "evolve.xi": (float, None, "frequency for evolution runs (evolve --xi; default min(1, xi_c / 2))"),
+    "evolve.T": (float, None, "time horizon (evolve --T; default 5 / lambda)"),
+    "evolve.dt": (float, None, "time step (evolve --dt; default min(1e-2, 1e-2 / lambda))"),
     "output.dir": (str, ".", "artifact output directory"),
 }
 
@@ -162,7 +162,7 @@ def _validate(values):
         raise ConfigurationError("mesh.order must be 1 or 2")
     if values["mesh.elements_per_side"] < 2:
         raise ConfigurationError("mesh.elements_per_side must be >= 2")
-    for key in ("sweep.n", "synthesis.radial_nodes", "synthesis.angular_nodes",
+    for key in ("sweep.n", "synthesis.radial_nodes",
                 "synthesis.grid.nx", "synthesis.grid.ny", "synthesis.grid.nz"):
         if values[key] < 1:
             raise ConfigurationError(f"{key} must be >= 1")

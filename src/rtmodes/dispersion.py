@@ -70,7 +70,7 @@ class ModeSolution:
                               self.xi_mag, self.s_star)
 
 
-def growth_rate(profile, mesh, xi_mag, forms=None):
+def growth_rate(profile, mesh, xi_mag):
     """Solve for the growing mode at one frequency, or certify stability.
 
     Returns a :class:`ModeSolution` with lambda = s_star at the fixed point,
@@ -83,8 +83,7 @@ def growth_rate(profile, mesh, xi_mag, forms=None):
     if sigma > 0 and xi_mag >= profile.xi_c:
         return Stable(xi_mag, "sigma |xi|^2 >= g [rho0]: surface tension closes the window")
 
-    if forms is None:
-        forms = assemble(profile, mesh, xi_mag)
+    forms = assemble(profile, mesh, xi_mag)
     E0b, E1b, Jb = _bands(forms)
     band_at = lambda s: E0b + s * E1b + s**2 * Jb
 
@@ -218,18 +217,17 @@ def lattice_modes(profile, mesh, L, xi_max=None):
     and each magnitude is solved once.  For sigma > 0 the enumeration is
     capped by xi_c; for sigma = 0 a finite cap ``xi_max`` must be supplied,
     and a cap that admits no lattice point is an error, not a certificate.
-    When sigma > 0 and L <= sqrt(sigma / (g [rho0])) the unstable set is
+    When sigma > 0 and L <= L_c = sqrt(sigma / (g [rho0])) the unstable set is
     empty and a stability certificate is returned.
     """
     if L <= 0:
         raise ConfigurationError("period scale L must be > 0")
     sigma = profile.geometry.sigma
     if sigma > 0:
-        # the small-period dichotomy is on L itself: at or below the threshold
+        # the small-period dichotomy is on L itself: at or below L_c
         # the smallest nonzero magnitude 1/L already reaches xi_c, so the cap
         # admits no lattice point and the certificate below is returned
-        threshold = math.sqrt(sigma / (profile.geometry.g * profile.rho_jump))
-        cap = profile.xi_c if L > threshold else 0.0
+        cap = profile.xi_c if L > profile.L_c else 0.0
     else:
         if xi_max is None:
             raise ConfigurationError("sigma = 0 leaves the lattice unbounded; pass xi_max")

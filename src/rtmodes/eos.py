@@ -152,22 +152,26 @@ class PressureLaw:
 
         Newton steps from the secant guess inside the piece that brackets
         the target; a step that leaves the current bracket is replaced by
-        bisection, so the iteration cannot escape the piece.
+        bisection, so the iteration cannot escape the piece.  Each point
+        stops at its own converged step, so its value does not depend on
+        which other points share the call.
         """
         k = _piece(knot_values, target)
         x = self._x
         lo, hi = x[k], x[k + 1]
         v_lo, v_hi = knot_values[k], knot_values[k + 1]
         r = lo + (hi - lo) * ((target - v_lo) / (v_hi - v_lo))
+        moving = np.ones(np.shape(r), dtype=bool)
         for _ in range(_NEWTON_STEPS):
             res = value(r) - target
             lo = np.where(res <= 0, r, lo)
             hi = np.where(res >= 0, r, hi)
             step = r - res / slope(r)
             new = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-            done = np.all(np.abs(new - r) <= 4.0 * np.finfo(float).eps * r)
-            r = new
-            if done:
+            done = np.abs(new - r) <= 4.0 * np.finfo(float).eps * r
+            r = np.where(moving, new, r)
+            moving &= ~done
+            if not moving.any():
                 break
         return r
 

@@ -259,7 +259,7 @@ def periodic_stability_check(profile, mesh, L, data, T, dt=0.025):
     bounds with the constants K_j computed from the data.
     """
     sigma = profile.geometry.sigma
-    if sigma <= 0 or L > math.sqrt(sigma / (profile.geometry.g * profile.rho_jump)):
+    if sigma <= 0 or L > profile.L_c:
         raise ConfigurationError(
             "periodic stability requires L <= sqrt(sigma/(g [rho0])); "
             "use the lattice enumeration for larger periods"

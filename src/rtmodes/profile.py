@@ -3,8 +3,9 @@
 The density profile solves d(P(rho0))/dx3 = -g rho0 with pressure continuity
 at the interface x3 = 0, constructed by inverting the enthalpy:
 rho0(x3) = h^{-1}(h(rho0_interface) - g x3) on each side.  The profile also
-carries the viscosity coefficient fields eps0, delta0 and the critical
-frequency xi_c = sqrt(g [rho0] / sigma) used by the dispersion analysis.
+carries the viscosity coefficient fields eps0, delta0, the critical
+frequency xi_c = sqrt(g [rho0] / sigma) used by the dispersion analysis and
+the critical period scale L_c = sqrt(sigma / (g [rho0])) of the lattices.
 """
 
 import math
@@ -122,6 +123,10 @@ class SteadyProfile:
         self.rho_jump = self.rho_plus - self.rho_minus
         g, sigma = geometry.g, geometry.sigma
         self.xi_c = math.sqrt(g * self.rho_jump / sigma) if sigma > 0 else math.inf
+        # critical period scale: for L <= L_c every nonzero lattice magnitude 1/L
+        # reaches xi_c; a jump rounded to 0 is rejected by build_profile, not here
+        self.L_c = (math.sqrt(sigma / (g * self.rho_jump))
+                    if sigma > 0 and self.rho_jump > 0 else 0.0)
 
     # -- fields --------------------------------------------------------
 

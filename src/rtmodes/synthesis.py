@@ -4,14 +4,15 @@ A reduced-frame mode (phi, psi) at frequency magnitude r generates the whole
 circle |xi| = r by rotation equivariance: (phi, theta)(xi) = R^{-1} (phi, 0)
 where R xi = (r, 0), with psi unchanged.  Periodic solutions are a single
 conjugate pair of lattice modes; non-periodic solutions superpose a radial
-bump f of frequencies over an annulus inside (0, xi_c), evaluated with a
-Gauss-Legendre radial x trapezoid angular rule (the angular factor reduces
-to Bessel functions when preferred).  Norms live in the piecewise Sobolev
-spaces: full regularity on each fluid domain, none across the interface.
+bump f of frequencies over an annulus inside (0, xi_c).  Their radial
+integral is a Gauss-Legendre rule; the angular integral is exact, since f
+and lambda depend on |xi| only and it reduces to the Bessel functions J0
+and J1 of |xi| |x_h|.  Norms live in the piecewise Sobolev spaces: full
+regularity on each fluid domain, none across the interface.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,8 +160,7 @@ class PeriodicField:
     """Conjugate pair of maximizing lattice modes: exact normal-mode growth."""
 
     def __init__(self, profile, mesh, L, lattice=None):
-        sigma = profile.geometry.sigma
-        if sigma > 0 and L <= math.sqrt(sigma / (profile.geometry.g * profile.rho_jump)):
+        if profile.geometry.sigma > 0 and L <= profile.L_c:
             raise ConfigurationError(
                 "period scale L is inside the stability certificate: "
                 "no growing lattice mode exists"
@@ -181,7 +181,6 @@ class PeriodicField:
         self.mode = lattice.modes[round(float(mag), 12)]
         self.mode3d = extend_to_plane(self.mode, self.xi1)
         self._table = None
-        self.last_imag_residual = 0.0
 
     def _evaluate(self, x, t):
         """(eta, v, q) at points x from one evaluation of the mode's heights."""
@@ -237,24 +236,20 @@ class PeriodicField:
         return math.sqrt(4 * math.pi**2 * self.L**2 * 2.0 * val)
 
 
-def synthesize_periodic(profile, mesh, L, lattice=None):
-    """Build the periodic growing solution for period scale L."""
-    return PeriodicField(profile, mesh, L, lattice=lattice)
-
-
 class NonperiodicField:
-    """Fourier synthesis of growing modes against a radial bump f."""
+    """Fourier synthesis of growing modes against a radial bump f.
 
-    def __init__(self, profile, mesh, f, n_radial=16, n_angular=64, curve=None):
+    ``n_radial`` Gauss-Legendre nodes sample |xi| over the bump's support;
+    the angular integral at each node is evaluated exactly by J0 and J1.
+    """
+
+    def __init__(self, profile, mesh, f, n_radial=16, curve=None):
         if profile.geometry.sigma > 0 and not (0 < f.a < f.b < profile.xi_c):
             raise ConfigurationError(
                 "bump support [%g, %g] must sit inside (0, xi_c = %g)"
                 % (f.a, f.b, profile.xi_c)
             )
-        if n_angular % 2:
-            raise ConfigurationError("n_angular must be even (conjugate pairing)")
         self.profile, self.mesh, self.f = profile, mesh, f
-        self.n_angular = n_angular
         tq, wq = np.polynomial.legendre.leggauss(n_radial)
         self.r = 0.5 * (f.a + f.b) + 0.5 * (f.b - f.a) * tq
         self.w = 0.5 * (f.b - f.a) * wq
@@ -274,7 +269,6 @@ class NonperiodicField:
         if curve is not None:
             self.Lambda = max(self.Lambda, float(curve.Lambda))
         self._tables = None
-        self.last_imag_residual = 0.0
 
     # -- field evaluation -------------------------------------------------
 
@@ -288,76 +282,48 @@ class NonperiodicField:
                    for k, m in enumerate(self.modes)]
         return sided[:, 0], heights
 
-    def _evaluate(self, x, t, angular):
+    def _evaluate(self, x, t):
+        """(eta, v, q) at points x.
+
+        f and lambda depend on |xi| only, so the angular integral of each
+        radial mode is exact (Jacobi-Anger): J0(r s) for the vertical and
+        pressure parts, J1(r s) along the horizontal direction of x, where
+        s = |x_h|.
+        """
+        from scipy.special import j0, j1   # here, so that importing rtmodes skips scipy.special
+
         pts = _as_points(x)
         rho, heights = self._mode_heights(pts[:, 2])
-        npts = pts.shape[0]
-        eta = np.zeros((npts, 3), dtype=complex)
-        vel = np.zeros((npts, 3), dtype=complex)
-        qf = np.zeros(npts, dtype=complex)
-
-        if angular == "bessel":
-            from scipy.special import j0, j1   # here, so that importing rtmodes skips scipy.special
-
-            s = np.hypot(pts[:, 0], pts[:, 1])
-            with np.errstate(invalid="ignore", divide="ignore"):
-                cb = np.where(s > 0, pts[:, 0] / np.where(s > 0, s, 1.0), 1.0)
-                sb = np.where(s > 0, pts[:, 1] / np.where(s > 0, s, 1.0), 0.0)
-            for k, (rk, wk) in enumerate(zip(self.r, self.w)):
-                ph, ps, psp = heights[k]
-                ck = wk * rk * float(self.f(rk)) * np.exp(self.lam[k] * t) / (2 * math.pi)
-                J0, J1 = j0(rk * s), j1(rk * s)
-                e1 = ck * ph * J1
-                e3 = ck * ps * J0
-                eta[:, 0] += e1 * cb
-                eta[:, 1] += e1 * sb
-                eta[:, 2] += e3
-                vel[:, 0] += self.lam[k] * e1 * cb
-                vel[:, 1] += self.lam[k] * e1 * sb
-                vel[:, 2] += self.lam[k] * e3
-                qf += -ck * rho * (rk * ph + psp) * J0
-        else:
-            alphas = 2 * math.pi * np.arange(self.n_angular) / self.n_angular
-            dalpha = 2 * math.pi / self.n_angular
-            ca, sa = np.cos(alphas), np.sin(alphas)
-            for k, (rk, wk) in enumerate(zip(self.r, self.w)):
-                ph, ps, psp = heights[k]
-                ck = wk * rk * float(self.f(rk)) * np.exp(self.lam[k] * t) / (4 * math.pi**2) * dalpha
-                phase = np.exp(1j * rk * (pts[:, 0, None] * ca + pts[:, 1, None] * sa))
-                sum_c = phase @ ca
-                sum_s = phase @ sa
-                sum_1 = phase.sum(axis=1)
-                eta[:, 0] += ck * (-1j) * ph * sum_c
-                eta[:, 1] += ck * (-1j) * ph * sum_s
-                eta[:, 2] += ck * ps * sum_1
-                vel[:, 0] += self.lam[k] * ck * (-1j) * ph * sum_c
-                vel[:, 1] += self.lam[k] * ck * (-1j) * ph * sum_s
-                vel[:, 2] += self.lam[k] * ck * ps * sum_1
-                qf += -ck * rho * (rk * ph + psp) * sum_1
-
-        mag = max(np.abs(eta).max(), np.abs(vel).max(), np.abs(qf).max(), 1e-300)
-        self.last_imag_residual = float(
-            max(np.abs(eta.imag).max(), np.abs(vel.imag).max(), np.abs(qf.imag).max()) / mag
-        )
+        s = np.hypot(pts[:, 0], pts[:, 1])
+        safe = np.where(s > 0, s, 1.0)      # on the axis J1 = 0, so any direction will do
+        direction = pts[:, :2] / safe[:, None]
+        eta_h, eta3, vel_h, vel3, qf = np.zeros((5, pts.shape[0]))
+        for rk, wk, lam, (ph, ps, psp) in zip(self.r, self.w, self.lam, heights):
+            ck = wk * rk * float(self.f(rk)) * np.exp(lam * t) / (2 * math.pi)
+            J0, J1 = j0(rk * s), j1(rk * s)
+            horizontal, vertical = ck * ph * J1, ck * ps * J0
+            eta_h += horizontal
+            eta3 += vertical
+            vel_h += lam * horizontal
+            vel3 += lam * vertical
+            qf -= ck * rho * (rk * ph + psp) * J0
         shape = np.asarray(x).shape
-        return (
-            eta.real.reshape(shape),
-            vel.real.reshape(shape),
-            qf.real.reshape(shape[:-1]),
-        )
+        eta = np.column_stack([eta_h[:, None] * direction, eta3])
+        vel = np.column_stack([vel_h[:, None] * direction, vel3])
+        return eta.reshape(shape), vel.reshape(shape), qf.reshape(shape[:-1])
 
-    def eta(self, x, t=0.0, angular="quadrature"):
-        return self._evaluate(x, t, angular)[0]
+    def eta(self, x, t=0.0):
+        return self._evaluate(x, t)[0]
 
-    def v(self, x, t=0.0, angular="quadrature"):
-        return self._evaluate(x, t, angular)[1]
+    def v(self, x, t=0.0):
+        return self._evaluate(x, t)[1]
 
-    def q(self, x, t=0.0, angular="quadrature"):
-        return self._evaluate(x, t, angular)[2]
+    def q(self, x, t=0.0):
+        return self._evaluate(x, t)[2]
 
-    def sample(self, grid, t=0.0, angular="quadrature"):
+    def sample(self, grid, t=0.0):
         """Point samples on a rectilinear grid (x1s, x2s, x3s)."""
-        return _sample(lambda pts: self._evaluate(pts, t, angular), grid)
+        return _sample(lambda pts: self._evaluate(pts, t), grid)
 
     # -- spectral-side norms -----------------------------------------------
 
@@ -387,11 +353,6 @@ class NonperiodicField:
         xs = np.linspace(-patch_radius, patch_radius, n)
         X1, X2 = np.meshgrid(xs, xs, indexing="ij")
         pts = np.stack([X1, X2, np.zeros_like(X1)], axis=-1)
-        vals = self.eta(pts, 0.0, angular="bessel")[..., 2]
+        vals = self.eta(pts, 0.0)[..., 2]
         area = (xs[1] - xs[0]) ** 2
         return math.sqrt(float(np.sum(vals**2) * area))
-
-
-def synthesize_nonperiodic(profile, mesh, f, n_radial=16, n_angular=64, curve=None):
-    """Build the Fourier-synthesized growing solution for bump f."""
-    return NonperiodicField(profile, mesh, f, n_radial, n_angular, curve)

@@ -57,6 +57,11 @@ def test_unknown_key_rejected(cfg_path, tmp_path):
     # the viscosity law is c rho^p; its former kind selectors are gone
     with pytest.raises(ConfigurationError, match="viscosity.upper.delta_kind"):
         load_config(cfg_path, overrides=["viscosity.upper.delta_kind=power"])
+    # the angular integral of synthesis is exact (no node count), and
+    # geometry.L is the only period scale
+    for item in ("synthesis.angular_nodes=64", "lattice.L=0"):
+        with pytest.raises(ConfigurationError, match=item.split("=")[0]):
+            load_config(cfg_path, overrides=[item])
 
 
 def test_invalid_values_name_keys(cfg_path):
@@ -157,8 +162,7 @@ class TestCliRuns:
     def test_synthesize_files(self, cfg_path, tmp_path):
         code = main(["synthesize", "--config", str(cfg_path), "--t", "0,1",
                      "--grid", "3,3,4",
-                     "--set", "synthesis.radial_nodes=4",
-                     "--set", "synthesis.angular_nodes=8"])
+                     "--set", "synthesis.radial_nodes=4"])
         assert code == 0
         for t in ("0", "1"):
             path = tmp_path / "out" / "fields" / f"t{t}.csv"
@@ -173,6 +177,20 @@ class TestCliRuns:
                      "--set", "geometry.L=1.5", *extent]) == 0
         rows = (tmp_path / "out" / "fields" / "t0.csv").read_text().splitlines()[1:]
         assert [float(r.split(",")[0]) for r in rows] == pytest.approx([-x1, x1], rel=1e-12)
+
+    @pytest.mark.parametrize("flag, key, value", [
+        (["dispersion", "--n", "3"], "sweep.n", 3),
+        (["mode", "--xi", "2"], "mode.xi", 2.0),
+        (["lattice", "--L", "1.5"], "geometry.L", 1.5),
+    ])
+    def test_flags_are_recorded_as_config_keys(self, cfg_path, tmp_path, flag, key, value):
+        # a flag overrides its key after --set, so run.json records what the run used
+        assert main([*flag, "--config", str(cfg_path), "--set", f"{key}=1"]) == 0
+        by_flag = json.loads((tmp_path / "out" / "run.json").read_text())
+        assert by_flag[key] == value
+        assert main([flag[0], "--config", str(cfg_path), "--set", f"{key}={flag[2]}"]) == 0
+        by_set = json.loads((tmp_path / "out" / "run.json").read_text())
+        assert by_flag == by_set
 
     def test_exit_codes(self, cfg_path):
         assert main(["mode", "--config", str(cfg_path), "--set", "geometry.sigma=-1"]) == 2
@@ -220,8 +238,7 @@ class TestCliRuns:
         assert main(["synthesize", "--config", str(cfg_path), "--grid", "0,2,2"]) == 2
         assert "--grid" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["synthesis.grid.ny", "synthesis.radial_nodes",
-                                     "synthesis.angular_nodes"])
+    @pytest.mark.parametrize("key", ["synthesis.grid.ny", "synthesis.radial_nodes"])
     def test_empty_synthesis_size_exits_2(self, cfg_path, capsys, key):
         assert main(["synthesize", "--config", str(cfg_path), "--set", f"{key}=0"]) == 2
         assert key in capsys.readouterr().err
@@ -250,7 +267,7 @@ class TestCliRuns:
 
     @pytest.mark.parametrize("argv", [
         ["lattice", "--L", "0", "--set", "geometry.L=1.5"],
-        ["lattice", "--set", "lattice.L=0", "--set", "geometry.L=1.5"],
+        ["lattice", "--set", "geometry.L=0"],
         ["evolve", "--xi", "0"],
         ["evolve", "--xi", "1", "--dt", "0"],
         ["evolve", "--xi", "1", "--T", "0"],
@@ -266,8 +283,7 @@ class TestCliRuns:
     ])
     def test_bump_edge_set_alone_is_kept(self, cfg_path, tmp_path, capsys, edge, given, other,
                                          other_default):
-        small = ["--grid", "2,1,1", "--set", "synthesis.radial_nodes=2",
-                 "--set", "synthesis.angular_nodes=4"]
+        small = ["--grid", "2,1,1", "--set", "synthesis.radial_nodes=2"]
         assert main(["synthesize", "--config", str(cfg_path), *small,
                      "--set", f"synthesis.f.{edge}={given}"]) == 0
         meta = json.loads((tmp_path / "out" / "run.json").read_text())

@@ -10,12 +10,25 @@ HEAVY = ("scipy.interpolate", "scipy.special", "scipy.optimize", "scipy.integrat
          "scipy.sparse.linalg")
 
 
-def test_cli_import_loads_no_heavy_scipy_modules():
-    code = "import sys, rtmodes.cli; print(' '.join(m for m in %r if m in sys.modules))" % (HEAVY,)
+def _heavy_loaded_after(statement):
+    """The HEAVY modules loaded once ``statement`` has run in a fresh interpreter."""
+    code = "import sys\n%s\nprint(' '.join(m for m in %r if m in sys.modules))" % (statement, HEAVY)
     src = str(Path(rtmodes.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, cwd=src)
-    assert out.stdout.split() == []
+    return out.stdout.splitlines()[-1].split()
+
+
+def test_cli_import_loads_no_heavy_scipy_modules():
+    assert _heavy_loaded_after("import rtmodes.cli") == []
+
+
+def test_verify_battery_loads_no_heavy_scipy_modules(tmp_path):
+    # the full battery (not --quick) builds a synthesized field but samples none,
+    # so the Bessel functions of scipy.special never load
+    argv = ["verify", "--set", "mesh.elements_per_side=16", "--set", f"output.dir={tmp_path}"]
+    statement = "from rtmodes.cli import main\nassert main(%r) == 0" % (argv,)
+    assert _heavy_loaded_after(statement) == []
 
 
 def test_no_sparse_lu_in_the_package():

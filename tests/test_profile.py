@@ -179,15 +179,18 @@ def _power_viscosity():
     )
 
 
+def _coarse_tabulated_laws():
+    rho = np.geomspace(0.05, 20.0, 12)      # coarse: Newton needs several steps
+    return rt.PressureLaw.tabulated(rho, 2.0 * rho**2), rt.PressureLaw.tabulated(rho, rho**1.2)
+
+
 @pytest.mark.parametrize("kind", ["polytropic", "tabulated"])
 def test_fields_side_split_matches_per_side_calls(kind):
     geom = rt.SlabGeometry(m=1, ell=1, g=1, sigma=0.1)
     if kind == "polytropic":
         lower, upper = rt.PressureLaw.polytropic(2, 1.4), rt.PressureLaw.polytropic(1, 1.2)
     else:
-        rho = np.geomspace(0.05, 20.0, 12)      # coarse: Newton needs several steps
-        lower = rt.PressureLaw.tabulated(rho, 2.0 * rho**2)
-        upper = rt.PressureLaw.tabulated(rho, rho**1.2)
+        lower, upper = _coarse_tabulated_laws()
     prof = rt.build_profile(lower, upper, 1.0, geom, _power_viscosity())
     x = np.random.default_rng(5).uniform(-1.0, 1.0, 41)
     f = prof.fields(x)
@@ -199,6 +202,22 @@ def test_fields_side_split_matches_per_side_calls(kind):
         prof.fields(0.0)
     with pytest.raises(DomainError):
         prof.fields(np.array([-0.5, 0.0, 0.5]))
+
+
+def test_density_jump_rounded_to_zero_is_a_configuration_error():
+    # P-(1) exceeds P+(1) by 2 ulp, but rho+ = (1 + 2 eps)^(1/5) rounds to rho- = 1
+    lower = rt.PressureLaw.polytropic(1.0 + 2 * np.finfo(float).eps, 1.0)
+    geom = rt.SlabGeometry(m=1, ell=1, g=1, sigma=0.1)
+    with pytest.raises(ConfigurationError, match="density jump"):
+        rt.build_profile(lower, rt.PressureLaw.polytropic(1.0, 5.0), 1.0, geom)
+
+
+def test_tabulated_density_is_independent_of_its_batch():
+    # each point's Newton iteration stops at its own convergence, not the slowest point's
+    geom = rt.SlabGeometry(m=1, ell=1, g=1, sigma=0.1)
+    prof = rt.build_profile(*_coarse_tabulated_laws(), 1.0, geom, _power_viscosity())
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, 41)
+    assert np.array_equal(prof.density(x), [prof.density(v) for v in x])     # bit for bit
 
 
 def test_viscosity_law_exponent_zero_is_the_constant_law():

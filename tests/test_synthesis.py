@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rtmodes as rt
+from conftest import assert_matches_angular_quadrature
 from rtmodes.errors import ConfigurationError, DomainError
 
 
@@ -53,7 +54,7 @@ def test_bump_profile_support():
 
 @pytest.fixture(scope="module")
 def periodic_field(profile, mesh32):
-    return rt.synthesize_periodic(profile, mesh32, 1.0)
+    return rt.PeriodicField(profile, mesh32, 1.0)
 
 
 class TestPeriodic:
@@ -109,7 +110,7 @@ class TestPeriodic:
 
     def test_small_period_rejected(self, profile, mesh32):
         with pytest.raises(ConfigurationError):
-            rt.synthesize_periodic(profile, mesh32, 0.9 * math.sqrt(0.1))
+            rt.PeriodicField(profile, mesh32, 0.9 * math.sqrt(0.1))
 
     def test_sample_grid_columns(self, periodic_field):
         grid = (np.linspace(-1, 1, 3), np.linspace(-1, 1, 3), np.linspace(-0.9, 0.9, 4))
@@ -122,7 +123,7 @@ class TestPeriodic:
 def np_field(profile):
     mesh = rt.Mesh.uniform(1, 1, 32, order=2)
     f = rt.BumpProfile.default(profile.xi_c)
-    return rt.synthesize_nonperiodic(profile, mesh, f, n_radial=10, n_angular=32)
+    return rt.NonperiodicField(profile, mesh, f, n_radial=10)
 
 
 @pytest.fixture(scope="module")
@@ -133,15 +134,16 @@ def points():
 
 class TestNonperiodic:
     def test_reality(self, np_field, points):
-        np_field.eta(points, 1.0)
-        assert np_field.last_imag_residual <= 1e-10
+        assert_matches_angular_quadrature(np_field, points, 1.0)
 
     def test_bessel_reduction_agreement(self, np_field, points):
-        eq = np_field.eta(points, 0.7)
-        eb = np_field.eta(points, 0.7, angular="bessel")
-        assert np.allclose(eq, eb, atol=1e-12 * np.abs(eb).max())
-        assert np.allclose(np_field.q(points, 0.7), np_field.q(points, 0.7, angular="bessel"),
-                           atol=1e-12 * np.abs(np_field.q(points, 0.7)).max())
+        # far out |xi| |x_h| exceeds any fixed angular node count; the Bessel
+        # reduction stays exact there
+        r = np.random.default_rng(8)
+        radius, angle = r.uniform(10.0, 40.0, 12), r.uniform(0.0, 2 * math.pi, 12)
+        far = np.column_stack([radius * np.cos(angle), radius * np.sin(angle),
+                               r.uniform(-0.9, 0.9, 12)])
+        assert_matches_angular_quadrature(np_field, np.vstack([points, far]), 0.7)
 
     def test_rotation_equivariance(self, np_field, points):
         th = 1.1
@@ -184,7 +186,7 @@ class TestNonperiodic:
 
     def test_zero_amplitude_zero_norm(self, profile, mesh32):
         f0 = rt.BumpProfile(0.3 * profile.xi_c, 0.7 * profile.xi_c, amp=0.0)
-        weightless = rt.synthesize_nonperiodic(profile, mesh32, f0, n_radial=2, n_angular=8)
+        weightless = rt.NonperiodicField(profile, mesh32, f0, n_radial=2)
         assert weightless.sobolev_norm("eta", k=0, t=0.0) == 0.0
         pts = np.array([[0.1, 0.2, 0.3]])
         assert np.all(weightless.eta(pts, 0.0) == 0.0)
@@ -198,10 +200,7 @@ class TestNonperiodic:
     def test_support_validation(self, profile, mesh32):
         bad = rt.BumpProfile(0.5 * profile.xi_c, 1.2 * profile.xi_c)
         with pytest.raises(ConfigurationError):
-            rt.synthesize_nonperiodic(profile, mesh32, bad, n_radial=4)
-        with pytest.raises(ConfigurationError):
-            rt.synthesize_nonperiodic(profile, mesh32, rt.BumpProfile(1.0, 2.0), n_radial=4,
-                                      n_angular=31)
+            rt.NonperiodicField(profile, mesh32, bad, n_radial=4)
 
 
 @pytest.mark.parametrize("kind", ["periodic", "nonperiodic"])
