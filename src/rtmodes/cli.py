@@ -52,6 +52,15 @@ def _finite_floats(text):
     return [_finite_float(v) for v in text.split(",")]
 
 
+def _grid_sizes(text):
+    """argparse type: nx,ny,nz as the three synthesis.grid keys (the config checks each >= 1)."""
+    try:
+        nx, ny, nz = (int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected three integers nx,ny,nz, got {text!r}") from None
+    return {"synthesis.grid.nx": nx, "synthesis.grid.ny": ny, "synthesis.grid.nz": nz}
+
+
 def _write_csv(path, header, columns):
     rows = zip(*columns)
     with open(path, "w") as fh:
@@ -186,7 +195,8 @@ def _cmd_synthesize(config, args):
         L = config.get("geometry.L")
         if L is None:
             raise ConfigurationError("periodic synthesis needs geometry.L")
-        field = PeriodicField(profile, mesh, L)
+        field = PeriodicField(profile, mesh, L, lattice_modes(
+            profile, mesh, L, xi_max=config.get("lattice.xi_max")))
         extent = config.get("synthesis.grid.extent", 2 * math.pi * L)
         headline = {"Lambda_L": field.Lambda_L,
                     "xi1_k1": field.xi1[0] * L, "xi1_k2": field.xi1[1] * L}
@@ -201,16 +211,7 @@ def _cmd_synthesize(config, args):
         headline = {"lambda0": field.lambda0, "Lambda_nodes": field.Lambda,
                     "f_a": f.a, "f_b": f.b}
 
-    if args.grid:
-        try:
-            nx, ny, nz = (int(v) for v in args.grid.split(","))
-        except ValueError as exc:
-            raise ConfigurationError(f"--grid must be three integers nx,ny,nz, got {args.grid!r}") from exc
-        if min(nx, ny, nz) < 1:
-            raise ConfigurationError(f"--grid sizes must be >= 1, got {args.grid!r}")
-    else:
-        nx, ny, nz = (config["synthesis.grid.nx"], config["synthesis.grid.ny"],
-                      config["synthesis.grid.nz"])
+    nx, ny, nz = (config[f"synthesis.grid.{axis}"] for axis in ("nx", "ny", "nz"))
     geom = profile.geometry
     grid = (np.linspace(-extent, extent, nx), np.linspace(-extent, extent, ny),
             np.linspace(-geom.m, geom.ell, nz))
@@ -289,7 +290,8 @@ def build_parser():
     p.add_argument("--xi", type=_finite_float, required=True)
     p.add_argument("--dump", action="store_true", help="write (row, col, value) matrices")
 
-    # a flag whose dest is a configuration key overrides that key after --set
+    # a flag whose dest is a configuration key overrides that key after --set;
+    # a dict value overrides each of its keys
     p = sub.add_parser("mode", help="solve the growing mode at one frequency")
     common(p)
     p.add_argument("--xi", type=_finite_float, dest="mode.xi")
@@ -305,7 +307,7 @@ def build_parser():
     p = sub.add_parser("synthesize", help="sample synthesized 3D growing fields")
     common(p)
     p.add_argument("--t", type=_finite_floats, help="comma-separated sample times (default 0)")
-    p.add_argument("--grid", help="nx,ny,nz sample grid")
+    p.add_argument("--grid", type=_grid_sizes, dest="synthesis.grid", help="nx,ny,nz sample grid")
     p.add_argument("--periodic", action="store_true")
 
     p = sub.add_parser("evolve", help="integrate a mode's second-order system")
@@ -335,8 +337,9 @@ _HANDLERS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        flags = [f"{key}={value!r}" for key, value in vars(args).items()
-                 if "." in key and value is not None]
+        flags = [f"{k}={v!r}" for key, value in vars(args).items()
+                 if "." in key and value is not None
+                 for k, v in (value.items() if isinstance(value, dict) else [(key, value)])]
         config = load_config(args.config, args.set + flags)
         Path(config["output.dir"]).mkdir(parents=True, exist_ok=True)
         return _HANDLERS[args.command](config, args)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import _bands, _bisect, _factor, _inverse_iteration
+from .eigen import _bisect, _factor, _inverse_iteration
 from .errors import ConfigurationError, DomainError, SolverError
 from .forms import assemble
 from .residuals import jump_residuals, strong_form_residual
@@ -84,7 +84,7 @@ def growth_rate(profile, mesh, xi_mag):
         return Stable(xi_mag, "sigma |xi|^2 >= g [rho0]: surface tension closes the window")
 
     forms = assemble(profile, mesh, xi_mag)
-    E0b, E1b, Jb = _bands(forms)
+    E0b, E1b, Jb = forms._bands
     band_at = lambda s: E0b + s * E1b + s**2 * Jb
 
     if _factor(band_at(_S_LO)) is not None:
@@ -137,7 +137,7 @@ class DispersionCurve:
         return float(self.lam[0]), float(self.lam[-1])
 
 
-def sweep(profile, mesh, xi_min, xi_max, n=48, refine_peak=True):
+def sweep(profile, mesh, xi_min, xi_max, n=48):
     """Log-spaced dispersion sweep over [xi_min, xi_max].
 
     Records the sampled maximum Lambda with a quadratic-fit refinement
@@ -171,7 +171,7 @@ def sweep(profile, mesh, xi_min, xi_max, n=48, refine_peak=True):
     argmax_xi = float(xi_s[k])
     fit_correction = 0.0
 
-    if refine_peak and n >= 3 and 0 < k < n - 1:
+    if n >= 3 and 0 < k < n - 1:
         x3 = xi_s[k - 1 : k + 2]
         y3 = lam_s[k - 1 : k + 2]
         denom = (x3[0] - x3[1]) * (x3[0] - x3[2]) * (x3[1] - x3[2])

@@ -49,24 +49,6 @@ def _residual(forms, A, mu, x):
     return float(np.linalg.norm(A @ x - mu * (forms.J @ x)) / np.linalg.norm(x))
 
 
-def _band(forms, A):
-    """Upper band storage of a symmetric sparse matrix, as cholesky_banded reads it."""
-    u = 2 * forms.mesh.order + 1
-    A = A.tocoo()
-    A.sum_duplicates()
-    upper = A.row <= A.col
-    ab = np.zeros((u + 1, A.shape[0]))
-    ab[u + A.row[upper] - A.col[upper], A.col[upper]] = A.data[upper]
-    return ab
-
-
-def _bands(forms):
-    """(E0, E1, J) in upper band storage, built once per FormSet."""
-    if forms._bands is None:
-        forms._bands = tuple(_band(forms, M) for M in (forms.E0, forms.E1, forms.J))
-    return forms._bands
-
-
 def _factor(ab):
     """Banded Cholesky factor, or None when the matrix is not positive definite."""
     try:
@@ -108,8 +90,8 @@ def bottom_eig(forms, A):
     the upper end is the Rayleigh quotient of a start vector smoothed by
     inverse iteration with that factor.
     """
-    Ab = _band(forms, A)
-    Jb = _bands(forms)[2]
+    Ab = forms._band(A)
+    Jb = forms._bands[2]
     band_at = lambda m: Ab - m * Jb
     lo = -1.0
     while (factor := _factor(band_at(lo))) is None:

@@ -21,7 +21,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .eigen import _bands, _factor, bottom_eig
+from .eigen import _factor, bottom_eig
 from .errors import ConfigurationError, DomainError, SolverError
 from .forms import assemble
 
@@ -63,7 +63,7 @@ def _step_solver(forms, dt):
     the fill-in of partial pivoting).  LU, not Cholesky: M is positive
     definite only for dt^2 < 4 / (g xi) by the variational lower bound.
     """
-    E0b, E1b, Jb = _bands(forms)
+    E0b, E1b, Jb = forms._bands
     k = Jb.shape[0] - 1
     upper = 2.0 * Jb + dt * E1b + 0.5 * dt**2 * E0b
     ab = np.zeros((3 * k + 1, forms.n))
@@ -228,7 +228,7 @@ def spectral_k_constants(forms, u0, v0):
         psi0 = u[forms.psi0_dof]
         return float(ud @ (J @ ud)) + float(u @ (CP @ u)) + sig * psi0**2
 
-    a0 = -sla.cho_solve_banded((_factor(_bands(forms)[2]), False), E1 @ v0 + E0 @ u0,
+    a0 = -sla.cho_solve_banded((_factor(forms._bands[2]), False), E1 @ v0 + E0 @ u0,
                                check_finite=False)
     return k_of(v0, u0), k_of(a0, v0)
 

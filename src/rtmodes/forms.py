@@ -12,9 +12,21 @@ recombination -2 a b = (a-b)^2 - a^2 - b^2 is pointwise, sharing the rule
 makes E0 + g*xi*J positive semidefinite exactly, not just up to quadrature
 error.  Dirichlet conditions at x3 = -m, ell are eliminated from the layout;
 the stress jump conditions are natural to the weak form and are not imposed.
+
+The forms are quadratic polynomials in xi.  Expanding the strains
+psi' + xi phi, phi' - xi psi and psi' - xi phi gives
+
+    E0 = A0 + xi A1 + xi^2 (A2 + (sigma/2) e e^T),    E1 = B0 + xi B1 + xi^2 B2,
+
+with e the unit vector of psi(0); J has no xi, and the compression square
+has the shape of E0 without the point mass.  The xi-free work (one profile
+evaluation at the Gauss points, the element integrals of every coefficient,
+their scatter into the mesh's one CSR pattern) runs once per (profile,
+mesh) and is cached; ``assemble`` evaluates the polynomials.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,7 +55,11 @@ class FormSet:
     # caches, empty in every new instance (a dataclasses.replace copy too)
     _dense: tuple | None = field(default=None, init=False, repr=False)
     _norms: tuple | None = field(default=None, init=False, repr=False)
-    _bands: tuple | None = field(default=None, init=False, repr=False)   # filled by eigen._bands
+    # (E0, E1, J) in upper band storage, from this instance's own matrices
+    _bands: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._bands = tuple(map(self._band, (self.E0, self.E1, self.J)))
 
     @property
     def n(self):
@@ -86,6 +102,15 @@ class FormSet:
     def psi_trace(self, x):
         """psi(0) read off the interface dof."""
         return float(self._check(x)[self.psi0_dof])
+
+    def _band(self, A):
+        """Upper band storage of a symmetric CSR matrix, as cholesky_banded reads it."""
+        u = 2 * self.mesh.order + 1
+        rows = np.repeat(np.arange(self.n), np.diff(A.indptr))
+        upper = rows <= A.indices
+        ab = np.zeros((u + 1, self.n))
+        ab[u + rows[upper] - A.indices[upper], A.indices[upper]] = A.data[upper]
+        return ab
 
     def _check(self, x):
         x = np.asarray(x, dtype=float)
@@ -135,102 +160,88 @@ def form_value(forms, x, s):
     return forms.e0_value(x) + s * forms.e1_value(x)
 
 
-def _field_vectors(mesh, xi):
-    """Per-element generalized strain vectors at quadrature points.
-
-    Returns arrays of shape (n_el, nq, 2*nd) for the combinations entering
-    the forms; dof order within an element is [phi nodes | psi nodes].
-    """
-    n_el = mesh.n_elements
-    nq = mesh.quad_points
-    nd = mesh.order + 1
+def _basis(mesh):
+    """phi, psi, phi', psi' at the Gauss points, (n_el, nq, 2 nd) each, dofs [phi nodes | psi nodes]."""
+    n_el, nq, nd = mesh.n_elements, mesh.quad_points, mesh.order + 1
     N = np.broadcast_to(mesh.shape_q, (n_el, nq, nd))
     dN = mesh.dshape_q[None, :, :] / mesh.jacobian[:, None, None]
     zero = np.zeros((n_el, nq, nd))
-
-    v_phi = np.concatenate([N, zero], axis=2)
-    v_psi = np.concatenate([zero, N], axis=2)
-    v_dphi = np.concatenate([dN, zero], axis=2)
-    v_dpsi = np.concatenate([zero, dN], axis=2)
-    v_div = v_dpsi + xi * v_phi          # psi' + xi phi
-    v_shear1 = v_dphi - xi * v_psi       # phi' - xi psi
-    v_shear2 = v_dpsi - xi * v_phi       # psi' - xi phi
-    return v_phi, v_psi, v_div, v_shear1, v_shear2
+    return (np.concatenate([N, zero], axis=2), np.concatenate([zero, N], axis=2),
+            np.concatenate([dN, zero], axis=2), np.concatenate([zero, dN], axis=2))
 
 
-def _accumulate(coeff_w, v, w=None):
-    """sum_q coeff_w[e,q] * outer(v[e,q], w[e,q]) -> (n_el, 2nd, 2nd)."""
-    if w is None:
-        w = v
-    return np.einsum("eq,eqi,eqj->eij", coeff_w, v, w, optimize=True)
+def _pattern(mesh):
+    """The mesh's one CSR pattern and its element scatter map.
 
-
-def _scatter(mesh, el_mats, n):
-    """Assemble per-element blocks into a global CSR matrix."""
-    n_el = mesh.n_elements
-    nd = mesh.order + 1
-    gdof = np.full((n_el, 2 * nd), -1, dtype=np.int64)
-    interior = lambda node: (node >= 1) & (node <= mesh.n_nodes - 2)
+    Returns (indptr, indices, mask, pos): element-matrix entry ``mask`` (both
+    dofs interior) lands at CSR data position ``pos``.
+    """
     conn = mesh.conn
-    ok = interior(conn)
-    gdof[:, :nd] = np.where(ok, 2 * (conn - 1), -1)
-    gdof[:, nd:] = np.where(ok, 2 * (conn - 1) + 1, -1)
-
-    rows = np.repeat(gdof[:, :, None], 2 * nd, axis=2)
-    cols = np.repeat(gdof[:, None, :], 2 * nd, axis=1)
+    interior = (conn >= 1) & (conn <= mesh.n_nodes - 2)
+    gdof = np.concatenate([np.where(interior, 2 * (conn - 1), -1),
+                           np.where(interior, 2 * (conn - 1) + 1, -1)], axis=1)
+    n = 2 * (mesh.n_nodes - 2)
+    rows, cols = gdof[:, :, None], gdof[:, None, :]
     mask = (rows >= 0) & (cols >= 0)
-    A = sp.coo_matrix(
-        (el_mats[mask], (rows[mask], cols[mask])), shape=(n, n)
-    ).tocsr()
-    A.sum_duplicates()
-    return A
+    keys, pos = np.unique((rows * n + cols)[mask], return_inverse=True)
+    indptr = np.searchsorted(keys, n * np.arange(n + 1)).astype(np.int32)
+    return indptr, (keys % n).astype(np.int32), mask, pos
+
+
+@lru_cache(maxsize=8)
+def _mesh_forms(profile, mesh):
+    """Everything in the forms that does not depend on xi, once per (profile, mesh).
+
+    Returns (indptr, indices, psi0_dof, psi0_slot, coeffs): the CSR pattern,
+    the data position of the psi(0) diagonal, and per form the CSR data of
+    its xi^0, xi^1, xi^2 coefficients (J has only xi^0).
+    """
+    f = profile.fields(mesh.quad_x)      # Gauss points are interior, so x3 != 0
+    hw = 0.5 * mesh.quad_w
+    pr, rho = hw * f["pr"], hw * f["rho"]
+    bulk, shear = hw * (f["delta"] + f["eps"] / 3.0), hw * f["eps"]
+    g = profile.geometry.g
+    P, S, dP, dS = _basis(mesh)
+    U = dS - f["gop"][:, :, None] * S    # psi' - (g / P') psi
+
+    acc = lambda c, v, w: np.einsum("eq,eqi,eqj->eij", c, v, w, optimize=True)
+    sym = lambda m: m + np.swapaxes(m, 1, 2)
+    # expand psi' + xi phi, phi' - xi psi and psi' - xi phi in powers of xi
+    pr_PP = acc(pr, P, P)
+    blocks = {
+        "E0": (acc(pr, dS, dS), sym(acc(pr, dS, P) - g * acc(rho, P, S)), pr_PP),
+        "E1": (acc(bulk, dS, dS) + acc(shear, dP, dP) + acc(shear, dS, dS),
+               sym(acc(bulk - shear, dS, P) - acc(shear, dP, S)),
+               acc(bulk + shear, P, P) + acc(shear, S, S)),
+        "J": (acc(rho, P, P) + acc(rho, S, S),),
+        "compression": (acc(pr, U, U), sym(acc(pr, U, P)), pr_PP),
+    }
+    indptr, indices, mask, pos = _pattern(mesh)
+    coeffs = {name: np.array([np.bincount(pos, weights=b[mask], minlength=indices.size)
+                              for b in terms])
+              for name, terms in blocks.items()}
+    psi0_dof = 2 * (mesh.interface_node - 1) + 1
+    start, stop = indptr[psi0_dof], indptr[psi0_dof + 1]
+    psi0_slot = start + int(np.searchsorted(indices[start:stop], psi0_dof))
+    return indptr, indices, psi0_dof, psi0_slot, coeffs
 
 
 def assemble(profile, mesh, xi, _allow_zero=False):
     """Assemble (E0, E1, J) and the compression square for frequency xi.
 
-    Quadrature is the mesh's shared Gauss rule, exact for the polynomial
-    parts of the integrands at order 2 with 3 points; smooth-coefficient
-    error is O(h^{2p}).
+    Evaluates the cached xi-polynomials of :func:`_mesh_forms` and adds the
+    surface-tension point mass; every returned array is new.  Quadrature is
+    the mesh's shared Gauss rule; smooth-coefficient error is O(h^{2p}).
     """
     if xi < 0 or (xi == 0 and not _allow_zero):
         raise DomainError("frequency magnitude xi must be > 0")
-    xq = mesh.quad_x           # (n_el, nq)
-    wq = mesh.quad_w
-
-    # Gauss points are interior to elements, so each side is the sign of x3
-    f = profile.fields(xq)
-    rho, pr, eps, dlt, gop = f["rho"], f["pr"], f["eps"], f["delta"], f["gop"]
-
-    g = profile.geometry.g
-    v_phi, v_psi, v_div, v_sh1, v_sh2 = _field_vectors(mesh, xi)
-    v_sq = v_div - gop[:, :, None] * v_psi   # psi' + xi phi - (g/P') psi
-
-    e0 = _accumulate(wq * 0.5 * pr, v_div)
-    cross = _accumulate(wq * (-0.5 * g * rho * xi), v_phi, v_psi)
-    e0 += cross + np.swapaxes(cross, 1, 2)
-    e1 = _accumulate(wq * 0.5 * (dlt + eps / 3.0), v_div)
-    e1 += _accumulate(wq * 0.5 * eps, v_sh1)
-    e1 += _accumulate(wq * 0.5 * eps, v_sh2)
-    jm = _accumulate(wq * 0.5 * rho, v_phi)
-    jm += _accumulate(wq * 0.5 * rho, v_psi)
-    cp = _accumulate(wq * 0.5 * pr, v_sq)
-
-    n = 2 * (mesh.n_nodes - 2)
-    E0 = _scatter(mesh, e0, n)
-    E1 = _scatter(mesh, e1, n)
-    J = _scatter(mesh, jm, n)
-    CP = _scatter(mesh, cp, n)
-
-    psi0_dof = 2 * (mesh.interface_node - 1) + 1
-    sigma = profile.geometry.sigma
-    if sigma > 0 and xi > 0:
-        pt = sp.coo_matrix(
-            ([sigma * xi**2 / 2.0], ([psi0_dof], [psi0_dof])), shape=(n, n)
-        ).tocsr()
-        E0 = (E0 + pt).tocsr()
-
+    xi = float(xi)
+    indptr, indices, psi0_dof, psi0_slot, coeffs = _mesh_forms(profile, mesh)
+    data = {name: sum(xi**k * ck for k, ck in enumerate(c)) for name, c in coeffs.items()}
+    data["E0"][psi0_slot] += profile.geometry.sigma * xi**2 / 2.0
+    n = indptr.size - 1
     return FormSet(
-        xi=float(xi), E0=E0, E1=E1, J=J, compression=CP,
-        mesh=mesh, profile=profile, psi0_dof=psi0_dof,
+        xi=xi, mesh=mesh, profile=profile, psi0_dof=psi0_dof,
+        **{name: sp.csr_matrix((d, indices.copy(), indptr.copy()), shape=(n, n))
+           for name, d in data.items()},
     )

@@ -69,7 +69,6 @@ class Mesh:
         self.ell = float(nodes[-1])
 
         tq, wq = np.polynomial.legendre.leggauss(quad_points)
-        self.quad_ref, self.quad_w_ref = tq, wq
         self.shape_q, self.dshape_q = shape_functions(order, tq)  # (nq, nd)
         h = np.diff(breaks)
         self.jacobian = h / 2.0                                   # (n_el,)

@@ -192,6 +192,25 @@ class TestCliRuns:
         by_set = json.loads((tmp_path / "out" / "run.json").read_text())
         assert by_flag == by_set
 
+    def test_grid_flag_is_recorded_as_config_keys(self, cfg_path, tmp_path):
+        small = ["--config", str(cfg_path), "--set", "synthesis.radial_nodes=2"]
+        assert main(["synthesize", *small, "--set", "synthesis.grid.nx=5", "--grid", "2,2,3"]) == 0
+        by_flag = json.loads((tmp_path / "out" / "run.json").read_text())
+        rows = (tmp_path / "out" / "fields" / "t0.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 * 2 * 3
+        assert [by_flag[f"synthesis.grid.{k}"] for k in ("nx", "ny", "nz")] == [2, 2, 3]
+        assert main(["synthesize", *small, "--set", "synthesis.grid.nx=2",
+                     "--set", "synthesis.grid.ny=2", "--set", "synthesis.grid.nz=3"]) == 0
+        assert json.loads((tmp_path / "out" / "run.json").read_text()) == by_flag
+
+    def test_periodic_synthesis_reads_lattice_cap(self, cfg_path, tmp_path):
+        # without surface tension the lattice needs lattice.xi_max, given here as a key
+        assert main(["synthesize", "--config", str(cfg_path), "--periodic", "--grid", "2,1,1",
+                     "--set", "geometry.L=1.5", "--set", "geometry.sigma=0",
+                     "--set", "lattice.xi_max=3"]) == 0
+        meta = json.loads((tmp_path / "out" / "run.json").read_text())
+        assert meta["Lambda_L"] > 0
+
     def test_exit_codes(self, cfg_path):
         assert main(["mode", "--config", str(cfg_path), "--set", "geometry.sigma=-1"]) == 2
         assert main(["mode", "--config", str(cfg_path), "--set", "bogus.key=1"]) == 2
@@ -236,7 +255,7 @@ class TestCliRuns:
 
     def test_empty_synthesis_grid_exits_2(self, cfg_path, capsys):
         assert main(["synthesize", "--config", str(cfg_path), "--grid", "0,2,2"]) == 2
-        assert "--grid" in capsys.readouterr().err
+        assert "synthesis.grid.nx" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["synthesis.grid.ny", "synthesis.radial_nodes"])
     def test_empty_synthesis_size_exits_2(self, cfg_path, capsys, key):
@@ -257,6 +276,8 @@ class TestCliRuns:
         ["mode", "--xi", "nan"],
         ["forms", "--xi", "inf"],
         ["dispersion", "--n", "0"],
+        ["synthesize", "--grid", "2,2"],
+        ["synthesize", "--grid", "2,2,x"],
     ])
     def test_bad_numeric_flag_exits_2(self, cfg_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -133,6 +133,8 @@ def test_solve_evaluates_the_profile_once(mesh32, monkeypatch):
     monkeypatch.setattr(profile, "fields", lambda *a, **k: calls.append(a) or fields(*a, **k))
     m = rt.growth_rate(profile, mesh32, 1.0)
     assert len(calls) == 1           # the assembly's Gauss points; no residual is computed
+    rt.growth_rate(profile, mesh32, 2.0)
+    assert len(calls) == 1           # a second frequency reuses the mesh's cached forms
     # the diagnostics are computed when read, from the mode's own forms
     phi, psi = m.phi, m.psi
     assert m.ode_residual == strong_form_residual(profile, mesh32, phi, psi, 1.0, m.s_star, -m.lam**2)

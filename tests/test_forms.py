@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 import rtmodes as rt
 from rtmodes.errors import DomainError, LayoutError
-from rtmodes.eigen import _bands, dense_spectrum
+from rtmodes.eigen import dense_spectrum
 
 from conftest import make_profile
 
@@ -35,13 +35,70 @@ def test_symmetry(forms_xi1):
 
 
 def test_replace_copy_starts_with_empty_caches(forms_xi1):
-    _bands(forms_xi1)
     forms_xi1.dense()
     forms_xi1.norms()
     copy = dataclasses.replace(forms_xi1, E1=0.0 * forms_xi1.E1)
-    assert np.all(_bands(copy)[1] == 0.0)
+    assert np.all(copy._bands[1] == 0.0)      # bands come from the copy's own matrices
     assert np.all(copy.dense()[1] == 0.0)
     assert copy.norms()[1] == 0.0
+
+
+def dense_assembly(profile, mesh, xi):
+    """(E0, E1, J, compression) at one xi by a direct dense loop over elements and
+    Gauss points, with the strains formed at that xi: an oracle for the cached
+    polynomial assembly."""
+    n = 2 * (mesh.n_nodes - 2)
+    E0, E1, J, CP = (np.zeros((n, n)) for _ in range(4))
+    g = profile.geometry.g
+    f = profile.fields(mesh.quad_x)
+    z, o = np.zeros(mesh.order + 1), np.outer
+    for e, nodes in enumerate(mesh.conn):
+        dofs = np.concatenate([2 * (nodes - 1), 2 * (nodes - 1) + 1])     # [phi | psi]
+        keep = np.concatenate([(nodes >= 1) & (nodes <= mesh.n_nodes - 2)] * 2)
+        at, sub = np.ix_(dofs[keep], dofs[keep]), np.ix_(keep, keep)
+        for q in range(mesh.quad_points):
+            N, dN = mesh.shape_q[q], mesh.dshape_q[q] / mesh.jacobian[e]
+            phi, psi, dphi, dpsi = (np.concatenate(p) for p in ((N, z), (z, N), (dN, z), (z, dN)))
+            div, sq = dpsi + xi * phi, dpsi + xi * phi - f["gop"][e, q] * psi
+            sh1, sh2 = dphi - xi * psi, dpsi - xi * phi
+            rho, pr, eps, dl = (f[k][e, q] for k in ("rho", "pr", "eps", "delta"))
+            hw = 0.5 * mesh.quad_w[e, q]
+            E0[at] += hw * (pr * o(div, div) - g * rho * xi * (o(phi, psi) + o(psi, phi)))[sub]
+            E1[at] += hw * ((dl + eps / 3) * o(div, div) + eps * (o(sh1, sh1) + o(sh2, sh2)))[sub]
+            J[at] += hw * rho * (o(phi, phi) + o(psi, psi))[sub]
+            CP[at] += hw * pr * o(sq, sq)[sub]
+    psi0 = 2 * (mesh.interface_node - 1) + 1
+    E0[psi0, psi0] += profile.geometry.sigma * xi**2 / 2
+    return E0, E1, J, CP
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+@pytest.mark.parametrize("order", [1, 2])
+def test_assembly_matches_dense_oracle(order, sigma):
+    profile = make_profile(sigma=sigma)
+    mesh = rt.Mesh.uniform(1, 1, 6, order=order)
+    for xi in (0.05, 1.0, 3.0):
+        forms = rt.assemble(profile, mesh, xi)
+        got = (forms.E0, forms.E1, forms.J, forms.compression)
+        for M, ref in zip(got, dense_assembly(profile, mesh, xi)):
+            assert np.abs(M.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_formsets_share_no_arrays_with_the_cache(profile, mesh32):
+    names = ("E0", "E1", "J", "compression")
+    first = rt.assemble(profile, mesh32, 1.0)
+    ref = [getattr(first, k).toarray() for k in names]
+    for k in names:
+        getattr(first, k).data[:] = np.nan
+    for b in first._bands:
+        b[:] = np.nan
+    again = rt.assemble(profile, mesh32, 1.0)
+    for k, R in zip(names, ref):
+        M, old = getattr(again, k), getattr(first, k)
+        assert np.array_equal(M.toarray(), R)
+        for a in ("data", "indices", "indptr"):
+            assert not np.shares_memory(getattr(M, a), getattr(old, a))
+    assert all(np.all(np.isfinite(b)) for b in again._bands)
 
 
 def test_j_positive_definite_e1_psd(forms_xi1):
