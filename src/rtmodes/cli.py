@@ -130,7 +130,8 @@ def _cmd_mode(config, args):
     r = growth_rate(profile, mesh, xi)
     if isinstance(r, Stable):
         print(f"stable at |xi| = {xi}: {r.reason}")
-        _write_meta(config["output.dir"], config, "mode", {"xi": xi, "stable": 1})
+        _write_meta(config["output.dir"], config, "mode", {
+            "xi": xi, "stable": 1, "factorizations": r.factorizations})
         return 0
     out = Path(config["output.dir"]) / (args.out or "mode.csv")
     _write_csv(out, ["x3", "phi", "psi"], [mesh.nodes, r.phi, r.psi])
@@ -139,6 +140,8 @@ def _cmd_mode(config, args):
         "xi": xi, "lambda": r.lam, "s_star": r.s_star, "psi0": r.psi0,
         "fixed_point_residual": r.fixed_point_residual,
         "ode_residual": ode_residual if math.isfinite(ode_residual) else None,
+        "factorizations": r.factorizations,
+        "bracket_rel_max": 1.0 - r.bracket[0] / r.bracket[1],
     })
     print(f"lambda({xi}) = {r.lam:.12g}  psi(0) = {r.psi0:.6g}; wrote {out}")
     return 0
@@ -156,6 +159,7 @@ def _cmd_dispersion(config, args):
         "Lambda": curve.Lambda, "argmax_xi": curve.argmax_xi,
         "fit_correction": curve.fit_correction,
         "endpoint_lambda_lo": curve.lam[0], "endpoint_lambda_hi": curve.lam[-1],
+        "factorizations": curve.factorizations, "bracket_rel_max": curve.bracket_rel_max,
     })
     print(f"Lambda = {curve.Lambda:.12g} at |xi| = {curve.argmax_xi:.6g}; wrote {out}")
     return 0
@@ -247,7 +251,7 @@ def _cmd_evolve(config, args):
                 np.sqrt(traj.norm1_sq), np.sqrt(traj.norm2_sq)])
     _write_meta(config["output.dir"], config, "evolve", {
         "xi": xi, "lambda": lam, "dt": dt, "T": T,
-        "final_norm1": float(np.sqrt(traj.norm1_sq[-1])),
+        "final_norm1": float(np.sqrt(traj.norm1_sq[-1])), "step_factor": traj.step_factor,
     })
     print(f"integrated mode at |xi| = {xi} for T = {T}; wrote {out}")
     return 0

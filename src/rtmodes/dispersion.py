@@ -4,9 +4,14 @@ For each frequency magnitude mu(s) is strictly increasing, so the fixed
 point s = sqrt(-mu(s)) is unique and is the growth rate of a true growing
 mode.  mu(s) < -s^2 holds exactly when Q(s) = E0 + s E1 + s^2 J is not
 positive definite, so the rate is the point where a banded Cholesky
-factorization of Q(s) starts to succeed: bisection by inertia, with no
-eigensolver inside the loop.  The upper end 2 sqrt(g |xi|) is always
-definite because E0 + g |xi| J >= 0 holds exactly at the matrix level.
+factorization of Q(s) starts to succeed, with no eigensolver inside the
+loop.  The bracket starts cold at [1e-8, 2 sqrt(g |xi|)]; the upper end is
+always definite because E0 + g |xi| J >= 0 holds exactly at the matrix
+level.  Inverse iteration with the factor at the upper end gives a vector x,
+and the positive root p(x) of the scalar quadratic x^T Q(s) x = 0 (the
+Rayleigh functional) raises the lower end with no factorization: Q(p(x))
+cannot be definite.  :func:`eigen._refine` stops at a relative width of
+about 1e-11 and returns the definite end as the rate.
 """
 
 import math
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import _bisect, _factor, _inverse_iteration
+from .eigen import _factor, _refine
 from .errors import ConfigurationError, DomainError, SolverError
 from .forms import assemble
 from .residuals import jump_residuals, strong_form_residual
@@ -29,6 +34,7 @@ class Stable:
 
     xi: float
     reason: str
+    factorizations: int = 0
 
 
 @dataclass
@@ -48,6 +54,8 @@ class ModeSolution:
     psi: np.ndarray
     psi0: float
     fixed_point_residual: float
+    bracket: tuple                # certified (lo, hi) around lambda; lam = hi factors
+    factorizations: int           # banded Cholesky factorizations of Q(s)
     minimizer: np.ndarray = field(repr=False)
     forms: object = field(repr=False)
 
@@ -70,12 +78,25 @@ class ModeSolution:
                               self.xi_mag, self.s_star)
 
 
+def _rayleigh_functional(forms, x):
+    """Positive root p(x) of x^T Q(s) x = 0 for a J-normalized x.
+
+    Q(p(x)) is not positive definite, so p(x) <= lambda for every x.  When
+    x^T E0 x >= 0 there is no positive root and the value returned is <= 0,
+    below every lower end the refinement holds (E1 is definite, so b > 0).
+    """
+    c = float(x @ (forms.E0 @ x))
+    b = float(x @ (forms.E1 @ x))
+    return -2.0 * c / (b + math.sqrt(max(b * b - 4.0 * c, 0.0)))
+
+
 def growth_rate(profile, mesh, xi_mag):
     """Solve for the growing mode at one frequency, or certify stability.
 
     Returns a :class:`ModeSolution` with lambda = s_star at the fixed point,
     or :class:`Stable` when sigma > 0 and xi >= xi_c (no growing mode
-    exists) or when Q(s) is already positive definite at vanishing s.
+    exists) or when Q(s) is already positive definite at vanishing s; the
+    latter warns, since it means a rate below 1e-8 or a mesh too coarse.
     """
     if xi_mag <= 0:
         raise DomainError("frequency magnitude must be > 0")
@@ -88,31 +109,32 @@ def growth_rate(profile, mesh, xi_mag):
     band_at = lambda s: E0b + s * E1b + s**2 * Jb
 
     if _factor(band_at(_S_LO)) is not None:
-        if sigma > 0:
-            warnings.warn(
-                "Q(%g) is positive definite at xi = %g inside the unstable window; "
-                "the mesh may be too coarse to resolve the mode" % (_S_LO, xi_mag),
-                RuntimeWarning,
-            )
-        return Stable(xi_mag, "modified energy nonnegative as s -> 0")
+        warnings.warn(
+            "Q(%g) is positive definite at xi = %g: either the growth rate is below %g "
+            "or the mesh is too coarse to resolve the mode" % (_S_LO, xi_mag, _S_LO),
+            RuntimeWarning,
+        )
+        return Stable(xi_mag, "modified energy nonnegative as s -> 0", factorizations=1)
 
     s_hi = 2.0 * math.sqrt(forms.g * xi_mag)
     factor = _factor(band_at(s_hi))
     if factor is None:
         raise SolverError("Q(s) is not definite at s = 2 sqrt(g |xi|)", {"xi": xi_mag})
-    s_star, factor = _bisect(band_at, s_hi, factor, _S_LO)
-    x = _inverse_iteration(forms, factor, np.ones(forms.n))
+    s_star, s_lo, x, count = _refine(
+        forms, band_at, s_hi, factor, _S_LO,
+        lambda x: _rayleigh_functional(forms, x), np.ones(forms.n))
     mu = float(x @ (forms.E0 @ x)) + s_star * float(x @ (forms.E1 @ x))
-    lam = s_star
     phi, psi = forms.to_nodal(x)
     return ModeSolution(
         xi=np.array([xi_mag, 0.0]),
-        lam=lam,
+        lam=s_star,
         s_star=s_star,
         phi=phi,
         psi=psi,
         psi0=forms.psi_trace(x),
         fixed_point_residual=abs(s_star - math.sqrt(max(-mu, 0.0))),
+        bracket=(s_lo, s_star),
+        factorizations=count + 2,
         minimizer=x,
         forms=forms,
     )
@@ -130,11 +152,20 @@ class DispersionCurve:
     Lambda: float
     argmax_xi: float
     fit_correction: float      # Lambda minus the best sampled rate
+    factorizations: int        # banded Cholesky factorizations over every solved rate
+    bracket_rel_max: float     # widest certified rate bracket, relative to its rate
     argmax_mode: ModeSolution | None = field(repr=False, default=None)
 
     @property
     def endpoint_rates(self):
         return float(self.lam[0]), float(self.lam[-1])
+
+
+def _cost(r):
+    """(factorizations, relative bracket width) of one growth_rate result; width 0 if Stable."""
+    if isinstance(r, Stable):
+        return r.factorizations, 0.0
+    return r.factorizations, 1.0 - r.bracket[0] / r.bracket[1]
 
 
 def sweep(profile, mesh, xi_min, xi_max, n=48):
@@ -155,9 +186,11 @@ def sweep(profile, mesh, xi_min, xi_max, n=48):
         )
     mags = np.geomspace(xi_min, xi_max, n)
     rows = []
+    solved = []                 # (factorizations, relative bracket width) per solve
     argmax_mode = None
     for m in mags:
         r = growth_rate(profile, mesh, float(m))
+        solved.append(_cost(r))
         if isinstance(r, Stable):
             rows.append((m, 0.0, 0.0, 0.0, 0.0))
             continue
@@ -182,6 +215,7 @@ def sweep(profile, mesh, xi_min, xi_max, n=48):
                 xv = -b / (2 * a)
                 if x3[0] < xv < x3[2]:
                     r = growth_rate(profile, mesh, float(xv))
+                    solved.append(_cost(r))
                     if not isinstance(r, Stable) and r.lam > Lambda:
                         fit_correction = r.lam - Lambda
                         Lambda, argmax_xi, argmax_mode = r.lam, float(xv), r
@@ -189,6 +223,8 @@ def sweep(profile, mesh, xi_min, xi_max, n=48):
     return DispersionCurve(
         xi=xi_s, lam=lam_s, s_star=arr[:, 2], psi0=arr[:, 3], residual=arr[:, 4],
         Lambda=Lambda, argmax_xi=argmax_xi, fit_correction=fit_correction,
+        factorizations=sum(c for c, _ in solved),
+        bracket_rel_max=max(w for _, w in solved),
         argmax_mode=argmax_mode,
     )
 

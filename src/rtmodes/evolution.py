@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrs
 
 from .eigen import _factor, bottom_eig
 from .errors import ConfigurationError, DomainError, SolverError
@@ -38,6 +38,7 @@ class ModeTrajectory:
 
     forms: object
     dt: float
+    step_factor: str              # "cholesky" (M definite) or "lu"
     times: np.ndarray
     kinetic: np.ndarray
     potential: np.ndarray
@@ -56,16 +57,22 @@ class ModeTrajectory:
 
 
 def _step_solver(forms, dt):
-    """Solve with M = 2J + dt E1 + (dt^2/2) E0, factored once by banded LU.
+    """Factor M = 2J + dt E1 + (dt^2/2) E0 once; returns (kind, solve).
 
-    M is formed from the cached upper bands of the forms and mirrored into
-    LAPACK's general band layout (kl = ku = 2 * order + 1, plus kl rows for
-    the fill-in of partial pivoting).  LU, not Cholesky: M is positive
-    definite only for dt^2 < 4 / (g xi) by the variational lower bound.
+    M is formed from the cached upper bands of the forms.  Since
+    E0 + g xi J >= 0, M >= (2 - dt^2 g xi / 2) J + dt E1 is positive definite
+    whenever dt^2 g xi < 4, and banded Cholesky (``dpbtrf``/``dpbtrs``) runs
+    on the upper band as it is.  Only when that factorization fails is the
+    band mirrored into LAPACK's general band layout (kl = ku = 2 * order + 1,
+    plus kl rows for the fill-in of partial pivoting) and factored by LU.
+    Both solves overwrite their right-hand side.
     """
     E0b, E1b, Jb = forms._bands
-    k = Jb.shape[0] - 1
     upper = 2.0 * Jb + dt * E1b + 0.5 * dt**2 * E0b
+    chol = _factor(upper)
+    if chol is not None:
+        return "cholesky", lambda b: dpbtrs(chol, b, overwrite_b=1)[0]
+    k = Jb.shape[0] - 1
     ab = np.zeros((3 * k + 1, forms.n))
     ab[k:2 * k + 1] = upper
     for d in range(1, k + 1):       # subdiagonal d mirrors superdiagonal d
@@ -73,36 +80,44 @@ def _step_solver(forms, dt):
     lu, piv, info = dgbtrf(ab, k, k, overwrite_ab=1)
     if info != 0:
         raise SolverError("step matrix factorization failed", {"dt": dt})
-    return lambda b: dgbtrs(lu, k, k, b, piv, overwrite_b=1)[0]
+    return "lu", lambda b: dgbtrs(lu, k, k, b, piv, overwrite_b=1)[0]
 
 
 def integrate(forms, u0, v0, dt, T, store_every=None):
     """Implicit-midpoint trajectory of (u, u_dot) from (u0, v0) to time T.
 
     Each step solves M wm = 2 J w - dt E0 u for the midpoint velocity wm,
-    with M = 2J + dt E1 + (dt^2/2) E0 factored once by banded LU from the
-    cached bands, and advances u += dt wm, w = 2 wm - w.  One stacked
-    mat-vec [J; E1; E0] wm per step carries the products J u, E1 u, E0 u,
-    J w, E1 w through the same linear updates and gives the midpoint power.
+    with M = 2J + dt E1 + (dt^2/2) E0 factored once from the cached bands
+    (banded Cholesky when M is definite, banded LU otherwise), and advances
+    u += dt wm, w = 2 wm - w.  One stacked mat-vec [J; E1; E0] wm per step
+    carries the products J u, E1 u, E0 u, J w, E1 w through the same linear
+    updates and gives the midpoint power; every other update is in place.
     """
     if dt <= 0 or T < dt:
         raise DomainError("need dt > 0 and T >= dt")
     u = forms._check(u0).copy()
     w = forms._check(v0).copy()
-    n_steps = int(round(T / dt))
+    steps = T / dt
+    try:
+        n_steps = int(round(steps))
+        # row i: u J u, u E1 u, u E0 u, w J w, w E1 w at step i; wm E1 wm of the step into i
+        ledger = np.zeros((n_steps + 1, 6))
+    except (OverflowError, ValueError, MemoryError):
+        raise DomainError("dt = %g and T = %g need %.6g steps, more than can be stored"
+                          % (dt, T, steps)) from None
     if store_every is None:
         store_every = max(1, n_steps // 256)
 
-    solve = _step_solver(forms, dt)
+    kind, solve = _step_solver(forms, dt)
     n = forms.n
     S = sp.vstack([forms.J, forms.E1, forms.E0], format="csr")
     Pu = (S @ u).reshape(3, n)              # J u, E1 u, E0 u
     Pw = (S @ w).reshape(3, n)[:2]          # J w, E1 w
     Jw, E0u = Pw[0], Pu[2]
+    rhs = np.empty(n)
+    du = np.empty(n)
 
     nt = n_steps + 1
-    # row i: u J u, u E1 u, u E0 u, w J w, w E1 w at step i; wm E1 wm of the step into i
-    ledger = np.zeros((nt, 6))
     st_idx = []
     st_u = []
     st_v = []
@@ -119,14 +134,22 @@ def integrate(forms, u0, v0, dt, T, store_every=None):
 
     record(0)
     for i in range(1, nt):
-        wm = solve(2.0 * Jw - dt * E0u)
+        np.multiply(E0u, -0.5 * dt, out=rhs)
+        rhs += Jw
+        rhs *= 2.0
+        wm = solve(rhs)                     # in place: wm is rhs
         p = (S @ wm).reshape(3, n)          # J wm, E1 wm, E0 wm
-        u += dt * wm
-        np.subtract(2.0 * wm, w, out=w)
-        Pu += dt * p
-        np.subtract(2.0 * p[:2], Pw, out=Pw)
+        power = wm @ p[1]
+        np.multiply(wm, dt, out=du)
+        u += du
+        np.subtract(wm, w, out=w)           # w = 2 wm - w
+        w += wm
+        np.subtract(p[:2], Pw, out=Pw)
+        Pw += p[:2]
+        p *= dt
+        Pu += p
         row = record(i)
-        row[5] = wm @ p[1]
+        row[5] = power
         if not (math.isfinite(row[2]) and math.isfinite(row[3])):
             raise SolverError("trajectory blew up", {"step": i, "dt": dt})
 
@@ -136,7 +159,7 @@ def integrate(forms, u0, v0, dt, T, store_every=None):
     np.cumsum(dt * ledger[1:, 5], out=dmid[1:])
     np.cumsum(0.5 * dt * (n2d[:-1] + n2d[1:]) / 2.0, out=dtrap[1:])
     return ModeTrajectory(
-        forms=forms, dt=dt, times=dt * np.arange(nt),
+        forms=forms, dt=dt, step_factor=kind, times=dt * np.arange(nt),
         kinetic=0.5 * ledger[:, 3], potential=0.5 * ledger[:, 2],
         dissipated_mid=dmid, dissipated_trap=dtrap,
         norm1_sq=2.0 * ledger[:, 0], norm2_sq=2.0 * ledger[:, 1],

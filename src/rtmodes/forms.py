@@ -25,6 +25,7 @@ their scatter into the mesh's one CSR pattern) runs once per (profile,
 mesh) and is cached; ``assemble`` evaluates the polynomials.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -231,14 +232,20 @@ def assemble(profile, mesh, xi, _allow_zero=False):
 
     Evaluates the cached xi-polynomials of :func:`_mesh_forms` and adds the
     surface-tension point mass; every returned array is new.  Quadrature is
-    the mesh's shared Gauss rule; smooth-coefficient error is O(h^{2p}).
+    the mesh's shared Gauss rule; smooth-coefficient error is O(h^{2p}).  A
+    frequency at which a form entry overflows raises DomainError.
     """
     if xi < 0 or (xi == 0 and not _allow_zero):
         raise DomainError("frequency magnitude xi must be > 0")
     xi = float(xi)
     indptr, indices, psi0_dof, psi0_slot, coeffs = _mesh_forms(profile, mesh)
-    data = {name: sum(xi**k * ck for k, ck in enumerate(c)) for name, c in coeffs.items()}
-    data["E0"][psi0_slot] += profile.geometry.sigma * xi**2 / 2.0
+    powers = (1.0, xi, xi * xi)         # a float product overflows to inf, never raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = {name: sum(p * ck for p, ck in zip(powers, c)) for name, c in coeffs.items()}
+        data["E0"][psi0_slot] += profile.geometry.sigma * powers[2] / 2.0
+        total = sum(float(d.sum()) for d in data.values())     # inf or nan if any entry is
+    if not math.isfinite(total):
+        raise DomainError("the forms overflow at frequency magnitude xi = %g" % xi)
     n = indptr.size - 1
     return FormSet(
         xi=xi, mesh=mesh, profile=profile, psi0_dof=psi0_dof,

@@ -217,6 +217,41 @@ class TestCliRuns:
         # evolve at a stable frequency is a configuration error
         assert main(["evolve", "--config", str(cfg_path), "--xi", "5.0"]) == 2
 
+    def test_unstorable_step_count_exits_2(self, cfg_path, capsys):
+        # T = 5 / lambda needs about 2.4e301 steps: refused before anything is allocated
+        assert main(["evolve", "--config", str(cfg_path), "--xi", "1", "--dt", "1e-300"]) == 2
+        err = capsys.readouterr().err
+        assert "dt = 1e-300 and T = " in err and "steps" in err
+
+    @pytest.mark.parametrize("command", ["mode", "forms", "evolve"])
+    def test_overflowing_frequency_exits_2(self, cfg_path, capsys, command):
+        assert main([command, "--config", str(cfg_path), "--xi", "1e300",
+                     "--set", "geometry.sigma=0"]) == 2
+        assert "overflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dt, kind", [("5", "cholesky"), ("20", "lu")])
+    def test_evolve_records_step_factor(self, cfg_path, tmp_path, dt, kind):
+        # dt^2 g |xi| = 25 misses the sufficient condition (< 4) for a definite
+        # step matrix, yet M is definite; at dt = 20 it is not, and LU takes it
+        assert main(["evolve", "--config", str(cfg_path), "--xi", "1", "--dt", dt,
+                     "--T", "50"]) == 0
+        assert json.loads((tmp_path / "out" / "run.json").read_text())["step_factor"] == kind
+
+    def test_rate_solves_record_their_cost(self, cfg_path, tmp_path):
+        out = tmp_path / "out"
+        assert main(["mode", "--config", str(cfg_path)]) == 0
+        meta = json.loads((out / "run.json").read_text())
+        assert 2 < meta["factorizations"] <= 15 and 0 <= meta["bracket_rel_max"] <= 2e-11
+        assert main(["dispersion", "--config", str(cfg_path)]) == 0
+        meta = json.loads((out / "run.json").read_text())
+        assert 2 * 6 < meta["factorizations"] <= 15 * 7 and 0 <= meta["bracket_rel_max"] <= 2e-11
+        assert (out / "curve.csv").read_text().splitlines()[0] == "xi,lambda,s_star,psi0,residual"
+        # sigma = 0: every frequency is unstable, so a Stable verdict warns
+        with pytest.warns(RuntimeWarning, match="too coarse"):
+            assert main(["mode", "--config", str(cfg_path), "--xi", "1e12",
+                         "--set", "geometry.sigma=0"]) == 0
+        assert json.loads((out / "run.json").read_text())["factorizations"] == 1
+
     def test_verify_quick(self, cfg_path, capsys):
         assert main(["verify", "--config", str(cfg_path), "--quick"]) == 0
         out = capsys.readouterr().out

@@ -1,13 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import rtmodes as rt
+from rtmodes import eigen
 from rtmodes.eigen import dense_spectrum
-from rtmodes.errors import ConfigurationError, DomainError
+from rtmodes.errors import ConfigurationError, DomainError, VacuumError
 from rtmodes.residuals import jump_residuals, strong_form_residual
 
 
@@ -149,13 +153,76 @@ def test_invalid_frequency(profile, mesh32):
         rt.growth_rate(profile, mesh32, 0.0)
 
 
-def test_coarse_mesh_warns_inside_window(profile):
+def test_coarse_mesh_warns_inside_window(profile, profile_sigma0, mesh32):
     # the discrete instability window sits strictly inside (0, xi_c), so a
     # very coarse mesh misses marginal modes near the cutoff and must warn
     coarse = rt.Mesh.uniform(1, 1, 2, order=1)
     with pytest.warns(RuntimeWarning, match="too coarse"):
         r = rt.growth_rate(profile, coarse, 0.999 * profile.xi_c)
     assert isinstance(r, rt.Stable)
+    # with sigma = 0 every frequency is unstable: a Stable verdict is a rate
+    # below the smallest tested s or an unresolved mode, and says so
+    with pytest.warns(RuntimeWarning, match="below 1e-08 or the mesh is too coarse"):
+        r = rt.growth_rate(profile_sigma0, mesh32, 1e12)
+    assert isinstance(r, rt.Stable)
+
+
+def test_factorizations_per_rate(profile, monkeypatch):
+    # cold-start refinement: each rate starts from [1e-8, 2 sqrt(g |xi|)]
+    calls = []
+    real = eigen._factor
+    monkeypatch.setattr(eigen, "_factor", lambda ab: calls.append(1) or real(ab))
+    monkeypatch.setattr("rtmodes.dispersion._factor", eigen._factor)
+    mesh = rt.Mesh.uniform(1, 1, 64, order=2)
+    curve = rt.sweep(profile, mesh, 0.02 * profile.xi_c, 0.98 * profile.xi_c, n=12)
+    assert curve.factorizations == len(calls)      # the recorded count is the true one
+    assert len(calls) <= 15 * 12          # the refined argmax solve counts against the 12
+    assert 0.0 <= curve.bracket_rel_max <= 2e-11
+
+
+@st.composite
+def _admissible_case(draw):
+    """A heavy-over-light polytropic slab with power-law viscosities, a mesh and a frequency."""
+    g_lo, g_up = draw(st.floats(1.0, 2.0)), draw(st.floats(1.0, 2.0))
+    K_lo, rho_minus = draw(st.floats(1.0, 4.0)), draw(st.floats(0.5, 2.0))
+    rho_plus = rho_minus * draw(st.floats(1.2, 3.0))
+    K_up = K_lo * rho_minus**g_lo / rho_plus**g_up       # pressure continuity
+    sigma = draw(st.one_of(st.just(0.0), st.floats(0.02, 0.3)))
+    visc = [rt.FluidViscosity(rt.ViscosityLaw.power(draw(st.floats(0.02, 0.3)),
+                                                    draw(st.floats(-1.0, 1.0))),
+                              rt.ViscosityLaw.power(draw(st.floats(0.0, 0.2)),
+                                                    draw(st.floats(-1.0, 1.0))))
+            for _ in range(2)]
+    try:
+        profile = rt.build_profile(rt.PressureLaw.polytropic(K_lo, g_lo),
+                                   rt.PressureLaw.polytropic(K_up, g_up), rho_minus,
+                                   rt.SlabGeometry(m=1.0, ell=1.0, g=1.0, sigma=sigma), visc)
+    except VacuumError:
+        assume(False)
+    cap = profile.xi_c if sigma > 0 else 10.0
+    xi = cap * draw(st.floats(0.05, 0.9))
+    return profile, rt.Mesh.uniform(1, 1, draw(st.integers(8, 16)), order=2), xi
+
+
+@given(_admissible_case())
+@settings(max_examples=30, deadline=None)
+def test_certified_bracket_on_random_configs(case):
+    profile, mesh, xi = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        m = rt.growth_rate(profile, mesh, xi)
+    assume(not isinstance(m, rt.Stable))
+    forms, x = m.forms, m.minimizer
+    lo, hi = m.bracket
+    E0b, E1b, Jb = forms._bands
+    assert lo <= hi == m.lam
+    assert eigen._factor(E0b + hi * E1b + hi**2 * Jb) is not None
+    # lo is the Rayleigh functional of some iterate or a failed factorization,
+    # so at the final iterate x^T Q(lo) x is <= 0 up to the 1e-11 bracket width
+    terms = [float(x @ (A @ x)) * c for A, c in ((forms.E0, 1.0), (forms.E1, lo), (forms.J, lo**2))]
+    assert sum(terms) <= 1e-11 * sum(map(abs, terms))
+    assert m.lam == pytest.approx(oracle_rate(forms), abs=5e-9)
+    assert m.lam**2 <= profile.geometry.g * xi
 
 
 @pytest.fixture(scope="module")

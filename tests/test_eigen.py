@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 import rtmodes as rt
+from rtmodes import eigen
 from rtmodes.eigen import dense_spectrum
 from rtmodes.errors import DomainError
 from rtmodes.residuals import jump_residuals, strong_form_residual
@@ -70,6 +71,19 @@ def test_sparse_path_matches_dense(profile, mesh64):
     # eigenvectors agree up to sign inside the J inner product
     overlap = abs(float(banded.minimizer @ (forms.J @ vecs[:, 0])))
     assert overlap == pytest.approx(1.0, abs=1e-8)
+
+
+def test_factorizations_per_bottom_eig(forms_xi1, monkeypatch):
+    calls = []
+    real = eigen._factor
+    monkeypatch.setattr(eigen, "_factor", lambda ab: calls.append(1) or real(ab))
+    f = forms_xi1
+    for A in (f.E0, f.E1, f.E0 + 0.3 * f.E1, f.E0 + 10.0 * f.E1):
+        del calls[:]
+        mu = rt.bottom_eig(f, A).mu
+        assert mu == pytest.approx(sla.eigh(A.toarray(), f.J.toarray(), eigvals_only=True,
+                                            subset_by_index=[0, 0])[0], abs=1e-10)
+        assert len(calls) <= 15
 
 
 def test_negative_s_rejected(forms_xi1):

@@ -164,6 +164,7 @@ def test_stepper_matches_dense_midpoint_oracle(profile, dt, definite):
     u0, v0 = r.standard_normal(forms.n), r.standard_normal(forms.n)
     n_steps = 40
     traj = rt.integrate(forms, u0, v0, dt, n_steps * dt, store_every=1)
+    assert traj.step_factor == ("cholesky" if definite else "lu")
     ref = _dense_midpoint(forms, u0, v0, dt, n_steps)
     rel = lambda a, b: np.max(np.abs(a - b)) / np.max(np.abs(b))
     for name, expect in ref.items():
@@ -184,6 +185,9 @@ def test_integrate_validates_steps(forms_xi1):
         rt.integrate(forms_xi1, z, z, 0.0, 1.0)
     with pytest.raises(DomainError):
         rt.integrate(forms_xi1, z, z, 0.1, 0.01)
+    # 1e300 steps: refused before the ledger is allocated
+    with pytest.raises(DomainError, match="dt = 1e-300 and T = 1 need 1e\\+300 steps"):
+        rt.integrate(forms_xi1, z, z, 1e-300, 1.0)
 
 
 _L_SMALL = 0.3
