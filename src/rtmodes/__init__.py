@@ -27,8 +27,8 @@ from .profile import (
     verify_hydrostatic,
 )
 from .mesh import Mesh
-from .forms import FormSet, assemble, form_value
-from .eigen import EigenResult, bottom_eig, c2_diagnostic, dense_spectrum, smallest_eig
+from .forms import FormSet, assemble
+from .eigen import EigenResult, bottom_eig, c2_diagnostic, smallest_eig
 from .dispersion import (
     DispersionCurve,
     LatticeResult,

@@ -131,13 +131,14 @@ def _cmd_mode(config, args):
     if isinstance(r, Stable):
         print(f"stable at |xi| = {xi}: {r.reason}")
         _write_meta(config["output.dir"], config, "mode", {
-            "xi": xi, "stable": 1, "factorizations": r.factorizations})
+            "xi": xi, "stable": 1, "stable_reason": r.reason,
+            "factorizations": r.factorizations})
         return 0
     out = Path(config["output.dir"]) / (args.out or "mode.csv")
     _write_csv(out, ["x3", "phi", "psi"], [mesh.nodes, r.phi, r.psi])
     ode_residual = r.ode_residual     # computed on each read
     _write_meta(config["output.dir"], config, "mode", {
-        "xi": xi, "lambda": r.lam, "s_star": r.s_star, "psi0": r.psi0,
+        "xi": xi, "lambda": r.lam, "s_star": r.lam, "psi0": r.psi0,
         "fixed_point_residual": r.fixed_point_residual,
         "ode_residual": ode_residual if math.isfinite(ode_residual) else None,
         "factorizations": r.factorizations,
@@ -154,12 +155,13 @@ def _cmd_dispersion(config, args):
     curve = sweep(profile, mesh, lo, hi, n=config["sweep.n"])
     out = Path(config["output.dir"]) / (args.out or "curve.csv")
     _write_csv(out, ["xi", "lambda", "s_star", "psi0", "residual"],
-               [curve.xi, curve.lam, curve.s_star, curve.psi0, curve.residual])
+               [curve.xi, curve.lam, curve.lam, curve.psi0, curve.residual])
     _write_meta(config["output.dir"], config, "dispersion", {
         "Lambda": curve.Lambda, "argmax_xi": curve.argmax_xi,
         "fit_correction": curve.fit_correction,
         "endpoint_lambda_lo": curve.lam[0], "endpoint_lambda_hi": curve.lam[-1],
         "factorizations": curve.factorizations, "bracket_rel_max": curve.bracket_rel_max,
+        "stable_count": curve.stable_count,
     })
     print(f"Lambda = {curve.Lambda:.12g} at |xi| = {curve.argmax_xi:.6g}; wrote {out}")
     return 0

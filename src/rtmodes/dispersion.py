@@ -49,7 +49,6 @@ class ModeSolution:
 
     xi: np.ndarray                # 2D frequency vector, reduced frame
     lam: float
-    s_star: float
     phi: np.ndarray
     psi: np.ndarray
     psi0: float
@@ -69,13 +68,13 @@ class ModeSolution:
         if self.forms.mesh.order < 2:
             return math.nan
         return strong_form_residual(self.forms.profile, self.forms.mesh, self.phi, self.psi,
-                                    self.xi_mag, self.s_star, -self.lam**2)
+                                    self.xi_mag, self.lam, -self.lam**2)
 
     @property
     def jump_residuals(self):
         """Defects of the four interface conditions; see :func:`residuals.jump_residuals`."""
         return jump_residuals(self.forms.profile, self.forms.mesh, self.phi, self.psi,
-                              self.xi_mag, self.s_star)
+                              self.xi_mag, self.lam)
 
 
 def _rayleigh_functional(forms, x):
@@ -93,7 +92,7 @@ def _rayleigh_functional(forms, x):
 def growth_rate(profile, mesh, xi_mag):
     """Solve for the growing mode at one frequency, or certify stability.
 
-    Returns a :class:`ModeSolution` with lambda = s_star at the fixed point,
+    Returns a :class:`ModeSolution` with lambda the fixed point s = sqrt(-mu(s)),
     or :class:`Stable` when sigma > 0 and xi >= xi_c (no growing mode
     exists) or when Q(s) is already positive definite at vanishing s; the
     latter warns, since it means a rate below 1e-8 or a mesh too coarse.
@@ -120,20 +119,19 @@ def growth_rate(profile, mesh, xi_mag):
     factor = _factor(band_at(s_hi))
     if factor is None:
         raise SolverError("Q(s) is not definite at s = 2 sqrt(g |xi|)", {"xi": xi_mag})
-    s_star, s_lo, x, count = _refine(
+    lam, s_lo, x, count = _refine(
         forms, band_at, s_hi, factor, _S_LO,
         lambda x: _rayleigh_functional(forms, x), np.ones(forms.n))
-    mu = float(x @ (forms.E0 @ x)) + s_star * float(x @ (forms.E1 @ x))
+    mu = float(x @ (forms.E0 @ x)) + lam * float(x @ (forms.E1 @ x))
     phi, psi = forms.to_nodal(x)
     return ModeSolution(
         xi=np.array([xi_mag, 0.0]),
-        lam=s_star,
-        s_star=s_star,
+        lam=lam,
         phi=phi,
         psi=psi,
         psi0=forms.psi_trace(x),
-        fixed_point_residual=abs(s_star - math.sqrt(max(-mu, 0.0))),
-        bracket=(s_lo, s_star),
+        fixed_point_residual=abs(lam - math.sqrt(max(-mu, 0.0))),
+        bracket=(s_lo, lam),
         factorizations=count + 2,
         minimizer=x,
         forms=forms,
@@ -146,7 +144,6 @@ class DispersionCurve:
 
     xi: np.ndarray
     lam: np.ndarray
-    s_star: np.ndarray
     psi0: np.ndarray
     residual: np.ndarray
     Lambda: float
@@ -154,6 +151,7 @@ class DispersionCurve:
     fit_correction: float      # Lambda minus the best sampled rate
     factorizations: int        # banded Cholesky factorizations over every solved rate
     bracket_rel_max: float     # widest certified rate bracket, relative to its rate
+    stable_count: int          # samples found Stable, recorded as 0.0 rows
     argmax_mode: ModeSolution | None = field(repr=False, default=None)
 
     @property
@@ -188,13 +186,15 @@ def sweep(profile, mesh, xi_min, xi_max, n=48):
     rows = []
     solved = []                 # (factorizations, relative bracket width) per solve
     argmax_mode = None
+    stable_count = 0
     for m in mags:
         r = growth_rate(profile, mesh, float(m))
         solved.append(_cost(r))
         if isinstance(r, Stable):
-            rows.append((m, 0.0, 0.0, 0.0, 0.0))
+            rows.append((m, 0.0, 0.0, 0.0))
+            stable_count += 1
             continue
-        rows.append((m, r.lam, r.s_star, r.psi0, r.fixed_point_residual))
+        rows.append((m, r.lam, r.psi0, r.fixed_point_residual))
         if argmax_mode is None or r.lam > argmax_mode.lam:
             argmax_mode = r
     arr = np.array(rows)
@@ -221,10 +221,11 @@ def sweep(profile, mesh, xi_min, xi_max, n=48):
                         Lambda, argmax_xi, argmax_mode = r.lam, float(xv), r
 
     return DispersionCurve(
-        xi=xi_s, lam=lam_s, s_star=arr[:, 2], psi0=arr[:, 3], residual=arr[:, 4],
+        xi=xi_s, lam=lam_s, psi0=arr[:, 2], residual=arr[:, 3],
         Lambda=Lambda, argmax_xi=argmax_xi, fit_correction=fit_correction,
         factorizations=sum(c for c, _ in solved),
         bracket_rel_max=max(w for _, w in solved),
+        stable_count=stable_count,
         argmax_mode=argmax_mode,
     )
 

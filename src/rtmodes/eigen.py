@@ -130,12 +130,6 @@ def smallest_eig(forms, s):
     return replace(bottom_eig(forms, forms.E0 + s * forms.E1), s=s)
 
 
-def dense_spectrum(forms, s):
-    """All generalized eigenvalues of (E0 + s E1, J); oracle for tests."""
-    E0d, E1d, Jd = forms.dense()
-    return sla.eigh(E0d + s * E1d, Jd, eigvals_only=True)
-
-
 def c2_diagnostic(forms):
     """Discrete inf of the viscous form over the constraint set.
 

@@ -244,7 +244,7 @@ def spectral_k_constants(forms, u0, v0):
     square of d_t^{j-1} v(0), and the surface-tension trace term; time
     derivatives of v beyond the data come from the evolution operator.
     """
-    J, E0, E1, CP = forms.J, forms.E0, forms.E1, forms.compression
+    J, E0, E1, CP = forms.J, forms.E0, forms.E1, forms.compression()
     sig = forms.sigma * forms.xi**2 / 2.0
 
     def k_of(ud, u):

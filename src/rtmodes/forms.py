@@ -18,11 +18,13 @@ psi' + xi phi, phi' - xi psi and psi' - xi phi gives
 
     E0 = A0 + xi A1 + xi^2 (A2 + (sigma/2) e e^T),    E1 = B0 + xi B1 + xi^2 B2,
 
-with e the unit vector of psi(0); J has no xi, and the compression square
-has the shape of E0 without the point mass.  The xi-free work (one profile
-evaluation at the Gauss points, the element integrals of every coefficient,
-their scatter into the mesh's one CSR pattern) runs once per (profile,
-mesh) and is cached; ``assemble`` evaluates the polynomials.
+with e the unit vector of psi(0); J has no xi.  The compression square has
+the shape of E0 without the point mass; only the small-period stability
+constants read it, so :meth:`FormSet.compression` builds it on call.  The
+xi-free work (one profile evaluation at the Gauss points, the element
+integrals of every coefficient, their scatter into the mesh's one CSR
+pattern) runs once per (profile, mesh) and is cached; ``assemble`` and
+``compression`` evaluate the polynomials.
 """
 
 import math
@@ -38,7 +40,7 @@ from .mesh import Mesh
 
 @dataclass
 class FormSet:
-    """Assembled symmetric pencil data for one frequency magnitude.
+    """The pencil (E0, E1, J) at one frequency magnitude, its bands and its dof layout.
 
     Degrees of freedom interleave the two fields over interior nodes:
     x = [phi_1, psi_1, phi_2, psi_2, ...] (node 0 and the last node are
@@ -49,13 +51,9 @@ class FormSet:
     E0: sp.csr_matrix
     E1: sp.csr_matrix
     J: sp.csr_matrix
-    compression: sp.csr_matrix   # (1/2) int P'(rho0) rho0 (psi' + xi phi - g psi / P')^2
     mesh: Mesh
     profile: object
     psi0_dof: int
-    # caches, empty in every new instance (a dataclasses.replace copy too)
-    _dense: tuple | None = field(default=None, init=False, repr=False)
-    _norms: tuple | None = field(default=None, init=False, repr=False)
     # (E0, E1, J) in upper band storage, from this instance's own matrices
     _bands: tuple = field(init=False, repr=False)
 
@@ -73,10 +71,6 @@ class FormSet:
     @property
     def g(self):
         return self.profile.geometry.g
-
-    @property
-    def rho_jump(self):
-        return self.profile.rho_jump
 
     # -- layout ----------------------------------------------------------
 
@@ -119,46 +113,20 @@ class FormSet:
             raise LayoutError(f"dof vector has length {x.shape}, expected ({self.n},)")
         return x
 
-    # -- form evaluation ---------------------------------------------------
-
-    def e0_value(self, x):
-        x = self._check(x)
-        return float(x @ (self.E0 @ x))
-
-    def e1_value(self, x):
-        x = self._check(x)
-        return float(x @ (self.E1 @ x))
+    # -- derived matrices --------------------------------------------------
 
     def dense(self):
-        """Dense copies (E0, E1, J), cached."""
-        if self._dense is None:
-            self._dense = (self.E0.toarray(), self.E1.toarray(), self.J.toarray())
-        return self._dense
+        """Dense copies (E0, E1, J)."""
+        return self.E0.toarray(), self.E1.toarray(), self.J.toarray()
 
     def norms(self):
-        """Cached inf-norms (|E0|, |E1|, |J|) for residual thresholds."""
-        if self._norms is None:
-            inf = lambda A: float(abs(A).sum(axis=1).max())
-            self._norms = (inf(self.E0), inf(self.E1), inf(self.J))
-        return self._norms
+        """Inf-norms (|E0|, |E1|, |J|) for residual thresholds."""
+        inf = lambda A: float(abs(A).sum(axis=1).max())
+        return inf(self.E0), inf(self.E1), inf(self.J)
 
-    def completed_square_E0(self):
-        """Independent assembly of E0 from the squared (nonnegative) form.
-
-        Equals E0 up to the quadrature consistency error of the steady-state
-        integration by parts, O(h^{2p}); used as a cross-check of assembly.
-        """
-        A = self.compression.tolil(copy=True)
-        A[self.psi0_dof, self.psi0_dof] += (self.sigma * self.xi**2 - self.g * self.rho_jump) / 2.0
-        return A.tocsr()
-
-
-def form_value(forms, x, s):
-    """x^T (E0 + s E1) x; nondecreasing in s for fixed x."""
-    if s < 0:
-        raise DomainError("family parameter s must be >= 0")
-    x = forms._check(x)
-    return forms.e0_value(x) + s * forms.e1_value(x)
+    def compression(self):
+        """The compression square (1/2) int P'(rho0) rho0 (psi' + xi phi - g psi / P')^2, built on call."""
+        return _form(_mesh_forms(self.profile, self.mesh), "compression", self.xi)
 
 
 def _basis(mesh):
@@ -227,8 +195,18 @@ def _mesh_forms(profile, mesh):
     return indptr, indices, psi0_dof, psi0_slot, coeffs
 
 
+def _form(cache, name, xi):
+    """Form ``name`` of a :func:`_mesh_forms` cache at frequency xi, as a new CSR matrix."""
+    indptr, indices, _, _, coeffs = cache
+    powers = (1.0, xi, xi * xi)         # a float product overflows to inf, never raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = sum(p * c for p, c in zip(powers, coeffs[name]))
+    n = indptr.size - 1
+    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+
+
 def assemble(profile, mesh, xi, _allow_zero=False):
-    """Assemble (E0, E1, J) and the compression square for frequency xi.
+    """Assemble the pencil (E0, E1, J) for frequency xi.
 
     Evaluates the cached xi-polynomials of :func:`_mesh_forms` and adds the
     surface-tension point mass; every returned array is new.  Quadrature is
@@ -238,17 +216,12 @@ def assemble(profile, mesh, xi, _allow_zero=False):
     if xi < 0 or (xi == 0 and not _allow_zero):
         raise DomainError("frequency magnitude xi must be > 0")
     xi = float(xi)
-    indptr, indices, psi0_dof, psi0_slot, coeffs = _mesh_forms(profile, mesh)
-    powers = (1.0, xi, xi * xi)         # a float product overflows to inf, never raises
+    cache = _mesh_forms(profile, mesh)
+    _, _, psi0_dof, psi0_slot, _ = cache
+    E0, E1, J = (_form(cache, name, xi) for name in ("E0", "E1", "J"))
     with np.errstate(over="ignore", invalid="ignore"):
-        data = {name: sum(p * ck for p, ck in zip(powers, c)) for name, c in coeffs.items()}
-        data["E0"][psi0_slot] += profile.geometry.sigma * powers[2] / 2.0
-        total = sum(float(d.sum()) for d in data.values())     # inf or nan if any entry is
+        E0.data[psi0_slot] += profile.geometry.sigma * (xi * xi) / 2.0
+        total = sum(float(M.data.sum()) for M in (E0, E1, J))     # inf or nan if any entry is
     if not math.isfinite(total):
         raise DomainError("the forms overflow at frequency magnitude xi = %g" % xi)
-    n = indptr.size - 1
-    return FormSet(
-        xi=xi, mesh=mesh, profile=profile, psi0_dof=psi0_dof,
-        **{name: sp.csr_matrix((d, indices.copy(), indptr.copy()), shape=(n, n))
-           for name, d in data.items()},
-    )
+    return FormSet(xi=xi, E0=E0, E1=E1, J=J, mesh=mesh, profile=profile, psi0_dof=psi0_dof)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import rtmodes as rt
 
@@ -17,6 +18,12 @@ def make_profile(sigma=0.1, eps=0.1, delta=0.0, g=1.0, m=1.0, ell=1.0,
         rt.FluidViscosity(rt.ViscosityLaw.constant(eps), rt.ViscosityLaw.constant(delta)),
     )
     return rt.build_profile(lower, upper, rho_minus, geom, visc)
+
+
+def dense_spectrum(forms, s):
+    """All generalized eigenvalues of (E0 + s E1, J) by dense LAPACK: an oracle for the banded solvers."""
+    E0, E1, J = forms.dense()
+    return sla.eigh(E0 + s * E1, J, eigvals_only=True)
 
 
 def angular_quadrature(field, x, t):

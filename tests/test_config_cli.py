@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 from pathlib import Path
@@ -246,11 +247,6 @@ class TestCliRuns:
         meta = json.loads((out / "run.json").read_text())
         assert 2 * 6 < meta["factorizations"] <= 15 * 7 and 0 <= meta["bracket_rel_max"] <= 2e-11
         assert (out / "curve.csv").read_text().splitlines()[0] == "xi,lambda,s_star,psi0,residual"
-        # sigma = 0: every frequency is unstable, so a Stable verdict warns
-        with pytest.warns(RuntimeWarning, match="too coarse"):
-            assert main(["mode", "--config", str(cfg_path), "--xi", "1e12",
-                         "--set", "geometry.sigma=0"]) == 0
-        assert json.loads((out / "run.json").read_text())["factorizations"] == 1
 
     def test_verify_quick(self, cfg_path, capsys):
         assert main(["verify", "--config", str(cfg_path), "--quick"]) == 0
@@ -280,13 +276,44 @@ class TestCliRuns:
 
     @pytest.mark.parametrize("command", [["mode", "--xi", "1"], ["dispersion", "--n", "3"]])
     def test_order_one_mesh_runs(self, cfg_path, tmp_path, command):
-        assert main([*command, "--config", str(cfg_path), "--set", "mesh.order=1",
-                     "--set", "mesh.elements_per_side=3"]) == 0
+        # the coarse sweep's sample at xi = 3.099, just below xi_c, resolves no
+        # growth: it is Stable, warns, and is counted
+        sweeping = command[0] == "dispersion"
+        with (pytest.warns(RuntimeWarning, match=r"Q\(1e-08\)") if sweeping
+              else contextlib.nullcontext()):
+            assert main([*command, "--config", str(cfg_path), "--set", "mesh.order=1",
+                         "--set", "mesh.elements_per_side=3"]) == 0
         meta = json.loads((tmp_path / "out" / "run.json").read_text())
-        lam = meta["lambda"] if command[0] == "mode" else meta["Lambda"]
+        lam = meta["Lambda"] if sweeping else meta["lambda"]
         assert math.isfinite(lam) and lam > 0
-        if command[0] == "mode":
+        if sweeping:
+            assert meta["stable_count"] == 1
+        else:
             assert meta["ode_residual"] is None
+
+    def test_stable_mode_records_its_reason(self, cfg_path, tmp_path):
+        meta = lambda: json.loads((tmp_path / "out" / "run.json").read_text())
+        # sigma = 0: every frequency is unstable, so a Stable verdict warns
+        with pytest.warns(RuntimeWarning, match="too coarse"):
+            assert main(["mode", "--config", str(cfg_path), "--xi", "1e12",
+                         "--set", "geometry.sigma=0"]) == 0
+        assert meta()["stable"] == 1 and meta()["factorizations"] == 1
+        assert meta()["stable_reason"] == "modified energy nonnegative as s -> 0"
+        # beyond xi_c = sqrt(10) the window is closed
+        assert main(["mode", "--config", str(cfg_path), "--xi", "5"]) == 0
+        assert "surface tension closes the window" in meta()["stable_reason"]
+
+    def test_stable_sweep_rows_are_counted(self, cfg_path, tmp_path):
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match=r"Q\(1e-08\)"):
+            assert main(["dispersion", "--config", str(cfg_path), "--n", "3",
+                         "--set", "sweep.xi_min=1e-9", "--set", "sweep.xi_max=1e-8"]) == 0
+        meta = json.loads((out / "run.json").read_text())
+        assert meta["Lambda"] == 0.0 and meta["stable_count"] == 3
+        rows = (out / "curve.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1:] for row in rows] == [["0"] * 4] * 3
+        assert main(["dispersion", "--config", str(cfg_path)]) == 0
+        assert json.loads((out / "run.json").read_text())["stable_count"] == 0
 
     def test_empty_synthesis_grid_exits_2(self, cfg_path, capsys):
         assert main(["synthesize", "--config", str(cfg_path), "--grid", "0,2,2"]) == 2

@@ -10,9 +10,10 @@ from scipy.optimize import brentq
 
 import rtmodes as rt
 from rtmodes import eigen
-from rtmodes.eigen import dense_spectrum
 from rtmodes.errors import ConfigurationError, DomainError, VacuumError
 from rtmodes.residuals import jump_residuals, strong_form_residual
+
+from conftest import dense_spectrum
 
 
 def oracle_rate(forms):
@@ -78,7 +79,6 @@ def test_sigma_zero_all_frequencies_unstable(profile_sigma0, mesh32):
 
 def test_fixed_point_residual(mode_xi1):
     assert mode_xi1.fixed_point_residual <= 1e-9
-    assert abs(mode_xi1.s_star - mode_xi1.lam) == 0.0
 
 
 def test_fine_mesh_small_frequency_residual(profile):
@@ -141,8 +141,8 @@ def test_solve_evaluates_the_profile_once(mesh32, monkeypatch):
     assert len(calls) == 1           # a second frequency reuses the mesh's cached forms
     # the diagnostics are computed when read, from the mode's own forms
     phi, psi = m.phi, m.psi
-    assert m.ode_residual == strong_form_residual(profile, mesh32, phi, psi, 1.0, m.s_star, -m.lam**2)
-    assert np.array_equal(m.jump_residuals, jump_residuals(profile, mesh32, phi, psi, 1.0, m.s_star))
+    assert m.ode_residual == strong_form_residual(profile, mesh32, phi, psi, 1.0, m.lam, -m.lam**2)
+    assert np.array_equal(m.jump_residuals, jump_residuals(profile, mesh32, phi, psi, 1.0, m.lam))
     linear = rt.growth_rate(profile, rt.Mesh.uniform(1, 1, 32, order=1), 1.0)
     assert math.isnan(linear.ode_residual)
     assert np.all(np.isfinite(linear.jump_residuals))
@@ -204,10 +204,13 @@ def _admissible_case(draw):
     return profile, rt.Mesh.uniform(1, 1, draw(st.integers(8, 16)), order=2), xi
 
 
-@given(_admissible_case())
+@given(_admissible_case(), st.floats(1.0, 3.0))
 @settings(max_examples=30, deadline=None)
-def test_certified_bracket_on_random_configs(case):
+def test_certified_bracket_on_random_configs(case, beyond):
     profile, mesh, xi = case
+    g, sigma = profile.geometry.g, profile.geometry.sigma
+    if sigma > 0:
+        assert isinstance(rt.growth_rate(profile, mesh, beyond * profile.xi_c), rt.Stable)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         m = rt.growth_rate(profile, mesh, xi)
@@ -222,7 +225,10 @@ def test_certified_bracket_on_random_configs(case):
     terms = [float(x @ (A @ x)) * c for A, c in ((forms.E0, 1.0), (forms.E1, lo), (forms.J, lo**2))]
     assert sum(terms) <= 1e-11 * sum(map(abs, terms))
     assert m.lam == pytest.approx(oracle_rate(forms), abs=5e-9)
-    assert m.lam**2 <= profile.geometry.g * xi
+    assert m.lam**2 <= g * xi
+    assert abs(m.psi0) >= 1e-6
+    if sigma > 0:
+        assert m.lam**2 <= g * (g * profile.rho_jump - sigma * xi**2) / (sigma * xi) + 1e-6
 
 
 @pytest.fixture(scope="module")

@@ -6,9 +6,8 @@ from scipy.integrate import quad
 
 import rtmodes as rt
 from rtmodes.errors import DomainError, LayoutError
-from rtmodes.eigen import dense_spectrum
 
-from conftest import make_profile
+from conftest import dense_spectrum, make_profile
 
 
 def bump_pair(alpha, xi, forms):
@@ -23,9 +22,8 @@ def bump_pair(alpha, xi, forms):
 
 def test_zero_vector_zero_forms(forms_xi1):
     x = np.zeros(forms_xi1.n)
-    assert forms_xi1.e0_value(x) == 0.0
-    assert forms_xi1.e1_value(x) == 0.0
-    assert x @ (forms_xi1.J @ x) == 0.0
+    for M in (forms_xi1.E0, forms_xi1.E1, forms_xi1.J):
+        assert x @ (M @ x) == 0.0
 
 
 def test_symmetry(forms_xi1):
@@ -34,9 +32,7 @@ def test_symmetry(forms_xi1):
         assert asym <= 1e-13 * abs(M).max()
 
 
-def test_replace_copy_starts_with_empty_caches(forms_xi1):
-    forms_xi1.dense()
-    forms_xi1.norms()
+def test_replace_copy_reads_its_own_matrices(forms_xi1):
     copy = dataclasses.replace(forms_xi1, E1=0.0 * forms_xi1.E1)
     assert np.all(copy._bands[1] == 0.0)      # bands come from the copy's own matrices
     assert np.all(copy.dense()[1] == 0.0)
@@ -79,25 +75,25 @@ def test_assembly_matches_dense_oracle(order, sigma):
     mesh = rt.Mesh.uniform(1, 1, 6, order=order)
     for xi in (0.05, 1.0, 3.0):
         forms = rt.assemble(profile, mesh, xi)
-        got = (forms.E0, forms.E1, forms.J, forms.compression)
+        got = (forms.E0, forms.E1, forms.J, forms.compression())
         for M, ref in zip(got, dense_assembly(profile, mesh, xi)):
             assert np.abs(M.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_formsets_share_no_arrays_with_the_cache(profile, mesh32):
-    names = ("E0", "E1", "J", "compression")
+    matrices = lambda f: (f.E0, f.E1, f.J, f.compression())
     first = rt.assemble(profile, mesh32, 1.0)
-    ref = [getattr(first, k).toarray() for k in names]
-    for k in names:
-        getattr(first, k).data[:] = np.nan
+    old = matrices(first)
+    ref = [M.toarray() for M in old]
+    for M in old:
+        M.data[:] = np.nan
     for b in first._bands:
         b[:] = np.nan
     again = rt.assemble(profile, mesh32, 1.0)
-    for k, R in zip(names, ref):
-        M, old = getattr(again, k), getattr(first, k)
+    for M, O, R in zip(matrices(again), old, ref):
         assert np.array_equal(M.toarray(), R)
         for a in ("data", "indices", "indptr"):
-            assert not np.shares_memory(getattr(M, a), getattr(old, a))
+            assert not np.shares_memory(getattr(M, a), getattr(O, a))
     assert all(np.all(np.isfinite(b)) for b in again._bands)
 
 
@@ -124,39 +120,35 @@ def test_bump_energy_matches_quadrature_oracle(profile, mesh64):
         oracle += profile.geometry.g * quad(
             lambda t: profile.density(t, side=side) * psi(t) * dpsi(t), a, b, limit=200
         )[0]
-    assert forms.e0_value(x) == pytest.approx(oracle, abs=2e-6)
-
-
-def test_form_value_decomposition_and_monotonicity(forms_xi1, rng):
-    x = rng.standard_normal(forms_xi1.n)
-    b = forms_xi1.e0_value(x)
-    a = forms_xi1.e1_value(x)
-    assert rt.form_value(forms_xi1, x, 0.0) == pytest.approx(b, rel=1e-12)
-    assert rt.form_value(forms_xi1, x, 1.0) == pytest.approx(a + b, rel=1e-12)
-    assert rt.form_value(forms_xi1, x, 2.0) > rt.form_value(forms_xi1, x, 1.0)
-    with pytest.raises(DomainError):
-        rt.form_value(forms_xi1, x, -1.0)
+    assert x @ (forms.E0 @ x) == pytest.approx(oracle, abs=2e-6)
 
 
 def test_bump_pair_negative_at_small_s(forms_xi1):
     # sigma xi^2 = 0.1 < g [rho0] = 1: the window is open at xi = 1
     x, _, _ = bump_pair(12.0, forms_xi1.xi, forms_xi1)
     x = x / np.sqrt(x @ (forms_xi1.J @ x))
-    assert rt.form_value(forms_xi1, x, 1e-4) < 0
+    assert x @ ((forms_xi1.E0 + 1e-4 * forms_xi1.E1) @ x) < 0
 
 
 def test_completed_square_identity_and_rate(profile, rng):
+    # E0 assembled independently from the squared (nonnegative) form: the
+    # compression square plus the psi(0) point mass (sigma xi^2 - g [rho0]) / 2.
+    # They agree up to the quadrature consistency error of the steady-state
+    # integration by parts, O(h^{2p})
+    geom = profile.geometry
     errs = []
     for n_el in (32, 64):
         mesh = rt.Mesh.uniform(1, 1, n_el, order=2)
         forms = rt.assemble(profile, mesh, 1.0)
-        cs = forms.completed_square_E0()
+        C = forms.compression()
+        mass = (geom.sigma * forms.xi**2 - geom.g * profile.rho_jump) / 2.0
         worst = 0.0
         r = np.random.default_rng(7)
         for _ in range(6):
             x = r.standard_normal(forms.n)
             x /= np.sqrt(x @ (forms.J @ x))
-            worst = max(worst, abs(forms.e0_value(x) - float(x @ (cs @ x))))
+            square = float(x @ (C @ x)) + mass * x[forms.psi0_dof] ** 2
+            worst = max(worst, abs(float(x @ (forms.E0 @ x)) - square))
         errs.append(worst)
     h = 2.0 / 32
     assert errs[0] <= 5.0 * h**2            # discretization-error sized
@@ -205,7 +197,9 @@ def test_dof_layout_roundtrip(forms_xi1, rng):
 
 def test_layout_errors(forms_xi1):
     with pytest.raises(LayoutError):
-        forms_xi1.e0_value(np.ones(3))
+        forms_xi1.to_nodal(np.ones(3))
+    with pytest.raises(LayoutError):
+        forms_xi1.psi_trace(np.ones(3))
     with pytest.raises(LayoutError):
         forms_xi1.from_nodal(np.ones(4), np.ones(4))
 
