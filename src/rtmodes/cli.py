@@ -194,8 +194,6 @@ def _cmd_synthesize(config, args):
     profile = config.profile()
     mesh = config.mesh()
     times = args.t or [0.0]
-    outdir = Path(config["output.dir"]) / (args.out or "fields")
-    outdir.mkdir(parents=True, exist_ok=True)
 
     if args.periodic:
         L = config.get("geometry.L")
@@ -222,6 +220,10 @@ def _cmd_synthesize(config, args):
     grid = (np.linspace(-extent, extent, nx), np.linspace(-extent, extent, ny),
             np.linspace(-geom.m, geom.ell, nz))
     header = ["x1", "x2", "x3", "eta1", "eta2", "eta3", "v1", "v2", "v3", "q"]
+    for t in times:
+        field.growth_factor(t)      # an overflowing time fails before any file is written
+    outdir = Path(config["output.dir"]) / (args.out or "fields")
+    outdir.mkdir(parents=True, exist_ok=True)
     for t in times:
         cols = field.sample(grid, t)
         path = outdir / ("t%g.csv" % t)

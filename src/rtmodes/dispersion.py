@@ -43,8 +43,10 @@ class ModeSolution:
 
     phi, psi are nodal profiles of the J-normalized minimizer; theta
     vanishes identically in this frame and is reintroduced by rotation in
-    the synthesis stage.  The residual diagnostics are computed from
-    ``forms`` each time they are read.
+    the synthesis stage.  A solution keeps its data, not its pencil: the
+    residual diagnostics are computed from ``profile`` and ``mesh`` each
+    time they are read, and ``forms`` re-assembles the pencil of the solve
+    on each access.
     """
 
     xi: np.ndarray                # 2D frequency vector, reduced frame
@@ -56,24 +58,34 @@ class ModeSolution:
     bracket: tuple                # certified (lo, hi) around lambda; lam = hi factors
     factorizations: int           # banded Cholesky factorizations of Q(s)
     minimizer: np.ndarray = field(repr=False)
-    forms: object = field(repr=False)
+    profile: object = field(repr=False)
+    mesh: object = field(repr=False)
 
     @property
     def xi_mag(self):
         return float(np.hypot(self.xi[0], self.xi[1]))
 
     @property
+    def forms(self):
+        """The pencil of the solve, re-assembled from the per-mesh cache on each access.
+
+        Each read returns a new FormSet, bit-identical to the one solved;
+        the solution caches none, so hold the result while it is needed.
+        """
+        return assemble(self.profile, self.mesh, self.xi_mag)
+
+    @property
     def ode_residual(self):
         """Strong-form defect of (phi, psi); nan on order-1 meshes (no pointwise second derivative)."""
-        if self.forms.mesh.order < 2:
+        if self.mesh.order < 2:
             return math.nan
-        return strong_form_residual(self.forms.profile, self.forms.mesh, self.phi, self.psi,
+        return strong_form_residual(self.profile, self.mesh, self.phi, self.psi,
                                     self.xi_mag, self.lam, -self.lam**2)
 
     @property
     def jump_residuals(self):
         """Defects of the four interface conditions; see :func:`residuals.jump_residuals`."""
-        return jump_residuals(self.forms.profile, self.forms.mesh, self.phi, self.psi,
+        return jump_residuals(self.profile, self.mesh, self.phi, self.psi,
                               self.xi_mag, self.lam)
 
 
@@ -134,7 +146,8 @@ def growth_rate(profile, mesh, xi_mag):
         bracket=(s_lo, lam),
         factorizations=count + 2,
         minimizer=x,
-        forms=forms,
+        profile=profile,
+        mesh=mesh,
     )
 
 

@@ -14,6 +14,7 @@ consistency of the integrator and vanishes under step refinement.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,8 @@ class ModeTrajectory:
     accumulates dt * u_dot_m^T E1 u_dot_m at the midpoint states (exact
     ledger), dissipated_trap the trapezoid of endpoint powers.  norm1_sq,
     norm2_sq hold u^T (2J) u and u^T (2E1) u; *_dot the same for u_dot.
+    states_u, states_v hold the states at state_times, one row each: by
+    default only the first and the last (see :func:`integrate`).
     """
 
     forms: object
@@ -92,9 +95,16 @@ def integrate(forms, u0, v0, dt, T, store_every=None):
     u += dt wm, w = 2 wm - w.  One stacked mat-vec [J; E1; E0] wm per step
     carries the products J u, E1 u, E0 u, J w, E1 w through the same linear
     updates and gives the midpoint power; every other update is in place.
+
+    The ledgers cover every step.  States are stored at steps 0 and N only,
+    or, with ``store_every = k`` (an integer >= 1), at steps 0, k, 2k, ...
+    and N, written straight into preallocated arrays.
     """
     if dt <= 0 or T < dt:
         raise DomainError("need dt > 0 and T >= dt")
+    if store_every is not None and not (isinstance(store_every, numbers.Integral)
+                                        and store_every >= 1):
+        raise DomainError("store_every must be an integer >= 1, got %r" % (store_every,))
     u = forms._check(u0).copy()
     w = forms._check(v0).copy()
     steps = T / dt
@@ -105,8 +115,7 @@ def integrate(forms, u0, v0, dt, T, store_every=None):
     except (OverflowError, ValueError, MemoryError):
         raise DomainError("dt = %g and T = %g need %.6g steps, more than can be stored"
                           % (dt, T, steps)) from None
-    if store_every is None:
-        store_every = max(1, n_steps // 256)
+    every = n_steps if store_every is None else int(store_every)
 
     kind, solve = _step_solver(forms, dt)
     n = forms.n
@@ -118,18 +127,20 @@ def integrate(forms, u0, v0, dt, T, store_every=None):
     du = np.empty(n)
 
     nt = n_steps + 1
-    st_idx = []
-    st_u = []
-    st_v = []
+    stored = list(range(0, nt, every))
+    if stored[-1] != n_steps:
+        stored.append(n_steps)
+    states_u = np.empty((len(stored), n))
+    states_v = np.empty((len(stored), n))
 
     def record(i):
         row = ledger[i]
         np.dot(Pu, u, out=row[:3])
         np.dot(Pw, w, out=row[3:5])
-        if i % store_every == 0 or i == n_steps:
-            st_idx.append(i)
-            st_u.append(u.copy())
-            st_v.append(w.copy())
+        if i % every == 0 or i == n_steps:
+            k = -1 if i == n_steps else i // every
+            states_u[k] = u
+            states_v[k] = w
         return row
 
     record(0)
@@ -164,8 +175,8 @@ def integrate(forms, u0, v0, dt, T, store_every=None):
         dissipated_mid=dmid, dissipated_trap=dtrap,
         norm1_sq=2.0 * ledger[:, 0], norm2_sq=2.0 * ledger[:, 1],
         norm1_dot_sq=2.0 * ledger[:, 3], norm2_dot_sq=n2d,
-        state_times=dt * np.asarray(st_idx, dtype=float),
-        states_u=np.asarray(st_u), states_v=np.asarray(st_v),
+        state_times=dt * np.asarray(stored, dtype=float),
+        states_u=states_u, states_v=states_v,
     )
 
 
@@ -305,7 +316,7 @@ def periodic_stability_check(profile, mesh, L, data, T, dt=0.025):
         k1, k2 = spectral_k_constants(forms, np.asarray(u0, float), np.asarray(v0, float))
         K1 += k1
         K2 += k2
-        traj = integrate(forms, u0, v0, dt, T, store_every=10**9)
+        traj = integrate(forms, u0, v0, dt, T)
         if times is None:
             times = traj.times
             n1_sq = np.zeros_like(times)

@@ -59,7 +59,7 @@ def extend_to_plane(mode, xi_vec):
     return NormalMode3D(
         xi=xi_vec, lam=mode.lam,
         phi=c * mode.phi, theta=s * mode.phi, psi=mode.psi.copy(),
-        mesh=mode.forms.mesh,
+        mesh=mode.mesh,
     )
 
 
@@ -85,6 +85,15 @@ class BumpProfile:
         inside = np.abs(u) < 1.0
         out[inside] = self.amp * np.exp(-1.0 / (1.0 - u[inside] ** 2))
         return out if out.ndim else float(out)
+
+
+def _growth_factor(lam, t):
+    """e^{lam t}; DomainError when it overflows a float, where every field would be inf or nan."""
+    try:
+        return math.exp(lam * t)
+    except OverflowError:
+        raise DomainError("t = %g is too late for the growth rate %.6g: e^{lambda t} overflows"
+                          % (t, lam)) from None
 
 
 def _as_points(x):
@@ -193,13 +202,17 @@ class PeriodicField:
             [self.profile.density(xs, side=s), mesh.eval_nodal(m3.psi, xs, side=s, deriv=1)],
             axis=-1)).T
         phase = pts[:, 0] * self.xi1[0] + pts[:, 1] * self.xi1[1]
-        amp = math.exp(self.Lambda_L * t)
+        amp = self.growth_factor(t)
         shape = np.asarray(x).shape
         eta = amp * np.stack(
             [2 * f * np.sin(phase), 2 * th * np.sin(phase), 2 * p * np.cos(phase)], axis=-1
         ).reshape(shape)
         q = -rho * 2 * (self.mode.xi_mag * phi_r + pp) * np.cos(phase)
         return eta, self.Lambda_L * eta, amp * q.reshape(shape[:-1])
+
+    def growth_factor(self, t):
+        """e^{Lambda_L t}, the amplitude at time t; DomainError where it overflows."""
+        return _growth_factor(self.Lambda_L, t)
 
     def eta(self, x, t=0.0):
         return self._evaluate(x, t)[0]
@@ -292,6 +305,7 @@ class NonperiodicField:
         """
         from scipy.special import j0, j1   # here, so that importing rtmodes skips scipy.special
 
+        self.growth_factor(t)       # refuse a time at which the sums would be inf or nan
         pts = _as_points(x)
         rho, heights = self._mode_heights(pts[:, 2])
         s = np.hypot(pts[:, 0], pts[:, 1])
@@ -311,6 +325,10 @@ class NonperiodicField:
         eta = np.column_stack([eta_h[:, None] * direction, eta3])
         vel = np.column_stack([vel_h[:, None] * direction, vel3])
         return eta.reshape(shape), vel.reshape(shape), qf.reshape(shape[:-1])
+
+    def growth_factor(self, t):
+        """e^{lambda t} of the fastest radial node; DomainError where it overflows."""
+        return _growth_factor(float(self.lam.max()), t)
 
     def eta(self, x, t=0.0):
         return self._evaluate(x, t)[0]

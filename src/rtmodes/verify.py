@@ -102,13 +102,14 @@ def run_battery(config, quick=False):
         best = max(lam_by_mag.values(), key=lambda r: r.lam)
         lam = best.lam
         u0, v0 = mode_initial_data(best)
-        traj = integrate(best.forms, u0, v0, 1e-3 / lam, 3.0 / lam)
+        best_forms = best.forms
+        traj = integrate(best_forms, u0, v0, 1e-3 / lam, 3.0 / lam)
         growth = 0.5 * math.log(traj.norm1_sq[-1] / traj.norm1_sq[0])
         out.append(_check("mode e^{lambda t} growth log-error",
                           abs(growth - lam * traj.times[-1]) / (lam * traj.times[-1]), 0.01))
         out.append(_check("energy identity defect (midpoint ledger)",
                           energy_identity_check(traj, "midpoint"), 1e-6))
-        ok, ev = growth_bound_check(best.forms, lam)
+        ok, ev = growth_bound_check(best_forms, lam)
         out.append(_check("pencil PSD at Lambda=lambda", abs(ev), 1e-7))
 
     if not quick and math.isfinite(xi_c):

@@ -72,6 +72,26 @@ def assert_matches_angular_quadrature(field, x, t):
         assert np.allclose(part.real, value, rtol=0.0, atol=1e-12 * np.abs(value).max())
 
 
+def reachable_formsets(root):
+    """Every FormSet reachable from root through attributes and containers."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (np.ndarray, str, bytes, int, float)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, rt.FormSet):
+            found.append(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return found
+
+
 @pytest.fixture(scope="session")
 def profile():
     return make_profile()

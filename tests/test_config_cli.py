@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,17 @@ class TestCliRuns:
         assert [row.split(",")[1:] for row in rows] == [["0"] * 4] * 3
         assert main(["dispersion", "--config", str(cfg_path)]) == 0
         assert json.loads((out / "run.json").read_text())["stable_count"] == 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", [[], ["--periodic", "--set", "geometry.L=1.5"]])
+    def test_overflowing_synthesis_time_exits_2(self, cfg_path, tmp_path, capsys, kind):
+        # e^{0.28 * 3000} is not a float: no field of NaNs, no traceback, and no
+        # file even for the earlier time t = 0
+        assert main(["synthesize", "--config", str(cfg_path), "--grid", "2,1,1",
+                     "--set", "synthesis.radial_nodes=2", *kind, "--t", "0,3000"]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"t = 3000 .*growth rate 0\.2\d+", err), err
+        assert not (tmp_path / "out" / "fields").exists()
 
     def test_empty_synthesis_grid_exits_2(self, cfg_path, capsys):
         assert main(["synthesize", "--config", str(cfg_path), "--grid", "0,2,2"]) == 2

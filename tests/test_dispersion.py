@@ -13,7 +13,7 @@ from rtmodes import eigen
 from rtmodes.errors import ConfigurationError, DomainError, VacuumError
 from rtmodes.residuals import jump_residuals, strong_form_residual
 
-from conftest import dense_spectrum
+from conftest import dense_spectrum, reachable_formsets
 
 
 def oracle_rate(forms):
@@ -139,13 +139,40 @@ def test_solve_evaluates_the_profile_once(mesh32, monkeypatch):
     assert len(calls) == 1           # the assembly's Gauss points; no residual is computed
     rt.growth_rate(profile, mesh32, 2.0)
     assert len(calls) == 1           # a second frequency reuses the mesh's cached forms
-    # the diagnostics are computed when read, from the mode's own forms
+    # the diagnostics are computed when read, from the mode's profile and mesh
     phi, psi = m.phi, m.psi
     assert m.ode_residual == strong_form_residual(profile, mesh32, phi, psi, 1.0, m.lam, -m.lam**2)
     assert np.array_equal(m.jump_residuals, jump_residuals(profile, mesh32, phi, psi, 1.0, m.lam))
     linear = rt.growth_rate(profile, rt.Mesh.uniform(1, 1, 32, order=1), 1.0)
     assert math.isnan(linear.ode_residual)
     assert np.all(np.isfinite(linear.jump_residuals))
+
+
+def test_results_hold_no_pencil(profile, mesh32):
+    # a solve's FormSet is dropped once its data are extracted
+    results = {
+        "growth_rate": rt.growth_rate(profile, mesh32, 1.0),
+        "argmax_mode": rt.sweep(profile, mesh32, 0.5, 3.0, n=4).argmax_mode,
+        "lattice modes": rt.lattice_modes(profile, mesh32, 1.0).modes,
+    }
+    for name, result in results.items():
+        assert reachable_formsets(result) == [], name
+    assert len(reachable_formsets([rt.assemble(profile, mesh32, 1.0)])) == 1   # the walk finds one
+
+
+def test_mode_forms_reassemble_the_solved_pencil(profile, mesh32):
+    m = rt.growth_rate(profile, mesh32, 1.3)
+    forms = m.forms
+    ref = rt.assemble(m.profile, m.mesh, m.xi_mag)
+    assert forms is not m.forms
+    for name in ("E0", "E1", "J"):
+        A, B = getattr(forms, name), getattr(ref, name)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(A, part), getattr(B, part)), (name, part)
+    for a, b in zip(forms._bands, ref._bands, strict=True):
+        assert np.array_equal(a, b)
+    # (lambda^2 J + lambda E1 + E0) x = 0 holds on the re-assembled pencil
+    assert rt.pencil_consistency(forms, m) <= 1e-8
 
 
 def test_invalid_frequency(profile, mesh32):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,43 @@ def test_integrate_validates_steps(forms_xi1):
     # 1e300 steps: refused before the ledger is allocated
     with pytest.raises(DomainError, match="dt = 1e-300 and T = 1 need 1e\\+300 steps"):
         rt.integrate(forms_xi1, z, z, 1e-300, 1.0)
+
+
+def test_default_stores_first_and_last_state(forms_xi1, rng):
+    u0, v0 = rng.standard_normal(forms_xi1.n), rng.standard_normal(forms_xi1.n)
+    every = rt.integrate(forms_xi1, u0, v0, 0.01, 1.0, store_every=1)
+    traj = rt.integrate(forms_xi1, u0, v0, 0.01, 1.0)
+    assert np.array_equal(traj.state_times, every.times[[0, -1]])
+    assert np.array_equal(traj.states_u, every.states_u[[0, -1]])
+    assert np.array_equal(traj.states_v, every.states_v[[0, -1]])
+    for k in (7, np.int64(25), 100, 10**9):
+        sub = rt.integrate(forms_xi1, u0, v0, 0.01, 1.0, store_every=k)
+        idx = sorted(set(range(0, 101, int(k))) | {100})
+        assert np.array_equal(sub.state_times, every.times[idx]), k
+        assert np.array_equal(sub.states_u, every.states_u[idx]), k
+        assert np.array_equal(sub.states_v, every.states_v[idx]), k
+
+
+@pytest.mark.parametrize("store_every", [0, -3, 2.5, "4"])
+def test_store_every_must_be_a_positive_integer(forms_xi1, store_every):
+    z = np.zeros(forms_xi1.n)
+    with pytest.raises(DomainError, match="store_every"):
+        rt.integrate(forms_xi1, z, z, 0.01, 1.0, store_every=store_every)
+
+
+def test_default_integrate_peak_memory(mode_xi1):
+    # 3000 steps at 64 elements per side: the ledger is 3001 x 6 floats (144 kB);
+    # a stored state per step or a snapshot list would add megabytes
+    forms = mode_xi1.forms
+    u0, v0 = rt.mode_initial_data(mode_xi1)
+    tracemalloc.start()
+    try:
+        traj = rt.integrate(forms, u0, v0, 1e-3, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == 3001 and forms.n == 510
+    assert peak < 1e6
 
 
 _L_SMALL = 0.3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rtmodes as rt
-from conftest import assert_matches_angular_quadrature
+from conftest import assert_matches_angular_quadrature, reachable_formsets
 from rtmodes.errors import ConfigurationError, DomainError
 
 
@@ -37,7 +37,7 @@ def test_w_hat_complex_structure(mode_xi1):
     m3 = rt.extend_to_plane(mode_xi1, np.array([0.6, 0.8]))
     x3 = np.array([-0.5, 0.25])
     w = m3.w_hat(x3)
-    mesh = mode_xi1.forms.mesh
+    mesh = mode_xi1.mesh
     assert np.allclose(w[:, 0], -1j * 0.6 * mesh.eval_nodal(mode_xi1.phi, x3))
     assert np.allclose(w[:, 1], -1j * 0.8 * mesh.eval_nodal(mode_xi1.phi, x3))
     assert np.allclose(w[:, 2], mesh.eval_nodal(mode_xi1.psi, x3))
@@ -183,6 +183,10 @@ class TestNonperiodic:
 
     def test_interface_displacement_nonzero(self, np_field):
         assert np_field.interface_displacement_l2() >= 1e-8
+
+    def test_modes_hold_no_pencil(self, np_field):
+        assert len(np_field.modes) == 10
+        assert reachable_formsets(np_field.modes) == []
 
     def test_zero_amplitude_zero_norm(self, profile, mesh32):
         f0 = rt.BumpProfile(0.3 * profile.xi_c, 0.7 * profile.xi_c, amp=0.0)
