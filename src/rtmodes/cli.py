@@ -205,11 +205,8 @@ def _cmd_synthesize(config, args):
         headline = {"Lambda_L": field.Lambda_L,
                     "xi1_k1": field.xi1[0] * L, "xi1_k2": field.xi1[1] * L}
     else:
-        a, b = config.get("synthesis.f.a"), config.get("synthesis.f.b")
-        if a is None or b is None:
-            edges = BumpProfile.default(profile.xi_c)   # each missing edge takes its own default
-            a, b = config.get("synthesis.f.a", edges.a), config.get("synthesis.f.b", edges.b)
-        f = BumpProfile(a, b, amp=config["synthesis.f.amp"])
+        f = BumpProfile.default(profile.xi_c, config.get("synthesis.f.a"),
+                                config.get("synthesis.f.b"), amp=config["synthesis.f.amp"])
         field = NonperiodicField(profile, mesh, f, n_radial=config["synthesis.radial_nodes"])
         extent = config.get("synthesis.grid.extent", math.pi / f.a)
         headline = {"lambda0": field.lambda0, "Lambda_nodes": field.Lambda,

@@ -47,7 +47,8 @@ KEYS = {
     "sweep.n": (int, 48, "log-spaced frequency samples in a dispersion sweep (dispersion --n)"),
     "sweep.xi_min": (float, None, "lowest frequency (default 0.02 xi_c)"),
     "sweep.xi_max": (float, None, "highest frequency (default 0.98 xi_c)"),
-    "lattice.xi_max": (float, None, "frequency cap > 0, required by sigma = 0 lattices"),
+    "lattice.xi_max": (float, None, "frequency cap > 0: lattices keep |xi| < min(xi_c, xi_max); "
+                                    "required by sigma = 0"),
     "mode.xi": (float, 1.0, "frequency magnitude for single-mode solves (mode --xi)"),
     "synthesis.f.a": (float, None, "bump support lower edge (default 0.3 xi_c)"),
     "synthesis.f.b": (float, None, "bump support upper edge (default 0.7 xi_c)"),

@@ -259,29 +259,44 @@ class LatticeResult:
     def unstable_count(self):
         return int(np.sum(self.points[:, 3] > 0)) if self.points.size else 0
 
+    def argmax(self):
+        """((k1, k2), mode): the largest lattice vector of the fastest magnitude, and its mode.
+
+        Its negation is the conjugate partner.  ConfigurationError when no
+        lattice mode grows (a stability certificate, or only Stable magnitudes).
+        """
+        if self.certificate or self.Lambda_L <= 0:
+            raise ConfigurationError("lattice carries no growing mode (stability certificate)")
+        mag = self.magnitudes[int(np.argmax(self.rates))]
+        k1, k2 = max((int(k1), int(k2)) for k1, k2, m, _ in self.points
+                     if _magnitude_key(m) == mag)
+        return (k1, k2), self.modes[float(mag)]
+
+
+def _magnitude_key(mag):
+    """Lattice points whose magnitudes agree to 12 decimals share one solve."""
+    return round(float(mag), 12)
+
 
 def lattice_modes(profile, mesh, L, xi_max=None):
     """Enumerate unstable lattice frequencies and their rates.
 
     Rates depend on |xi| only, so lattice points are grouped by magnitude
-    and each magnitude is solved once.  For sigma > 0 the enumeration is
-    capped by xi_c; for sigma = 0 a finite cap ``xi_max`` must be supplied,
-    and a cap that admits no lattice point is an error, not a certificate.
-    When sigma > 0 and L <= L_c = sqrt(sigma / (g [rho0])) the unstable set is
-    empty and a stability certificate is returned.
+    and each magnitude is solved once.  The enumeration is capped by
+    min(xi_c, xi_max), where xi_c is inf when sigma = 0 (a finite ``xi_max``
+    is then required).  When sigma > 0 and L <= L_c = sqrt(sigma / (g [rho0]))
+    no lattice magnitude lies below xi_c, the unstable set is empty and a
+    stability certificate is returned.  Any other cap that admits no lattice
+    point is an error, not a certificate.
     """
     if L <= 0:
         raise ConfigurationError("period scale L must be > 0")
-    sigma = profile.geometry.sigma
-    if sigma > 0:
-        # the small-period dichotomy is on L itself: at or below L_c
-        # the smallest nonzero magnitude 1/L already reaches xi_c, so the cap
-        # admits no lattice point and the certificate below is returned
-        cap = profile.xi_c if L > profile.L_c else 0.0
-    else:
-        if xi_max is None:
-            raise ConfigurationError("sigma = 0 leaves the lattice unbounded; pass xi_max")
-        cap = float(xi_max)
+    if xi_max is None and profile.geometry.sigma == 0:
+        raise ConfigurationError("sigma = 0 leaves the lattice unbounded; pass xi_max")
+    # the small-period dichotomy is on L itself: at or below L_c the smallest
+    # nonzero magnitude 1/L already reaches xi_c, so no lattice point is unstable
+    xi_c = profile.xi_c if L > profile.L_c else 0.0
+    cap = min(xi_c, math.inf if xi_max is None else float(xi_max))
 
     kmax = int(math.floor(cap * L)) + 1
     pts = []
@@ -294,7 +309,7 @@ def lattice_modes(profile, mesh, L, xi_max=None):
                 pts.append((k1, k2, mag))
 
     if not pts:
-        if sigma == 0:
+        if 1.0 / L < xi_c:      # (1, 0) lies below xi_c, so xi_max emptied the lattice
             raise ConfigurationError(
                 "xi_max = %g admits no lattice frequency: the smallest lattice "
                 "magnitude is 1/L = %g" % (cap, 1.0 / L))
@@ -303,7 +318,7 @@ def lattice_modes(profile, mesh, L, xi_max=None):
             Lambda_L=0.0, certificate=True,
         )
 
-    mags = sorted({round(p[2], 12) for p in pts})
+    mags = sorted({_magnitude_key(p[2]) for p in pts})
     rate_of = {}
     modes = {}
     for m in mags:
@@ -313,7 +328,7 @@ def lattice_modes(profile, mesh, L, xi_max=None):
         else:
             rate_of[m] = r.lam
             modes[m] = r
-    rows = [(k1, k2, mag, rate_of[round(mag, 12)]) for k1, k2, mag in pts]
+    rows = [(k1, k2, mag, rate_of[_magnitude_key(mag)]) for k1, k2, mag in pts]
     rows.sort(key=lambda t: (t[2], t[0], t[1]))
     points = np.array(rows)
     rates = np.array([rate_of[m] for m in mags])

@@ -8,11 +8,17 @@ bump f of frequencies over an annulus inside (0, xi_c).  Their radial
 integral is a Gauss-Legendre rule; the angular integral is exact, since f
 and lambda depend on |xi| only and it reduces to the Bessel functions J0
 and J1 of |xi| |x_h|.  Norms live in the piecewise Sobolev spaces: full
-regularity on each fluid domain, none across the interface.
+regularity on each fluid domain, none across the interface.  Both fields
+share one height evaluator, :func:`_heights`, and one norm path: one
+``profile.fields`` call per field gives five integrals per mode
+(:func:`_profile_norms`), and :func:`_sobolev_norm` weights them with
+e^{Lambda t} of the fastest mode factored out, so a norm is finite wherever
+``growth_factor(t)`` is.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,8 +26,6 @@ from .dispersion import Stable, growth_rate, lattice_modes
 from .errors import ConfigurationError, DomainError
 from .profile import by_side
 from .residuals import ode_second_derivatives
-
-_MAX_SOBOLEV_ORDER = 2   # x3-derivative bootstrap depth for (phi, psi)
 
 
 @dataclass
@@ -72,11 +76,11 @@ class BumpProfile:
         self.a, self.b, self.amp = float(a), float(b), float(amp)
 
     @classmethod
-    def default(cls, xi_c, amp=1.0):
-        """Supported on the middle 40% of (0, xi_c)."""
-        if not math.isfinite(xi_c):
+    def default(cls, xi_c, a=None, b=None, amp=1.0):
+        """Each missing edge defaults to the middle 40% of (0, xi_c): a = 0.3 xi_c, b = 0.7 xi_c."""
+        if (a is None or b is None) and not math.isfinite(xi_c):
             raise ConfigurationError("default bump needs a finite xi_c; pass a, b explicitly")
-        return cls(0.3 * xi_c, 0.7 * xi_c, amp)
+        return cls(0.3 * xi_c if a is None else a, 0.7 * xi_c if b is None else b, amp)
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -115,92 +119,82 @@ def _sample(evaluate, grid):
     return cols
 
 
-class _ModeProfileTable:
-    """Gauss-point samples of a mode and its x3-derivatives over both fluids.
-
-    Gauss points never lie on an element break, so one ``profile.fields``
-    call and side-free nodal evaluations give each fluid's own values; the
-    integrals below are piecewise (no regularity across the interface)
-    without a per-side split.
+def _heights(profile, mesh, x3, values, slopes):
+    """rho0, each nodal field of ``values``, and the x3-derivative of each of
+    ``slopes`` at heights x3.  One :func:`by_side` pass takes rho0 and the
+    slopes from each point's own fluid; the values are continuous across it.
     """
-
-    def __init__(self, profile, mesh, lam, phi, psi, xi):
-        xq = mesh.quad_x.ravel()
-        self.weights = mesh.quad_w.ravel()
-        fields = profile.fields(xq)
-        self.phi, self.psi = ode_second_derivatives(
-            fields, profile.geometry.g, mesh, phi, psi, xi, lam, -lam**2, xq)
-        self.rho, self.rho_prime = fields["rho"], fields["rho_prime"]
-
-    def w_sq_integral(self, j):
-        """int over both sides of (d^j phi)^2 + (d^j psi)^2."""
-        if j > _MAX_SOBOLEV_ORDER:
-            raise DomainError("x3-derivative order %d exceeds the bootstrap depth" % j)
-        return float(np.sum(self.weights * (self.phi[j] ** 2 + self.psi[j] ** 2)))
-
-    def q_sq_integral(self, j, r):
-        """int of (d^j q-profile)^2 with q-profile = -rho0 (r phi + psi')."""
-        if j > 1:
-            raise DomainError("q-profile derivatives available up to order 1")
-        base = r * self.phi[0] + self.psi[1]
-        if j == 0:
-            q = self.rho * base
-        else:
-            q = self.rho_prime * base + self.rho * (r * self.phi[1] + self.psi[2])
-        return float(np.sum(self.weights * q**2))
+    sided = by_side(x3, lambda xs, s: np.stack(
+        [profile.density(xs, side=s)] + [mesh.eval_nodal(a, xs, side=s, deriv=1) for a in slopes],
+        axis=-1))
+    return sided[:, 0], [mesh.eval_nodal(a, x3) for a in values], sided[:, 1:].T
 
 
-def _sobolev_weighted(table, which, k, r, lam, t, coeff):
-    """Sum_j (1 + r^2)^{k-j} ||d^j profile||^2 with the field's amplitude."""
-    amp = coeff * math.exp(lam * t)
-    if which == "v":
-        amp *= lam
-    total = 0.0
-    for j in range(k + 1):
-        if which == "q":
-            d = table.q_sq_integral(j, r)
-        else:
-            d = table.w_sq_integral(j)
-        total += (1.0 + r**2) ** (k - j) * d
-    return amp**2 * total
+def _profile_norms(profile, mesh, modes):
+    """Five piecewise integrals per mode, from one ``profile.fields`` call.
+
+    Row k holds, for ``modes[k]``, int (d^j phi)^2 + (d^j psi)^2 for j = 0, 1, 2,
+    then int (d^j q)^2 for j = 0, 1 with q = -rho0 (|xi| phi + psi'); the second
+    derivatives come from the strong-form ODEs.  Gauss points never lie on an
+    element break, so side-free evaluations give each fluid's own values.
+    """
+    xq = mesh.quad_x.ravel()
+    wq = mesh.quad_w.ravel()
+    fields = profile.fields(xq)
+    rho, rho_p = fields["rho"], fields["rho_prime"]
+    out = np.empty((len(modes), 5))
+    for row, m in zip(out, modes):
+        r = m.xi_mag
+        phi, psi = ode_second_derivatives(
+            fields, profile.geometry.g, mesh, m.phi, m.psi, r, m.lam, -m.lam**2, xq)
+        base = r * phi[0] + psi[1]
+        q = (rho * base, rho_p * base + rho * (r * phi[1] + psi[2]))
+        row[:] = [np.sum(wq * (phi[j] ** 2 + psi[j] ** 2)) for j in range(3)] + [
+            np.sum(wq * qj**2) for qj in q]
+    return out
+
+
+def _sobolev_norm(norms, weights, modes, which, k, t):
+    """sqrt(sum over modes of weight (a e^{lambda t})^2 sum_j (1 + r^2)^{k-j} ||d^j .||^2).
+
+    ``norms`` is :func:`_profile_norms` of ``modes``; a = lambda for v and 1
+    otherwise.  eta and v have x3-derivatives up to order 2, q up to order 1.
+    The largest e^{lambda t} is factored out of the sum, so the norm overflows
+    only where that factor does, with the DomainError of ``growth_factor``.
+    """
+    if which not in ("eta", "v", "q"):
+        raise DomainError("which must be eta, v, or q")
+    first, depth = (3, 1) if which == "q" else (0, 2)
+    if not 0 <= k <= depth:
+        raise DomainError("%s has x3-derivatives up to order %d, not %d" % (which, depth, k))
+    lam = np.array([m.lam for m in modes])
+    r = np.array([m.xi_mag for m in modes])
+    dominant = float(lam.max() if t >= 0 else lam.min())   # largest e^{lambda t}
+    growth = _growth_factor(dominant, t)
+    amp = np.exp((lam - dominant) * t) * (lam if which == "v" else 1.0)
+    total = sum((1.0 + r**2) ** (k - j) * norms[:, first + j] for j in range(k + 1))
+    return growth * math.sqrt(float(np.sum(weights * amp**2 * total)))
 
 
 class PeriodicField:
     """Conjugate pair of maximizing lattice modes: exact normal-mode growth."""
 
     def __init__(self, profile, mesh, L, lattice=None):
-        if profile.geometry.sigma > 0 and L <= profile.L_c:
-            raise ConfigurationError(
-                "period scale L is inside the stability certificate: "
-                "no growing lattice mode exists"
-            )
         if lattice is None:
             lattice = lattice_modes(profile, mesh, L)
-        if lattice.certificate or lattice.Lambda_L <= 0:
-            raise ConfigurationError("lattice carries no growing mode (stability certificate)")
+        (k1, k2), self.mode = lattice.argmax()   # the pair's partner is -(k1, k2)
         self.profile, self.mesh, self.L = profile, mesh, L
         self.lattice = lattice
-        k = int(np.argmax(lattice.points[:, 3]))
-        mag = lattice.points[k, 2]
-        cands = lattice.points[np.isclose(lattice.points[:, 2], mag)]
-        cands = sorted(map(tuple, cands[:, :2]))
-        k1, k2 = cands[-1]  # deterministic representative; its negation is the partner
         self.xi1 = np.array([k1 / L, k2 / L])
         self.Lambda_L = float(lattice.Lambda_L)
-        self.mode = lattice.modes[round(float(mag), 12)]
         self.mode3d = extend_to_plane(self.mode, self.xi1)
-        self._table = None
 
     def _evaluate(self, x, t):
         """(eta, v, q) at points x from one evaluation of the mode's heights."""
         pts = _as_points(x)
-        x3 = pts[:, 2]
-        mesh, m3 = self.mesh, self.mode3d
-        f, th, p, phi_r = (mesh.eval_nodal(a, x3)
-                           for a in (m3.phi, m3.theta, m3.psi, self.mode.phi))
-        rho, pp = by_side(x3, lambda xs, s: np.stack(
-            [self.profile.density(xs, side=s), mesh.eval_nodal(m3.psi, xs, side=s, deriv=1)],
-            axis=-1)).T
+        m3 = self.mode3d
+        rho, (f, th, p, phi_r), (pp,) = _heights(
+            self.profile, self.mesh, pts[:, 2], (m3.phi, m3.theta, m3.psi, self.mode.phi), (m3.psi,))
         phase = pts[:, 0] * self.xi1[0] + pts[:, 1] * self.xi1[1]
         amp = self.growth_factor(t)
         shape = np.asarray(x).shape
@@ -227,13 +221,9 @@ class PeriodicField:
         """Point samples on a rectilinear grid (x1s, x2s, x3s)."""
         return _sample(lambda pts: self._evaluate(pts, t), grid)
 
-    def table(self):
-        if self._table is None:
-            self._table = _ModeProfileTable(
-                self.profile, self.mesh, self.mode.lam,
-                self.mode.phi, self.mode.psi, self.mode.xi_mag,
-            )
-        return self._table
+    @cached_property
+    def _norms(self):
+        return _profile_norms(self.profile, self.mesh, [self.mode])
 
     def sobolev_norm(self, which="eta", k=0, t=0.0):
         """Fourier-side piecewise H^k norm of eta, v, or q at time t.
@@ -242,11 +232,8 @@ class PeriodicField:
         (2 pi L)^2 w_hat; the Parseval prefactor 1/(4 pi^2 L^2) leaves
         4 pi^2 L^2 * (pair sum).
         """
-        if which not in ("eta", "v", "q"):
-            raise DomainError("which must be eta, v, or q")
-        r = self.mode.xi_mag
-        val = _sobolev_weighted(self.table(), which, k, r, self.Lambda_L, t, 1.0)
-        return math.sqrt(4 * math.pi**2 * self.L**2 * 2.0 * val)
+        return _sobolev_norm(self._norms, 4 * math.pi**2 * self.L**2 * 2.0, [self.mode],
+                             which, k, t)
 
 
 class NonperiodicField:
@@ -281,19 +268,8 @@ class NonperiodicField:
         self.Lambda = float(self.lam.max())
         if curve is not None:
             self.Lambda = max(self.Lambda, float(curve.Lambda))
-        self._tables = None
 
     # -- field evaluation -------------------------------------------------
-
-    def _mode_heights(self, x3):
-        """rho0, and phi, psi, psi' of every radial mode, at heights x3."""
-        mesh = self.mesh
-        sided = by_side(x3, lambda xs, s: np.stack(
-            [self.profile.density(xs, side=s)]
-            + [mesh.eval_nodal(m.psi, xs, side=s, deriv=1) for m in self.modes], axis=-1))
-        heights = [(mesh.eval_nodal(m.phi, x3), mesh.eval_nodal(m.psi, x3), sided[:, k + 1])
-                   for k, m in enumerate(self.modes)]
-        return sided[:, 0], heights
 
     def _evaluate(self, x, t):
         """(eta, v, q) at points x.
@@ -307,12 +283,15 @@ class NonperiodicField:
 
         self.growth_factor(t)       # refuse a time at which the sums would be inf or nan
         pts = _as_points(x)
-        rho, heights = self._mode_heights(pts[:, 2])
+        rho, values, slopes = _heights(
+            self.profile, self.mesh, pts[:, 2],
+            [a for m in self.modes for a in (m.phi, m.psi)], [m.psi for m in self.modes])
         s = np.hypot(pts[:, 0], pts[:, 1])
         safe = np.where(s > 0, s, 1.0)      # on the axis J1 = 0, so any direction will do
         direction = pts[:, :2] / safe[:, None]
         eta_h, eta3, vel_h, vel3, qf = np.zeros((5, pts.shape[0]))
-        for rk, wk, lam, (ph, ps, psp) in zip(self.r, self.w, self.lam, heights):
+        for rk, wk, lam, ph, ps, psp in zip(self.r, self.w, self.lam,
+                                            values[0::2], values[1::2], slopes):
             ck = wk * rk * float(self.f(rk)) * np.exp(lam * t) / (2 * math.pi)
             J0, J1 = j0(rk * s), j1(rk * s)
             horizontal, vertical = ck * ph * J1, ck * ps * J0
@@ -345,23 +324,14 @@ class NonperiodicField:
 
     # -- spectral-side norms -----------------------------------------------
 
-    def tables(self):
-        if self._tables is None:
-            self._tables = [
-                _ModeProfileTable(self.profile, self.mesh, m.lam, m.phi, m.psi, m.xi_mag)
-                for m in self.modes
-            ]
-        return self._tables
+    @cached_property
+    def _norms(self):
+        return _profile_norms(self.profile, self.mesh, self.modes)
 
     def sobolev_norm(self, which="eta", k=0, t=0.0):
         """Radial-quadrature piecewise H^k norm of eta, v, or q at time t."""
-        if which not in ("eta", "v", "q"):
-            raise DomainError("which must be eta, v, or q")
-        total = 0.0
-        for rk, wk, lam, table in zip(self.r, self.w, self.lam, self.tables()):
-            fr = float(self.f(rk))
-            total += wk * rk * _sobolev_weighted(table, which, k, rk, lam, t, fr) / (2 * math.pi)
-        return math.sqrt(total)
+        return _sobolev_norm(self._norms, self.w * self.r * self.f(self.r) ** 2 / (2 * math.pi),
+                             self.modes, which, k, t)
 
     def interface_displacement_l2(self, patch_radius=None, n=48):
         """L2 norm of eta_3(., 0, 0) over a horizontal patch (reality check

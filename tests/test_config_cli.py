@@ -148,6 +148,16 @@ class TestCliRuns:
             assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "out" / "lattice.csv").exists()
 
+    def test_lattice_cap_applies_with_surface_tension(self, cfg_path, tmp_path, capsys):
+        lattice = ["lattice", "--config", str(cfg_path)]
+        assert main([*lattice, "--L", "1.5", "--set", "lattice.xi_max=1"]) == 0
+        rows = np.loadtxt(tmp_path / "out" / "lattice.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert rows.size and np.all(rows[:, 2] < 1.0)
+        assert main([*lattice, "--L", "1", "--set", "lattice.xi_max=0.5"]) == 2
+        assert "1/L = 1" in capsys.readouterr().err
+        assert main([*lattice, "--L", repr(math.sqrt(0.1)), "--set", "lattice.xi_max=0.5"]) == 0
+        assert "# certificate: stable" in (tmp_path / "out" / "lattice.csv").read_text()
+
     def test_lattice_vs_dispersion_metadata(self, cfg_path, tmp_path):
         assert main(["dispersion", "--config", str(cfg_path)]) == 0
         Lam = json.loads((tmp_path / "out" / "run.json").read_text())["Lambda"]

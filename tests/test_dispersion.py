@@ -321,6 +321,31 @@ class TestLattice:
         curve = rt.sweep(profile, mesh32, 0.02 * profile.xi_c, 0.98 * profile.xi_c, n=24)
         assert lat.Lambda_L <= curve.Lambda + 1e-3
 
+    def test_cap_applies_with_surface_tension(self, profile, mesh32):
+        # one cap min(xi_c, xi_max) for every sigma: the cap keeps a prefix of the full lattice
+        full = rt.lattice_modes(profile, mesh32, 1.5)
+        capped = rt.lattice_modes(profile, mesh32, 1.5, xi_max=1.0)
+        assert capped.points.size and np.all(capped.points[:, 2] < 1.0)
+        assert np.array_equal(capped.points, full.points[full.points[:, 2] < 1.0])
+        with pytest.raises(ConfigurationError, match="1/L = 1"):
+            rt.lattice_modes(profile, mesh32, 1.0, xi_max=0.5)
+        # the small-period certificate does not depend on the cap
+        for xi_max in (None, 0.5, 100.0):
+            assert rt.lattice_modes(profile, mesh32, profile.L_c, xi_max=xi_max).certificate
+
+    def test_argmax_is_largest_vector_of_fastest_magnitude(self, profile, mesh32):
+        for L in (1.0, 1.5):
+            lat = rt.lattice_modes(profile, mesh32, L)
+            (k1, k2), mode = lat.argmax()
+            # the first point of the largest rate, and the largest (k1, k2) of its magnitude
+            top = lat.points[int(np.argmax(lat.points[:, 3]))]
+            ties = lat.points[np.isclose(lat.points[:, 2], top[2])]
+            assert (k1, k2) == max(map(tuple, ties[:, :2]))
+            assert mode.lam == lat.Lambda_L
+            assert mode.xi_mag == pytest.approx(math.hypot(k1, k2) / L, rel=1e-12)
+        with pytest.raises(ConfigurationError, match="no growing mode"):
+            rt.lattice_modes(profile, mesh32, profile.L_c).argmax()
+
     def test_sigma_zero_empty_enumeration_is_no_certificate(self, profile_sigma0, mesh32):
         # without surface tension nothing certifies stability: a cap below the
         # smallest lattice magnitude 1/L is an input error

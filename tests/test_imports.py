@@ -37,3 +37,12 @@ def test_no_sparse_lu_in_the_package():
     for path in package.rglob("*.py"):
         text = path.read_text()
         assert "splu" not in text and "spsolve" not in text, path.name
+
+
+def test_bench_selftest_passes():
+    # the benchmark's tracer wraps every layer module and traced class; a refactor
+    # that breaks its contract fails here, not only in a traced benchmark run
+    root = Path(rtmodes.__file__).resolve().parents[2]
+    out = subprocess.run([sys.executable, "bench/selftest.py"], capture_output=True, text=True,
+                         cwd=root)
+    assert out.returncode == 0, out.stdout + out.stderr

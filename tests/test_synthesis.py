@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rtmodes as rt
-from conftest import assert_matches_angular_quadrature, reachable_formsets
+from conftest import assert_matches_angular_quadrature, make_profile, reachable_formsets
 from rtmodes.errors import ConfigurationError, DomainError
 
 
@@ -50,6 +50,16 @@ def test_bump_profile_support():
     assert f(1.2) > 0
     with pytest.raises(ConfigurationError):
         rt.BumpProfile(2.0, 1.0)
+
+
+def test_bump_default_fills_only_missing_edges():
+    given = rt.BumpProfile.default(math.inf, a=1.0, b=2.0)
+    assert (given.a, given.b) == (1.0, 2.0)
+    half = rt.BumpProfile.default(10.0, b=5.0, amp=2.0)
+    assert (half.a, half.b, half.amp) == (pytest.approx(3.0), 5.0, 2.0)
+    for edges in ({}, {"a": 1.0}, {"b": 2.0}):
+        with pytest.raises(ConfigurationError, match="xi_c"):
+            rt.BumpProfile.default(math.inf, **edges)
 
 
 @pytest.fixture(scope="module")
@@ -200,11 +210,45 @@ class TestNonperiodic:
             np_field.sobolev_norm("eta", k=3)
         with pytest.raises(DomainError):
             np_field.sobolev_norm("q", k=2)
+        with pytest.raises(DomainError):
+            np_field.sobolev_norm("eta", k=-1)
 
     def test_support_validation(self, profile, mesh32):
         bad = rt.BumpProfile(0.5 * profile.xi_c, 1.2 * profile.xi_c)
         with pytest.raises(ConfigurationError):
             rt.NonperiodicField(profile, mesh32, bad, n_radial=4)
+
+
+def test_norms_evaluate_the_profile_once(mesh32, monkeypatch):
+    profile = make_profile()
+    field = rt.NonperiodicField(profile, mesh32, rt.BumpProfile.default(profile.xi_c), n_radial=10)
+    calls = []
+    fields = profile.fields
+    monkeypatch.setattr(profile, "fields", lambda *a, **kw: calls.append(a) or fields(*a, **kw))
+    field.sobolev_norm("eta", k=2)
+    field.sobolev_norm("q", k=1, t=1.0)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["periodic", "nonperiodic"])
+def test_norm_is_finite_wherever_the_growth_factor_is(kind, profile):
+    # e^{2 Lambda t} overflows at t = 1300 while e^{Lambda t} does not; at t = 3000 both do
+    mesh = rt.Mesh.uniform(1, 1, 16, order=2)
+    if kind == "periodic":
+        field = rt.PeriodicField(profile, mesh, 1.5)
+        lo = hi = field.Lambda_L
+    else:
+        field = rt.NonperiodicField(profile, mesh, rt.BumpProfile.default(profile.xi_c), n_radial=4)
+        lo, hi = field.lambda0, field.Lambda
+    n0 = field.sobolev_norm("v", k=1, t=0.0)
+    n1 = field.sobolev_norm("v", k=1, t=1300.0)
+    assert math.isfinite(n1)
+    ratio = n1 / n0
+    assert math.exp(lo * 1300) * (1 - 1e-12) <= ratio <= math.exp(hi * 1300) * (1 + 1e-12)
+    with pytest.raises(DomainError, match="t = 3000"):
+        field.sobolev_norm("v", k=1, t=3000.0)
+    # long before t = 0 the slowest mode dominates, and nothing overflows
+    assert math.isfinite(field.sobolev_norm("v", k=1, t=-3000.0))
 
 
 @pytest.mark.parametrize("kind", ["periodic", "nonperiodic"])
