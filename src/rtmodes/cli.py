@@ -346,7 +346,10 @@ def main(argv=None):
                  if "." in key and value is not None
                  for k, v in (value.items() if isinstance(value, dict) else [(key, value)])]
         config = load_config(args.config, args.set + flags)
-        Path(config["output.dir"]).mkdir(parents=True, exist_ok=True)
+        try:
+            Path(config["output.dir"]).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"output.dir: {exc}") from exc
         return _HANDLERS[args.command](config, args)
     except (ConfigurationError, DomainError, RangeError, LayoutError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

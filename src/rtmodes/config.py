@@ -101,8 +101,11 @@ class RunConfig:
             path = self.values.get(f"fluid.{side}.table")
             if not path:
                 raise ConfigurationError(f"fluid.{side}.table is required for tabulated laws")
-            data = np.genfromtxt(path, delimiter=",", names=True)
-            return PressureLaw.tabulated(data["rho"], data["P"])
+            try:        # an empty file is an IndexError; the law's DomainError is a ValueError
+                data = np.genfromtxt(path, delimiter=",", names=True)
+                return PressureLaw.tabulated(data["rho"], data["P"])
+            except (OSError, ValueError, IndexError) as exc:
+                raise ConfigurationError(f"fluid.{side}.table {path!r}: {exc}") from exc
         raise ConfigurationError(f"fluid.{side}.law must be polytropic or tabulated, got {kind!r}")
 
     def _viscosity(self, side):
@@ -184,8 +187,11 @@ def load_config(path=None, overrides=()):
     values = {k: d for k, (_, d, _) in KEYS.items()}
     text = ""
     if path is not None:
-        with open(path) as fh:
-            text = fh.read()
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"cannot read the config file: {exc}") from exc
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:

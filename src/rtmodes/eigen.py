@@ -5,7 +5,8 @@ family of symmetric matrices stop being positive definite?  By Sylvester's
 law of inertia, A - m J is positive definite exactly when m lies below the
 bottom eigenvalue, and a banded Cholesky factorization (LAPACK ``dpbtrf``)
 succeeds exactly then.  Each factorization costs O(n) since the forms have
-half-bandwidth 2 * order + 1.
+half-bandwidth 2 * order + 1.  This module makes every banded LAPACK call of
+the package, the evolution step's included.
 
 :func:`_refine` shrinks a bracket that is certified from both sides.  The
 definite end carries a factor; inverse iteration with it gives a vector x,
@@ -16,10 +17,10 @@ factorization per round, placed near that bound, then moves whichever end
 it proves.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 
 from .errors import DomainError, SolverError
 
@@ -36,15 +37,11 @@ _THETA_STEP = 8.0
 
 @dataclass
 class EigenResult:
-    """Bottom eigenpair: mu, J-normalized minimizer, and the pencil residual.
-
-    ``s`` is the family parameter when the pencil is (E0 + s E1, J).
-    """
+    """Bottom eigenpair: mu, J-normalized minimizer, and the pencil residual."""
 
     mu: float
     minimizer: np.ndarray
     residual: float
-    s: float | None = None
 
 
 def _normalize(forms, x):
@@ -56,16 +53,35 @@ def _normalize(forms, x):
     return x if anchor > 0 else -x
 
 
-def _residual(forms, A, mu, x):
-    return float(np.linalg.norm(A @ x - mu * (forms.J @ x)) / np.linalg.norm(x))
-
-
 def _factor(ab):
-    """Banded Cholesky factor, or None when the matrix is not positive definite."""
-    try:
-        return sla.cholesky_banded(ab, lower=False, check_finite=False)
-    except sla.LinAlgError:
-        return None
+    """Banded Cholesky factor of the upper band ab (left intact), or None if it is not definite."""
+    c, info = dpbtrf(ab, lower=0)
+    return c if info == 0 else None
+
+
+def _solve(factor, b):
+    """Solve with a :func:`_factor` result; b (a float vector) is overwritten by the solution."""
+    return dpbtrs(factor, b, overwrite_b=1)[0]
+
+
+def _band_solver(ab):
+    """(kind, solve) of the symmetric matrix with upper band ab: Cholesky if it factors, else LU.
+
+    LU factors the band mirrored into LAPACK's general band layout (kl = ku,
+    plus kl rows of pivoting fill-in).  Each solve overwrites its input.
+    """
+    chol = _factor(ab)
+    if chol is not None:
+        return "cholesky", lambda b: _solve(chol, b)
+    k = ab.shape[0] - 1
+    gb = np.zeros((3 * k + 1, ab.shape[1]))
+    gb[k:2 * k + 1] = ab
+    for d in range(1, k + 1):       # subdiagonal d mirrors superdiagonal d
+        gb[2 * k + d, :-d] = ab[k - d, d:]
+    lu, piv, info = dgbtrf(gb, k, k, overwrite_ab=1)
+    if info != 0:
+        raise SolverError("banded LU factorization failed: the matrix is singular", {"info": info})
+    return "lu", lambda b: dgbtrs(lu, k, k, b, piv, overwrite_b=1)[0]
 
 
 def _refine(forms, band_at, good, factor, bound, bound_of, x):
@@ -83,8 +99,7 @@ def _refine(forms, band_at, good, factor, bound, bound_of, x):
     theta = _THETA_START
     count = 0
     while True:
-        x = _normalize(forms, sla.cho_solve_banded((factor, False), forms.J @ x,
-                                                   check_finite=False))
+        x = _normalize(forms, _solve(factor, forms.J @ x))
         t = bound_of(x)
         if (t - bound) * (good - bound) > 0:
             # a bound past the definite end is roundoff at the threshold
@@ -100,16 +115,17 @@ def _refine(forms, band_at, good, factor, bound, bound_of, x):
             good, factor, theta = t, f, theta / _THETA_STEP
 
 
-def bottom_eig(forms, A):
-    """Bottom eigenpair of the pencil (A, J) for a symmetric A banded like the forms.
+def bottom_eig(forms, a, b, c):
+    """Bottom eigenpair of (A, J), A = a E0 + b E1 + c J; its band is the same sum of the bands.
 
     The lower bracket end doubles downward from -1 until A - m J factors;
     the upper end is the Rayleigh quotient of the current iterate, which
     :func:`_refine` lowers each round while inertia raises the lower end.
     The eigenvalue is the Rayleigh quotient of the final iterate.
     """
-    Ab = forms._band(A)
-    Jb = forms._bands[2]
+    A = a * forms.E0 + b * forms.E1 + c * forms.J
+    E0b, E1b, Jb = forms._bands
+    Ab = a * E0b + b * E1b + c * Jb
     band_at = lambda m: Ab - m * Jb
     rayleigh = lambda x: float(x @ (A @ x))      # x is J-normalized
     lo = -1.0
@@ -120,14 +136,15 @@ def bottom_eig(forms, A):
     x = _normalize(forms, np.ones(forms.n))
     _, _, x, _ = _refine(forms, band_at, lo, factor, rayleigh(x), rayleigh, x)
     mu = rayleigh(x)
-    return EigenResult(mu, x, _residual(forms, A, mu, x))
+    residual = np.linalg.norm(A @ x - mu * (forms.J @ x)) / np.linalg.norm(x)
+    return EigenResult(mu, x, float(residual))
 
 
 def smallest_eig(forms, s):
     """Minimum of x^T (E0 + s E1) x over the J-unit sphere, with minimizer."""
     if s < 0:
         raise DomainError("family parameter s must be >= 0")
-    return replace(bottom_eig(forms, forms.E0 + s * forms.E1), s=s)
+    return bottom_eig(forms, 1.0, s, 0.0)
 
 
 def c2_diagnostic(forms):
@@ -136,4 +153,4 @@ def c2_diagnostic(forms):
     The bottom eigenvalue of (E1, J): a computable stand-in for the slope
     constant in mu(s) >= -g xi + s C2.  Positive whenever eps0 > 0.
     """
-    return bottom_eig(forms, forms.E1).mu
+    return bottom_eig(forms, 0.0, 1.0, 0.0).mu

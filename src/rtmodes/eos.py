@@ -84,6 +84,8 @@ class PressureLaw:
             P = np.asarray(params["P"], dtype=float)
             if rho.ndim != 1 or rho.shape != P.shape or rho.size < 2:
                 raise DomainError("tabulated law needs matching 1D (rho, P) samples")
+            if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(P))):
+                raise DomainError("tabulated (rho, P) samples must be finite numbers")
             if np.any(np.diff(rho) <= 0) or np.any(np.diff(P) <= 0):
                 raise DomainError("tabulated (rho, P) samples must be strictly increasing")
             if rho[0] <= 0 or P[0] <= 0:

@@ -18,11 +18,9 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrs
 
-from .eigen import _factor, bottom_eig
+from .eigen import _band_solver, _factor, _solve, bottom_eig
 from .errors import ConfigurationError, DomainError, SolverError
 from .forms import assemble
 
@@ -59,42 +57,16 @@ class ModeTrajectory:
         return self.kinetic + self.potential
 
 
-def _step_solver(forms, dt):
-    """Factor M = 2J + dt E1 + (dt^2/2) E0 once; returns (kind, solve).
-
-    M is formed from the cached upper bands of the forms.  Since
-    E0 + g xi J >= 0, M >= (2 - dt^2 g xi / 2) J + dt E1 is positive definite
-    whenever dt^2 g xi < 4, and banded Cholesky (``dpbtrf``/``dpbtrs``) runs
-    on the upper band as it is.  Only when that factorization fails is the
-    band mirrored into LAPACK's general band layout (kl = ku = 2 * order + 1,
-    plus kl rows for the fill-in of partial pivoting) and factored by LU.
-    Both solves overwrite their right-hand side.
-    """
-    E0b, E1b, Jb = forms._bands
-    upper = 2.0 * Jb + dt * E1b + 0.5 * dt**2 * E0b
-    chol = _factor(upper)
-    if chol is not None:
-        return "cholesky", lambda b: dpbtrs(chol, b, overwrite_b=1)[0]
-    k = Jb.shape[0] - 1
-    ab = np.zeros((3 * k + 1, forms.n))
-    ab[k:2 * k + 1] = upper
-    for d in range(1, k + 1):       # subdiagonal d mirrors superdiagonal d
-        ab[2 * k + d, :-d] = upper[k - d, d:]
-    lu, piv, info = dgbtrf(ab, k, k, overwrite_ab=1)
-    if info != 0:
-        raise SolverError("step matrix factorization failed", {"dt": dt})
-    return "lu", lambda b: dgbtrs(lu, k, k, b, piv, overwrite_b=1)[0]
-
-
 def integrate(forms, u0, v0, dt, T, store_every=None):
     """Implicit-midpoint trajectory of (u, u_dot) from (u0, v0) to time T.
 
     Each step solves M wm = 2 J w - dt E0 u for the midpoint velocity wm,
     with M = 2J + dt E1 + (dt^2/2) E0 factored once from the cached bands
-    (banded Cholesky when M is definite, banded LU otherwise), and advances
-    u += dt wm, w = 2 wm - w.  One stacked mat-vec [J; E1; E0] wm per step
-    carries the products J u, E1 u, E0 u, J w, E1 w through the same linear
-    updates and gives the midpoint power; every other update is in place.
+    (banded Cholesky; banded LU when M is not definite, which E0 + g xi J >= 0
+    rules out whenever dt^2 g xi < 4), and advances u += dt wm, w = 2 wm - w.
+    One stacked mat-vec [J; E1; E0] wm per step carries the products J u,
+    E1 u, E0 u, J w, E1 w through the same linear updates and gives the
+    midpoint power; every other update is in place.
 
     The ledgers cover every step.  States are stored at steps 0 and N only,
     or, with ``store_every = k`` (an integer >= 1), at steps 0, k, 2k, ...
@@ -117,7 +89,8 @@ def integrate(forms, u0, v0, dt, T, store_every=None):
                           % (dt, T, steps)) from None
     every = n_steps if store_every is None else int(store_every)
 
-    kind, solve = _step_solver(forms, dt)
+    E0b, E1b, Jb = forms._bands
+    kind, solve = _band_solver(2.0 * Jb + dt * E1b + 0.5 * dt**2 * E0b)
     n = forms.n
     S = sp.vstack([forms.J, forms.E1, forms.E0], format="csr")
     Pu = (S @ u).reshape(3, n)              # J u, E1 u, E0 u
@@ -205,7 +178,7 @@ def growth_bound_check(forms, Lambda, tol=1e-8):
     The discrete statement that the rate Lambda dominates this frequency:
     returns (ok, smallest generalized eigenvalue).
     """
-    ev = bottom_eig(forms, forms.E0 + Lambda * forms.E1 + Lambda**2 * forms.J).mu
+    ev = bottom_eig(forms, 1.0, Lambda, Lambda**2).mu
     return ev >= -tol, ev
 
 
@@ -262,8 +235,7 @@ def spectral_k_constants(forms, u0, v0):
         psi0 = u[forms.psi0_dof]
         return float(ud @ (J @ ud)) + float(u @ (CP @ u)) + sig * psi0**2
 
-    a0 = -sla.cho_solve_banded((_factor(forms._bands[2]), False), E1 @ v0 + E0 @ u0,
-                               check_finite=False)
+    a0 = -_solve(_factor(forms._bands[2]), E1 @ v0 + E0 @ u0)
     return k_of(v0, u0), k_of(a0, v0)
 
 
@@ -302,7 +274,7 @@ def periodic_stability_check(profile, mesh, L, data, T, dt=0.025):
     # xi = 0 certificate: the energy degenerates to the pure compression
     # stiffness (1/2) int P' rho0 (psi')^2 >= 0.
     f0 = assemble(profile, mesh, 0.0, _allow_zero=True)
-    e0_eigs = [bottom_eig(f0, f0.E0).mu]
+    e0_eigs = [bottom_eig(f0, 1.0, 0.0, 0.0).mu]
 
     mags = []
     K1 = K2 = 0.0
@@ -312,7 +284,7 @@ def periodic_stability_check(profile, mesh, L, data, T, dt=0.025):
 
     for xi_mag, u0, v0 in data:
         forms = assemble(profile, mesh, float(xi_mag))
-        e0_eigs.append(bottom_eig(forms, forms.E0).mu)
+        e0_eigs.append(bottom_eig(forms, 1.0, 0.0, 0.0).mu)
         k1, k2 = spectral_k_constants(forms, np.asarray(u0, float), np.asarray(v0, float))
         K1 += k1
         K2 += k2

@@ -54,11 +54,15 @@ class FormSet:
     mesh: Mesh
     profile: object
     psi0_dof: int
-    # (E0, E1, J) in upper band storage, from this instance's own matrices
+    # (E0, E1, J) in upper band storage, written from their data (the mesh's CSR pattern)
     _bands: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._bands = tuple(map(self._band, (self.E0, self.E1, self.J)))
+        upper, slots = _mesh_forms(self.profile, self.mesh)[4]
+        bands = np.zeros((3, (2 * self.mesh.order + 2) * self.n))
+        for row, M in zip(bands, (self.E0, self.E1, self.J)):
+            row[slots] = M.data[upper]
+        self._bands = tuple(bands.reshape(3, -1, self.n))
 
     @property
     def n(self):
@@ -98,15 +102,6 @@ class FormSet:
         """psi(0) read off the interface dof."""
         return float(self._check(x)[self.psi0_dof])
 
-    def _band(self, A):
-        """Upper band storage of a symmetric CSR matrix, as cholesky_banded reads it."""
-        u = 2 * self.mesh.order + 1
-        rows = np.repeat(np.arange(self.n), np.diff(A.indptr))
-        upper = rows <= A.indices
-        ab = np.zeros((u + 1, self.n))
-        ab[u + rows[upper] - A.indices[upper], A.indices[upper]] = A.data[upper]
-        return ab
-
     def _check(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
@@ -142,8 +137,10 @@ def _basis(mesh):
 def _pattern(mesh):
     """The mesh's one CSR pattern and its element scatter map.
 
-    Returns (indptr, indices, mask, pos): element-matrix entry ``mask`` (both
-    dofs interior) lands at CSR data position ``pos``.
+    Returns (indptr, indices, mask, pos, upper, slots): element-matrix entry
+    ``mask`` (both dofs interior) lands at CSR data position ``pos``; the CSR
+    data at positions ``upper`` (row <= col) go to upper band storage
+    ab[u + row - col, col], u = 2 * order + 1, at the flat positions ``slots``.
     """
     conn = mesh.conn
     interior = (conn >= 1) & (conn <= mesh.n_nodes - 2)
@@ -154,16 +151,19 @@ def _pattern(mesh):
     mask = (rows >= 0) & (cols >= 0)
     keys, pos = np.unique((rows * n + cols)[mask], return_inverse=True)
     indptr = np.searchsorted(keys, n * np.arange(n + 1)).astype(np.int32)
-    return indptr, (keys % n).astype(np.int32), mask, pos
+    rows, cols = keys // n, keys % n
+    upper = np.flatnonzero(rows <= cols)
+    slots = (2 * mesh.order + 1 + rows[upper] - cols[upper]) * n + cols[upper]
+    return indptr, cols.astype(np.int32), mask, pos, upper, slots
 
 
 @lru_cache(maxsize=8)
 def _mesh_forms(profile, mesh):
     """Everything in the forms that does not depend on xi, once per (profile, mesh).
 
-    Returns (indptr, indices, psi0_dof, psi0_slot, coeffs): the CSR pattern,
-    the data position of the psi(0) diagonal, and per form the CSR data of
-    its xi^0, xi^1, xi^2 coefficients (J has only xi^0).
+    Returns (indptr, indices, psi0_dof, psi0_slot, band_slots, coeffs): the
+    CSR pattern, the data position of the psi(0) diagonal, :func:`_pattern`'s
+    band-slot map, and per form the CSR data of its xi^0, xi^1, xi^2 terms.
     """
     f = profile.fields(mesh.quad_x)      # Gauss points are interior, so x3 != 0
     hw = 0.5 * mesh.quad_w
@@ -185,19 +185,19 @@ def _mesh_forms(profile, mesh):
         "J": (acc(rho, P, P) + acc(rho, S, S),),
         "compression": (acc(pr, U, U), sym(acc(pr, U, P)), pr_PP),
     }
-    indptr, indices, mask, pos = _pattern(mesh)
+    indptr, indices, mask, pos, upper, slots = _pattern(mesh)
     coeffs = {name: np.array([np.bincount(pos, weights=b[mask], minlength=indices.size)
                               for b in terms])
               for name, terms in blocks.items()}
     psi0_dof = 2 * (mesh.interface_node - 1) + 1
     start, stop = indptr[psi0_dof], indptr[psi0_dof + 1]
     psi0_slot = start + int(np.searchsorted(indices[start:stop], psi0_dof))
-    return indptr, indices, psi0_dof, psi0_slot, coeffs
+    return indptr, indices, psi0_dof, psi0_slot, (upper, slots), coeffs
 
 
 def _form(cache, name, xi):
     """Form ``name`` of a :func:`_mesh_forms` cache at frequency xi, as a new CSR matrix."""
-    indptr, indices, _, _, coeffs = cache
+    indptr, indices, _, _, _, coeffs = cache
     powers = (1.0, xi, xi * xi)         # a float product overflows to inf, never raises
     with np.errstate(over="ignore", invalid="ignore"):
         data = sum(p * c for p, c in zip(powers, coeffs[name]))
@@ -217,7 +217,7 @@ def assemble(profile, mesh, xi, _allow_zero=False):
         raise DomainError("frequency magnitude xi must be > 0")
     xi = float(xi)
     cache = _mesh_forms(profile, mesh)
-    _, _, psi0_dof, psi0_slot, _ = cache
+    _, _, psi0_dof, psi0_slot, _, _ = cache
     E0, E1, J = (_form(cache, name, xi) for name in ("E0", "E1", "J"))
     with np.errstate(over="ignore", invalid="ignore"):
         E0.data[psi0_slot] += profile.geometry.sigma * (xi * xi) / 2.0

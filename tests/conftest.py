@@ -26,6 +26,19 @@ def dense_spectrum(forms, s):
     return sla.eigh(E0 + s * E1, J, eigvals_only=True)
 
 
+def pack_band(A, order):
+    """Upper band storage of a symmetric CSR matrix, ab[u + i - j, j] = A[i, j] with
+    u = 2 * order + 1, packed from the matrix's own rows and columns: an oracle for
+    the band-slot map of the forms."""
+    n = A.shape[0]
+    u = 2 * order + 1
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    upper = rows <= A.indices
+    ab = np.zeros((u + 1, n))
+    ab[u + rows[upper] - A.indices[upper], A.indices[upper]] = A.data[upper]
+    return ab
+
+
 def angular_quadrature(field, x, t):
     """Complex (eta, v, q) of a NonperiodicField by a trapezoid rule in the frequency angle.
 

@@ -2,6 +2,7 @@ import contextlib
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,34 @@ def test_cli_help_documents_keys(capsys):
     out = capsys.readouterr().out
     assert "geometry.sigma" in out
     assert "synthesis.f.a" in out
+
+
+def _table(name):
+    return ["--set", "fluid.lower.law=tabulated", "--set", f"fluid.lower.table={{tmp}}/{name}"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--config", "{tmp}/missing.cfg"], "cannot read the config file"),
+    (_table("missing.csv"), "missing.csv not found"),
+    (_table("adir"), "Is a directory"),
+    (_table("noP.csv"), "no field of name P"),
+    (_table("empty.csv"), "list index out of range"),
+    (_table("word.csv"), "must be finite numbers"),
+    (["--set", "output.dir={tmp}/file"], "output.dir: [Errno 17] File exists"),
+], ids=["missing config", "missing table", "table is a directory", "table without P",
+        "empty table", "non-numeric table cell", "output.dir is a file"])
+def test_bad_file_input_exits_2_without_traceback(cfg_path, tmp_path, capsys, argv, message):
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "noP.csv").write_text("rho,Q\n0.5,1.0\n1.0,2.0\n")
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "word.csv").write_text("rho,P\n0.5,1.0\n1.0,two\n")
+    (tmp_path / "file").write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)        # numpy's "Empty input file"
+        code = main(["mode", "--config", str(cfg_path), *(a.format(tmp=tmp_path) for a in argv)])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert "configuration error" in err and message in err
 
 
 class TestCliRuns:

@@ -252,6 +252,9 @@ def test_certified_bracket_on_random_configs(case, beyond):
     terms = [float(x @ (A @ x)) * c for A, c in ((forms.E0, 1.0), (forms.E1, lo), (forms.J, lo**2))]
     assert sum(terms) <= 1e-11 * sum(map(abs, terms))
     assert m.lam == pytest.approx(oracle_rate(forms), abs=5e-9)
+    # the top real eigenvalue of the quadratic eigenproblem, by dense QZ (2n <= 252)
+    ev = qep_eigenvalues(forms)
+    assert ev[ev.imag == 0.0].real.max() == pytest.approx(m.lam, rel=1e-8)
     assert m.lam**2 <= g * xi
     assert abs(m.psi0) >= 1e-6
     if sigma > 0:

@@ -7,7 +7,7 @@ from rtmodes import eigen
 from rtmodes.errors import DomainError
 from rtmodes.residuals import jump_residuals, strong_form_residual
 
-from conftest import dense_spectrum
+from conftest import dense_spectrum, make_profile, pack_band
 
 
 def test_negative_at_vanishing_s(forms_xi1):
@@ -80,9 +80,10 @@ def test_factorizations_per_bottom_eig(forms_xi1, monkeypatch):
     real = eigen._factor
     monkeypatch.setattr(eigen, "_factor", lambda ab: calls.append(1) or real(ab))
     f = forms_xi1
-    for A in (f.E0, f.E1, f.E0 + 0.3 * f.E1, f.E0 + 10.0 * f.E1):
+    for a, b in ((1.0, 0.0), (0.0, 1.0), (1.0, 0.3), (1.0, 10.0)):
         del calls[:]
-        mu = rt.bottom_eig(f, A).mu
+        mu = rt.bottom_eig(f, a, b, 0.0).mu
+        A = a * f.E0 + b * f.E1
         assert mu == pytest.approx(sla.eigh(A.toarray(), f.J.toarray(), eigvals_only=True,
                                             subset_by_index=[0, 0])[0], abs=1e-10)
         assert len(calls) <= 15
@@ -129,3 +130,22 @@ def test_minimizer_strong_form_convergence(profile):
     assert np.all(jumps[-1][2:] < jumps[0][2:])
     assert np.all(jumps[-1][2:] < 1e-4)
     assert np.all(jumps[:, :2] == 0.0)   # continuity is structural
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+@pytest.mark.parametrize("order", [1, 2])
+def test_bands_match_packing_oracle(order, sigma, monkeypatch):
+    # the bands assemble writes through the band-slot map, and the band bottom_eig
+    # factors first (A - m J at m = -1), equal the CSR oracle's packing entry for entry
+    forms = rt.assemble(make_profile(sigma=sigma), rt.Mesh.uniform(1, 1, 6, order=order), 1.3)
+    for band, M in zip(forms._bands, (forms.E0, forms.E1, forms.J), strict=True):
+        assert np.array_equal(band, pack_band(M, order))
+    first = []
+    real = eigen._factor
+    monkeypatch.setattr(eigen, "_factor", lambda ab: first.append(ab) or real(ab))
+    lam = 0.2
+    for a, b, c in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 0.4, 0.0), (1.0, lam, lam**2)):
+        del first[:]
+        rt.bottom_eig(forms, a, b, c)
+        A = a * forms.E0 + b * forms.E1 + c * forms.J
+        assert np.array_equal(first[0], pack_band(A, order) - (-1.0) * pack_band(forms.J, order))

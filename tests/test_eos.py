@@ -223,6 +223,15 @@ class TestTabulated:
         with pytest.raises(DomainError):
             rt.PressureLaw.tabulated([1.0, 2.0, 3.0], [1.0, 1.0, 3.0])
 
+    @pytest.mark.parametrize("column", ["rho", "P"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_samples(self, column, bad):
+        # a nan passes every ordering and sign check, so it is refused on its own
+        samples = {"rho": [1.0, 2.0, 3.0], "P": [1.0, 2.0, 3.0]}
+        samples[column][-1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            rt.PressureLaw.tabulated(samples["rho"], samples["P"])
+
     def test_law_does_not_alias_its_samples(self):
         rho = np.linspace(0.5, 4.0, 8)
         law = rt.PressureLaw.tabulated(rho, 2.0 * rho)

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -37,6 +38,25 @@ def test_no_sparse_lu_in_the_package():
     for path in package.rglob("*.py"):
         text = path.read_text()
         assert "splu" not in text and "spsolve" not in text, path.name
+
+
+def test_only_eigen_imports_scipy_linalg_and_only_lapack():
+    # eigen is the one banded layer: a second factorization or solve path that
+    # imports scipy.linalg (or its high-level band wrappers) elsewhere fails here
+    package = Path(rtmodes.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [(path.name, a.name) for a in node.names
+                          if a.name.startswith("scipy.linalg")]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                if node.module.startswith("scipy.linalg"):
+                    found.append((path.name, node.module))
+                elif node.module == "scipy":
+                    found += [(path.name, "scipy." + a.name) for a in node.names
+                              if a.name == "linalg"]
+    assert found == [("eigen.py", "scipy.linalg.lapack")]
 
 
 def test_bench_selftest_passes():
