@@ -1,7 +1,11 @@
 """Command-line interface: one config file drives every subcommand.
 
+Each handler returns ``(exit_code, headline)``; :func:`main` writes every
+subcommand's ``run.json`` from the config and that headline.
+
 Exit codes: 0 success, 2 configuration or input error (including
-out-of-domain arguments), 3 solver error, 4 verification failure (verify only).
+out-of-domain arguments and an output path that cannot be written), 3 solver
+error, 4 verification failure (verify only).
 """
 
 import argparse
@@ -61,22 +65,34 @@ def _grid_sizes(text):
     return {"synthesis.grid.nx": nx, "synthesis.grid.ny": ny, "synthesis.grid.nz": nz}
 
 
-def _write_csv(path, header, columns):
-    rows = zip(*columns)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_FMT % v for v in row) + "\n")
+# _make_dir and _write_rows are the CLI's only directory and file writes; each
+# turns an OSError into a ConfigurationError that names the path (exit 2).
+
+def _make_dir(path, label):
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"{label}: {exc}") from exc
 
 
-def _write_meta(outdir, config, subcommand, headline):
+def _write_rows(path, header, rows, sep=","):
+    """``header``, then one line per row of numbers, each printed with _FMT."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(sep.join(_FMT % v for v in row) + "\n")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_meta(config, subcommand, headline):
     meta = {"subcommand": subcommand, "version": __version__,
             "config_hash": config.config_hash()}
     meta.update({k: v for k, v in config.values.items() if v is not None})
     meta.update(headline)
-    with open(Path(outdir) / "run.json", "w") as fh:
-        json.dump({str(k): meta[k] for k in sorted(meta, key=str)}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps({str(k): meta[k] for k in sorted(meta, key=str)}, indent=1, sort_keys=True)
+    _write_rows(Path(config["output.dir"]) / "run.json", text, ())
 
 
 def _cmd_profile(config, args):
@@ -93,15 +109,13 @@ def _cmd_profile(config, args):
         return np.stack([f["rho"], f["pr"], f["eps"], f["delta"]], axis=-1)
 
     out = Path(config["output.dir"]) / (args.out or "profile.csv")
-    _write_csv(out, ["x3", "rho0", "Pprime_rho0", "eps0", "delta0"],
-               [xs, *by_side(xs, columns).T])
-    _write_meta(config["output.dir"], config, "profile", {
+    _write_rows(out, "x3,rho0,Pprime_rho0,eps0,delta0", zip(xs, *by_side(xs, columns).T))
+    print(f"wrote {out}")
+    return 0, {
         "rho_plus": profile.rho_plus, "rho_jump": profile.rho_jump,
         "xi_c": profile.xi_c if math.isfinite(profile.xi_c) else "inf",
         "hydrostatic_residual": verify_hydrostatic(profile),
-    })
-    print(f"wrote {out}")
-    return 0
+    }
 
 
 def _cmd_forms(config, args):
@@ -109,18 +123,15 @@ def _cmd_forms(config, args):
     mesh = config.mesh()
     forms = assemble(profile, mesh, args.xi)
     if args.dump:
-        outdir = Path(config["output.dir"])
         for name, mat in (("E0", forms.E0), ("E1", forms.E1), ("J", forms.J)):
             coo = mat.tocoo()
-            path = outdir / f"forms_{name}.txt"
-            with open(path, "w") as fh:
-                fh.write("# row col value\n")
-                for r, c, v in zip(coo.row, coo.col, coo.data):
-                    fh.write("%d %d %s\n" % (r, c, _FMT % v))
+            path = Path(config["output.dir"]) / f"forms_{name}.txt"
+            # _FMT prints an integer index with the same digits as %d
+            _write_rows(path, "# row col value", zip(coo.row, coo.col, coo.data), sep=" ")
             print(f"wrote {path}")
     print("dofs=%d nnz(E0)=%d nnz(E1)=%d nnz(J)=%d" %
           (forms.n, forms.E0.nnz, forms.E1.nnz, forms.J.nnz))
-    return 0
+    return 0, {"xi": args.xi, "dofs": forms.n}
 
 
 def _cmd_mode(config, args):
@@ -130,22 +141,18 @@ def _cmd_mode(config, args):
     r = growth_rate(profile, mesh, xi)
     if isinstance(r, Stable):
         print(f"stable at |xi| = {xi}: {r.reason}")
-        _write_meta(config["output.dir"], config, "mode", {
-            "xi": xi, "stable": 1, "stable_reason": r.reason,
-            "factorizations": r.factorizations})
-        return 0
+        return 0, {"xi": xi, "stable": 1, "stable_reason": r.reason,
+                   "factorizations": r.factorizations}
     out = Path(config["output.dir"]) / (args.out or "mode.csv")
-    _write_csv(out, ["x3", "phi", "psi"], [mesh.nodes, r.phi, r.psi])
+    _write_rows(out, "x3,phi,psi", zip(mesh.nodes, r.phi, r.psi))
     ode_residual = r.ode_residual     # computed on each read
-    _write_meta(config["output.dir"], config, "mode", {
+    print(f"lambda({xi}) = {r.lam:.12g}  psi(0) = {r.psi0:.6g}; wrote {out}")
+    return 0, {
         "xi": xi, "lambda": r.lam, "s_star": r.lam, "psi0": r.psi0,
         "fixed_point_residual": r.fixed_point_residual,
         "ode_residual": ode_residual if math.isfinite(ode_residual) else None,
-        "factorizations": r.factorizations,
-        "bracket_rel_max": 1.0 - r.bracket[0] / r.bracket[1],
-    })
-    print(f"lambda({xi}) = {r.lam:.12g}  psi(0) = {r.psi0:.6g}; wrote {out}")
-    return 0
+        "factorizations": r.factorizations, "bracket_rel_max": r.bracket_rel,
+    }
 
 
 def _cmd_dispersion(config, args):
@@ -154,17 +161,16 @@ def _cmd_dispersion(config, args):
     lo, hi = config.sweep_range(profile.xi_c)
     curve = sweep(profile, mesh, lo, hi, n=config["sweep.n"])
     out = Path(config["output.dir"]) / (args.out or "curve.csv")
-    _write_csv(out, ["xi", "lambda", "s_star", "psi0", "residual"],
-               [curve.xi, curve.lam, curve.lam, curve.psi0, curve.residual])
-    _write_meta(config["output.dir"], config, "dispersion", {
+    _write_rows(out, "xi,lambda,s_star,psi0,residual",
+                zip(curve.xi, curve.lam, curve.lam, curve.psi0, curve.residual))
+    print(f"Lambda = {curve.Lambda:.12g} at |xi| = {curve.argmax_xi:.6g}; wrote {out}")
+    return 0, {
         "Lambda": curve.Lambda, "argmax_xi": curve.argmax_xi,
         "fit_correction": curve.fit_correction,
         "endpoint_lambda_lo": curve.lam[0], "endpoint_lambda_hi": curve.lam[-1],
         "factorizations": curve.factorizations, "bracket_rel_max": curve.bracket_rel_max,
         "stable_count": curve.stable_count,
-    })
-    print(f"Lambda = {curve.Lambda:.12g} at |xi| = {curve.argmax_xi:.6g}; wrote {out}")
-    return 0
+    }
 
 
 def _cmd_lattice(config, args):
@@ -175,19 +181,12 @@ def _cmd_lattice(config, args):
         raise ConfigurationError("lattice needs --L or geometry.L")
     lat = lattice_modes(profile, mesh, L, xi_max=config.get("lattice.xi_max"))
     out = Path(config["output.dir"]) / (args.out or "lattice.csv")
-    with open(out, "w") as fh:
-        fh.write("k1,k2,xi,lambda\n")
-        if lat.certificate:
-            fh.write("# certificate: stable\n")
-        for k1, k2, xi, lam in lat.points:
-            fh.write(",".join(_FMT % v for v in (k1, k2, xi, lam)) + "\n")
-    _write_meta(config["output.dir"], config, "lattice", {
-        "L": L, "Lambda_L": lat.Lambda_L,
-        "certificate": int(lat.certificate), "unstable_count": lat.unstable_count,
-    })
+    header = "k1,k2,xi,lambda" + ("\n# certificate: stable" if lat.certificate else "")
+    _write_rows(out, header, lat.points)
     status = "stable (certificate)" if lat.certificate else f"Lambda_L = {lat.Lambda_L:.12g}"
     print(f"L = {L}: {status}; wrote {out}")
-    return 0
+    return 0, {"L": L, "Lambda_L": lat.Lambda_L,
+               "certificate": int(lat.certificate), "unstable_count": lat.unstable_count}
 
 
 def _cmd_synthesize(config, args):
@@ -220,22 +219,19 @@ def _cmd_synthesize(config, args):
     for t in times:
         field.growth_factor(t)      # an overflowing time fails before any file is written
     outdir = Path(config["output.dir"]) / (args.out or "fields")
-    outdir.mkdir(parents=True, exist_ok=True)
+    _make_dir(outdir, f"cannot write {outdir}")
     for t in times:
         cols = field.sample(grid, t)
         path = outdir / ("t%g.csv" % t)
-        _write_csv(path, header, [cols[h] for h in header])
+        _write_rows(path, ",".join(header), zip(*(cols[h] for h in header)))
         print(f"wrote {path}")
-    _write_meta(config["output.dir"], config, "synthesize", headline)
-    return 0
+    return 0, headline
 
 
 def _cmd_evolve(config, args):
     profile = config.profile()
     mesh = config.mesh()
-    xi = config.get("evolve.xi")
-    if xi is None:
-        xi = min(1.0, 0.5 * profile.xi_c) if math.isfinite(profile.xi_c) else 1.0
+    xi = config.get("evolve.xi", profile.xi_ref)
     r = growth_rate(profile, mesh, xi)
     if isinstance(r, Stable):
         raise ConfigurationError(
@@ -247,24 +243,21 @@ def _cmd_evolve(config, args):
     u0, v0 = mode_initial_data(r)
     traj = integrate(r.forms, u0, v0, dt, T)
     out = Path(config["output.dir"]) / (args.out or "traj.csv")
-    _write_csv(out, ["t", "kinetic", "potential", "dissipated_cum", "norm1", "norm2"],
-               [traj.times, traj.kinetic, traj.potential, traj.dissipated_mid,
-                np.sqrt(traj.norm1_sq), np.sqrt(traj.norm2_sq)])
-    _write_meta(config["output.dir"], config, "evolve", {
+    _write_rows(out, "t,kinetic,potential,dissipated_cum,norm1,norm2",
+                zip(traj.times, traj.kinetic, traj.potential, traj.dissipated_mid,
+                    np.sqrt(traj.norm1_sq), np.sqrt(traj.norm2_sq)))
+    print(f"integrated mode at |xi| = {xi} for T = {T}; wrote {out}")
+    return 0, {
         "xi": xi, "lambda": lam, "dt": dt, "T": T,
         "final_norm1": float(np.sqrt(traj.norm1_sq[-1])), "step_factor": traj.step_factor,
-    })
-    print(f"integrated mode at |xi| = {xi} for T = {T}; wrote {out}")
-    return 0
+    }
 
 
 def _cmd_verify(config, args):
     results = run_battery(config, quick=args.quick)
     print(format_table(results))
-    _write_meta(config["output.dir"], config, "verify", {
-        "checks": len(results), "failed": sum(not r.passed for r in results),
-    })
-    return 0 if all(r.passed for r in results) else 4
+    failed = sum(not r.passed for r in results)
+    return (4 if failed else 0), {"checks": len(results), "failed": failed}
 
 
 def build_parser():
@@ -346,11 +339,10 @@ def main(argv=None):
                  if "." in key and value is not None
                  for k, v in (value.items() if isinstance(value, dict) else [(key, value)])]
         config = load_config(args.config, args.set + flags)
-        try:
-            Path(config["output.dir"]).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigurationError(f"output.dir: {exc}") from exc
-        return _HANDLERS[args.command](config, args)
+        _make_dir(config["output.dir"], "output.dir")
+        code, headline = _HANDLERS[args.command](config, args)
+        _write_meta(config, args.command, headline)
+        return code
     except (ConfigurationError, DomainError, RangeError, LayoutError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

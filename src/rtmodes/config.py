@@ -7,7 +7,7 @@ blank lines are ignored.
 
 import hashlib
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class RunConfig:
     """Validated flat configuration with typed access and object builders."""
 
     values: dict
-    source_text: str = dc_field(default="", repr=False)
 
     def __getitem__(self, key):
         return self.values[key]
@@ -210,7 +209,7 @@ def load_config(path=None, overrides=()):
             raise ConfigurationError(f"unknown key {key!r}")
         values[key] = _parse_value(key, raw)
     _validate(values)
-    return RunConfig(values=values, source_text=text)
+    return RunConfig(values=values)
 
 
 def key_help():

@@ -66,6 +66,11 @@ class ModeSolution:
         return float(np.hypot(self.xi[0], self.xi[1]))
 
     @property
+    def bracket_rel(self):
+        """Relative width 1 - lo/hi of the certified bracket around lambda."""
+        return 1.0 - self.bracket[0] / self.bracket[1]
+
+    @property
     def forms(self):
         """The pencil of the solve, re-assembled from the per-mesh cache on each access.
 
@@ -176,7 +181,7 @@ def _cost(r):
     """(factorizations, relative bracket width) of one growth_rate result; width 0 if Stable."""
     if isinstance(r, Stable):
         return r.factorizations, 0.0
-    return r.factorizations, 1.0 - r.bracket[0] / r.bracket[1]
+    return r.factorizations, r.bracket_rel
 
 
 def sweep(profile, mesh, xi_min, xi_max, n=48):

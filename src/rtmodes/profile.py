@@ -123,6 +123,8 @@ class SteadyProfile:
         self.rho_jump = self.rho_plus - self.rho_minus
         g, sigma = geometry.g, geometry.sigma
         self.xi_c = math.sqrt(g * self.rho_jump / sigma) if sigma > 0 else math.inf
+        # reference frequency of evolve and verify: min(1, xi_c / 2), 1 when xi_c is infinite
+        self.xi_ref = min(1.0, 0.5 * self.xi_c)
         # critical period scale: for L <= L_c every nonzero lattice magnitude 1/L
         # reaches xi_c; a jump rounded to 0 is rejected by build_profile, not here
         self.L_c = (math.sqrt(sigma / (g * self.rho_jump))

@@ -3,8 +3,7 @@
 Each check measures a quantity the theory pins down (a bound, an identity,
 a residual) at the configured resolution and compares it against its
 threshold.  The battery is deliberately a superset of smoke checks and a
-subset of the full acceptance suite: on the default configuration it
-finishes in about 0.9 s in-process on a 2-core Xeon.
+subset of the full acceptance suite.
 """
 
 import math
@@ -57,7 +56,7 @@ def run_battery(config, quick=False):
     out.append(_check("hydrostatic residual (h_fd=1e-4)", verify_hydrostatic(profile), 1e-6))
 
     # variational lower bound and monotonicity at a reference frequency
-    xi_ref = min(1.0, 0.5 * xi_c) if math.isfinite(xi_c) else 1.0
+    xi_ref = profile.xi_ref
     forms = assemble(profile, mesh, xi_ref)
     mus = []
     for s in (0.01, 0.1, 1.0, 10.0):

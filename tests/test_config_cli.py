@@ -120,27 +120,39 @@ def _table(name):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--config", "{tmp}/missing.cfg"], "cannot read the config file"),
-    (_table("missing.csv"), "missing.csv not found"),
-    (_table("adir"), "Is a directory"),
-    (_table("noP.csv"), "no field of name P"),
-    (_table("empty.csv"), "list index out of range"),
-    (_table("word.csv"), "must be finite numbers"),
-    (["--set", "output.dir={tmp}/file"], "output.dir: [Errno 17] File exists"),
+    (["mode", "--config", "{tmp}/missing.cfg"], "cannot read the config file"),
+    (["mode", *_table("missing.csv")], "missing.csv not found"),
+    (["mode", *_table("adir")], "Is a directory"),
+    (["mode", *_table("noP.csv")], "no field of name P"),
+    (["mode", *_table("empty.csv")], "list index out of range"),
+    (["mode", *_table("word.csv")], "must be finite numbers"),
+    (["mode", "--set", "output.dir={tmp}/file"], "output.dir: [Errno 17] File exists"),
+    (["profile", "--set", "output.dir={tmp}/o1", "--out", "sub"],
+     "cannot write {tmp}/o1/sub: [Errno 21] Is a directory"),
+    (["synthesize", "--set", "output.dir={tmp}/o2", "--grid", "2,1,1",
+      "--set", "synthesis.radial_nodes=2"], "cannot write {tmp}/o2/fields: [Errno 17] File exists"),
+    (["profile", "--set", "output.dir={tmp}/o3"],
+     "cannot write {tmp}/o3/run.json: [Errno 21] Is a directory"),
 ], ids=["missing config", "missing table", "table is a directory", "table without P",
-        "empty table", "non-numeric table cell", "output.dir is a file"])
+        "empty table", "non-numeric table cell", "output.dir is a file",
+        "--out is a directory", "fields is a file", "run.json is a directory"])
 def test_bad_file_input_exits_2_without_traceback(cfg_path, tmp_path, capsys, argv, message):
     (tmp_path / "adir").mkdir()
     (tmp_path / "noP.csv").write_text("rho,Q\n0.5,1.0\n1.0,2.0\n")
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "word.csv").write_text("rho,P\n0.5,1.0\n1.0,two\n")
     (tmp_path / "file").write_text("")
+    (tmp_path / "o1" / "sub").mkdir(parents=True)
+    (tmp_path / "o2").mkdir()
+    (tmp_path / "o2" / "fields").write_text("")
+    (tmp_path / "o3" / "run.json").mkdir(parents=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)        # numpy's "Empty input file"
-        code = main(["mode", "--config", str(cfg_path), *(a.format(tmp=tmp_path) for a in argv)])
+        code = main([argv[0], "--config", str(cfg_path),
+                     *(a.format(tmp=tmp_path) for a in argv[1:])])
     err = capsys.readouterr().err
     assert code == 2 and "Traceback" not in err
-    assert "configuration error" in err and message in err
+    assert "configuration error" in err and message.format(tmp=tmp_path) in err
 
 
 class TestCliRuns:
@@ -301,6 +313,12 @@ class TestCliRuns:
             assert lines[0] == "# row col value"
             row, col, val = lines[1].split()
             int(row), int(col), float(val)
+
+    def test_forms_records_its_run(self, cfg_path, tmp_path, capsys):
+        assert main(["forms", "--config", str(cfg_path), "--xi", "0.5"]) == 0
+        meta = json.loads((tmp_path / "out" / "run.json").read_text())
+        assert meta["subcommand"] == "forms" and meta["xi"] == 0.5
+        assert capsys.readouterr().out.startswith(f"dofs={meta['dofs']} ")
 
     def test_negative_frequency_exits_2(self, cfg_path, capsys):
         assert main(["mode", "--config", str(cfg_path), "--xi", "-1"]) == 2

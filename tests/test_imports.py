@@ -59,6 +59,28 @@ def test_only_eigen_imports_scipy_linalg_and_only_lapack():
     assert found == [("eigen.py", "scipy.linalg.lapack")]
 
 
+def test_cli_writes_only_through_its_writers():
+    # one place decides how outputs are written and how a write error exits:
+    # only the writer helpers open files or make directories, and only main
+    # writes run.json
+    writers = {"_make_dir", "_write_rows"}
+    tree = ast.parse((Path(rtmodes.__file__).resolve().parent / "cli.py").read_text())
+    opens, metas = [], []
+    for func in tree.body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("open", "mkdir", "makedirs", "write_text", "write_bytes", "touch"):
+                opens.append(func.name)
+            elif name == "_write_meta":
+                metas.append(func.name)
+    assert opens and set(opens) <= writers
+    assert metas == ["main"]
+
+
 def test_bench_selftest_passes():
     # the benchmark's tracer wraps every layer module and traced class; a refactor
     # that breaks its contract fails here, not only in a traced benchmark run
