@@ -1,0 +1,49 @@
+"""scipy's compiled band-LAPACK and CSR kernels, loaded without scipy's packages.
+
+The package calls five compiled routines: ``dpbtrf``, ``dpbtrs``, ``dgbtrf``
+and ``dgbtrs`` from the extension module ``scipy.linalg._flapack``, and
+``csr_matvec`` from ``scipy.sparse._sparsetools``.  Importing ``scipy.linalg``
+and ``scipy.sparse`` to reach them costs about 0.3 s per process; loading the
+two extensions from their files next to scipy's ``__init__`` takes a few
+milliseconds, and the ``__init__`` of ``scipy``, ``scipy.linalg`` and
+``scipy.sparse`` never runs.  The routines are the same compiled code, so every
+result is bit-identical.
+
+Each extension is registered in ``sys.modules`` under its own dotted name, and
+one already there is reused: a later ``import scipy.linalg`` finds the module
+loaded here, so ``scipy.linalg.lapack.dpbtrf`` is this module's ``dpbtrf``.
+(That package then lacks the attribute ``_flapack``; ``from scipy.linalg
+import _flapack`` still finds the module, and scipy imports it that way.)
+A scipy that lacks either file raises an ImportError naming its version.
+"""
+
+import importlib.machinery
+import importlib.util
+import sys
+from pathlib import Path
+
+_SCIPY = Path(importlib.util.find_spec("scipy").origin).parent
+
+
+def _extension(name):
+    """The extension module ``scipy.<name>``: the one in sys.modules, else loaded from its file."""
+    full = "scipy." + name
+    if full in sys.modules:
+        return sys.modules[full]
+    stem = _SCIPY.joinpath(*name.split("."))
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = stem.with_name(stem.name + suffix)
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(full, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[full] = module
+            spec.loader.exec_module(module)
+            return module
+    from importlib.metadata import version
+    raise ImportError(f"scipy {version('scipy')} has no extension module {full} "
+                      f"(looked for {stem}.*); rtmodes needs its compiled kernels")
+
+
+_flapack = _extension("linalg._flapack")
+dpbtrf, dpbtrs, dgbtrf, dgbtrs = _flapack.dpbtrf, _flapack.dpbtrs, _flapack.dgbtrf, _flapack.dgbtrs
+csr_matvec = _extension("sparse._sparsetools").csr_matvec

@@ -1,7 +1,9 @@
 """Command-line interface: one config file drives every subcommand.
 
 Each handler returns ``(exit_code, headline)``; :func:`main` writes every
-subcommand's ``run.json`` from the config and that headline.
+subcommand's ``run.json`` from the config and that headline.  A run that
+fails with exit code 2 or 3 once ``output.dir`` exists writes one too, with
+its ``exit_code`` and the error's class and message in place of the headline.
 
 Exit codes: 0 success, 2 configuration or input error (including
 out-of-domain arguments and an output path that cannot be written), 3 solver
@@ -124,10 +126,9 @@ def _cmd_forms(config, args):
     forms = assemble(profile, mesh, args.xi)
     if args.dump:
         for name, mat in (("E0", forms.E0), ("E1", forms.E1), ("J", forms.J)):
-            coo = mat.tocoo()
             path = Path(config["output.dir"]) / f"forms_{name}.txt"
             # _FMT prints an integer index with the same digits as %d
-            _write_rows(path, "# row col value", zip(coo.row, coo.col, coo.data), sep=" ")
+            _write_rows(path, "# row col value", zip(*mat.triplets()), sep=" ")
             print(f"wrote {path}")
     print("dofs=%d nnz(E0)=%d nnz(E1)=%d nnz(J)=%d" %
           (forms.n, forms.E0.nnz, forms.E1.nnz, forms.J.nnz))
@@ -332,23 +333,37 @@ _HANDLERS = {
 }
 
 
+def _report(exc):
+    """Print an input or solver error to stderr; its exit code (2 or 3)."""
+    if isinstance(exc, SolverError):
+        print(f"solver error: {exc} {exc.diagnostics}", file=sys.stderr)
+        return 3
+    print(f"configuration error: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    config = None       # set once output.dir exists; from then on every run writes run.json
     try:
         flags = [f"{k}={v!r}" for key, value in vars(args).items()
                  if "." in key and value is not None
                  for k, v in (value.items() if isinstance(value, dict) else [(key, value)])]
-        config = load_config(args.config, args.set + flags)
-        _make_dir(config["output.dir"], "output.dir")
+        loaded = load_config(args.config, args.set + flags)
+        _make_dir(loaded["output.dir"], "output.dir")
+        config = loaded
         code, headline = _HANDLERS[args.command](config, args)
-        _write_meta(config, args.command, headline)
+    except (ConfigurationError, DomainError, RangeError, LayoutError, SolverError) as exc:
+        code = _report(exc)
+        headline = {"exit_code": code, "error": type(exc).__name__, "message": str(exc)}
+    if config is None:
         return code
-    except (ConfigurationError, DomainError, RangeError, LayoutError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except SolverError as exc:
-        print(f"solver error: {exc} {exc.diagnostics}", file=sys.stderr)
-        return 3
+    try:
+        _write_meta(config, args.command, headline)
+    except ConfigurationError as exc:
+        if "exit_code" not in headline:     # a failed run keeps its own message and code
+            return _report(exc)
+    return code
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ law of inertia, A - m J is positive definite exactly when m lies below the
 bottom eigenvalue, and a banded Cholesky factorization (LAPACK ``dpbtrf``)
 succeeds exactly then.  Each factorization costs O(n) since the forms have
 half-bandwidth 2 * order + 1.  This module makes every banded LAPACK call of
-the package, the evolution step's included.
+the package, the evolution step's included; the four routines (``dpbtrf``,
+``dpbtrs``, ``dgbtrf``, ``dgbtrs``) are scipy's compiled ones, taken from
+:mod:`rtmodes._kernels` so that no process imports ``scipy.linalg``.
 
 :func:`_refine` shrinks a bracket that is certified from both sides.  The
 definite end carries a factor; inverse iteration with it gives a vector x,
@@ -20,8 +22,8 @@ it proves.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 
+from ._kernels import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 from .errors import DomainError, SolverError
 
 DENSE_CUTOFF = 900  # read by the benchmark's tracer; no solver branches on it

@@ -18,11 +18,10 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .eigen import _band_solver, _factor, _solve, bottom_eig
 from .errors import ConfigurationError, DomainError, SolverError
-from .forms import assemble
+from .forms import CSR, assemble
 
 
 @dataclass
@@ -92,7 +91,7 @@ def integrate(forms, u0, v0, dt, T, store_every=None):
     E0b, E1b, Jb = forms._bands
     kind, solve = _band_solver(2.0 * Jb + dt * E1b + 0.5 * dt**2 * E0b)
     n = forms.n
-    S = sp.vstack([forms.J, forms.E1, forms.E0], format="csr")
+    S = CSR.vstack([forms.J, forms.E1, forms.E0])
     Pu = (S @ u).reshape(3, n)              # J u, E1 u, E0 u
     Pw = (S @ w).reshape(3, n)[:2]          # J w, E1 w
     Jw, E0u = Pw[0], Pu[2]

@@ -25,6 +25,11 @@ xi-free work (one profile evaluation at the Gauss points, the element
 integrals of every coefficient, their scatter into the mesh's one CSR
 pattern) runs once per (profile, mesh) and is cached; ``assemble`` and
 ``compression`` evaluate the polynomials.
+
+Each form is a :class:`CSR` over that pattern: a minimal matrix type whose
+mat-vec is scipy's compiled ``csr_matvec`` (taken from :mod:`rtmodes._kernels`)
+and whose other operations follow ``scipy.sparse``'s element order, so the
+results are bit-identical to ``scipy.sparse.csr_matrix`` without importing it.
 """
 
 import math
@@ -32,10 +37,75 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
+from ._kernels import csr_matvec
 from .errors import DomainError, LayoutError
 from .mesh import Mesh
+
+
+class CSR:
+    """A sparse matrix in CSR layout (``data``, ``indices``, ``indptr``, ``shape``).
+
+    Supports what the package uses: ``@`` a vector, scalar ``*``, ``+`` and
+    ``-`` of two matrices on one pattern (entry by entry, as scipy sums them),
+    :meth:`toarray`, :meth:`triplets` and :meth:`vstack`.
+    """
+
+    __array_ufunc__ = None      # a numpy scalar or array operand defers to the methods here
+
+    def __init__(self, data, indices, indptr, shape):
+        self.data, self.indices, self.indptr, self.shape = data, indices, indptr, shape
+
+    @property
+    def nnz(self):
+        return int(self.indptr[-1])
+
+    def __matmul__(self, x):
+        if not (isinstance(x, np.ndarray) and x.shape == self.shape[1:]):
+            raise LayoutError(f"cannot multiply a {self.shape} matrix by {np.shape(x)}")
+        out = np.zeros(self.shape[0])       # csr_matvec adds into it, as scipy.sparse does
+        csr_matvec(*self.shape, self.indptr, self.indices, self.data, x, out)
+        return out
+
+    def __mul__(self, scalar):
+        return CSR(self.data * scalar, self.indices, self.indptr, self.shape)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return CSR(self.data + self._same(other).data, self.indices, self.indptr, self.shape)
+
+    def __sub__(self, other):
+        return CSR(self.data - self._same(other).data, self.indices, self.indptr, self.shape)
+
+    def _same(self, other):
+        if not (self.shape == other.shape and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices)):
+            raise LayoutError("matrices on different sparsity patterns")
+        return other
+
+    def toarray(self):
+        rows, cols, data = self.triplets()
+        out = np.zeros(self.shape)
+        out[rows, cols] += data             # adds, as scipy's csr_todense does: -0.0 reads 0.0
+        return out
+
+    def triplets(self):
+        """(row, col, value) of every stored entry in CSR order, as scipy's ``tocoo`` lists them."""
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return rows, self.indices, self.data
+
+    @staticmethod
+    def vstack(mats):
+        """Matrices on one pattern stacked by rows: their data concatenated on the shared indices."""
+        first = mats[0]
+        for M in mats[1:]:
+            first._same(M)
+        offsets = first.nnz * np.arange(1, len(mats))
+        indptr = np.concatenate([first.indptr, *(first.indptr[1:] + k for k in offsets)])
+        n, m = first.shape
+        return CSR(np.concatenate([M.data for M in mats]), np.tile(first.indices, len(mats)),
+                   indptr, (len(mats) * n, m))
 
 
 @dataclass
@@ -48,9 +118,9 @@ class FormSet:
     """
 
     xi: float
-    E0: sp.csr_matrix
-    E1: sp.csr_matrix
-    J: sp.csr_matrix
+    E0: CSR
+    E1: CSR
+    J: CSR
     mesh: Mesh
     profile: object
     psi0_dof: int
@@ -115,8 +185,13 @@ class FormSet:
         return self.E0.toarray(), self.E1.toarray(), self.J.toarray()
 
     def norms(self):
-        """Inf-norms (|E0|, |E1|, |J|) for residual thresholds."""
-        inf = lambda A: float(abs(A).sum(axis=1).max())
+        """Inf-norms (|E0|, |E1|, |J|) for residual thresholds.
+
+        Each row sum is one ``np.add.reduceat`` segment, as scipy's
+        ``abs(A).sum(axis=1)`` forms it (every row holds its diagonal, so no
+        segment is empty).
+        """
+        inf = lambda A: float(np.add.reduceat(np.abs(A.data), A.indptr[:-1]).max())
         return inf(self.E0), inf(self.E1), inf(self.J)
 
     def compression(self):
@@ -202,7 +277,7 @@ def _form(cache, name, xi):
     with np.errstate(over="ignore", invalid="ignore"):
         data = sum(p * c for p, c in zip(powers, coeffs[name]))
     n = indptr.size - 1
-    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+    return CSR(data, indices.copy(), indptr.copy(), (n, n))
 
 
 def assemble(profile, mesh, xi, _allow_zero=False):

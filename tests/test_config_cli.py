@@ -155,6 +155,32 @@ def test_bad_file_input_exits_2_without_traceback(cfg_path, tmp_path, capsys, ar
     assert "configuration error" in err and message.format(tmp=tmp_path) in err
 
 
+def test_failed_run_records_itself(cfg_path, tmp_path, capsys):
+    # a run that fails after output.dir exists replaces the previous run's
+    # run.json with its own record, not leaving a stale success beside it
+    out = tmp_path / "st"
+    argv = ["--config", str(cfg_path), "--set", f"output.dir={out}"]
+    assert main(["mode", *argv]) == 0
+    (out / "sub").mkdir()
+    assert main(["profile", *argv, "--out", "sub"]) == 2
+    meta = json.loads((out / "run.json").read_text())
+    assert meta["subcommand"] == "profile" and meta["exit_code"] == 2
+    assert meta["error"] == "ConfigurationError" and f"cannot write {out / 'sub'}" in meta["message"]
+    assert "lambda" not in meta
+    err = capsys.readouterr().err
+    assert err.count("configuration error") == 1 and f"cannot write {out / 'sub'}" in err
+
+
+def test_failed_run_that_cannot_record_keeps_its_error(cfg_path, tmp_path, capsys):
+    # run.json is a directory and the handler fails too: the handler's message and code stand
+    out = tmp_path / "o"
+    (out / "run.json").mkdir(parents=True)
+    assert main(["evolve", "--config", str(cfg_path), "--set", f"output.dir={out}",
+                 "--xi", "5.0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("configuration error") == 1 and "is stable" in err
+
+
 class TestCliRuns:
     def test_profile_and_mode(self, cfg_path, tmp_path, capsys):
         assert main(["profile", "--config", str(cfg_path)]) == 0

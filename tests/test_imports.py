@@ -7,7 +7,8 @@ from pathlib import Path
 import rtmodes
 
 # Each of these costs start-up time in every rtmodes process; the CLI needs none.
-HEAVY = ("scipy.interpolate", "scipy.special", "scipy.optimize", "scipy.integrate",
+HEAVY = ("scipy", "scipy.linalg", "scipy.sparse", "scipy._lib._array_api",
+         "scipy.interpolate", "scipy.special", "scipy.optimize", "scipy.integrate",
          "scipy.sparse.linalg")
 
 
@@ -40,23 +41,57 @@ def test_no_sparse_lu_in_the_package():
         assert "splu" not in text and "spsolve" not in text, path.name
 
 
-def test_only_eigen_imports_scipy_linalg_and_only_lapack():
-    # eigen is the one banded layer: a second factorization or solve path that
-    # imports scipy.linalg (or its high-level band wrappers) elsewhere fails here
+def _absolute_imports(node):
+    """The modules an import statement reads, ``from m import a`` giving m and m.a."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+    return []
+
+
+def test_only_kernels_loads_scipy_extensions():
+    # _kernels is the one door to scipy's compiled code: only it names a scipy
+    # extension or imports importlib to load one, only eigen takes the
+    # band-LAPACK routines from it and only forms the CSR mat-vec, and no module
+    # imports scipy.linalg or scipy.sparse (their import was most of start-up)
     package = Path(rtmodes.__file__).resolve().parent
-    found = []
+    loaders, taken, packages = set(), [], []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                found += [(path.name, a.name) for a in node.names
-                          if a.name.startswith("scipy.linalg")]
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                if node.module.startswith("scipy.linalg"):
-                    found.append((path.name, node.module))
-                elif node.module == "scipy":
-                    found += [(path.name, "scipy." + a.name) for a in node.names
-                              if a.name == "linalg"]
-    assert found == [("eigen.py", "scipy.linalg.lapack")]
+            modules = _absolute_imports(node)
+            packages += [(path.name, m) for m in modules
+                         if m.startswith(("scipy.linalg", "scipy.sparse"))]
+            if any(m.startswith("importlib") for m in modules) or (
+                    isinstance(node, ast.Constant) and str(node.value).startswith(
+                        ("linalg._flapack", "sparse._sparsetools", "scipy."))):
+                loaders.add(path.name)
+            if isinstance(node, ast.ImportFrom) and node.module == "_kernels":
+                taken += [(path.name, a.name) for a in node.names]
+    assert packages == []
+    assert loaders == {"_kernels.py"}
+    assert sorted(taken) == [("eigen.py", "dgbtrf"), ("eigen.py", "dgbtrs"), ("eigen.py", "dpbtrf"),
+                             ("eigen.py", "dpbtrs"), ("forms.py", "csr_matvec")]
+
+
+def test_scipy_imported_later_reuses_the_loaded_kernels():
+    # a caller that imports scipy's packages after rtmodes gets the very
+    # extension modules rtmodes loaded, and scipy.sparse still works on top of them
+    statement = "\n".join([
+        "import rtmodes.cli",
+        "import numpy as np",
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))",
+        "assert loaded == ['scipy.linalg._flapack', 'scipy.sparse._sparsetools'], loaded",
+        "import scipy.linalg, scipy.sparse",
+        "from rtmodes import eigen, forms",
+        "assert scipy.linalg.lapack.dpbtrf is eigen.dpbtrf",
+        "assert scipy.linalg.lapack.dgbtrs is eigen.dgbtrs",
+        "from scipy.sparse import _sparsetools",
+        "assert _sparsetools.csr_matvec is forms.csr_matvec",
+        "A = scipy.sparse.csr_matrix(np.array([[2.0, 1.0], [0.0, 3.0]]))",
+        "assert (A @ np.array([1.0, 2.0])).tolist() == [4.0, 6.0]",
+    ])
+    assert {"scipy.linalg", "scipy.sparse"} <= set(_heavy_loaded_after(statement))
 
 
 def test_cli_writes_only_through_its_writers():
