@@ -9,12 +9,12 @@ milliseconds, and the ``__init__`` of ``scipy``, ``scipy.linalg`` and
 ``scipy.sparse`` never runs.  The routines are the same compiled code, so every
 result is bit-identical.
 
-Each extension is registered in ``sys.modules`` under its own dotted name, and
-one already there is reused: a later ``import scipy.linalg`` finds the module
-loaded here, so ``scipy.linalg.lapack.dpbtrf`` is this module's ``dpbtrf``.
-(That package then lacks the attribute ``_flapack``; ``from scipy.linalg
-import _flapack`` still finds the module, and scipy imports it that way.)
-A scipy that lacks either file raises an ImportError naming its version.
+An extension that scipy has already imported is reused from ``sys.modules``;
+one loaded here is taken out of it again, so that a later ``import
+scipy.linalg`` loads it itself and binds it onto its package as ``_flapack``.
+Python initialises such an extension once per process, so
+``scipy.linalg.lapack.dpbtrf`` is still this module's ``dpbtrf``.  A scipy
+that lacks either file raises an ImportError naming its version.
 """
 
 import importlib.machinery
@@ -36,8 +36,8 @@ def _extension(name):
         if path.is_file():
             spec = importlib.util.spec_from_file_location(full, path)
             module = importlib.util.module_from_spec(spec)
-            sys.modules[full] = module
             spec.loader.exec_module(module)
+            sys.modules.pop(full, None)     # loading entered it there; see above
             return module
     from importlib.metadata import version
     raise ImportError(f"scipy {version('scipy')} has no extension module {full} "

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .config import key_help, load_config
 from .dispersion import Stable, growth_rate, lattice_modes, sweep
-from .errors import ConfigurationError, DomainError, LayoutError, RangeError, SolverError
+from .errors import ConfigurationError, DomainError, LayoutError, RangeError, SolverError, storable
 from .evolution import integrate, mode_initial_data
 from .forms import assemble
 from .profile import by_side, verify_hydrostatic
@@ -101,10 +101,9 @@ def _cmd_profile(config, args):
     profile = config.profile()
     n = args.resolution
     geom = profile.geometry
-    xs = np.concatenate([
-        np.linspace(-geom.m, 0.0, n // 2, endpoint=False),
-        np.linspace(0.0, geom.ell, n - n // 2),
-    ])
+    with storable(f"--resolution {n}"):
+        xs = np.concatenate([np.linspace(-geom.m, 0.0, n // 2, endpoint=False),
+                             np.linspace(0.0, geom.ell, n - n // 2)])
 
     def columns(x, side):
         f = profile.fields(x, side=side)
@@ -206,7 +205,7 @@ def _cmd_synthesize(config, args):
                     "xi1_k1": field.xi1[0] * L, "xi1_k2": field.xi1[1] * L}
     else:
         f = BumpProfile.default(profile.xi_c, config.get("synthesis.f.a"),
-                                config.get("synthesis.f.b"), amp=config["synthesis.f.amp"])
+                                config.get("synthesis.f.b"))
         field = NonperiodicField(profile, mesh, f, n_radial=config["synthesis.radial_nodes"])
         extent = config.get("synthesis.grid.extent", math.pi / f.a)
         headline = {"lambda0": field.lambda0, "Lambda_nodes": field.Lambda,
@@ -214,8 +213,9 @@ def _cmd_synthesize(config, args):
 
     nx, ny, nz = (config[f"synthesis.grid.{axis}"] for axis in ("nx", "ny", "nz"))
     geom = profile.geometry
-    grid = (np.linspace(-extent, extent, nx), np.linspace(-extent, extent, ny),
-            np.linspace(-geom.m, geom.ell, nz))
+    with storable("a %d x %d x %d sample grid" % (nx, ny, nz)):
+        grid = (np.linspace(-extent, extent, nx), np.linspace(-extent, extent, ny),
+                np.linspace(-geom.m, geom.ell, nz))
     header = ["x1", "x2", "x3", "eta1", "eta2", "eta3", "v1", "v2", "v3", "q"]
     for t in times:
         field.growth_factor(t)      # an overflowing time fails before any file is written

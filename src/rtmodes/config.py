@@ -43,7 +43,6 @@ KEYS = {
     "viscosity.upper.delta_power": (float, 0.0, "bulk viscosity exponent p (0: constant delta = c)"),
     "mesh.elements_per_side": (int, 256, "uniform elements on each side of the interface"),
     "mesh.order": (int, 2, "element order: 1 or 2"),
-    "mesh.quadrature": (int, 3, "Gauss points per element"),
     "sweep.n": (int, 48, "log-spaced frequency samples in a dispersion sweep (dispersion --n)"),
     "sweep.xi_min": (float, None, "lowest frequency (default 0.02 xi_c)"),
     "sweep.xi_max": (float, None, "highest frequency (default 0.98 xi_c)"),
@@ -52,7 +51,6 @@ KEYS = {
     "mode.xi": (float, 1.0, "frequency magnitude for single-mode solves (mode --xi)"),
     "synthesis.f.a": (float, None, "bump support lower edge (default 0.3 xi_c)"),
     "synthesis.f.b": (float, None, "bump support upper edge (default 0.7 xi_c)"),
-    "synthesis.f.amp": (float, 1.0, "bump amplitude"),
     "synthesis.radial_nodes": (int, 16, "Gauss-Legendre radial quadrature nodes "
                                         "(the angular integral is exact: Bessel J0, J1)"),
     "synthesis.grid.nx": (int, 8, "sample grid points along x1"),
@@ -87,10 +85,8 @@ class RunConfig:
     # -- builders -------------------------------------------------------
 
     def geometry(self):
-        return SlabGeometry(
-            m=self["geometry.m"], ell=self["geometry.ell"], g=self["geometry.g"],
-            sigma=self["geometry.sigma"], L=self.values.get("geometry.L"),
-        )
+        return SlabGeometry(m=self["geometry.m"], ell=self["geometry.ell"],
+                            g=self["geometry.g"], sigma=self["geometry.sigma"])
 
     def _law(self, side):
         kind = self[f"fluid.{side}.law"]
@@ -119,11 +115,8 @@ class RunConfig:
         )
 
     def mesh(self):
-        return Mesh.uniform(
-            self["geometry.m"], self["geometry.ell"],
-            n_per_side=self["mesh.elements_per_side"],
-            order=self["mesh.order"], quad_points=self["mesh.quadrature"],
-        )
+        return Mesh.uniform(self["geometry.m"], self["geometry.ell"],
+                            n_per_side=self["mesh.elements_per_side"], order=self["mesh.order"])
 
     def sweep_range(self, xi_c):
         lo = self.values.get("sweep.xi_min")

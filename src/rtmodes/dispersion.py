@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigen import _factor, _refine
-from .errors import ConfigurationError, DomainError, SolverError
+from .errors import ConfigurationError, DomainError, SolverError, storable
 from .forms import assemble
 from .residuals import jump_residuals, strong_form_residual
 
@@ -172,10 +172,6 @@ class DispersionCurve:
     stable_count: int          # samples found Stable, recorded as 0.0 rows
     argmax_mode: ModeSolution | None = field(repr=False, default=None)
 
-    @property
-    def endpoint_rates(self):
-        return float(self.lam[0]), float(self.lam[-1])
-
 
 def _cost(r):
     """(factorizations, relative bracket width) of one growth_rate result; width 0 if Stable."""
@@ -200,7 +196,8 @@ def sweep(profile, mesh, xi_min, xi_max, n=48):
         raise ConfigurationError(
             "xi_max exceeds the critical frequency %.6g" % profile.xi_c
         )
-    mags = np.geomspace(xi_min, xi_max, n)
+    with storable("%d sweep samples" % n):
+        mags = np.geomspace(xi_min, xi_max, n)
     rows = []
     solved = []                 # (factorizations, relative bracket width) per solve
     argmax_mode = None

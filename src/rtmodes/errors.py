@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and :func:`storable`, which raises one."""
+
+from contextlib import contextmanager
 
 
 class DomainError(ValueError):
@@ -26,6 +28,15 @@ class VacuumError(ConfigurationError):
     def __init__(self, side, message):
         self.side = side
         super().__init__(message)
+
+
+@contextmanager
+def storable(what):
+    """numpy's refusal to allocate in the block, as a ConfigurationError naming ``what``."""
+    try:
+        yield
+    except (ValueError, MemoryError):
+        raise ConfigurationError(f"{what}: more than can be stored") from None
 
 
 class SolverError(RuntimeError):

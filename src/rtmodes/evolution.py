@@ -14,7 +14,6 @@ consistency of the integrator and vanishes under step refinement.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +31,8 @@ class ModeTrajectory:
     accumulates dt * u_dot_m^T E1 u_dot_m at the midpoint states (exact
     ledger), dissipated_trap the trapezoid of endpoint powers.  norm1_sq,
     norm2_sq hold u^T (2J) u and u^T (2E1) u; *_dot the same for u_dot.
-    states_u, states_v hold the states at state_times, one row each: by
-    default only the first and the last (see :func:`integrate`).
+    states_u, states_v hold the first and the last state, one row each, at
+    state_times.
     """
 
     forms: object
@@ -56,7 +55,7 @@ class ModeTrajectory:
         return self.kinetic + self.potential
 
 
-def integrate(forms, u0, v0, dt, T, store_every=None):
+def integrate(forms, u0, v0, dt, T):
     """Implicit-midpoint trajectory of (u, u_dot) from (u0, v0) to time T.
 
     Each step solves M wm = 2 J w - dt E0 u for the midpoint velocity wm,
@@ -67,17 +66,12 @@ def integrate(forms, u0, v0, dt, T, store_every=None):
     E1 u, E0 u, J w, E1 w through the same linear updates and gives the
     midpoint power; every other update is in place.
 
-    The ledgers cover every step.  States are stored at steps 0 and N only,
-    or, with ``store_every = k`` (an integer >= 1), at steps 0, k, 2k, ...
-    and N, written straight into preallocated arrays.
+    The ledgers cover every step; states are kept at steps 0 and N only.
     """
     if dt <= 0 or T < dt:
         raise DomainError("need dt > 0 and T >= dt")
-    if store_every is not None and not (isinstance(store_every, numbers.Integral)
-                                        and store_every >= 1):
-        raise DomainError("store_every must be an integer >= 1, got %r" % (store_every,))
-    u = forms._check(u0).copy()
-    w = forms._check(v0).copy()
+    u0, v0 = forms._check(u0), forms._check(v0)
+    u, w = u0.copy(), v0.copy()
     steps = T / dt
     try:
         n_steps = int(round(steps))
@@ -86,7 +80,6 @@ def integrate(forms, u0, v0, dt, T, store_every=None):
     except (OverflowError, ValueError, MemoryError):
         raise DomainError("dt = %g and T = %g need %.6g steps, more than can be stored"
                           % (dt, T, steps)) from None
-    every = n_steps if store_every is None else int(store_every)
 
     E0b, E1b, Jb = forms._bands
     kind, solve = _band_solver(2.0 * Jb + dt * E1b + 0.5 * dt**2 * E0b)
@@ -99,20 +92,11 @@ def integrate(forms, u0, v0, dt, T, store_every=None):
     du = np.empty(n)
 
     nt = n_steps + 1
-    stored = list(range(0, nt, every))
-    if stored[-1] != n_steps:
-        stored.append(n_steps)
-    states_u = np.empty((len(stored), n))
-    states_v = np.empty((len(stored), n))
 
     def record(i):
         row = ledger[i]
         np.dot(Pu, u, out=row[:3])
         np.dot(Pw, w, out=row[3:5])
-        if i % every == 0 or i == n_steps:
-            k = -1 if i == n_steps else i // every
-            states_u[k] = u
-            states_v[k] = w
         return row
 
     record(0)
@@ -141,14 +125,15 @@ def integrate(forms, u0, v0, dt, T, store_every=None):
     dtrap = np.zeros(nt)
     np.cumsum(dt * ledger[1:, 5], out=dmid[1:])
     np.cumsum(0.5 * dt * (n2d[:-1] + n2d[1:]) / 2.0, out=dtrap[1:])
+    times = dt * np.arange(nt)
     return ModeTrajectory(
-        forms=forms, dt=dt, step_factor=kind, times=dt * np.arange(nt),
+        forms=forms, dt=dt, step_factor=kind, times=times,
         kinetic=0.5 * ledger[:, 3], potential=0.5 * ledger[:, 2],
         dissipated_mid=dmid, dissipated_trap=dtrap,
         norm1_sq=2.0 * ledger[:, 0], norm2_sq=2.0 * ledger[:, 1],
         norm1_dot_sq=2.0 * ledger[:, 3], norm2_dot_sq=n2d,
-        state_times=dt * np.asarray(stored, dtype=float),
-        states_u=states_u, states_v=states_v,
+        state_times=times[[0, -1]],
+        states_u=np.stack([u0, u]), states_v=np.stack([v0, w]),
     )
 
 

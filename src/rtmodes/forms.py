@@ -46,8 +46,8 @@ from .mesh import Mesh
 class CSR:
     """A sparse matrix in CSR layout (``data``, ``indices``, ``indptr``, ``shape``).
 
-    Supports what the package uses: ``@`` a vector, scalar ``*``, ``+`` and
-    ``-`` of two matrices on one pattern (entry by entry, as scipy sums them),
+    Supports what the package uses: ``@`` a vector, scalar ``*``, ``+`` of two
+    matrices on one pattern (entry by entry, as scipy sums them),
     :meth:`toarray`, :meth:`triplets` and :meth:`vstack`.
     """
 
@@ -74,9 +74,6 @@ class CSR:
 
     def __add__(self, other):
         return CSR(self.data + self._same(other).data, self.indices, self.indptr, self.shape)
-
-    def __sub__(self, other):
-        return CSR(self.data - self._same(other).data, self.indices, self.indptr, self.shape)
 
     def _same(self, other):
         if not (self.shape == other.shape and np.array_equal(self.indptr, other.indptr)
@@ -147,17 +144,6 @@ class FormSet:
         return self.profile.geometry.g
 
     # -- layout ----------------------------------------------------------
-
-    def from_nodal(self, phi, psi):
-        """Pack nodal fields into a dof vector (boundary values dropped)."""
-        phi = np.asarray(phi, dtype=float)
-        psi = np.asarray(psi, dtype=float)
-        if phi.shape != (self.mesh.n_nodes,) or psi.shape != (self.mesh.n_nodes,):
-            raise LayoutError("nodal arrays must have one value per mesh node")
-        x = np.empty(self.n)
-        x[0::2] = phi[1:-1]
-        x[1::2] = psi[1:-1]
-        return x
 
     def to_nodal(self, x):
         """Unpack a dof vector into (phi, psi) nodal arrays with zero ends."""

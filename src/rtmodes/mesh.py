@@ -3,12 +3,15 @@
 Lagrange elements of order 1 or 2 on each side of x3 = 0; no element
 straddles the interface, so piecewise-smooth coefficients are smooth within
 every element.  Quadrature is Gauss-Legendre per element, shared by every
-form assembled on the mesh.
+form assembled on the mesh: three points, at least order + 1 for both
+orders, so the element mass form J is nonsingular.
 """
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, storable
+
+QUAD_POINTS = 3
 
 
 def shape_functions(order, t):
@@ -32,7 +35,7 @@ def shape_functions(order, t):
 class Mesh:
     """Node coordinates, element connectivity, and quadrature data."""
 
-    def __init__(self, lower_breaks, upper_breaks, order=2, quad_points=3):
+    def __init__(self, lower_breaks, upper_breaks, order=2):
         lower_breaks = np.asarray(lower_breaks, dtype=float)
         upper_breaks = np.asarray(upper_breaks, dtype=float)
         if lower_breaks[-1] != 0.0 or upper_breaks[0] != 0.0:
@@ -41,11 +44,8 @@ class Mesh:
             raise ConfigurationError("breakpoints must be strictly increasing")
         if order not in (1, 2):
             raise ConfigurationError("element order must be 1 or 2")
-        if quad_points < order + 1:
-            # fewer points leave the element mass form J singular
-            raise ConfigurationError("quadrature needs at least order + 1 Gauss points per element")
         self.order = order
-        self.quad_points = quad_points
+        self.quad_points = QUAD_POINTS
 
         breaks = np.concatenate([lower_breaks, upper_breaks[1:]])
         n_el = len(breaks) - 1
@@ -65,10 +65,8 @@ class Mesh:
         self.element_breaks = breaks
         self.element_side = np.where(0.5 * (breaks[:-1] + breaks[1:]) < 0, -1, +1)
         self.interface_node = int(np.flatnonzero(nodes == 0.0)[0])
-        self.m = -float(nodes[0])
-        self.ell = float(nodes[-1])
 
-        tq, wq = np.polynomial.legendre.leggauss(quad_points)
+        tq, wq = np.polynomial.legendre.leggauss(QUAD_POINTS)
         self.shape_q, self.dshape_q = shape_functions(order, tq)  # (nq, nd)
         h = np.diff(breaks)
         self.jacobian = h / 2.0                                   # (n_el,)
@@ -78,16 +76,13 @@ class Mesh:
         self.quad_w = self.jacobian[:, None] * wq[None, :]
 
     @classmethod
-    def uniform(cls, m, ell, n_per_side=256, order=2, quad_points=3):
+    def uniform(cls, m, ell, n_per_side=256, order=2):
         """Uniform mesh with ``n_per_side`` elements on each side of 0."""
         if m <= 0 or ell <= 0:
             raise ConfigurationError("slab depths must be > 0")
-        return cls(
-            np.linspace(-m, 0.0, n_per_side + 1),
-            np.linspace(0.0, ell, n_per_side + 1),
-            order=order,
-            quad_points=quad_points,
-        )
+        with storable("%d elements per side" % n_per_side):
+            breaks = np.linspace(-m, 0.0, n_per_side + 1), np.linspace(0.0, ell, n_per_side + 1)
+        return cls(*breaks, order=order)
 
     @property
     def n_nodes(self):

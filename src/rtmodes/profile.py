@@ -19,13 +19,12 @@ from .errors import ConfigurationError, DomainError, RangeError, VacuumError
 
 @dataclass(frozen=True)
 class SlabGeometry:
-    """Slab depths, gravity, surface tension, optional horizontal period 2*pi*L."""
+    """Slab depths, gravity and surface tension."""
 
     m: float
     ell: float
     g: float
     sigma: float = 0.0
-    L: float | None = None
 
     def __post_init__(self):
         if self.m <= 0 or self.ell <= 0:
@@ -34,8 +33,6 @@ class SlabGeometry:
             raise ConfigurationError("gravitational acceleration g must be > 0")
         if self.sigma < 0:
             raise ConfigurationError("surface tension sigma must be >= 0")
-        if self.L is not None and self.L <= 0:
-            raise ConfigurationError("horizontal period scale L must be > 0")
 
 
 class ViscosityLaw:

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .dispersion import Stable, growth_rate, lattice_modes
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, storable
 from .profile import by_side
 from .residuals import ode_second_derivatives
 
@@ -38,13 +38,6 @@ class NormalMode3D:
     theta: np.ndarray   # nodal amplitude of the e_2 component
     psi: np.ndarray
     mesh: object
-
-    def w_hat(self, x3, side=None):
-        """Complex triple at heights x3."""
-        f = self.mesh.eval_nodal(self.phi, x3, side=side)
-        t = self.mesh.eval_nodal(self.theta, x3, side=side)
-        p = self.mesh.eval_nodal(self.psi, x3, side=side)
-        return np.stack([-1j * f, -1j * t, p], axis=-1)
 
 
 def extend_to_plane(mode, xi_vec):
@@ -68,26 +61,26 @@ def extend_to_plane(mode, xi_vec):
 
 
 class BumpProfile:
-    """Standard compactly supported bump amp * exp(-1/(1-u^2)) on [a, b]."""
+    """Standard compactly supported bump exp(-1/(1-u^2)) on [a, b]."""
 
-    def __init__(self, a, b, amp=1.0):
+    def __init__(self, a, b):
         if not (0 < a < b):
             raise ConfigurationError("bump support needs 0 < a < b")
-        self.a, self.b, self.amp = float(a), float(b), float(amp)
+        self.a, self.b = float(a), float(b)
 
     @classmethod
-    def default(cls, xi_c, a=None, b=None, amp=1.0):
+    def default(cls, xi_c, a=None, b=None):
         """Each missing edge defaults to the middle 40% of (0, xi_c): a = 0.3 xi_c, b = 0.7 xi_c."""
         if (a is None or b is None) and not math.isfinite(xi_c):
             raise ConfigurationError("default bump needs a finite xi_c; pass a, b explicitly")
-        return cls(0.3 * xi_c if a is None else a, 0.7 * xi_c if b is None else b, amp)
+        return cls(0.3 * xi_c if a is None else a, 0.7 * xi_c if b is None else b)
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
         u = (2 * r - self.a - self.b) / (self.b - self.a)
         out = np.zeros_like(u)
         inside = np.abs(u) < 1.0
-        out[inside] = self.amp * np.exp(-1.0 / (1.0 - u[inside] ** 2))
+        out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
         return out if out.ndim else float(out)
 
 
@@ -110,7 +103,8 @@ def _as_points(x):
 def _sample(evaluate, grid):
     """Columns x1, x2, x3, eta1..3, v1..3, q of ``evaluate(points) -> (eta, v, q)``
     on the rectilinear grid (x1s, x2s, x3s)."""
-    X = np.meshgrid(*(np.asarray(g, dtype=float) for g in grid), indexing="ij")
+    with storable("a %s sample grid" % " x ".join(str(np.size(g)) for g in grid)):
+        X = np.meshgrid(*(np.asarray(g, dtype=float) for g in grid), indexing="ij")
     eta, vel, qf = evaluate(np.stack(X, axis=-1))
     cols = {f"x{i + 1}": X[i].ravel() for i in range(3)}
     cols.update({f"eta{i + 1}": eta[..., i].ravel() for i in range(3)})
@@ -184,7 +178,6 @@ class PeriodicField:
             lattice = lattice_modes(profile, mesh, L)
         (k1, k2), self.mode = lattice.argmax()   # the pair's partner is -(k1, k2)
         self.profile, self.mesh, self.L = profile, mesh, L
-        self.lattice = lattice
         self.xi1 = np.array([k1 / L, k2 / L])
         self.Lambda_L = float(lattice.Lambda_L)
         self.mode3d = extend_to_plane(self.mode, self.xi1)
@@ -250,7 +243,8 @@ class NonperiodicField:
                 % (f.a, f.b, profile.xi_c)
             )
         self.profile, self.mesh, self.f = profile, mesh, f
-        tq, wq = np.polynomial.legendre.leggauss(n_radial)
+        with storable("%d radial nodes" % n_radial):
+            tq, wq = np.polynomial.legendre.leggauss(n_radial)
         self.r = 0.5 * (f.a + f.b) + 0.5 * (f.b - f.a) * tq
         self.w = 0.5 * (f.b - f.a) * wq
         self.modes = []
@@ -332,15 +326,3 @@ class NonperiodicField:
         """Radial-quadrature piecewise H^k norm of eta, v, or q at time t."""
         return _sobolev_norm(self._norms, self.w * self.r * self.f(self.r) ** 2 / (2 * math.pi),
                              self.modes, which, k, t)
-
-    def interface_displacement_l2(self, patch_radius=None, n=48):
-        """L2 norm of eta_3(., 0, 0) over a horizontal patch (reality check
-        that vertical interface displacement is genuinely excited)."""
-        if patch_radius is None:
-            patch_radius = 2 * math.pi / self.f.a
-        xs = np.linspace(-patch_radius, patch_radius, n)
-        X1, X2 = np.meshgrid(xs, xs, indexing="ij")
-        pts = np.stack([X1, X2, np.zeros_like(X1)], axis=-1)
-        vals = self.eta(pts, 0.0)[..., 2]
-        area = (xs[1] - xs[0]) ** 2
-        return math.sqrt(float(np.sum(vals**2) * area))

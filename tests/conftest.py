@@ -8,11 +8,11 @@ import rtmodes as rt
 
 
 def make_profile(sigma=0.1, eps=0.1, delta=0.0, g=1.0, m=1.0, ell=1.0,
-                 K_lower=2.0, K_upper=1.0, rho_minus=1.0, L=None):
+                 K_lower=2.0, K_upper=1.0, rho_minus=1.0):
     """Isothermal two-fluid slab used throughout: K- = 2, K+ = 1, gamma = 1."""
     lower = rt.PressureLaw.polytropic(K_lower, 1.0)
     upper = rt.PressureLaw.polytropic(K_upper, 1.0)
-    geom = rt.SlabGeometry(m=m, ell=ell, g=g, sigma=sigma, L=L)
+    geom = rt.SlabGeometry(m=m, ell=ell, g=g, sigma=sigma)
     visc = (
         rt.FluidViscosity(rt.ViscosityLaw.constant(eps), rt.ViscosityLaw.constant(delta)),
         rt.FluidViscosity(rt.ViscosityLaw.constant(eps), rt.ViscosityLaw.constant(delta)),

@@ -117,7 +117,7 @@ def test_05_rate_bounds(profile, curve256):
 
 def test_06_endpoint_limits(curve256):
     with criterion(6, "rates at sweep endpoints below Lambda / 3"):
-        lo, hi = curve256.endpoint_rates
+        lo, hi = curve256.lam[0], curve256.lam[-1]
         assert lo < curve256.Lambda / 3
         assert hi < curve256.Lambda / 3
 

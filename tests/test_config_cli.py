@@ -354,9 +354,30 @@ class TestCliRuns:
         assert main(["mode", "--config", str(cfg_path), "--set", "fluid.lower.gamma=0.5"]) == 2
         assert "gamma" in capsys.readouterr().err
 
-    def test_underintegrated_mass_exits_2(self, cfg_path, capsys):
-        assert main(["mode", "--config", str(cfg_path), "--set", "mesh.quadrature=1"]) == 2
-        assert "quadrature" in capsys.readouterr().err
+    def test_removed_keys_exit_2(self, cfg_path, capsys):
+        # the Gauss rule has three points and the bump a unit amplitude: neither is a key
+        for command, key in (("mode", "mesh.quadrature=3"), ("synthesize", "synthesis.f.amp=2")):
+            assert main([command, "--config", str(cfg_path), "--set", key]) == 2
+            assert f"unknown key {key.split('=')[0]!r}" in capsys.readouterr().err
+        assert "mesh.quadrature" not in key_help() and "synthesis.f.amp" not in key_help()
+
+    # each size is past numpy's addressable limit, so it fails before anything is allocated
+    @pytest.mark.parametrize("argv, message", [
+        (["profile", "--resolution", "4000000000000000000"], "--resolution 4000000000000000000"),
+        (["dispersion", "--n", "4000000000000000000"], "4000000000000000000 sweep samples"),
+        (["mode", "--set", "mesh.elements_per_side=4000000000000000000"],
+         "4000000000000000000 elements per side"),
+        (["synthesize", "--grid", "3000000,3000000,3000000"],
+         "a 3000000 x 3000000 x 3000000 sample grid"),
+        (["synthesize", "--grid", "1,1,4000000000000000000"],
+         "a 1 x 1 x 4000000000000000000 sample grid"),
+        (["synthesize", "--set", "synthesis.radial_nodes=4000000000000000000"],
+         "4000000000000000000 radial nodes"),
+    ])
+    def test_oversized_input_exits_2(self, cfg_path, capsys, argv, message):
+        assert main([*argv, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"{message}: more than can be stored" in err
 
     @pytest.mark.parametrize("command", [["mode", "--xi", "1"], ["dispersion", "--n", "3"]])
     def test_order_one_mesh_runs(self, cfg_path, tmp_path, command):

@@ -113,9 +113,8 @@ def test_time_reversibility_conservative_pencil(forms_xi1, rng):
     conservative = dataclasses.replace(forms_xi1, E1=0.0 * forms_xi1.E1)
     u0 = rng.standard_normal(forms_xi1.n)
     v0 = rng.standard_normal(forms_xi1.n)
-    fwd = rt.integrate(conservative, u0, v0, 0.01, 1.0, store_every=10**9)
-    back = rt.integrate(conservative, fwd.states_u[-1], -fwd.states_v[-1], 0.01, 1.0,
-                        store_every=10**9)
+    fwd = rt.integrate(conservative, u0, v0, 0.01, 1.0)
+    back = rt.integrate(conservative, fwd.states_u[-1], -fwd.states_v[-1], 0.01, 1.0)
     n_steps = len(fwd.times) - 1
     scale = math.sqrt(float(fwd.norm1_sq.max()))
     assert np.linalg.norm(back.states_u[-1] - u0) <= n_steps * 1e-10 * scale
@@ -164,15 +163,22 @@ def test_stepper_matches_dense_midpoint_oracle(profile, dt, definite):
     r = np.random.default_rng(5)
     u0, v0 = r.standard_normal(forms.n), r.standard_normal(forms.n)
     n_steps = 40
-    traj = rt.integrate(forms, u0, v0, dt, n_steps * dt, store_every=1)
+    traj = rt.integrate(forms, u0, v0, dt, n_steps * dt)
     assert traj.step_factor == ("cholesky" if definite else "lu")
     ref = _dense_midpoint(forms, u0, v0, dt, n_steps)
     rel = lambda a, b: np.max(np.abs(a - b)) / np.max(np.abs(b))
     for name, expect in ref.items():
+        if name.startswith("states_"):      # integrate keeps the first and the last state
+            expect = expect[[0, -1]]
         assert rel(getattr(traj, name), expect) <= 1e-10, name
-    # the ledger's carried products against direct products at the stored states
+    # every step's state: one step of integrate from each of the oracle's states
+    one = [rt.integrate(forms, u, w, dt, dt)
+           for u, w in zip(ref["states_u"][:-1], ref["states_v"][:-1])]
+    U = np.vstack([u0, [s.states_u[-1] for s in one]])
+    W = np.vstack([v0, [s.states_v[-1] for s in one]])
+    assert rel(U, ref["states_u"]) <= 1e-10 and rel(W, ref["states_v"]) <= 1e-10
+    # the ledger's carried products against direct products at those states
     quad = lambda X, A: np.einsum("ij,jk,ik->i", X, A, X)
-    U, W = traj.states_u, traj.states_v
     direct = {"kinetic": 0.5 * quad(W, J), "potential": 0.5 * quad(U, E0),
               "norm1_sq": 2.0 * quad(U, J), "norm2_sq": 2.0 * quad(U, E1),
               "norm1_dot_sq": 2.0 * quad(W, J), "norm2_dot_sq": 2.0 * quad(W, E1)}
@@ -193,24 +199,14 @@ def test_integrate_validates_steps(forms_xi1):
 
 def test_default_stores_first_and_last_state(forms_xi1, rng):
     u0, v0 = rng.standard_normal(forms_xi1.n), rng.standard_normal(forms_xi1.n)
-    every = rt.integrate(forms_xi1, u0, v0, 0.01, 1.0, store_every=1)
     traj = rt.integrate(forms_xi1, u0, v0, 0.01, 1.0)
-    assert np.array_equal(traj.state_times, every.times[[0, -1]])
-    assert np.array_equal(traj.states_u, every.states_u[[0, -1]])
-    assert np.array_equal(traj.states_v, every.states_v[[0, -1]])
-    for k in (7, np.int64(25), 100, 10**9):
-        sub = rt.integrate(forms_xi1, u0, v0, 0.01, 1.0, store_every=k)
-        idx = sorted(set(range(0, 101, int(k))) | {100})
-        assert np.array_equal(sub.state_times, every.times[idx]), k
-        assert np.array_equal(sub.states_u, every.states_u[idx]), k
-        assert np.array_equal(sub.states_v, every.states_v[idx]), k
-
-
-@pytest.mark.parametrize("store_every", [0, -3, 2.5, "4"])
-def test_store_every_must_be_a_positive_integer(forms_xi1, store_every):
-    z = np.zeros(forms_xi1.n)
-    with pytest.raises(DomainError, match="store_every"):
-        rt.integrate(forms_xi1, z, z, 0.01, 1.0, store_every=store_every)
+    assert np.array_equal(traj.state_times, traj.times[[0, -1]])
+    assert np.array_equal(traj.states_u[0], u0) and np.array_equal(traj.states_v[0], v0)
+    # the last rows are the state whose products the ledger's last row carries
+    J, (u, v) = forms_xi1.J, (traj.states_u[-1], traj.states_v[-1])
+    assert traj.states_u.shape == traj.states_v.shape == (2, forms_xi1.n)
+    assert 2.0 * (u @ (J @ u)) == pytest.approx(traj.norm1_sq[-1], rel=1e-10)
+    assert 0.5 * (v @ (J @ v)) == pytest.approx(traj.kinetic[-1], rel=1e-10)
 
 
 def test_default_integrate_peak_memory(mode_xi1):

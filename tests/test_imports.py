@@ -75,23 +75,28 @@ def test_only_kernels_loads_scipy_extensions():
 
 
 def test_scipy_imported_later_reuses_the_loaded_kernels():
-    # a caller that imports scipy's packages after rtmodes gets the very
-    # extension modules rtmodes loaded, and scipy.sparse still works on top of them
-    statement = "\n".join([
-        "import rtmodes.cli",
-        "import numpy as np",
-        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))",
-        "assert loaded == ['scipy.linalg._flapack', 'scipy.sparse._sparsetools'], loaded",
-        "import scipy.linalg, scipy.sparse",
+    # rtmodes leaves no scipy module in sys.modules, so in either import order
+    # scipy's packages carry their extension modules as attributes, over the
+    # very routines rtmodes calls, and scipy.sparse works on top of them
+    checks = [
         "from rtmodes import eigen, forms",
         "assert scipy.linalg.lapack.dpbtrf is eigen.dpbtrf",
         "assert scipy.linalg.lapack.dgbtrs is eigen.dgbtrs",
+        "assert scipy.linalg._flapack.dgbtrf is eigen.dgbtrf",
+        "assert scipy.sparse._sparsetools.csr_matvec is forms.csr_matvec",
         "from scipy.sparse import _sparsetools",
-        "assert _sparsetools.csr_matvec is forms.csr_matvec",
+        "assert _sparsetools is scipy.sparse._sparsetools",
         "A = scipy.sparse.csr_matrix(np.array([[2.0, 1.0], [0.0, 3.0]]))",
         "assert (A @ np.array([1.0, 2.0])).tolist() == [4.0, 6.0]",
-    ])
-    assert {"scipy.linalg", "scipy.sparse"} <= set(_heavy_loaded_after(statement))
+    ]
+    rtmodes_first = ["import rtmodes.cli",
+                     "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))",
+                     "assert loaded == [], loaded",
+                     "import scipy.linalg, scipy.sparse"]
+    scipy_first = ["import scipy.linalg, scipy.sparse", "import rtmodes.cli"]
+    for imports in (rtmodes_first, scipy_first):
+        statement = "\n".join(["import numpy as np", *imports, *checks])
+        assert {"scipy.linalg", "scipy.sparse"} <= set(_heavy_loaded_after(statement))
 
 
 def test_cli_writes_only_through_its_writers():

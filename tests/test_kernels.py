@@ -63,7 +63,7 @@ def _write_loaded_results(path):
     results = kernel_results(_kernels, lambda d, i, p, shape, x: CSR(d, i, p, shape) @ x,
                              default_forms())
     loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
-    assert loaded == ["scipy.linalg._flapack", "scipy.sparse._sparsetools"], loaded
+    assert loaded == [], loaded
     np.savez(path, **results)
 
 
@@ -136,8 +136,6 @@ def test_weighted_sum_matches_scipy(forms_pair, a, b, c):
     x = np.cos(np.arange(forms.n))
     assert np.array_equal(A @ x, S @ x)
     assert np.array_equal(A.toarray(), S.toarray())
-    D = forms.E0 - forms.J
-    assert np.array_equal(D.toarray(), (E0 - J).toarray())
 
 
 def test_missing_extension_names_the_scipy_version(monkeypatch, tmp_path):

@@ -33,20 +33,10 @@ def test_extend_magnitude_mismatch(mode_xi1):
         rt.extend_to_plane(mode_xi1, np.array([1.1, 0.0]))
 
 
-def test_w_hat_complex_structure(mode_xi1):
-    m3 = rt.extend_to_plane(mode_xi1, np.array([0.6, 0.8]))
-    x3 = np.array([-0.5, 0.25])
-    w = m3.w_hat(x3)
-    mesh = mode_xi1.mesh
-    assert np.allclose(w[:, 0], -1j * 0.6 * mesh.eval_nodal(mode_xi1.phi, x3))
-    assert np.allclose(w[:, 1], -1j * 0.8 * mesh.eval_nodal(mode_xi1.phi, x3))
-    assert np.allclose(w[:, 2], mesh.eval_nodal(mode_xi1.psi, x3))
-
-
 def test_bump_profile_support():
-    f = rt.BumpProfile(1.0, 2.0, amp=3.0)
+    f = rt.BumpProfile(1.0, 2.0)
     assert f(0.99) == 0.0 and f(2.01) == 0.0
-    assert f(1.5) == pytest.approx(3.0 * math.exp(-1.0))
+    assert f(1.5) == pytest.approx(math.exp(-1.0))
     assert f(1.2) > 0
     with pytest.raises(ConfigurationError):
         rt.BumpProfile(2.0, 1.0)
@@ -55,8 +45,8 @@ def test_bump_profile_support():
 def test_bump_default_fills_only_missing_edges():
     given = rt.BumpProfile.default(math.inf, a=1.0, b=2.0)
     assert (given.a, given.b) == (1.0, 2.0)
-    half = rt.BumpProfile.default(10.0, b=5.0, amp=2.0)
-    assert (half.a, half.b, half.amp) == (pytest.approx(3.0), 5.0, 2.0)
+    half = rt.BumpProfile.default(10.0, b=5.0)
+    assert (half.a, half.b) == (pytest.approx(3.0), 5.0)
     for edges in ({}, {"a": 1.0}, {"b": 2.0}):
         with pytest.raises(ConfigurationError, match="xi_c"):
             rt.BumpProfile.default(math.inf, **edges)
@@ -192,18 +182,16 @@ class TestNonperiodic:
         assert np.allclose(dq, np_field.v(points, 1.0), atol=1e-8 * np.abs(dq).max())
 
     def test_interface_displacement_nonzero(self, np_field):
-        assert np_field.interface_displacement_l2() >= 1e-8
+        # L2 norm of eta_3(., ., 0) over a horizontal patch: vertical interface
+        # displacement is genuinely excited
+        xs = np.linspace(-2 * math.pi / np_field.f.a, 2 * math.pi / np_field.f.a, 48)
+        X1, X2 = np.meshgrid(xs, xs, indexing="ij")
+        vals = np_field.eta(np.stack([X1, X2, np.zeros_like(X1)], axis=-1), 0.0)[..., 2]
+        assert math.sqrt(float(np.sum(vals**2) * (xs[1] - xs[0]) ** 2)) >= 1e-8
 
     def test_modes_hold_no_pencil(self, np_field):
         assert len(np_field.modes) == 10
         assert reachable_formsets(np_field.modes) == []
-
-    def test_zero_amplitude_zero_norm(self, profile, mesh32):
-        f0 = rt.BumpProfile(0.3 * profile.xi_c, 0.7 * profile.xi_c, amp=0.0)
-        weightless = rt.NonperiodicField(profile, mesh32, f0, n_radial=2)
-        assert weightless.sobolev_norm("eta", k=0, t=0.0) == 0.0
-        pts = np.array([[0.1, 0.2, 0.3]])
-        assert np.all(weightless.eta(pts, 0.0) == 0.0)
 
     def test_derivative_depth_capped(self, np_field):
         with pytest.raises(DomainError):
