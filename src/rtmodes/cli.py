@@ -5,6 +5,10 @@ subcommand's ``run.json`` from the config and that headline.  A run that
 fails with exit code 2 or 3 once ``output.dir`` exists writes one too, with
 its ``exit_code`` and the error's class and message in place of the headline.
 
+Importing this module loads the layers up to the dispersion sweep; the
+synthesize, evolve and verify handlers import ``synthesis``, ``evolution``
+and ``verify`` themselves, so the other subcommands never run those modules.
+
 Exit codes: 0 success, 2 configuration or input error (including
 out-of-domain arguments and an output path that cannot be written), 3 solver
 error, 4 verification failure (verify only).
@@ -22,11 +26,8 @@ from . import __version__
 from .config import key_help, load_config
 from .dispersion import Stable, growth_rate, lattice_modes, sweep
 from .errors import ConfigurationError, DomainError, LayoutError, RangeError, SolverError, storable
-from .evolution import integrate, mode_initial_data
 from .forms import assemble
 from .profile import by_side, verify_hydrostatic
-from .synthesis import BumpProfile, NonperiodicField, PeriodicField
-from .verify import format_table, run_battery
 
 _FMT = "%.17g"
 
@@ -190,6 +191,8 @@ def _cmd_lattice(config, args):
 
 
 def _cmd_synthesize(config, args):
+    from .synthesis import BumpProfile, NonperiodicField, PeriodicField
+
     profile = config.profile()
     mesh = config.mesh()
     times = args.t or [0.0]
@@ -220,9 +223,10 @@ def _cmd_synthesize(config, args):
     for t in times:
         field.growth_factor(t)      # an overflowing time fails before any file is written
     outdir = Path(config["output.dir"]) / (args.out or "fields")
-    _make_dir(outdir, f"cannot write {outdir}")
     for t in times:
         cols = field.sample(grid, t)
+        # made after a sample, so that a grid too large to sample leaves no directory
+        _make_dir(outdir, f"cannot write {outdir}")
         path = outdir / ("t%g.csv" % t)
         _write_rows(path, ",".join(header), zip(*(cols[h] for h in header)))
         print(f"wrote {path}")
@@ -230,6 +234,8 @@ def _cmd_synthesize(config, args):
 
 
 def _cmd_evolve(config, args):
+    from .evolution import integrate, mode_initial_data
+
     profile = config.profile()
     mesh = config.mesh()
     xi = config.get("evolve.xi", profile.xi_ref)
@@ -255,6 +261,8 @@ def _cmd_evolve(config, args):
 
 
 def _cmd_verify(config, args):
+    from .verify import format_table, run_battery
+
     results = run_battery(config, quick=args.quick)
     print(format_table(results))
     failed = sum(not r.passed for r in results)

@@ -2,11 +2,14 @@
 
 One file drives every subcommand.  Unknown keys are errors (no silent
 typos); values are typed per the registry below.  `#` starts a comment,
-blank lines are ignored.
+blank lines are ignored.  :meth:`RunConfig.config_hash` is a 16-hex-digit
+id of the values, from ``zlib``'s CRC-32 and Adler-32 (``zlib`` is loaded
+with the interpreter; ``hashlib`` would map OpenSSL's libcrypto into every
+run).
 """
 
-import hashlib
 import math
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,9 +81,8 @@ class RunConfig:
         return default if v is None else v
 
     def config_hash(self):
-        return hashlib.sha256(
-            "\n".join(f"{k}={self.values[k]!r}" for k in sorted(self.values)).encode()
-        ).hexdigest()[:16]
+        text = "\n".join(f"{k}={self.values[k]!r}" for k in sorted(self.values)).encode()
+        return "%08x%08x" % (zlib.crc32(text), zlib.adler32(text))
 
     # -- builders -------------------------------------------------------
 

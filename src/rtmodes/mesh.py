@@ -11,7 +11,11 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, storable
 
-QUAD_POINTS = 3
+# the 3-point Gauss-Legendre rule on [-1, 1], equal bit for bit to
+# numpy.polynomial.legendre.leggauss(3), whose import costs every run
+QUAD_NODES = np.array([-0.7745966692414834, 0.0, 0.7745966692414834])
+QUAD_WEIGHTS = np.array([0.5555555555555557, 0.8888888888888888, 0.5555555555555557])
+QUAD_POINTS = len(QUAD_NODES)
 
 
 def shape_functions(order, t):
@@ -66,7 +70,7 @@ class Mesh:
         self.element_side = np.where(0.5 * (breaks[:-1] + breaks[1:]) < 0, -1, +1)
         self.interface_node = int(np.flatnonzero(nodes == 0.0)[0])
 
-        tq, wq = np.polynomial.legendre.leggauss(QUAD_POINTS)
+        tq, wq = QUAD_NODES, QUAD_WEIGHTS
         self.shape_q, self.dshape_q = shape_functions(order, tq)  # (nq, nd)
         h = np.diff(breaks)
         self.jacobian = h / 2.0                                   # (n_el,)

@@ -7,13 +7,13 @@ conjugate pair of lattice modes; non-periodic solutions superpose a radial
 bump f of frequencies over an annulus inside (0, xi_c).  Their radial
 integral is a Gauss-Legendre rule; the angular integral is exact, since f
 and lambda depend on |xi| only and it reduces to the Bessel functions J0
-and J1 of |xi| |x_h|.  Norms live in the piecewise Sobolev spaces: full
-regularity on each fluid domain, none across the interface.  Both fields
-share one height evaluator, :func:`_heights`, and one norm path: one
-``profile.fields`` call per field gives five integrals per mode
-(:func:`_profile_norms`), and :func:`_sobolev_norm` weights them with
-e^{Lambda t} of the fastest mode factored out, so a norm is finite wherever
-``growth_factor(t)`` is.
+and J1 of |xi| |x_h|, which :func:`_bessel_j0_j1` evaluates in numpy.
+Norms live in the piecewise Sobolev spaces: full regularity on each fluid
+domain, none across the interface.  Both fields share one height evaluator,
+:func:`_heights`, and one norm path: one ``profile.fields`` call per field
+gives five integrals per mode (:func:`_profile_norms`), and
+:func:`_sobolev_norm` weights them with e^{Lambda t} of the fastest mode
+factored out, so a norm is finite wherever ``growth_factor(t)`` is.
 """
 
 import math
@@ -111,6 +111,22 @@ def _sample(evaluate, grid):
     cols.update({f"v{i + 1}": vel[..., i].ravel() for i in range(3)})
     cols["q"] = qf.ravel()
     return cols
+
+
+def _bessel_j0_j1(x):
+    """J0(x) and J1(x) by Bessel's integral J_n(x) = (1/pi) int_0^pi cos(n tau - x sin tau) dtau.
+
+    The midpoint rule converges exponentially for this periodic analytic
+    integrand (Trefethen & Weideman, SIAM Review 56, 2014); its node count
+    follows the largest |x|, |x|/2 + 4 |x|^(1/3) + 24, which keeps the error
+    within a few units in the 15th digit up to |x| = 1000.
+    """
+    x = np.asarray(x, dtype=float)
+    top = float(np.abs(x).max(initial=0.0))
+    n = int(top / 2 + 4 * top ** (1 / 3)) + 24
+    tau = (np.arange(n) + 0.5) * (math.pi / n)
+    phase = np.multiply.outer(x, np.sin(tau))
+    return np.cos(phase).mean(axis=-1), np.cos(tau - phase).mean(axis=-1)
 
 
 def _heights(profile, mesh, x3, values, slopes):
@@ -273,8 +289,6 @@ class NonperiodicField:
         pressure parts, J1(r s) along the horizontal direction of x, where
         s = |x_h|.
         """
-        from scipy.special import j0, j1   # here, so that importing rtmodes skips scipy.special
-
         self.growth_factor(t)       # refuse a time at which the sums would be inf or nan
         pts = _as_points(x)
         rho, values, slopes = _heights(
@@ -283,11 +297,12 @@ class NonperiodicField:
         s = np.hypot(pts[:, 0], pts[:, 1])
         safe = np.where(s > 0, s, 1.0)      # on the axis J1 = 0, so any direction will do
         direction = pts[:, :2] / safe[:, None]
+        radii, at = np.unique(s, return_inverse=True)  # grid columns share a radius
         eta_h, eta3, vel_h, vel3, qf = np.zeros((5, pts.shape[0]))
         for rk, wk, lam, ph, ps, psp in zip(self.r, self.w, self.lam,
                                             values[0::2], values[1::2], slopes):
             ck = wk * rk * float(self.f(rk)) * np.exp(lam * t) / (2 * math.pi)
-            J0, J1 = j0(rk * s), j1(rk * s)
+            J0, J1 = (J[at] for J in _bessel_j0_j1(rk * radii))
             horizontal, vertical = ck * ph * J1, ck * ps * J0
             eta_h += horizontal
             eta3 += vertical

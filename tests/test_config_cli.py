@@ -374,10 +374,12 @@ class TestCliRuns:
         (["synthesize", "--set", "synthesis.radial_nodes=4000000000000000000"],
          "4000000000000000000 radial nodes"),
     ])
-    def test_oversized_input_exits_2(self, cfg_path, capsys, argv, message):
+    def test_oversized_input_exits_2(self, cfg_path, tmp_path, capsys, argv, message):
         assert main([*argv, "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and f"{message}: more than can be stored" in err
+        # a grid that fails only at its first sample leaves no samples directory
+        assert not (tmp_path / "out" / "fields").exists()
 
     @pytest.mark.parametrize("command", [["mode", "--xi", "1"], ["dispersion", "--n", "3"]])
     def test_order_one_mesh_runs(self, cfg_path, tmp_path, command):

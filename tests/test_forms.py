@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import rtmodes as rt
+from rtmodes import mesh as mesh_module
 from rtmodes.errors import DomainError, LayoutError
 
 from conftest import dense_spectrum, make_profile
@@ -219,6 +220,17 @@ def test_mesh_structure(mesh32):
     # no element straddles the interface
     mids = 0.5 * (mesh32.element_breaks[:-1] + mesh32.element_breaks[1:])
     assert np.all(mids != 0.0)
+
+
+def test_mesh_gauss_rule_is_leggauss(mesh32):
+    # the literal 3-point rule is numpy's, bit for bit, and so are the mesh's
+    # quadrature points and weights built from it
+    tq, wq = np.polynomial.legendre.leggauss(3)
+    assert np.array_equal(mesh_module.QUAD_NODES, tq) and np.array_equal(mesh_module.QUAD_WEIGHTS, wq)
+    assert mesh32.quad_points == len(tq) == 3
+    mid = 0.5 * (mesh32.element_breaks[:-1] + mesh32.element_breaks[1:])
+    assert np.array_equal(mesh32.quad_x, mid[:, None] + mesh32.jacobian[:, None] * tq[None, :])
+    assert np.array_equal(mesh32.quad_w, mesh32.jacobian[:, None] * wq[None, :])
 
 
 def test_mesh_eval_nodal_derivatives(mesh32):

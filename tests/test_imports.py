@@ -1,8 +1,11 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import rtmodes
 
@@ -12,13 +15,90 @@ HEAVY = ("scipy", "scipy.linalg", "scipy.sparse", "scipy._lib._array_api",
          "scipy.sparse.linalg")
 
 
+def _last_line(code, env=()):
+    """The last line ``code`` prints in a fresh interpreter."""
+    src = str(Path(rtmodes.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src, **dict(env)}, cwd=src)
+    return out.stdout.splitlines()[-1]
+
+
+def _names_after(statement, names, test="m in sys.modules"):
+    """Those of ``names`` for which ``test`` holds once ``statement`` has run in a fresh interpreter."""
+    code = "import sys, types\n%s\nprint(' '.join(m for m in %r if %s))" % (statement, names, test)
+    return _last_line(code).split()
+
+
 def _heavy_loaded_after(statement):
     """The HEAVY modules loaded once ``statement`` has run in a fresh interpreter."""
-    code = "import sys\n%s\nprint(' '.join(m for m in %r if m in sys.modules))" % (statement, HEAVY)
-    src = str(Path(rtmodes.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}, cwd=src)
-    return out.stdout.splitlines()[-1].split()
+    return _names_after(statement, HEAVY)
+
+
+# Modules a subcommand should run only if it needs them: rtmodes' own late
+# layers, hashlib's OpenSSL binding, numpy's polynomial package (behind the
+# configurable radial rule of NonperiodicField alone) and scipy's special
+# functions (J0 and J1 are evaluated in numpy).  A deferred module sits in
+# sys.modules before its code runs, so the test is that its code has run.
+LATE = ("rtmodes.synthesis", "rtmodes.evolution", "rtmodes.verify", "_hashlib",
+        "numpy.polynomial", "scipy.special")
+RAN = "type(sys.modules.get(m)) is types.ModuleType"
+# every public name of the package before synthesis and evolution were deferred
+EXPORTS = (
+    "BumpProfile", "ConfigurationError", "DispersionCurve", "DomainError", "EigenResult",
+    "FluidViscosity", "FormSet", "LatticeResult", "LayoutError", "Mesh", "ModeSolution",
+    "ModeTrajectory", "NonperiodicField", "NormalMode3D", "PeriodicField",
+    "PeriodicStabilityReport", "PressureLaw", "RangeError", "RunConfig", "SlabGeometry",
+    "SolverError", "Stable", "SteadyProfile", "VacuumError", "ViscosityLaw", "admissible",
+    "assemble", "bottom_eig", "build_profile", "c2_diagnostic", "config", "dispersion", "eigen",
+    "energy_identity_check", "eos", "errors", "evolution", "extend_to_plane", "forms",
+    "generic_growth_envelope", "growth_bound_check", "growth_rate", "integrate",
+    "lattice_modes", "load_config", "mesh", "mode_initial_data", "pencil_consistency",
+    "periodic_stability_check", "profile", "residuals", "smallest_eig", "spectral_k_constants",
+    "sweep", "synthesis", "verify_hydrostatic",
+)
+
+
+@pytest.mark.parametrize("argv, late_allowed", [
+    (["profile", "--resolution", "16"], ()),
+    (["forms", "--xi", "1"], ()),
+    (["mode"], ()),
+    (["dispersion", "--n", "4"], ()),
+    (["lattice", "--L", "1.5"], ()),
+    (["synthesize"], ("rtmodes.synthesis", "numpy.polynomial")),
+    (["synthesize", "--periodic", "--set", "geometry.L=1.5"], ("rtmodes.synthesis",)),
+    (["evolve", "--T", "1"], ("rtmodes.evolution",)),
+    (["verify"], ("rtmodes.synthesis", "rtmodes.evolution", "rtmodes.verify",
+                  "numpy.polynomial")),
+], ids=["profile", "forms", "mode", "dispersion", "lattice", "synthesize", "synthesize-periodic",
+        "evolve", "verify"])
+def test_each_subcommand_runs_only_the_modules_it_needs(tmp_path, argv, late_allowed):
+    argv = [*argv, "--set", "mesh.elements_per_side=8", "--set", f"output.dir={tmp_path}"]
+    statement = "from rtmodes.cli import main\nassert main(%r) == 0" % (argv,)
+    assert _names_after(statement, LATE, RAN) == list(late_allowed)
+
+
+def test_package_exports_resolve_and_are_listed():
+    # the package still binds every name it exported when it ran synthesis and
+    # evolution at import; reading one of theirs runs its module then
+    statement = "\n".join([
+        "import rtmodes",
+        "assert type(sys.modules['rtmodes.synthesis']) is not types.ModuleType",
+        "missing = [n for n in %r if n not in dir(rtmodes)]" % (EXPORTS,),
+        "assert missing == [], missing",
+        "resolved = [getattr(rtmodes, n) for n in %r]" % (EXPORTS,),
+        "from rtmodes import integrate, NonperiodicField",
+        "from rtmodes.evolution import integrate as direct",
+        "assert direct is integrate is rtmodes.evolution.integrate",
+        "assert NonperiodicField is sys.modules['rtmodes.synthesis'].NonperiodicField",
+    ])
+    assert _names_after(statement, LATE, RAN) == ["rtmodes.synthesis", "rtmodes.evolution"]
+
+
+def test_config_hash_is_sixteen_hex_digits_in_every_interpreter():
+    # str hashing is salted per process; the id must not be
+    code = "from rtmodes.config import load_config\nprint(load_config().config_hash())"
+    hashes = {_last_line(code, {"PYTHONHASHSEED": seed}) for seed in ("1", "2")}
+    assert len(hashes) == 1 and re.fullmatch("[0-9a-f]{16}", hashes.pop())
 
 
 def test_cli_import_loads_no_heavy_scipy_modules():
@@ -26,8 +106,8 @@ def test_cli_import_loads_no_heavy_scipy_modules():
 
 
 def test_verify_battery_loads_no_heavy_scipy_modules(tmp_path):
-    # the full battery (not --quick) builds a synthesized field but samples none,
-    # so the Bessel functions of scipy.special never load
+    # the full battery (not --quick) builds a synthesized field; its Bessel
+    # functions are evaluated in numpy, so scipy.special never loads
     argv = ["verify", "--set", "mesh.elements_per_side=16", "--set", f"output.dir={tmp_path}"]
     statement = "from rtmodes.cli import main\nassert main(%r) == 0" % (argv,)
     assert _heavy_loaded_after(statement) == []
@@ -52,9 +132,11 @@ def _absolute_imports(node):
 
 def test_only_kernels_loads_scipy_extensions():
     # _kernels is the one door to scipy's compiled code: only it names a scipy
-    # extension or imports importlib to load one, only eigen takes the
-    # band-LAPACK routines from it and only forms the CSR mat-vec, and no module
-    # imports scipy.linalg or scipy.sparse (their import was most of start-up)
+    # extension or uses importlib's file loading to load one (the package's
+    # __init__ uses importlib only to defer two of its own modules), only eigen
+    # takes the band-LAPACK routines from it and only forms the CSR mat-vec, and
+    # no module imports scipy.linalg or scipy.sparse (their import was most of
+    # start-up)
     package = Path(rtmodes.__file__).resolve().parent
     loaders, taken, packages = set(), [], []
     for path in sorted(package.glob("*.py")):
@@ -62,7 +144,9 @@ def test_only_kernels_loads_scipy_extensions():
             modules = _absolute_imports(node)
             packages += [(path.name, m) for m in modules
                          if m.startswith(("scipy.linalg", "scipy.sparse"))]
-            if any(m.startswith("importlib") for m in modules) or (
+            if any(m.startswith("importlib") for m in modules) and path.name != "__init__.py" or (
+                    isinstance(node, ast.Attribute) and node.attr in (
+                        "spec_from_file_location", "ExtensionFileLoader", "EXTENSION_SUFFIXES")) or (
                     isinstance(node, ast.Constant) and str(node.value).startswith(
                         ("linalg._flapack", "sparse._sparsetools", "scipy."))):
                 loaders.add(path.name)

@@ -6,6 +6,7 @@ import pytest
 import rtmodes as rt
 from conftest import assert_matches_angular_quadrature, make_profile, reachable_formsets
 from rtmodes.errors import ConfigurationError, DomainError
+from rtmodes.synthesis import _bessel_j0_j1
 
 
 def test_extend_identity_rotation(mode_xi1):
@@ -130,6 +131,20 @@ def np_field(profile):
 def points():
     r = np.random.default_rng(5)
     return np.column_stack([r.uniform(-2, 2, 10), r.uniform(-2, 2, 10), r.uniform(-0.9, 0.9, 10)])
+
+
+def test_bessel_functions_match_scipy(np_field):
+    # the arguments a default synthesize meets, |xi| |x_h| over the grid out to
+    # its extent pi / f.a, and a wider range for larger extents
+    from scipy.special import j0, j1
+
+    extent = math.pi / np_field.f.a
+    axis = np.linspace(-extent, extent, 8)
+    met = np.multiply.outer(np_field.r, np.hypot(*np.meshgrid(axis, axis))).ravel()
+    for x, tol in ((met, 1e-15), (np.linspace(0.0, 100.0, 4001), 3e-15),
+                   (np.linspace(0.0, 1000.0, 4001), 1e-14)):
+        J0, J1 = _bessel_j0_j1(x)
+        assert np.abs(J0 - j0(x)).max() <= tol and np.abs(J1 - j1(x)).max() <= tol
 
 
 class TestNonperiodic:
