@@ -1,8 +1,8 @@
-"""scipy's compiled band-LAPACK and CSR kernels, loaded without scipy's packages.
+"""scipy's compiled band-LAPACK and band mat-vec kernels, loaded without scipy's packages.
 
 The package calls five compiled routines: ``dpbtrf``, ``dpbtrs``, ``dgbtrf``
 and ``dgbtrs`` from the extension module ``scipy.linalg._flapack``, and
-``csr_matvec`` from ``scipy.sparse._sparsetools``.  Importing ``scipy.linalg``
+``dia_matvec`` from ``scipy.sparse._sparsetools``.  Importing ``scipy.linalg``
 and ``scipy.sparse`` to reach them costs about 0.3 s per process; loading the
 two extensions from their files next to scipy's ``__init__`` takes a few
 milliseconds, and the ``__init__`` of ``scipy``, ``scipy.linalg`` and
@@ -46,4 +46,4 @@ def _extension(name):
 
 _flapack = _extension("linalg._flapack")
 dpbtrf, dpbtrs, dgbtrf, dgbtrs = _flapack.dpbtrf, _flapack.dpbtrs, _flapack.dgbtrf, _flapack.dgbtrs
-csr_matvec = _extension("sparse._sparsetools").csr_matvec
+dia_matvec = _extension("sparse._sparsetools").dia_matvec

@@ -4,6 +4,8 @@ Each handler returns ``(exit_code, headline)``; :func:`main` writes every
 subcommand's ``run.json`` from the config and that headline.  A run that
 fails with exit code 2 or 3 once ``output.dir`` exists writes one too, with
 its ``exit_code`` and the error's class and message in place of the headline.
+Each warning raised during a run is printed as one ``warning: <message>``
+line and listed under ``warnings`` in ``run.json`` (absent when none is).
 
 Importing this module loads the layers up to the dispersion sweep; the
 synthesize, evolve and verify handlers import ``synthesis``, ``evolution``
@@ -18,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -353,19 +356,26 @@ def _report(exc):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     config = None       # set once output.dir exists; from then on every run writes run.json
-    try:
-        flags = [f"{k}={v!r}" for key, value in vars(args).items()
-                 if "." in key and value is not None
-                 for k, v in (value.items() if isinstance(value, dict) else [(key, value)])]
-        loaded = load_config(args.config, args.set + flags)
-        _make_dir(loaded["output.dir"], "output.dir")
-        config = loaded
-        code, headline = _HANDLERS[args.command](config, args)
-    except (ConfigurationError, DomainError, RangeError, LayoutError, SolverError) as exc:
-        code = _report(exc)
-        headline = {"exit_code": code, "error": type(exc).__name__, "message": str(exc)}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        try:
+            flags = [f"{k}={v!r}" for key, value in vars(args).items()
+                     if "." in key and value is not None
+                     for k, v in (value.items() if isinstance(value, dict) else [(key, value)])]
+            loaded = load_config(args.config, args.set + flags)
+            _make_dir(loaded["output.dir"], "output.dir")
+            config = loaded
+            code, headline = _HANDLERS[args.command](config, args)
+        except (ConfigurationError, DomainError, RangeError, LayoutError, SolverError) as exc:
+            code = _report(exc)
+            headline = {"exit_code": code, "error": type(exc).__name__, "message": str(exc)}
+    warned = [str(w.message) for w in caught]
+    for message in warned:
+        print(f"warning: {message}", file=sys.stderr)
     if config is None:
         return code
+    if warned:
+        headline["warnings"] = warned
     try:
         _write_meta(config, args.command, headline)
     except ConfigurationError as exc:

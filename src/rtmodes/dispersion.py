@@ -121,8 +121,7 @@ def growth_rate(profile, mesh, xi_mag):
         return Stable(xi_mag, "sigma |xi|^2 >= g [rho0]: surface tension closes the window")
 
     forms = assemble(profile, mesh, xi_mag)
-    E0b, E1b, Jb = forms._bands
-    band_at = lambda s: E0b + s * E1b + s**2 * Jb
+    band_at = lambda s: forms.E0.upper + s * forms.E1.upper + s**2 * forms.J.upper
 
     if _factor(band_at(_S_LO)) is not None:
         warnings.warn(
@@ -300,17 +299,16 @@ def lattice_modes(profile, mesh, L, xi_max=None):
     xi_c = profile.xi_c if L > profile.L_c else 0.0
     cap = min(xi_c, math.inf if xi_max is None else float(xi_max))
 
-    kmax = int(math.floor(cap * L)) + 1
-    pts = []
-    for k1 in range(-kmax, kmax + 1):
-        for k2 in range(-kmax, kmax + 1):
-            if k1 == 0 and k2 == 0:
-                continue
-            mag = math.hypot(k1, k2) / L
-            if mag < cap:
-                pts.append((k1, k2, mag))
+    kmax = np.floor(cap * L) + 1.0
+    with storable("%.6g x %.6g lattice points (L = %g)" % (2 * kmax + 1, 2 * kmax + 1, L)):
+        k = np.arange(-kmax, kmax + 1.0)
+        k1, k2 = (a.ravel() for a in np.meshgrid(k, k, indexing="ij"))
+        # k1^2 + k2^2 is an exact integer, so its square root rounds as math.hypot does
+        mag = np.sqrt(k1 * k1 + k2 * k2) / L
+        keep = (mag < cap) & ((k1 != 0) | (k2 != 0))
+    k1, k2, mag = k1[keep], k2[keep], mag[keep]
 
-    if not pts:
+    if not mag.size:
         if 1.0 / L < xi_c:      # (1, 0) lies below xi_c, so xi_max emptied the lattice
             raise ConfigurationError(
                 "xi_max = %g admits no lattice frequency: the smallest lattice "
@@ -320,7 +318,8 @@ def lattice_modes(profile, mesh, L, xi_max=None):
             Lambda_L=0.0, certificate=True,
         )
 
-    mags = sorted({_magnitude_key(p[2]) for p in pts})
+    keys = [_magnitude_key(m) for m in mag.tolist()]
+    mags = sorted(set(keys))
     rate_of = {}
     modes = {}
     for m in mags:
@@ -330,9 +329,8 @@ def lattice_modes(profile, mesh, L, xi_max=None):
         else:
             rate_of[m] = r.lam
             modes[m] = r
-    rows = [(k1, k2, mag, rate_of[_magnitude_key(mag)]) for k1, k2, mag in pts]
-    rows.sort(key=lambda t: (t[2], t[0], t[1]))
-    points = np.array(rows)
+    points = np.column_stack([k1, k2, mag, [rate_of[key] for key in keys]])
+    points = points[np.lexsort((k2, k1, mag))]      # by magnitude, then k1, then k2
     rates = np.array([rate_of[m] for m in mags])
     return LatticeResult(
         L=L, points=points, magnitudes=np.array(mags), rates=rates,

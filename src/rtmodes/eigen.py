@@ -4,11 +4,12 @@ Every spectral question in the package is one question: where does a banded
 family of symmetric matrices stop being positive definite?  By Sylvester's
 law of inertia, A - m J is positive definite exactly when m lies below the
 bottom eigenvalue, and a banded Cholesky factorization (LAPACK ``dpbtrf``)
-succeeds exactly then.  Each factorization costs O(n) since the forms have
-half-bandwidth 2 * order + 1.  This module makes every banded LAPACK call of
-the package, the evolution step's included; the four routines (``dpbtrf``,
-``dpbtrs``, ``dgbtrf``, ``dgbtrs``) are scipy's compiled ones, taken from
-:mod:`rtmodes._kernels` so that no process imports ``scipy.linalg``.
+succeeds exactly then.  It reads the upper rows of a form's band array, the
+array the form's mat-vecs read (:class:`rtmodes.forms.Band`), and costs O(n)
+since the half-bandwidth is 2 * order + 1.  This module makes every banded
+LAPACK call of the package, the evolution step's included; the four routines
+(``dpbtrf``, ``dpbtrs``, ``dgbtrf``, ``dgbtrs``) are scipy's compiled ones,
+taken from :mod:`rtmodes._kernels` so that no process imports ``scipy.linalg``.
 
 :func:`_refine` shrinks a bracket that is certified from both sides.  The
 definite end carries a factor; inverse iteration with it gives a vector x,
@@ -66,21 +67,18 @@ def _solve(factor, b):
     return dpbtrs(factor, b, overwrite_b=1)[0]
 
 
-def _band_solver(ab):
-    """(kind, solve) of the symmetric matrix with upper band ab: Cholesky if it factors, else LU.
+def _band_solver(M):
+    """(kind, solve) of the symmetric band M: Cholesky of its upper rows if they factor, else LU.
 
-    LU factors the band mirrored into LAPACK's general band layout (kl = ku,
-    plus kl rows of pivoting fill-in).  Each solve overwrites its input.
+    LU factors the whole band, which is LAPACK's general band layout
+    (kl = ku = kd) once kd rows of pivoting fill-in sit above it.  Each solve
+    overwrites its input.
     """
-    chol = _factor(ab)
+    chol = _factor(M.upper)
     if chol is not None:
         return "cholesky", lambda b: _solve(chol, b)
-    k = ab.shape[0] - 1
-    gb = np.zeros((3 * k + 1, ab.shape[1]))
-    gb[k:2 * k + 1] = ab
-    for d in range(1, k + 1):       # subdiagonal d mirrors superdiagonal d
-        gb[2 * k + d, :-d] = ab[k - d, d:]
-    lu, piv, info = dgbtrf(gb, k, k, overwrite_ab=1)
+    k = M.kd
+    lu, piv, info = dgbtrf(np.vstack([np.zeros((k, M.shape[1])), M.data]), k, k, overwrite_ab=1)
     if info != 0:
         raise SolverError("banded LU factorization failed: the matrix is singular", {"info": info})
     return "lu", lambda b: dgbtrs(lu, k, k, b, piv, overwrite_b=1)[0]
@@ -118,7 +116,7 @@ def _refine(forms, band_at, good, factor, bound, bound_of, x):
 
 
 def bottom_eig(forms, a, b, c):
-    """Bottom eigenpair of (A, J), A = a E0 + b E1 + c J; its band is the same sum of the bands.
+    """Bottom eigenpair of (A, J), A = a E0 + b E1 + c J; each trial factors the upper rows of A - m J.
 
     The lower bracket end doubles downward from -1 until A - m J factors;
     the upper end is the Rayleigh quotient of the current iterate, which
@@ -126,9 +124,7 @@ def bottom_eig(forms, a, b, c):
     The eigenvalue is the Rayleigh quotient of the final iterate.
     """
     A = a * forms.E0 + b * forms.E1 + c * forms.J
-    E0b, E1b, Jb = forms._bands
-    Ab = a * E0b + b * E1b + c * Jb
-    band_at = lambda m: Ab - m * Jb
+    band_at = lambda m: A.upper - m * forms.J.upper
     rayleigh = lambda x: float(x @ (A @ x))      # x is J-normalized
     lo = -1.0
     while (factor := _factor(band_at(lo))) is None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .eigen import _band_solver, _factor, _solve, bottom_eig
 from .errors import ConfigurationError, DomainError, SolverError
-from .forms import CSR, assemble
+from .forms import Band, assemble
 
 
 @dataclass
@@ -59,7 +59,7 @@ def integrate(forms, u0, v0, dt, T):
     """Implicit-midpoint trajectory of (u, u_dot) from (u0, v0) to time T.
 
     Each step solves M wm = 2 J w - dt E0 u for the midpoint velocity wm,
-    with M = 2J + dt E1 + (dt^2/2) E0 factored once from the cached bands
+    with M = 2J + dt E1 + (dt^2/2) E0 factored once
     (banded Cholesky; banded LU when M is not definite, which E0 + g xi J >= 0
     rules out whenever dt^2 g xi < 4), and advances u += dt wm, w = 2 wm - w.
     One stacked mat-vec [J; E1; E0] wm per step carries the products J u,
@@ -81,12 +81,11 @@ def integrate(forms, u0, v0, dt, T):
         raise DomainError("dt = %g and T = %g need %.6g steps, more than can be stored"
                           % (dt, T, steps)) from None
 
-    E0b, E1b, Jb = forms._bands
-    kind, solve = _band_solver(2.0 * Jb + dt * E1b + 0.5 * dt**2 * E0b)
+    kind, solve = _band_solver(2.0 * forms.J + dt * forms.E1 + 0.5 * dt**2 * forms.E0)
     n = forms.n
-    S = CSR.vstack([forms.J, forms.E1, forms.E0])
-    Pu = (S @ u).reshape(3, n)              # J u, E1 u, E0 u
-    Pw = (S @ w).reshape(3, n)[:2]          # J w, E1 w
+    S = Band.stacked([forms.J, forms.E1, forms.E0])
+    Pu = S(u).reshape(3, n)                 # J u, E1 u, E0 u
+    Pw = S(w).reshape(3, n)[:2]             # J w, E1 w
     Jw, E0u = Pw[0], Pu[2]
     rhs = np.empty(n)
     du = np.empty(n)
@@ -105,7 +104,7 @@ def integrate(forms, u0, v0, dt, T):
         rhs += Jw
         rhs *= 2.0
         wm = solve(rhs)                     # in place: wm is rhs
-        p = (S @ wm).reshape(3, n)          # J wm, E1 wm, E0 wm
+        p = S(wm).reshape(3, n)             # J wm, E1 wm, E0 wm
         power = wm @ p[1]
         np.multiply(wm, dt, out=du)
         u += du
@@ -219,7 +218,7 @@ def spectral_k_constants(forms, u0, v0):
         psi0 = u[forms.psi0_dof]
         return float(ud @ (J @ ud)) + float(u @ (CP @ u)) + sig * psi0**2
 
-    a0 = -_solve(_factor(forms._bands[2]), E1 @ v0 + E0 @ u0)
+    a0 = -_solve(_factor(J.upper), E1 @ v0 + E0 @ u0)
     return k_of(v0, u0), k_of(a0, v0)
 
 

@@ -22,92 +22,100 @@ with e the unit vector of psi(0); J has no xi.  The compression square has
 the shape of E0 without the point mass; only the small-period stability
 constants read it, so :meth:`FormSet.compression` builds it on call.  The
 xi-free work (one profile evaluation at the Gauss points, the element
-integrals of every coefficient, their scatter into the mesh's one CSR
-pattern) runs once per (profile, mesh) and is cached; ``assemble`` and
-``compression`` evaluate the polynomials.
+integrals of every coefficient, their scatter into band slots) runs once per
+(profile, mesh) and is cached; ``assemble`` and ``compression`` evaluate the
+polynomials.
 
-Each form is a :class:`CSR` over that pattern: a minimal matrix type whose
-mat-vec is scipy's compiled ``csr_matvec`` (taken from :mod:`rtmodes._kernels`)
-and whose other operations follow ``scipy.sparse``'s element order, so the
-results are bit-identical to ``scipy.sparse.csr_matrix`` without importing it.
+Each form is held once, as a :class:`Band` in diagonal (DIA) layout with
+half-bandwidth kd = 2 * order + 1.  :mod:`rtmodes.eigen` factors its top
+kd + 1 rows, LAPACK's upper band storage, and ``@`` is scipy's compiled
+``dia_matvec`` (from :mod:`rtmodes._kernels`) over the whole array, so
+factorizations and mat-vecs read the same entries.  Only upper entries are
+integrated; the lower rows mirror them, so every form is exactly symmetric.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import csr_matvec
+from ._kernels import dia_matvec
 from .errors import DomainError, LayoutError
 from .mesh import Mesh
 
 
-class CSR:
-    """A sparse matrix in CSR layout (``data``, ``indices``, ``indptr``, ``shape``).
+class Band:
+    """A symmetric band matrix, ``data[kd + i - j, j] = A[i, j]`` for ``|i - j| <= kd``.
 
-    Supports what the package uses: ``@`` a vector, scalar ``*``, ``+`` of two
-    matrices on one pattern (entry by entry, as scipy sums them),
-    :meth:`toarray`, :meth:`triplets` and :meth:`vstack`.
+    The 2 kd + 1 rows of ``data`` are scipy's DIA diagonals at offsets kd,
+    ..., -kd, zero where ``i`` falls outside the matrix.  ``pattern`` holds
+    the flat ``data`` positions of the entries the mesh couples, row by row;
+    every band of a mesh shares it, read-only.
     """
 
     __array_ufunc__ = None      # a numpy scalar or array operand defers to the methods here
 
-    def __init__(self, data, indices, indptr, shape):
-        self.data, self.indices, self.indptr, self.shape = data, indices, indptr, shape
-
-    @property
-    def nnz(self):
-        return int(self.indptr[-1])
+    def __init__(self, data, pattern):
+        self.data, self.pattern, self.nnz = data, pattern, pattern.size
+        self.kd, self.shape = data.shape[0] // 2, (data.shape[1],) * 2
+        self.upper = data[:self.kd + 1]     # LAPACK's upper band storage, the rows dpbtrf reads
 
     def __matmul__(self, x):
         if not (isinstance(x, np.ndarray) and x.shape == self.shape[1:]):
             raise LayoutError(f"cannot multiply a {self.shape} matrix by {np.shape(x)}")
-        out = np.zeros(self.shape[0])       # csr_matvec adds into it, as scipy.sparse does
-        csr_matvec(*self.shape, self.indptr, self.indices, self.data, x, out)
-        return out
+        return _dia_product(self.data, _offsets(self.kd), x, x.size)
 
     def __mul__(self, scalar):
-        return CSR(self.data * scalar, self.indices, self.indptr, self.shape)
+        return Band(self.data * scalar, self.pattern)
 
     __rmul__ = __mul__
 
     def __add__(self, other):
-        return CSR(self.data + self._same(other).data, self.indices, self.indptr, self.shape)
+        return Band(self.data + self._same(other).data, self.pattern)
 
     def _same(self, other):
-        if not (self.shape == other.shape and np.array_equal(self.indptr, other.indptr)
-                and np.array_equal(self.indices, other.indices)):
-            raise LayoutError("matrices on different sparsity patterns")
+        if not (isinstance(other, Band) and self.data.shape == other.data.shape):
+            raise LayoutError("bands of different layouts")
         return other
 
     def toarray(self):
-        rows, cols, data = self.triplets()
+        rows, cols, values = self.triplets()
         out = np.zeros(self.shape)
-        out[rows, cols] += data             # adds, as scipy's csr_todense does: -0.0 reads 0.0
+        out[rows, cols] = values
         return out
 
     def triplets(self):
-        """(row, col, value) of every stored entry in CSR order, as scipy's ``tocoo`` lists them."""
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        return rows, self.indices, self.data
+        """(row, col, value) of every entry the mesh couples, row by row with ascending columns."""
+        diag, cols = np.divmod(self.pattern, self.shape[0])
+        return cols + diag - self.kd, cols, self.data.ravel()[self.pattern]
 
     @staticmethod
-    def vstack(mats):
-        """Matrices on one pattern stacked by rows: their data concatenated on the shared indices."""
-        first = mats[0]
-        for M in mats[1:]:
-            first._same(M)
-        offsets = first.nnz * np.arange(1, len(mats))
-        indptr = np.concatenate([first.indptr, *(first.indptr[1:] + k for k in offsets)])
-        n, m = first.shape
-        return CSR(np.concatenate([M.data for M in mats]), np.tile(first.indices, len(mats)),
-                   indptr, (len(mats) * n, m))
+    def stacked(mats):
+        """The product ``x -> [M_0 x; M_1 x; ...]`` of bands of one layout, by one ``dia_matvec``.
+
+        Block b's offsets are shifted by -b n, so its rows land below block b - 1's,
+        and the zeros outside each matrix keep its diagonals out of its neighbours' rows.
+        """
+        n, kd = mats[0].shape[0], mats[0].kd
+        data = np.concatenate([mats[0]._same(M).data for M in mats])
+        offsets = np.concatenate([_offsets(kd) - b * n for b in range(len(mats))])
+        return lambda x: _dia_product(data, offsets, x, len(mats) * n)
+
+
+def _offsets(kd):
+    return np.arange(kd, -kd - 1, -1, dtype=np.int32)     # int32, as scipy's dia_matrix keeps them
+
+
+def _dia_product(data, offsets, x, rows):
+    out = np.zeros(rows)            # dia_matvec adds into it, as scipy.sparse does
+    dia_matvec(rows, x.size, offsets.size, x.size, offsets, data, x, out)
+    return out
 
 
 @dataclass
 class FormSet:
-    """The pencil (E0, E1, J) at one frequency magnitude, its bands and its dof layout.
+    """The pencil (E0, E1, J) at one frequency magnitude and its dof layout.
 
     Degrees of freedom interleave the two fields over interior nodes:
     x = [phi_1, psi_1, phi_2, psi_2, ...] (node 0 and the last node are
@@ -115,21 +123,12 @@ class FormSet:
     """
 
     xi: float
-    E0: CSR
-    E1: CSR
-    J: CSR
+    E0: Band
+    E1: Band
+    J: Band
     mesh: Mesh
     profile: object
     psi0_dof: int
-    # (E0, E1, J) in upper band storage, written from their data (the mesh's CSR pattern)
-    _bands: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        upper, slots = _mesh_forms(self.profile, self.mesh)[4]
-        bands = np.zeros((3, (2 * self.mesh.order + 2) * self.n))
-        for row, M in zip(bands, (self.E0, self.E1, self.J)):
-            row[slots] = M.data[upper]
-        self._bands = tuple(bands.reshape(3, -1, self.n))
 
     @property
     def n(self):
@@ -171,13 +170,8 @@ class FormSet:
         return self.E0.toarray(), self.E1.toarray(), self.J.toarray()
 
     def norms(self):
-        """Inf-norms (|E0|, |E1|, |J|) for residual thresholds.
-
-        Each row sum is one ``np.add.reduceat`` segment, as scipy's
-        ``abs(A).sum(axis=1)`` forms it (every row holds its diagonal, so no
-        segment is empty).
-        """
-        inf = lambda A: float(np.add.reduceat(np.abs(A.data), A.indptr[:-1]).max())
+        """Inf-norms (|E0|, |E1|, |J|) for residual thresholds: column sums, as the forms are symmetric."""
+        inf = lambda A: float(np.abs(A.data).sum(axis=0).max())
         return inf(self.E0), inf(self.E1), inf(self.J)
 
     def compression(self):
@@ -195,36 +189,35 @@ def _basis(mesh):
             np.concatenate([dN, zero], axis=2), np.concatenate([zero, dN], axis=2))
 
 
-def _pattern(mesh):
-    """The mesh's one CSR pattern and its element scatter map.
+def _layout(mesh):
+    """(n, kd, upper, slots, pattern) of the mesh's bands.
 
-    Returns (indptr, indices, mask, pos, upper, slots): element-matrix entry
-    ``mask`` (both dofs interior) lands at CSR data position ``pos``; the CSR
-    data at positions ``upper`` (row <= col) go to upper band storage
-    ab[u + row - col, col], u = 2 * order + 1, at the flat positions ``slots``.
+    The element-matrix entries ``upper`` (both dofs interior, row <= col) are
+    summed into the flat band slots ``slots``; ``pattern`` is the flat slot of
+    every coupled entry of either triangle, row by row with ascending columns.
     """
     conn = mesh.conn
     interior = (conn >= 1) & (conn <= mesh.n_nodes - 2)
     gdof = np.concatenate([np.where(interior, 2 * (conn - 1), -1),
                            np.where(interior, 2 * (conn - 1) + 1, -1)], axis=1)
-    n = 2 * (mesh.n_nodes - 2)
-    rows, cols = gdof[:, :, None], gdof[:, None, :]
-    mask = (rows >= 0) & (cols >= 0)
-    keys, pos = np.unique((rows * n + cols)[mask], return_inverse=True)
-    indptr = np.searchsorted(keys, n * np.arange(n + 1)).astype(np.int32)
-    rows, cols = keys // n, keys % n
-    upper = np.flatnonzero(rows <= cols)
-    slots = (2 * mesh.order + 1 + rows[upper] - cols[upper]) * n + cols[upper]
-    return indptr, cols.astype(np.int32), mask, pos, upper, slots
+    n, kd = 2 * (mesh.n_nodes - 2), 2 * mesh.order + 1
+    rows, cols = np.broadcast_arrays(gdof[:, :, None], gdof[:, None, :])
+    coupled = (rows >= 0) & (cols >= 0)
+    upper = coupled & (rows <= cols)
+    near = np.zeros((n, 2 * kd + 1), dtype=bool)       # near[i, kd + j - i]: (i, j) is coupled
+    near[rows[coupled], kd + cols[coupled] - rows[coupled]] = True
+    i, d = np.nonzero(near)                             # row by row, columns ascending
+    pattern = (2 * kd - d) * n + i + d - kd
+    pattern.flags.writeable = False
+    return n, kd, upper, ((kd + rows - cols) * n + cols)[upper], pattern
 
 
 @lru_cache(maxsize=8)
 def _mesh_forms(profile, mesh):
     """Everything in the forms that does not depend on xi, once per (profile, mesh).
 
-    Returns (indptr, indices, psi0_dof, psi0_slot, band_slots, coeffs): the
-    CSR pattern, the data position of the psi(0) diagonal, :func:`_pattern`'s
-    band-slot map, and per form the CSR data of its xi^0, xi^1, xi^2 terms.
+    Returns (pattern, psi0_dof, coeffs): :func:`_layout`'s pattern, the
+    interface dof, and per form the band data of its xi^0, xi^1, xi^2 terms.
     """
     f = profile.fields(mesh.quad_x)      # Gauss points are interior, so x3 != 0
     hw = 0.5 * mesh.quad_w
@@ -246,42 +239,43 @@ def _mesh_forms(profile, mesh):
         "J": (acc(rho, P, P) + acc(rho, S, S),),
         "compression": (acc(pr, U, U), sym(acc(pr, U, P)), pr_PP),
     }
-    indptr, indices, mask, pos, upper, slots = _pattern(mesh)
-    coeffs = {name: np.array([np.bincount(pos, weights=b[mask], minlength=indices.size)
-                              for b in terms])
-              for name, terms in blocks.items()}
-    psi0_dof = 2 * (mesh.interface_node - 1) + 1
-    start, stop = indptr[psi0_dof], indptr[psi0_dof + 1]
-    psi0_slot = start + int(np.searchsorted(indices[start:stop], psi0_dof))
-    return indptr, indices, psi0_dof, psi0_slot, (upper, slots), coeffs
+    n, kd, upper, slots, pattern = _layout(mesh)
+
+    def band(term):
+        data = np.bincount(slots, weights=term[upper], minlength=(2 * kd + 1) * n).reshape(-1, n)
+        for d in range(1, kd + 1):      # A[j + d, j] = A[j, j + d]
+            data[kd + d, :-d] = data[kd - d, d:]
+        return data
+
+    coeffs = {name: np.array([band(term) for term in terms]) for name, terms in blocks.items()}
+    return pattern, 2 * (mesh.interface_node - 1) + 1, coeffs
 
 
 def _form(cache, name, xi):
-    """Form ``name`` of a :func:`_mesh_forms` cache at frequency xi, as a new CSR matrix."""
-    indptr, indices, _, _, _, coeffs = cache
+    """Form ``name`` of a :func:`_mesh_forms` cache at frequency xi, as a new Band."""
+    pattern, _, coeffs = cache
     powers = (1.0, xi, xi * xi)         # a float product overflows to inf, never raises
     with np.errstate(over="ignore", invalid="ignore"):
         data = sum(p * c for p, c in zip(powers, coeffs[name]))
-    n = indptr.size - 1
-    return CSR(data, indices.copy(), indptr.copy(), (n, n))
+    return Band(data, pattern)
 
 
 def assemble(profile, mesh, xi, _allow_zero=False):
     """Assemble the pencil (E0, E1, J) for frequency xi.
 
     Evaluates the cached xi-polynomials of :func:`_mesh_forms` and adds the
-    surface-tension point mass; every returned array is new.  Quadrature is
-    the mesh's shared Gauss rule; smooth-coefficient error is O(h^{2p}).  A
+    surface-tension point mass; every returned data array is new.  Quadrature
+    is the mesh's shared Gauss rule; smooth-coefficient error is O(h^{2p}).  A
     frequency at which a form entry overflows raises DomainError.
     """
     if xi < 0 or (xi == 0 and not _allow_zero):
         raise DomainError("frequency magnitude xi must be > 0")
     xi = float(xi)
     cache = _mesh_forms(profile, mesh)
-    _, _, psi0_dof, psi0_slot, _, _ = cache
+    psi0_dof = cache[1]
     E0, E1, J = (_form(cache, name, xi) for name in ("E0", "E1", "J"))
     with np.errstate(over="ignore", invalid="ignore"):
-        E0.data[psi0_slot] += profile.geometry.sigma * (xi * xi) / 2.0
+        E0.data[E0.kd, psi0_dof] += profile.geometry.sigma * (xi * xi) / 2.0
         total = sum(float(M.data.sum()) for M in (E0, E1, J))     # inf or nan if any entry is
     if not math.isfinite(total):
         raise DomainError("the forms overflow at frequency magnitude xi = %g" % xi)

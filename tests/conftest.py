@@ -27,15 +27,15 @@ def dense_spectrum(forms, s):
 
 
 def pack_band(A, order):
-    """Upper band storage of a symmetric CSR matrix, ab[u + i - j, j] = A[i, j] with
-    u = 2 * order + 1, packed from the matrix's own rows and columns: an oracle for
-    the band-slot map of the forms."""
+    """Upper band storage of a dense symmetric matrix, ab[u + i - j, j] = A[i, j] for
+    i <= j <= i + u with u = 2 * order + 1, packed entry by entry: an oracle for the
+    upper rows of the forms' bands."""
     n = A.shape[0]
     u = 2 * order + 1
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    upper = rows <= A.indices
     ab = np.zeros((u + 1, n))
-    ab[u + rows[upper] - A.indices[upper], A.indices[upper]] = A.data[upper]
+    for j in range(n):
+        for i in range(max(0, j - u), j + 1):
+            ab[u + i - j, j] = A[i, j]
     return ab
 
 

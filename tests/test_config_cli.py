@@ -1,8 +1,6 @@
-import contextlib
 import json
 import math
 import re
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +22,12 @@ fluid.upper.K = 1.0
 mesh.elements_per_side = 16
 sweep.n = 6
 """
+
+
+def assert_warned(meta, err, match):
+    """A run's warnings reach run.json and stderr, one ``warning: <message>`` line each."""
+    assert meta["warnings"] and all(re.search(match, w) for w in meta["warnings"])
+    assert err.splitlines() == [f"warning: {w}" for w in meta["warnings"]]
 
 
 @pytest.fixture()
@@ -146,10 +150,8 @@ def test_bad_file_input_exits_2_without_traceback(cfg_path, tmp_path, capsys, ar
     (tmp_path / "o2").mkdir()
     (tmp_path / "o2" / "fields").write_text("")
     (tmp_path / "o3" / "run.json").mkdir(parents=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)        # numpy's "Empty input file"
-        code = main([argv[0], "--config", str(cfg_path),
-                     *(a.format(tmp=tmp_path) for a in argv[1:])])
+    # main records numpy's "Empty input file" warning; it does not reach pytest
+    code = main([argv[0], "--config", str(cfg_path), *(a.format(tmp=tmp_path) for a in argv[1:])])
     err = capsys.readouterr().err
     assert code == 2 and "Traceback" not in err
     assert "configuration error" in err and message.format(tmp=tmp_path) in err
@@ -373,6 +375,10 @@ class TestCliRuns:
          "a 1 x 1 x 4000000000000000000 sample grid"),
         (["synthesize", "--set", "synthesis.radial_nodes=4000000000000000000"],
          "4000000000000000000 radial nodes"),
+        # 2 floor(xi_c L) + 3 integers per axis, xi_c = sqrt(10)
+        (["lattice", "--L", "1e300"], "6.32456e+300 x 6.32456e+300 lattice points (L = 1e+300)"),
+        (["synthesize", "--periodic", "--set", "geometry.L=1e300"],
+         "6.32456e+300 x 6.32456e+300 lattice points (L = 1e+300)"),
     ])
     def test_oversized_input_exits_2(self, cfg_path, tmp_path, capsys, argv, message):
         assert main([*argv, "--config", str(cfg_path)]) == 2
@@ -382,40 +388,40 @@ class TestCliRuns:
         assert not (tmp_path / "out" / "fields").exists()
 
     @pytest.mark.parametrize("command", [["mode", "--xi", "1"], ["dispersion", "--n", "3"]])
-    def test_order_one_mesh_runs(self, cfg_path, tmp_path, command):
+    def test_order_one_mesh_runs(self, cfg_path, tmp_path, capsys, command):
         # the coarse sweep's sample at xi = 3.099, just below xi_c, resolves no
         # growth: it is Stable, warns, and is counted
         sweeping = command[0] == "dispersion"
-        with (pytest.warns(RuntimeWarning, match=r"Q\(1e-08\)") if sweeping
-              else contextlib.nullcontext()):
-            assert main([*command, "--config", str(cfg_path), "--set", "mesh.order=1",
-                         "--set", "mesh.elements_per_side=3"]) == 0
+        assert main([*command, "--config", str(cfg_path), "--set", "mesh.order=1",
+                     "--set", "mesh.elements_per_side=3"]) == 0
         meta = json.loads((tmp_path / "out" / "run.json").read_text())
         lam = meta["Lambda"] if sweeping else meta["lambda"]
         assert math.isfinite(lam) and lam > 0
         if sweeping:
             assert meta["stable_count"] == 1
+            assert_warned(meta, capsys.readouterr().err, r"Q\(1e-08\)")
         else:
             assert meta["ode_residual"] is None
+            assert "warnings" not in meta and "warning" not in capsys.readouterr().err
 
-    def test_stable_mode_records_its_reason(self, cfg_path, tmp_path):
+    def test_stable_mode_records_its_reason(self, cfg_path, tmp_path, capsys):
         meta = lambda: json.loads((tmp_path / "out" / "run.json").read_text())
         # sigma = 0: every frequency is unstable, so a Stable verdict warns
-        with pytest.warns(RuntimeWarning, match="too coarse"):
-            assert main(["mode", "--config", str(cfg_path), "--xi", "1e12",
-                         "--set", "geometry.sigma=0"]) == 0
+        assert main(["mode", "--config", str(cfg_path), "--xi", "1e12",
+                     "--set", "geometry.sigma=0"]) == 0
+        assert_warned(meta(), capsys.readouterr().err, "too coarse")
         assert meta()["stable"] == 1 and meta()["factorizations"] == 1
         assert meta()["stable_reason"] == "modified energy nonnegative as s -> 0"
         # beyond xi_c = sqrt(10) the window is closed
         assert main(["mode", "--config", str(cfg_path), "--xi", "5"]) == 0
         assert "surface tension closes the window" in meta()["stable_reason"]
 
-    def test_stable_sweep_rows_are_counted(self, cfg_path, tmp_path):
+    def test_stable_sweep_rows_are_counted(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "out"
-        with pytest.warns(RuntimeWarning, match=r"Q\(1e-08\)"):
-            assert main(["dispersion", "--config", str(cfg_path), "--n", "3",
-                         "--set", "sweep.xi_min=1e-9", "--set", "sweep.xi_max=1e-8"]) == 0
+        assert main(["dispersion", "--config", str(cfg_path), "--n", "3",
+                     "--set", "sweep.xi_min=1e-9", "--set", "sweep.xi_max=1e-8"]) == 0
         meta = json.loads((out / "run.json").read_text())
+        assert_warned(meta, capsys.readouterr().err, r"Q\(1e-08\)")
         assert meta["Lambda"] == 0.0 and meta["stable_count"] == 3
         rows = (out / "curve.csv").read_text().splitlines()[1:]
         assert [row.split(",")[1:] for row in rows] == [["0"] * 4] * 3
@@ -431,6 +437,7 @@ class TestCliRuns:
                      "--set", "synthesis.radial_nodes=2", *kind, "--t", "0,3000"]) == 2
         err = capsys.readouterr().err
         assert re.search(r"t = 3000 .*growth rate 0\.2\d+", err), err
+        assert "warning" not in err       # main records warnings; none is raised here
         assert not (tmp_path / "out" / "fields").exists()
 
     def test_empty_synthesis_grid_exits_2(self, cfg_path, capsys):

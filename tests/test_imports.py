@@ -134,13 +134,15 @@ def test_only_kernels_loads_scipy_extensions():
     # _kernels is the one door to scipy's compiled code: only it names a scipy
     # extension or uses importlib's file loading to load one (the package's
     # __init__ uses importlib only to defer two of its own modules), only eigen
-    # takes the band-LAPACK routines from it and only forms the CSR mat-vec, and
-    # no module imports scipy.linalg or scipy.sparse (their import was most of
-    # start-up)
+    # takes the band-LAPACK routines from it and only forms the band mat-vec
+    # dia_matvec, no module names the CSR kernel csr_matvec, and no module
+    # imports scipy.linalg or scipy.sparse (their import was most of start-up)
     package = Path(rtmodes.__file__).resolve().parent
     loaders, taken, packages = set(), [], []
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        text = path.read_text()
+        assert "csr_matvec" not in text, path.name
+        for node in ast.walk(ast.parse(text)):
             modules = _absolute_imports(node)
             packages += [(path.name, m) for m in modules
                          if m.startswith(("scipy.linalg", "scipy.sparse"))]
@@ -155,7 +157,7 @@ def test_only_kernels_loads_scipy_extensions():
     assert packages == []
     assert loaders == {"_kernels.py"}
     assert sorted(taken) == [("eigen.py", "dgbtrf"), ("eigen.py", "dgbtrs"), ("eigen.py", "dpbtrf"),
-                             ("eigen.py", "dpbtrs"), ("forms.py", "csr_matvec")]
+                             ("eigen.py", "dpbtrs"), ("forms.py", "dia_matvec")]
 
 
 def test_scipy_imported_later_reuses_the_loaded_kernels():
@@ -167,7 +169,7 @@ def test_scipy_imported_later_reuses_the_loaded_kernels():
         "assert scipy.linalg.lapack.dpbtrf is eigen.dpbtrf",
         "assert scipy.linalg.lapack.dgbtrs is eigen.dgbtrs",
         "assert scipy.linalg._flapack.dgbtrf is eigen.dgbtrf",
-        "assert scipy.sparse._sparsetools.csr_matvec is forms.csr_matvec",
+        "assert scipy.sparse._sparsetools.dia_matvec is forms.dia_matvec",
         "from scipy.sparse import _sparsetools",
         "assert _sparsetools is scipy.sparse._sparsetools",
         "A = scipy.sparse.csr_matrix(np.array([[2.0, 1.0], [0.0, 3.0]]))",

@@ -1,11 +1,12 @@
-"""rtmodes._kernels and the CSR type of the forms against scipy's public API.
+"""rtmodes._kernels and the band type of the forms against scipy's public API and dense oracles.
 
 A fresh interpreter that imports only rtmodes (scipy's packages never
 initialised) computes band factors, solves and mat-vecs of the default forms
 at xi = 1 with the kernels loaded by file; this process recomputes them with
-``scipy.linalg.lapack`` and ``scipy.sparse`` and asks for the same bits.  The
-CSR type's own operations are compared with ``scipy.sparse.csr_matrix`` built
-from the same arrays.
+``scipy.linalg.lapack`` and ``scipy.sparse.dia_matrix`` and asks for the same
+bits.  The band type's own operations are compared with dense copies, with
+``scipy.sparse.dia_matrix`` built from the same arrays, and with the CSR
+pattern the forms were once stored in.
 """
 
 import importlib.metadata
@@ -21,47 +22,59 @@ import rtmodes
 from rtmodes import _kernels
 from rtmodes.config import load_config
 from rtmodes.errors import LayoutError
-from rtmodes.forms import CSR, assemble
+from rtmodes.forms import Band, assemble
 
 DT_LU = 20.0        # evolve --xi 1 --dt 20: the step matrix is indefinite and takes banded LU
 
 
-def default_forms():
-    config = load_config(None, [])
-    return assemble(config.profile(), config.mesh(), 1.0)
+def default_forms(*sets, xi=1.0):
+    config = load_config(None, list(sets))
+    return assemble(config.profile(), config.mesh(), xi)
 
 
-def kernel_results(lapack, matvec, forms):
+def kernel_results(lapack, product, forms):
     """Band factors and solves through ``lapack``'s routines and mat-vecs through
-    ``matvec(data, indices, indptr, shape, x)``, keyed by name."""
-    E0b, E1b, Jb = forms._bands
+    ``product(mats, x)``, the bands ``mats`` stacked by rows, keyed by name."""
+    E0, E1, J = forms.E0, forms.E1, forms.J
     b = np.linspace(-1.0, 1.0, forms.n)
     out = {}
-    for name, ab in (("J", Jb), ("E0", E0b), ("step5", 2.0 * Jb + 5.0 * E1b + 12.5 * E0b)):
-        out[name + "_chol"], out[name + "_info"] = lapack.dpbtrf(ab, lower=0)
+    for name, M in (("J", J), ("E0", E0), ("step5", 2.0 * J + 5.0 * E1 + 12.5 * E0)):
+        out[name + "_chol"], out[name + "_info"] = lapack.dpbtrf(M.upper, lower=0)
     out["J_solve"] = lapack.dpbtrs(out["J_chol"], b)[0]
     out["step5_solve"] = lapack.dpbtrs(out["step5_chol"], b)[0]
-    step = 2.0 * Jb + DT_LU * E1b + 0.5 * DT_LU**2 * E0b
-    out["step_lu_chol_info"] = lapack.dpbtrf(step, lower=0)[1]
-    k = step.shape[0] - 1       # LAPACK's general band layout, as eigen._band_solver mirrors it
-    gb = np.zeros((3 * k + 1, step.shape[1]))
-    gb[k:2 * k + 1] = step
-    for d in range(1, k + 1):
-        gb[2 * k + d, :-d] = step[k - d, d:]
+    step = 2.0 * J + DT_LU * E1 + 0.5 * DT_LU**2 * E0
+    out["step_lu_chol_info"] = lapack.dpbtrf(step.upper, lower=0)[1]
+    k = step.kd         # LAPACK's general band layout, as eigen._band_solver lays it out
+    gb = np.zeros((3 * k + 1, forms.n))
+    gb[k:] = step.data
     out["lu"], out["piv"], out["lu_info"] = lapack.dgbtrf(gb, k, k)
     out["lu_solve"] = lapack.dgbtrs(out["lu"], k, k, b, out["piv"])[0]
     x = np.cos(np.arange(forms.n))
-    mats = {"E0": forms.E0, "E1": forms.E1, "J": forms.J, "C": forms.compression(),
-            "stack": CSR.vstack([forms.J, forms.E1, forms.E0])}
+    mats = {"E0": [E0], "E1": [E1], "J": [J], "C": [forms.compression()], "stack": [J, E1, E0]}
     for name, M in mats.items():
-        out[name + "_matvec"] = matvec(M.data, M.indices, M.indptr, M.shape, x)
+        out[name + "_matvec"] = product(M, x)
     return out
 
 
+def band_product(mats, x):
+    """The band type's own product: ``@`` for one band, :meth:`Band.stacked` for several."""
+    return mats[0] @ x if len(mats) == 1 else Band.stacked(mats)(x)
+
+
+def dia_matrix(mats):
+    """A ``scipy.sparse.dia_matrix`` of the bands ``mats`` stacked by rows: one
+    band's diagonals sit at offsets kd, ..., -kd, block b's shifted by -b n."""
+    import scipy.sparse as sp
+
+    n, kd = mats[0].shape[0], mats[0].kd
+    offsets = np.concatenate([np.arange(kd, -kd - 1, -1) - b * n for b in range(len(mats))])
+    return sp.dia_matrix((np.concatenate([M.data for M in mats]), offsets),
+                         shape=(len(mats) * n, n))
+
+
 def _write_loaded_results(path):
-    """kernel_results with the file-loaded kernels and the CSR type's own ``@``, saved to path."""
-    results = kernel_results(_kernels, lambda d, i, p, shape, x: CSR(d, i, p, shape) @ x,
-                             default_forms())
+    """kernel_results with the file-loaded kernels and the band type's own products, saved to path."""
+    results = kernel_results(_kernels, band_product, default_forms())
     loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
     assert loaded == [], loaded
     np.savez(path, **results)
@@ -81,10 +94,8 @@ def loaded_results(tmp_path_factory):
 
 def test_file_loaded_kernels_match_scipy_bit_for_bit(loaded_results):
     import scipy.linalg.lapack
-    import scipy.sparse as sp
 
-    expected = kernel_results(scipy.linalg.lapack,
-                              lambda d, i, p, shape, x: sp.csr_matrix((d, i, p), shape=shape) @ x,
+    expected = kernel_results(scipy.linalg.lapack, lambda mats, x: dia_matrix(mats) @ x,
                               default_forms())
     assert sorted(loaded_results) == sorted(expected)
     for key, value in expected.items():
@@ -92,50 +103,66 @@ def test_file_loaded_kernels_match_scipy_bit_for_bit(loaded_results):
     # the cases are the ones meant: definite, indefinite, and the LU step
     assert expected["J_info"] == 0 and expected["step5_info"] == 0 and expected["E0_info"] > 0
     assert expected["step_lu_chol_info"] > 0 and expected["lu_info"] == 0
+    # the stacked product is the three products one after another
+    parts = [loaded_results[name + "_matvec"] for name in ("J", "E1", "E0")]
+    assert np.array_equal(loaded_results["stack_matvec"], np.concatenate(parts))
 
 
-@pytest.fixture(scope="module")
-def forms_pair():
-    """The default forms at xi = 1 and scipy.sparse.csr_matrix copies of (E0, E1, J)."""
-    import scipy.sparse as sp
+def csr_pattern(mesh):
+    """The (row, col) pairs of the CSR pattern the forms were stored in before
+    they became bands: every pair of interior dofs of one element, by
+    ``np.unique`` of the element-dof keys, so row by row with ascending columns."""
+    conn = mesh.conn
+    interior = (conn >= 1) & (conn <= mesh.n_nodes - 2)
+    gdof = np.concatenate([np.where(interior, 2 * (conn - 1), -1),
+                           np.where(interior, 2 * (conn - 1) + 1, -1)], axis=1)
+    n = 2 * (mesh.n_nodes - 2)
+    rows, cols = gdof[:, :, None], gdof[:, None, :]
+    keys = np.unique((rows * n + cols)[(rows >= 0) & (cols >= 0)])
+    return keys // n, keys % n
 
-    forms = default_forms()
-    return forms, [sp.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape)
-                   for M in (forms.E0, forms.E1, forms.J)]
 
-
-def test_csr_type_matches_scipy_sparse(forms_pair):
-    forms, scipy_mats = forms_pair
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+@pytest.mark.parametrize("order", [1, 2])
+def test_band_type_against_oracles(order, sigma):
+    on_mesh = lambda order: default_forms(f"mesh.order={order}", "mesh.elements_per_side=6",
+                                          f"geometry.sigma={sigma}", xi=1.3)
+    forms = on_mesh(order)
+    pattern = csr_pattern(forms.mesh)
     x = np.sin(np.arange(forms.n))
-    for M, S in zip((forms.E0, forms.E1, forms.J), scipy_mats):
-        assert M.nnz == S.nnz and M.shape == S.shape
-        assert np.array_equal(M @ x, S @ x)
-        assert np.array_equal(M @ x[::-1], S @ x[::-1])     # a strided view is read as scipy reads it
-        assert np.array_equal(M.toarray(), S.toarray())
-        coo = S.tocoo()
-        for ours, theirs in zip(M.triplets(), (coo.row, coo.col, coo.data)):
-            assert np.array_equal(ours, theirs)
-        assert np.array_equal((2.5 * M).data, (2.5 * S).data)
-        assert np.array_equal((M * np.float64(0.5)).data, (S * np.float64(0.5)).data)
-    norms = tuple(float(abs(S).sum(axis=1).max()) for S in scipy_mats)
-    assert forms.norms() == norms
+    for M in (forms.E0, forms.E1, forms.J, forms.compression()):
+        D = M.toarray()
+        assert np.array_equal(D, D.T)       # exactly symmetric: one value per pair
+        scale = np.abs(D).max() * np.abs(x).max()
+        for v in (x, x[::-1]):              # a strided view is read as scipy reads it
+            assert np.abs(M @ v - D @ v).max() <= 1e-15 * scale
+            assert np.array_equal(M @ v, dia_matrix([M]) @ v)
+        rows, cols, values = M.triplets()
+        assert M.nnz == rows.size
+        assert np.array_equal(rows, pattern[0]) and np.array_equal(cols, pattern[1])
+        assert np.array_equal(values, D[rows, cols])
+        assert np.count_nonzero(D) <= M.nnz     # nothing outside the pattern
+        assert np.array_equal((2.5 * M).toarray(), 2.5 * D)
+        assert np.array_equal((M * np.float64(0.5)).toarray(), D * np.float64(0.5))
+    norms = [np.abs(D).sum(axis=1).max() for D in forms.dense()]
+    assert forms.norms() == pytest.approx(norms, rel=1e-15)
     with pytest.raises(LayoutError):
         forms.J @ x[:-1]
     with pytest.raises(LayoutError):
-        forms.J + CSR(forms.J.data, forms.J.indices[::-1].copy(), forms.J.indptr, forms.J.shape)
+        forms.J + on_mesh(3 - order).J
 
 
 @pytest.mark.parametrize("a, b, c", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 0.3, 0.09),
                                      (1.0, -2.0, 7.5)])
-def test_weighted_sum_matches_scipy(forms_pair, a, b, c):
-    # bottom_eig's A = a E0 + b E1 + c J, summed entry by entry in scipy's order;
-    # scipy drops the entries that sum to exactly 0, which hold 0 here
-    forms, (E0, E1, J) = forms_pair
+def test_weighted_sum_matches_scipy(a, b, c):
+    # bottom_eig's A = a E0 + b E1 + c J, summed entry by entry as scipy sums
+    # dia_matrix copies of the three forms
+    forms = default_forms()
+    E0, E1, J = (dia_matrix([M]) for M in (forms.E0, forms.E1, forms.J))
     A = a * forms.E0 + b * forms.E1 + c * forms.J
-    S = a * E0 + b * E1 + c * J
+    assert np.array_equal(A.toarray(), (a * E0 + b * E1 + c * J).toarray())
     x = np.cos(np.arange(forms.n))
-    assert np.array_equal(A @ x, S @ x)
-    assert np.array_equal(A.toarray(), S.toarray())
+    assert np.array_equal(A @ x, dia_matrix([A]) @ x)
 
 
 def test_missing_extension_names_the_scipy_version(monkeypatch, tmp_path):
