@@ -7,13 +7,14 @@ conjugate pair of lattice modes; non-periodic solutions superpose a radial
 bump f of frequencies over an annulus inside (0, xi_c).  Their radial
 integral is a Gauss-Legendre rule; the angular integral is exact, since f
 and lambda depend on |xi| only and it reduces to the Bessel functions J0
-and J1 of |xi| |x_h|, which :func:`_bessel_j0_j1` evaluates in numpy.
-Norms live in the piecewise Sobolev spaces: full regularity on each fluid
-domain, none across the interface.  Both fields share one height evaluator,
-:func:`_heights`, and one norm path: one ``profile.fields`` call per field
-gives five integrals per mode (:func:`_profile_norms`), and
-:func:`_sobolev_norm` weights them with e^{Lambda t} of the fastest mode
-factored out, so a norm is finite wherever ``growth_factor(t)`` is.
+and J1 of |xi| |x_h|, scipy's compiled ``j0`` and ``j1`` taken through
+:mod:`rtmodes._kernels`.  Norms live in the piecewise Sobolev spaces: full
+regularity on each fluid domain, none across the interface.  Both fields
+share one height evaluator, :func:`_heights`, and the rest of their surface
+through :class:`_Field`: growth factor, point values, grid samples and one
+norm path, in which one ``profile.fields`` call per field gives five
+integrals per mode and e^{Lambda t} of the fastest mode is factored out of
+the sum, so a norm is finite wherever ``growth_factor(t)`` is.
 """
 
 import math
@@ -22,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _kernels
 from .dispersion import Stable, growth_rate, lattice_modes
 from .errors import ConfigurationError, DomainError, storable
 from .profile import by_side
@@ -100,35 +102,6 @@ def _as_points(x):
     return x.reshape(-1, 3)
 
 
-def _sample(evaluate, grid):
-    """Columns x1, x2, x3, eta1..3, v1..3, q of ``evaluate(points) -> (eta, v, q)``
-    on the rectilinear grid (x1s, x2s, x3s)."""
-    with storable("a %s sample grid" % " x ".join(str(np.size(g)) for g in grid)):
-        X = np.meshgrid(*(np.asarray(g, dtype=float) for g in grid), indexing="ij")
-    eta, vel, qf = evaluate(np.stack(X, axis=-1))
-    cols = {f"x{i + 1}": X[i].ravel() for i in range(3)}
-    cols.update({f"eta{i + 1}": eta[..., i].ravel() for i in range(3)})
-    cols.update({f"v{i + 1}": vel[..., i].ravel() for i in range(3)})
-    cols["q"] = qf.ravel()
-    return cols
-
-
-def _bessel_j0_j1(x):
-    """J0(x) and J1(x) by Bessel's integral J_n(x) = (1/pi) int_0^pi cos(n tau - x sin tau) dtau.
-
-    The midpoint rule converges exponentially for this periodic analytic
-    integrand (Trefethen & Weideman, SIAM Review 56, 2014); its node count
-    follows the largest |x|, |x|/2 + 4 |x|^(1/3) + 24, which keeps the error
-    within a few units in the 15th digit up to |x| = 1000.
-    """
-    x = np.asarray(x, dtype=float)
-    top = float(np.abs(x).max(initial=0.0))
-    n = int(top / 2 + 4 * top ** (1 / 3)) + 24
-    tau = (np.arange(n) + 0.5) * (math.pi / n)
-    phase = np.multiply.outer(x, np.sin(tau))
-    return np.cos(phase).mean(axis=-1), np.cos(tau - phase).mean(axis=-1)
-
-
 def _heights(profile, mesh, x3, values, slopes):
     """rho0, each nodal field of ``values``, and the x3-derivative of each of
     ``slopes`` at heights x3.  One :func:`by_side` pass takes rho0 and the
@@ -140,53 +113,86 @@ def _heights(profile, mesh, x3, values, slopes):
     return sided[:, 0], [mesh.eval_nodal(a, x3) for a in values], sided[:, 1:].T
 
 
-def _profile_norms(profile, mesh, modes):
-    """Five piecewise integrals per mode, from one ``profile.fields`` call.
+class _Field:
+    """What both synthesized fields share: growth, point values, samples and norms.
 
-    Row k holds, for ``modes[k]``, int (d^j phi)^2 + (d^j psi)^2 for j = 0, 1, 2,
-    then int (d^j q)^2 for j = 0, 1 with q = -rho0 (|xi| phi + psi'); the second
-    derivatives come from the strong-form ODEs.  Gauss points never lie on an
-    element break, so side-free evaluations give each fluid's own values.
+    A field sets ``profile``, ``mesh``, ``modes`` (the modes it superposes) and
+    ``_weights`` (each mode's Parseval weight on the Fourier side), and defines
+    ``_evaluate(x, t) -> (eta, v, q)`` at points x with a trailing dimension of 3.
     """
-    xq = mesh.quad_x.ravel()
-    wq = mesh.quad_w.ravel()
-    fields = profile.fields(xq)
-    rho, rho_p = fields["rho"], fields["rho_prime"]
-    out = np.empty((len(modes), 5))
-    for row, m in zip(out, modes):
-        r = m.xi_mag
-        phi, psi = ode_second_derivatives(
-            fields, profile.geometry.g, mesh, m.phi, m.psi, r, m.lam, -m.lam**2, xq)
-        base = r * phi[0] + psi[1]
-        q = (rho * base, rho_p * base + rho * (r * phi[1] + psi[2]))
-        row[:] = [np.sum(wq * (phi[j] ** 2 + psi[j] ** 2)) for j in range(3)] + [
-            np.sum(wq * qj**2) for qj in q]
-    return out
+
+    def growth_factor(self, t):
+        """e^{lambda t} of the fastest mode at time t; DomainError where it overflows."""
+        return _growth_factor(max(m.lam for m in self.modes), t)
+
+    def eta(self, x, t=0.0):
+        return self._evaluate(x, t)[0]
+
+    def v(self, x, t=0.0):
+        return self._evaluate(x, t)[1]
+
+    def q(self, x, t=0.0):
+        return self._evaluate(x, t)[2]
+
+    def sample(self, grid, t=0.0):
+        """Columns x1, x2, x3, eta1..3, v1..3, q on the rectilinear grid (x1s, x2s, x3s)."""
+        with storable("a %s sample grid" % " x ".join(str(np.size(g)) for g in grid)):
+            X = np.meshgrid(*(np.asarray(g, dtype=float) for g in grid), indexing="ij")
+        eta, vel, qf = self._evaluate(np.stack(X, axis=-1), t)
+        cols = {f"x{i + 1}": X[i].ravel() for i in range(3)}
+        cols.update({f"eta{i + 1}": eta[..., i].ravel() for i in range(3)})
+        cols.update({f"v{i + 1}": vel[..., i].ravel() for i in range(3)})
+        cols["q"] = qf.ravel()
+        return cols
+
+    @cached_property
+    def _norms(self):
+        """Five piecewise integrals per mode, from one ``profile.fields`` call.
+
+        Row k holds, for ``modes[k]``, int (d^j phi)^2 + (d^j psi)^2 for j = 0, 1, 2,
+        then int (d^j q)^2 for j = 0, 1 with q = -rho0 (|xi| phi + psi'); the second
+        derivatives come from the strong-form ODEs.  Gauss points never lie on an
+        element break, so side-free evaluations give each fluid's own values.
+        """
+        xq = self.mesh.quad_x.ravel()
+        wq = self.mesh.quad_w.ravel()
+        fields = self.profile.fields(xq)
+        rho, rho_p = fields["rho"], fields["rho_prime"]
+        out = np.empty((len(self.modes), 5))
+        for row, m in zip(out, self.modes):
+            r = m.xi_mag
+            phi, psi = ode_second_derivatives(
+                fields, self.profile.geometry.g, self.mesh, m.phi, m.psi, r, m.lam, -m.lam**2, xq)
+            base = r * phi[0] + psi[1]
+            q = (rho * base, rho_p * base + rho * (r * phi[1] + psi[2]))
+            row[:] = [np.sum(wq * (phi[j] ** 2 + psi[j] ** 2)) for j in range(3)] + [
+                np.sum(wq * qj**2) for qj in q]
+        return out
+
+    def sobolev_norm(self, which="eta", k=0, t=0.0):
+        """Fourier-side piecewise H^k norm of eta, v, or q at time t:
+        sqrt(sum over modes of weight (a e^{lambda t})^2 sum_j (1 + r^2)^{k-j} ||d^j .||^2).
+
+        a = lambda for v and 1 otherwise.  eta and v have x3-derivatives up to
+        order 2, q up to order 1.  The largest e^{lambda t} is factored out of
+        the sum, so the norm overflows only where that factor does, with the
+        DomainError of :meth:`growth_factor`.
+        """
+        if which not in ("eta", "v", "q"):
+            raise DomainError("which must be eta, v, or q")
+        first, depth = (3, 1) if which == "q" else (0, 2)
+        if not 0 <= k <= depth:
+            raise DomainError("%s has x3-derivatives up to order %d, not %d" % (which, depth, k))
+        lam = np.array([m.lam for m in self.modes])
+        r = np.array([m.xi_mag for m in self.modes])
+        dominant = float(lam.max() if t >= 0 else lam.min())   # largest e^{lambda t}
+        growth = _growth_factor(dominant, t)
+        amp = np.exp((lam - dominant) * t) * (lam if which == "v" else 1.0)
+        total = sum((1.0 + r**2) ** (k - j) * self._norms[:, first + j] for j in range(k + 1))
+        return growth * math.sqrt(float(np.sum(self._weights * amp**2 * total)))
 
 
-def _sobolev_norm(norms, weights, modes, which, k, t):
-    """sqrt(sum over modes of weight (a e^{lambda t})^2 sum_j (1 + r^2)^{k-j} ||d^j .||^2).
-
-    ``norms`` is :func:`_profile_norms` of ``modes``; a = lambda for v and 1
-    otherwise.  eta and v have x3-derivatives up to order 2, q up to order 1.
-    The largest e^{lambda t} is factored out of the sum, so the norm overflows
-    only where that factor does, with the DomainError of ``growth_factor``.
-    """
-    if which not in ("eta", "v", "q"):
-        raise DomainError("which must be eta, v, or q")
-    first, depth = (3, 1) if which == "q" else (0, 2)
-    if not 0 <= k <= depth:
-        raise DomainError("%s has x3-derivatives up to order %d, not %d" % (which, depth, k))
-    lam = np.array([m.lam for m in modes])
-    r = np.array([m.xi_mag for m in modes])
-    dominant = float(lam.max() if t >= 0 else lam.min())   # largest e^{lambda t}
-    growth = _growth_factor(dominant, t)
-    amp = np.exp((lam - dominant) * t) * (lam if which == "v" else 1.0)
-    total = sum((1.0 + r**2) ** (k - j) * norms[:, first + j] for j in range(k + 1))
-    return growth * math.sqrt(float(np.sum(weights * amp**2 * total)))
-
-
-class PeriodicField:
+class PeriodicField(_Field):
     """Conjugate pair of maximizing lattice modes: exact normal-mode growth."""
 
     def __init__(self, profile, mesh, L, lattice=None):
@@ -197,6 +203,10 @@ class PeriodicField:
         self.xi1 = np.array([k1 / L, k2 / L])
         self.Lambda_L = float(lattice.Lambda_L)
         self.mode3d = extend_to_plane(self.mode, self.xi1)
+        self.modes = [self.mode]
+        # each of the pair has coefficient (2 pi L)^2 w_hat; the Parseval
+        # prefactor 1/(4 pi^2 L^2) leaves 4 pi^2 L^2 * (pair sum)
+        self._weights = 4 * math.pi**2 * self.L**2 * 2.0
 
     def _evaluate(self, x, t):
         """(eta, v, q) at points x from one evaluation of the mode's heights."""
@@ -213,39 +223,8 @@ class PeriodicField:
         q = -rho * 2 * (self.mode.xi_mag * phi_r + pp) * np.cos(phase)
         return eta, self.Lambda_L * eta, amp * q.reshape(shape[:-1])
 
-    def growth_factor(self, t):
-        """e^{Lambda_L t}, the amplitude at time t; DomainError where it overflows."""
-        return _growth_factor(self.Lambda_L, t)
 
-    def eta(self, x, t=0.0):
-        return self._evaluate(x, t)[0]
-
-    def v(self, x, t=0.0):
-        return self._evaluate(x, t)[1]
-
-    def q(self, x, t=0.0):
-        return self._evaluate(x, t)[2]
-
-    def sample(self, grid, t=0.0):
-        """Point samples on a rectilinear grid (x1s, x2s, x3s)."""
-        return _sample(lambda pts: self._evaluate(pts, t), grid)
-
-    @cached_property
-    def _norms(self):
-        return _profile_norms(self.profile, self.mesh, [self.mode])
-
-    def sobolev_norm(self, which="eta", k=0, t=0.0):
-        """Fourier-side piecewise H^k norm of eta, v, or q at time t.
-
-        The representation is the conjugate pair, each with coefficient
-        (2 pi L)^2 w_hat; the Parseval prefactor 1/(4 pi^2 L^2) leaves
-        4 pi^2 L^2 * (pair sum).
-        """
-        return _sobolev_norm(self._norms, 4 * math.pi**2 * self.L**2 * 2.0, [self.mode],
-                             which, k, t)
-
-
-class NonperiodicField:
+class NonperiodicField(_Field):
     """Fourier synthesis of growing modes against a radial bump f.
 
     ``n_radial`` Gauss-Legendre nodes sample |xi| over the bump's support;
@@ -278,8 +257,10 @@ class NonperiodicField:
         self.Lambda = float(self.lam.max())
         if curve is not None:
             self.Lambda = max(self.Lambda, float(curve.Lambda))
-
-    # -- field evaluation -------------------------------------------------
+        # the fields carry the prefactor (2 pi)^-2 of the inverse transform, so
+        # Parseval leaves (2 pi)^-2 times the radial weight, the polar Jacobian
+        # |xi|, |f|^2 and the angular integral 2 pi of |w_hat|^2 per node
+        self._weights = self.w * self.r * self.f(self.r) ** 2 / (2 * math.pi)
 
     def _evaluate(self, x, t):
         """(eta, v, q) at points x.
@@ -291,18 +272,22 @@ class NonperiodicField:
         """
         self.growth_factor(t)       # refuse a time at which the sums would be inf or nan
         pts = _as_points(x)
+        s = np.hypot(pts[:, 0], pts[:, 1])
+        radii, at = np.unique(s, return_inverse=True)  # grid columns share a radius
+        top = float(self.r.max()) * float(radii.max(initial=0.0))
+        if not math.isfinite(top):     # J0 and J1 of inf are nan
+            raise DomainError("|x_h| = %g is too far out for |xi| = %g: the Bessel argument "
+                              "|xi| |x_h| overflows" % (radii.max(), self.r.max()))
         rho, values, slopes = _heights(
             self.profile, self.mesh, pts[:, 2],
             [a for m in self.modes for a in (m.phi, m.psi)], [m.psi for m in self.modes])
-        s = np.hypot(pts[:, 0], pts[:, 1])
         safe = np.where(s > 0, s, 1.0)      # on the axis J1 = 0, so any direction will do
         direction = pts[:, :2] / safe[:, None]
-        radii, at = np.unique(s, return_inverse=True)  # grid columns share a radius
         eta_h, eta3, vel_h, vel3, qf = np.zeros((5, pts.shape[0]))
         for rk, wk, lam, ph, ps, psp in zip(self.r, self.w, self.lam,
                                             values[0::2], values[1::2], slopes):
             ck = wk * rk * float(self.f(rk)) * np.exp(lam * t) / (2 * math.pi)
-            J0, J1 = (J[at] for J in _bessel_j0_j1(rk * radii))
+            J0, J1 = (J(rk * radii)[at] for J in (_kernels.j0, _kernels.j1))
             horizontal, vertical = ck * ph * J1, ck * ps * J0
             eta_h += horizontal
             eta3 += vertical
@@ -313,31 +298,3 @@ class NonperiodicField:
         eta = np.column_stack([eta_h[:, None] * direction, eta3])
         vel = np.column_stack([vel_h[:, None] * direction, vel3])
         return eta.reshape(shape), vel.reshape(shape), qf.reshape(shape[:-1])
-
-    def growth_factor(self, t):
-        """e^{lambda t} of the fastest radial node; DomainError where it overflows."""
-        return _growth_factor(float(self.lam.max()), t)
-
-    def eta(self, x, t=0.0):
-        return self._evaluate(x, t)[0]
-
-    def v(self, x, t=0.0):
-        return self._evaluate(x, t)[1]
-
-    def q(self, x, t=0.0):
-        return self._evaluate(x, t)[2]
-
-    def sample(self, grid, t=0.0):
-        """Point samples on a rectilinear grid (x1s, x2s, x3s)."""
-        return _sample(lambda pts: self._evaluate(pts, t), grid)
-
-    # -- spectral-side norms -----------------------------------------------
-
-    @cached_property
-    def _norms(self):
-        return _profile_norms(self.profile, self.mesh, self.modes)
-
-    def sobolev_norm(self, which="eta", k=0, t=0.0):
-        """Radial-quadrature piecewise H^k norm of eta, v, or q at time t."""
-        return _sobolev_norm(self._norms, self.w * self.r * self.f(self.r) ** 2 / (2 * math.pi),
-                             self.modes, which, k, t)

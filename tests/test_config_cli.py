@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -438,6 +439,31 @@ class TestCliRuns:
         err = capsys.readouterr().err
         assert re.search(r"t = 3000 .*growth rate 0\.2\d+", err), err
         assert "warning" not in err       # main records warnings; none is raised here
+        assert not (tmp_path / "out" / "fields").exists()
+
+    @pytest.mark.parametrize("key", ["synthesis.grid.extent=1e300", "synthesis.f.a=1e-300"])
+    def test_far_synthesis_grid_has_finite_fields(self, cfg_path, tmp_path, capsys, key):
+        # |xi| |x_h| reaches about 1e300: J0 and J1 stay floats, at O(1) cost per point
+        assert main(["synthesize", "--config", str(cfg_path), "--set", key]) == 0
+        assert "warning" not in capsys.readouterr().err
+        fields = np.loadtxt(tmp_path / "out" / "fields" / "t0.csv", delimiter=",", skiprows=1)
+        assert fields.shape == (8 * 8 * 9, 10) and np.isfinite(fields).all()
+
+    def test_wide_synthesis_grid_is_fast(self, cfg_path):
+        start = time.perf_counter()
+        assert main(["synthesize", "--config", str(cfg_path), "--set", "mesh.elements_per_side=8",
+                     "--set", "synthesis.grid.extent=1e7"]) == 0
+        assert time.perf_counter() - start < 1.0
+
+    def test_overflowing_bessel_argument_exits_2(self, cfg_path, tmp_path, capsys):
+        # without surface tension the bump may sit at |xi| = 10..20, and
+        # |xi| |x_h| passes the largest float inside an extent of 1e307, where
+        # J0 and J1 would be nan
+        assert main(["synthesize", "--config", str(cfg_path), "--set", "geometry.sigma=0",
+                     "--set", "synthesis.f.a=10", "--set", "synthesis.f.b=20",
+                     "--set", "synthesis.grid.extent=1e307"]) == 2
+        err = capsys.readouterr().err
+        assert "the Bessel argument |xi| |x_h| overflows" in err and "warning" not in err
         assert not (tmp_path / "out" / "fields").exists()
 
     def test_empty_synthesis_grid_exits_2(self, cfg_path, capsys):

@@ -37,8 +37,9 @@ def _heavy_loaded_after(statement):
 # Modules a subcommand should run only if it needs them: rtmodes' own late
 # layers, hashlib's OpenSSL binding, numpy's polynomial package (behind the
 # configurable radial rule of NonperiodicField alone) and scipy's special
-# functions (J0 and J1 are evaluated in numpy).  A deferred module sits in
-# sys.modules before its code runs, so the test is that its code has run.
+# functions package (J0 and J1 come from its ufunc extension through _kernels,
+# which never runs the package).  A deferred module sits in sys.modules before
+# its code runs, so the test is that its code has run.
 LATE = ("rtmodes.synthesis", "rtmodes.evolution", "rtmodes.verify", "_hashlib",
         "numpy.polynomial", "scipy.special")
 RAN = "type(sys.modules.get(m)) is types.ModuleType"
@@ -77,6 +78,30 @@ def test_each_subcommand_runs_only_the_modules_it_needs(tmp_path, argv, late_all
     assert _names_after(statement, LATE, RAN) == list(late_allowed)
 
 
+def test_only_sampling_a_field_maps_the_bessel_extension(tmp_path):
+    # _kernels maps scipy.special's ufunc extension (about 1 MB of peak memory)
+    # on the first read of j0 or j1; of the subcommands only synthesize samples
+    # a field and reads them, and it still loads none of scipy's packages
+    runs = [["profile", "--resolution", "16"], ["forms", "--xi", "1"], ["mode"],
+            ["dispersion", "--n", "4"], ["lattice", "--L", "1.5"], ["evolve", "--T", "1"],
+            ["verify"], ["synthesize"]]
+    runs = [[*argv, "--set", "mesh.elements_per_side=8", "--set", f"output.dir={tmp_path}"]
+            for argv in runs]
+    code = "\n".join([
+        "import sys",
+        "from rtmodes import _kernels",
+        "from rtmodes.cli import main",
+        "loaded = []",
+        "for argv in %r:" % (runs,),
+        "    assert main(argv) == 0",
+        "    with open('/proc/self/maps') as maps:",
+        "        mapped = '_special_ufuncs' in maps.read()",
+        "    loaded.append(int(mapped or 'j0' in vars(_kernels)))",
+        "print(*loaded, *(m for m in %r if m in sys.modules))" % (HEAVY,),
+    ])
+    assert _last_line(code).split() == ["0"] * 7 + ["1"]
+
+
 def test_package_exports_resolve_and_are_listed():
     # the package still binds every name it exported when it ran synthesis and
     # evolution at import; reading one of theirs runs its module then
@@ -106,8 +131,9 @@ def test_cli_import_loads_no_heavy_scipy_modules():
 
 
 def test_verify_battery_loads_no_heavy_scipy_modules(tmp_path):
-    # the full battery (not --quick) builds a synthesized field; its Bessel
-    # functions are evaluated in numpy, so scipy.special never loads
+    # the full battery (not --quick) builds a synthesized field and takes its
+    # norms, but samples none of its values, so not even the Bessel functions'
+    # extension is mapped (see above)
     argv = ["verify", "--set", "mesh.elements_per_side=16", "--set", f"output.dir={tmp_path}"]
     statement = "from rtmodes.cli import main\nassert main(%r) == 0" % (argv,)
     assert _heavy_loaded_after(statement) == []
@@ -134,9 +160,11 @@ def test_only_kernels_loads_scipy_extensions():
     # _kernels is the one door to scipy's compiled code: only it names a scipy
     # extension or uses importlib's file loading to load one (the package's
     # __init__ uses importlib only to defer two of its own modules), only eigen
-    # takes the band-LAPACK routines from it and only forms the band mat-vec
-    # dia_matvec, no module names the CSR kernel csr_matvec, and no module
-    # imports scipy.linalg or scipy.sparse (their import was most of start-up)
+    # takes the band-LAPACK routines from it, only forms the band mat-vec
+    # dia_matvec and only synthesis the Bessel functions j0 and j1 (read as
+    # attributes, so that importing synthesis does not load them), no module
+    # names the CSR kernel csr_matvec, and no module imports scipy.linalg,
+    # scipy.sparse or scipy.special (their import was most of start-up)
     package = Path(rtmodes.__file__).resolve().parent
     loaders, taken, packages = set(), [], []
     for path in sorted(package.glob("*.py")):
@@ -145,19 +173,22 @@ def test_only_kernels_loads_scipy_extensions():
         for node in ast.walk(ast.parse(text)):
             modules = _absolute_imports(node)
             packages += [(path.name, m) for m in modules
-                         if m.startswith(("scipy.linalg", "scipy.sparse"))]
+                         if m.startswith(("scipy.linalg", "scipy.sparse", "scipy.special"))]
             if any(m.startswith("importlib") for m in modules) and path.name != "__init__.py" or (
                     isinstance(node, ast.Attribute) and node.attr in (
                         "spec_from_file_location", "ExtensionFileLoader", "EXTENSION_SUFFIXES")) or (
                     isinstance(node, ast.Constant) and str(node.value).startswith(
-                        ("linalg._flapack", "sparse._sparsetools", "scipy."))):
+                        ("linalg._flapack", "sparse._sparsetools", "special.", "scipy."))):
                 loaders.add(path.name)
             if isinstance(node, ast.ImportFrom) and node.module == "_kernels":
                 taken += [(path.name, a.name) for a in node.names]
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "_kernels":
+                taken.append((path.name, node.attr))
     assert packages == []
     assert loaders == {"_kernels.py"}
     assert sorted(taken) == [("eigen.py", "dgbtrf"), ("eigen.py", "dgbtrs"), ("eigen.py", "dpbtrf"),
-                             ("eigen.py", "dpbtrs"), ("forms.py", "dia_matvec")]
+                             ("eigen.py", "dpbtrs"), ("forms.py", "dia_matvec"),
+                             ("synthesis.py", "j0"), ("synthesis.py", "j1")]
 
 
 def test_scipy_imported_later_reuses_the_loaded_kernels():
