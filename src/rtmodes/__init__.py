@@ -63,10 +63,7 @@ def _deferred(name):
 
 synthesis = _deferred("synthesis")
 evolution = _deferred("evolution")
-_DEFERRED = dict.fromkeys(
-    ("BumpProfile", "NonperiodicField", "NormalMode3D", "PeriodicField", "extend_to_plane"),
-    synthesis,
-) | dict.fromkeys(
+_DEFERRED = dict.fromkeys(("BumpProfile", "NonperiodicField", "PeriodicField"), synthesis) | dict.fromkeys(
     ("ModeTrajectory", "PeriodicStabilityReport", "energy_identity_check",
      "generic_growth_envelope", "growth_bound_check", "integrate", "mode_initial_data",
      "pencil_consistency", "periodic_stability_check", "spectral_k_constants"),

@@ -35,6 +35,7 @@ class Stable:
     xi: float
     reason: str
     factorizations: int = 0
+    bracket_rel = 0.0           # no bracket: no rate was refined
 
 
 @dataclass
@@ -49,7 +50,7 @@ class ModeSolution:
     on each access.
     """
 
-    xi: np.ndarray                # 2D frequency vector, reduced frame
+    xi_mag: float                 # |xi|; the reduced-frame frequency is (xi_mag, 0)
     lam: float
     phi: np.ndarray
     psi: np.ndarray
@@ -60,10 +61,6 @@ class ModeSolution:
     minimizer: np.ndarray = field(repr=False)
     profile: object = field(repr=False)
     mesh: object = field(repr=False)
-
-    @property
-    def xi_mag(self):
-        return float(np.hypot(self.xi[0], self.xi[1]))
 
     @property
     def bracket_rel(self):
@@ -141,7 +138,7 @@ def growth_rate(profile, mesh, xi_mag):
     mu = float(x @ (forms.E0 @ x)) + lam * float(x @ (forms.E1 @ x))
     phi, psi = forms.to_nodal(x)
     return ModeSolution(
-        xi=np.array([xi_mag, 0.0]),
+        xi_mag=float(xi_mag),
         lam=lam,
         phi=phi,
         psi=psi,
@@ -172,11 +169,14 @@ class DispersionCurve:
     argmax_mode: ModeSolution | None = field(repr=False, default=None)
 
 
-def _cost(r):
-    """(factorizations, relative bracket width) of one growth_rate result; width 0 if Stable."""
-    if isinstance(r, Stable):
-        return r.factorizations, 0.0
-    return r.factorizations, r.bracket_rel
+def _check_sweep_range(profile, xi_min, xi_max, n):
+    """ConfigurationError unless n samples of [xi_min, xi_max] can be swept on ``profile``."""
+    if not (0 < xi_min < xi_max):
+        raise ConfigurationError("need 0 < xi_min < xi_max")
+    if n < 1:
+        raise ConfigurationError("a sweep needs n >= 1 samples")
+    if profile.geometry.sigma > 0 and xi_max > profile.xi_c:
+        raise ConfigurationError("xi_max exceeds the critical frequency %.6g" % profile.xi_c)
 
 
 def sweep(profile, mesh, xi_min, xi_max, n=48):
@@ -186,36 +186,17 @@ def sweep(profile, mesh, xi_min, xi_max, n=48):
     around the argmax (the refined frequency is solved, never
     extrapolated), and the endpoint rates for the zero-limit check.
     """
-    if not (0 < xi_min < xi_max):
-        raise ConfigurationError("need 0 < xi_min < xi_max")
-    if n < 1:
-        raise ConfigurationError("a sweep needs n >= 1 samples")
-    sigma = profile.geometry.sigma
-    if sigma > 0 and xi_max > profile.xi_c:
-        raise ConfigurationError(
-            "xi_max exceeds the critical frequency %.6g" % profile.xi_c
-        )
+    _check_sweep_range(profile, xi_min, xi_max, n)
     with storable("%d sweep samples" % n):
-        mags = np.geomspace(xi_min, xi_max, n)
-    rows = []
-    solved = []                 # (factorizations, relative bracket width) per solve
-    argmax_mode = None
-    stable_count = 0
-    for m in mags:
-        r = growth_rate(profile, mesh, float(m))
-        solved.append(_cost(r))
-        if isinstance(r, Stable):
-            rows.append((m, 0.0, 0.0, 0.0))
-            stable_count += 1
-            continue
-        rows.append((m, r.lam, r.psi0, r.fixed_point_residual))
-        if argmax_mode is None or r.lam > argmax_mode.lam:
-            argmax_mode = r
-    arr = np.array(rows)
-    xi_s, lam_s = arr[:, 0], arr[:, 1]
+        xi_s = np.geomspace(xi_min, xi_max, n)
+    solved = [growth_rate(profile, mesh, float(m)) for m in xi_s]
+    stable_count = sum(isinstance(r, Stable) for r in solved)
+    lam_s, psi0_s, res_s = np.array([(0.0, 0.0, 0.0) if isinstance(r, Stable) else
+                                     (r.lam, r.psi0, r.fixed_point_residual) for r in solved]).T
     k = int(np.argmax(lam_s))
     Lambda = float(lam_s[k])
     argmax_xi = float(xi_s[k])
+    argmax_mode = solved[k] if Lambda > 0 else None
     fit_correction = 0.0
 
     if n >= 3 and 0 < k < n - 1:
@@ -229,16 +210,16 @@ def sweep(profile, mesh, xi_min, xi_max, n=48):
                 xv = -b / (2 * a)
                 if x3[0] < xv < x3[2]:
                     r = growth_rate(profile, mesh, float(xv))
-                    solved.append(_cost(r))
+                    solved.append(r)
                     if not isinstance(r, Stable) and r.lam > Lambda:
                         fit_correction = r.lam - Lambda
                         Lambda, argmax_xi, argmax_mode = r.lam, float(xv), r
 
     return DispersionCurve(
-        xi=xi_s, lam=lam_s, psi0=arr[:, 2], residual=arr[:, 3],
+        xi=xi_s, lam=lam_s, psi0=psi0_s, residual=res_s,
         Lambda=Lambda, argmax_xi=argmax_xi, fit_correction=fit_correction,
-        factorizations=sum(c for c, _ in solved),
-        bracket_rel_max=max(w for _, w in solved),
+        factorizations=sum(r.factorizations for r in solved),
+        bracket_rel_max=max(r.bracket_rel for r in solved),
         stable_count=stable_count,
         argmax_mode=argmax_mode,
     )
@@ -320,15 +301,9 @@ def lattice_modes(profile, mesh, L, xi_max=None):
 
     keys = [_magnitude_key(m) for m in mag.tolist()]
     mags = sorted(set(keys))
-    rate_of = {}
-    modes = {}
-    for m in mags:
-        r = growth_rate(profile, mesh, float(m))
-        if isinstance(r, Stable):
-            rate_of[m] = 0.0
-        else:
-            rate_of[m] = r.lam
-            modes[m] = r
+    solved = {m: growth_rate(profile, mesh, float(m)) for m in mags}
+    modes = {m: r for m, r in solved.items() if not isinstance(r, Stable)}
+    rate_of = {m: modes[m].lam if m in modes else 0.0 for m in mags}
     points = np.column_stack([k1, k2, mag, [rate_of[key] for key in keys]])
     points = points[np.lexsort((k2, k1, mag))]      # by magnitude, then k1, then k2
     rates = np.array([rate_of[m] for m in mags])

@@ -48,7 +48,10 @@ class EigenResult:
 
 
 def _normalize(forms, x):
-    x = x / np.sqrt(float(x @ (forms.J @ x)))
+    norm_sq = float(x @ (forms.J @ x))
+    if not 0.0 < norm_sq < np.inf:      # x under- or overflowed in the solve
+        raise SolverError("inverse iteration lost its iterate: x^T J x = %g" % norm_sq, {"n": forms.n})
+    x = x / np.sqrt(norm_sq)
     anchor = x[forms.psi0_dof]
     if anchor == 0.0:
         nz = np.flatnonzero(x)

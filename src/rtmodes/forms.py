@@ -227,7 +227,8 @@ def _mesh_forms(profile, mesh):
     P, S, dP, dS = _basis(mesh)
     U = dS - f["gop"][:, :, None] * S    # psi' - (g / P') psi
 
-    acc = lambda c, v, w: np.einsum("eq,eqi,eqj->eij", c, v, w, optimize=True)
+    # sum over Gauss points q of c[e, q] v[e, q, i] w[e, q, j], one batched product per element
+    acc = lambda c, v, w: np.matmul((c[:, :, None] * v).swapaxes(1, 2), w)
     sym = lambda m: m + np.swapaxes(m, 1, 2)
     # expand psi' + xi phi, phi' - xi psi and psi' - xi phi in powers of xi
     pr_PP = acc(pr, P, P)

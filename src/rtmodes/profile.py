@@ -44,14 +44,6 @@ class ViscosityLaw:
     def __init__(self, c, p=0.0):
         self.c, self.p = float(c), float(p)
 
-    @classmethod
-    def constant(cls, c):
-        return cls(c)
-
-    @classmethod
-    def power(cls, c, p):
-        return cls(c, p)
-
     def __call__(self, rho):
         out = self.c * np.asarray(rho, dtype=float) ** self.p
         return out if out.ndim else float(out)
@@ -61,17 +53,15 @@ class ViscosityLaw:
         return out if out.ndim else float(out)
 
     def __repr__(self):
-        if self.p == 0.0:
-            return f"ViscosityLaw.constant({self.c})"
-        return f"ViscosityLaw.power({self.c}, {self.p})"
+        return f"ViscosityLaw({self.c}, p={self.p})"
 
 
 @dataclass(frozen=True)
 class FluidViscosity:
     """Shear (eps > 0) and bulk (delta >= 0) viscosity laws for one fluid."""
 
-    eps: ViscosityLaw = field(default_factory=lambda: ViscosityLaw.constant(0.1))
-    delta: ViscosityLaw = field(default_factory=lambda: ViscosityLaw.constant(0.0))
+    eps: ViscosityLaw = field(default_factory=lambda: ViscosityLaw(0.1))
+    delta: ViscosityLaw = field(default_factory=lambda: ViscosityLaw(0.0))
 
 
 _FIELDS = ("rho", "rho_prime", "P", "dp", "pr", "pr_prime", "gop",
@@ -194,7 +184,8 @@ def build_profile(lower, upper, rho_minus, geometry, viscosity=None):
     Raises
     ------
     ConfigurationError
-        If rho_minus is not admissible (no heavy-over-light interface).
+        If rho_minus is not admissible (no heavy-over-light interface), or
+        rho0, eps0 or delta0 is not finite (or eps0 <= 0, delta0 < 0) in the slab.
     VacuumError
         If m or ell exceed the enthalpy range of the corresponding side.
     """
@@ -229,6 +220,21 @@ def build_profile(lower, upper, rho_minus, geometry, viscosity=None):
         )
     if profile.rho_jump <= 0:
         raise ConfigurationError("density jump across the interface must be > 0")
+    # rho0 is monotone in x3 on each side and c rho^p in rho: each fluid's
+    # extremes sit at its slab end and at the interface
+    for side, name, end in ((-1, "lower", -geometry.m), (+1, "upper", geometry.ell)):
+        x3 = np.array([end, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = profile.density(x3, side=side)
+            eps, delta = profile.visc[side].eps(rho), profile.visc[side].delta(rho)
+        for what, value, ok, need in (
+                (f"the {name} fluid's density", rho, rho < np.inf, ""),
+                (f"viscosity.{name}.eps", eps, (0 < eps) & (eps < np.inf), " and > 0"),
+                (f"viscosity.{name}.delta", delta, (0 <= delta) & (delta < np.inf), " and >= 0")):
+            if not np.all(ok):
+                i = int(np.argmin(ok))
+                raise ConfigurationError("%s is %g at x3 = %g: it must be finite%s"
+                                         % (what, value[i], x3[i], need))
     return profile
 
 

@@ -18,7 +18,6 @@ the sum, so a norm is finite wherever ``growth_factor(t)`` is.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -28,38 +27,6 @@ from .dispersion import Stable, growth_rate, lattice_modes
 from .errors import ConfigurationError, DomainError, storable
 from .profile import by_side
 from .residuals import ode_second_derivatives
-
-
-@dataclass
-class NormalMode3D:
-    """w_hat(xi, x3) = (-i phi, -i theta, psi) for one planar frequency."""
-
-    xi: np.ndarray
-    lam: float
-    phi: np.ndarray     # nodal amplitude of the e_1 component
-    theta: np.ndarray   # nodal amplitude of the e_2 component
-    psi: np.ndarray
-    mesh: object
-
-
-def extend_to_plane(mode, xi_vec):
-    """Rotate a reduced-frame mode onto the frequency vector xi_vec.
-
-    Exact by construction: (phi, theta) = R^{-1}(phi_reduced, 0) with psi
-    fixed, for the rotation R carrying xi_vec to (|xi_vec|, 0).
-    """
-    xi_vec = np.asarray(xi_vec, dtype=float)
-    mag = float(np.hypot(xi_vec[0], xi_vec[1]))
-    if abs(mag - mode.xi_mag) > 1e-12 * max(1.0, mode.xi_mag):
-        raise DomainError(
-            "frequency magnitude %.17g does not match the mode's %.17g" % (mag, mode.xi_mag)
-        )
-    c, s = xi_vec[0] / mag, xi_vec[1] / mag
-    return NormalMode3D(
-        xi=xi_vec, lam=mode.lam,
-        phi=c * mode.phi, theta=s * mode.phi, psi=mode.psi.copy(),
-        mesh=mode.mesh,
-    )
 
 
 class BumpProfile:
@@ -193,7 +160,12 @@ class _Field:
 
 
 class PeriodicField(_Field):
-    """Conjugate pair of maximizing lattice modes: exact normal-mode growth."""
+    """Conjugate pair of maximizing lattice modes: exact normal-mode growth.
+
+    The reduced-frame ``mode`` gives w_hat(+-xi1, x3) = (-i phi, -i theta, psi) with
+    (phi, theta) = phi_reduced xi1 / |xi1|, rotated in :meth:`_evaluate`: the horizontal
+    displacement is 2 e^{Lambda t} phi(x3) sin(xi1 . x_h) xi1 / |xi1|.
+    """
 
     def __init__(self, profile, mesh, L, lattice=None):
         if lattice is None:
@@ -202,7 +174,6 @@ class PeriodicField(_Field):
         self.profile, self.mesh, self.L = profile, mesh, L
         self.xi1 = np.array([k1 / L, k2 / L])
         self.Lambda_L = float(lattice.Lambda_L)
-        self.mode3d = extend_to_plane(self.mode, self.xi1)
         self.modes = [self.mode]
         # each of the pair has coefficient (2 pi L)^2 w_hat; the Parseval
         # prefactor 1/(4 pi^2 L^2) leaves 4 pi^2 L^2 * (pair sum)
@@ -211,9 +182,10 @@ class PeriodicField(_Field):
     def _evaluate(self, x, t):
         """(eta, v, q) at points x from one evaluation of the mode's heights."""
         pts = _as_points(x)
-        m3 = self.mode3d
+        phi, psi = self.mode.phi, self.mode.psi
+        c, s = self.xi1 / np.hypot(*self.xi1)
         rho, (f, th, p, phi_r), (pp,) = _heights(
-            self.profile, self.mesh, pts[:, 2], (m3.phi, m3.theta, m3.psi, self.mode.phi), (m3.psi,))
+            self.profile, self.mesh, pts[:, 2], (c * phi, s * phi, psi, phi), (psi,))
         phase = pts[:, 0] * self.xi1[0] + pts[:, 1] * self.xi1[1]
         amp = self.growth_factor(t)
         shape = np.asarray(x).shape
@@ -243,7 +215,6 @@ class NonperiodicField(_Field):
         self.r = 0.5 * (f.a + f.b) + 0.5 * (f.b - f.a) * tq
         self.w = 0.5 * (f.b - f.a) * wq
         self.modes = []
-        lams = []
         for rk in self.r:
             m = growth_rate(profile, mesh, float(rk))
             if isinstance(m, Stable):
@@ -251,8 +222,7 @@ class NonperiodicField(_Field):
                     "no growing mode at |xi| = %g inside the bump support" % rk
                 )
             self.modes.append(m)
-            lams.append(m.lam)
-        self.lam = np.array(lams)
+        self.lam = np.array([m.lam for m in self.modes])
         self.lambda0 = float(self.lam.min())
         self.Lambda = float(self.lam.max())
         if curve is not None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import Stable, growth_rate, lattice_modes, sweep
+from .dispersion import Stable, _check_sweep_range, growth_rate, lattice_modes, sweep
 from .eigen import c2_diagnostic, smallest_eig
 from .evolution import (
     energy_identity_check,
@@ -52,6 +52,11 @@ def run_battery(config, quick=False):
     mesh = config.mesh()
     geom = profile.geometry
     xi_c = profile.xi_c
+    swept = not quick and math.isfinite(xi_c)
+    if swept:       # a range the sweep would refuse is refused before any check runs
+        lo, hi = config.sweep_range(xi_c)
+        n = min(config["sweep.n"], 24)
+        _check_sweep_range(profile, lo, hi, n)
 
     out.append(_check("hydrostatic residual (h_fd=1e-4)", verify_hydrostatic(profile), 1e-6))
 
@@ -111,9 +116,8 @@ def run_battery(config, quick=False):
         ok, ev = growth_bound_check(best_forms, lam)
         out.append(_check("pencil PSD at Lambda=lambda", abs(ev), 1e-7))
 
-    if not quick and math.isfinite(xi_c):
-        lo, hi = config.sweep_range(xi_c)
-        curve = sweep(profile, mesh, lo, hi, n=min(config["sweep.n"], 24))
+    if swept:
+        curve = sweep(profile, mesh, lo, hi, n=n)
         out.append(_check("sweep endpoint rate / Lambda (low)",
                           curve.lam[0] / curve.Lambda, 1 / 3))
         out.append(_check("sweep endpoint rate / Lambda (high)",

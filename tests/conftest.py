@@ -14,8 +14,8 @@ def make_profile(sigma=0.1, eps=0.1, delta=0.0, g=1.0, m=1.0, ell=1.0,
     upper = rt.PressureLaw.polytropic(K_upper, 1.0)
     geom = rt.SlabGeometry(m=m, ell=ell, g=g, sigma=sigma)
     visc = (
-        rt.FluidViscosity(rt.ViscosityLaw.constant(eps), rt.ViscosityLaw.constant(delta)),
-        rt.FluidViscosity(rt.ViscosityLaw.constant(eps), rt.ViscosityLaw.constant(delta)),
+        rt.FluidViscosity(rt.ViscosityLaw(eps), rt.ViscosityLaw(delta)),
+        rt.FluidViscosity(rt.ViscosityLaw(eps), rt.ViscosityLaw(delta)),
     )
     return rt.build_profile(lower, upper, rho_minus, geom, visc)
 

@@ -334,6 +334,36 @@ class TestCliRuns:
         out = capsys.readouterr().out
         assert "pass" in out and "FAIL" not in out
 
+    @pytest.mark.parametrize("override, message", [
+        ("sweep.xi_min=-1", "0 < xi_min < xi_max"),
+        ("sweep.xi_max=100", "critical frequency"),
+    ], ids=["xi_min", "xi_max"])
+    def test_verify_refuses_a_bad_sweep_range_before_solving(self, cfg_path, capsys, monkeypatch,
+                                                             override, message):
+        import rtmodes.verify
+
+        solves = []
+        for module in (rt.dispersion, rtmodes.verify):
+            monkeypatch.setattr(module, "growth_rate", lambda *a, **k: solves.append(a))
+        assert main(["verify", "--config", str(cfg_path), "--set", override]) == 2
+        assert message in capsys.readouterr().err
+        assert solves == []
+
+    def test_lost_iterate_is_a_solver_error(self, cfg_path, capsys):
+        argv = ["verify", "--config", str(cfg_path), "--quick", "--set", "viscosity.upper.delta=1e300"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "lost its iterate" in err and "encountered in" not in err
+
+    @pytest.mark.parametrize("override", [
+        "geometry.m=1e300", "viscosity.lower.eps_power=1e300", "viscosity.upper.eps_power=1e300",
+        "viscosity.lower.delta_power=1e300", "viscosity.upper.delta_power=1e300",
+    ])
+    def test_overflowing_profile_exits_2(self, cfg_path, capsys, override):
+        assert main(["profile", "--config", str(cfg_path), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert "must be finite" in err and "encountered in" not in err
+
     def test_forms_dump(self, cfg_path, tmp_path, capsys):
         assert main(["forms", "--config", str(cfg_path), "--xi", "1.0", "--dump"]) == 0
         for name in ("E0", "E1", "J"):

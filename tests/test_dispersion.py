@@ -213,10 +213,10 @@ def _admissible_case(draw):
     rho_plus = rho_minus * draw(st.floats(1.2, 3.0))
     K_up = K_lo * rho_minus**g_lo / rho_plus**g_up       # pressure continuity
     sigma = draw(st.one_of(st.just(0.0), st.floats(0.02, 0.3)))
-    visc = [rt.FluidViscosity(rt.ViscosityLaw.power(draw(st.floats(0.02, 0.3)),
-                                                    draw(st.floats(-1.0, 1.0))),
-                              rt.ViscosityLaw.power(draw(st.floats(0.0, 0.2)),
-                                                    draw(st.floats(-1.0, 1.0))))
+    visc = [rt.FluidViscosity(rt.ViscosityLaw(draw(st.floats(0.02, 0.3)),
+                                              p=draw(st.floats(-1.0, 1.0))),
+                              rt.ViscosityLaw(draw(st.floats(0.0, 0.2)),
+                                              p=draw(st.floats(-1.0, 1.0))))
             for _ in range(2)]
     try:
         profile = rt.build_profile(rt.PressureLaw.polytropic(K_lo, g_lo),

@@ -2,14 +2,15 @@
 
 Each run goes through ``cli.main`` in this process at 8 elements per side and
 must end in exit 0, 2, 3 or 4, never in an exception: bad input is a typed
-error.  A size too large to store is refused (``errors.storable``) before
+error.  A run that exits 0 must print no raw numpy warning (``... encountered
+in ...``), which would mean an inf or nan reached its output.  A size too large to store is refused (``errors.storable``) before
 numpy allocates it, so one key's runs must not raise the process's peak
 memory by 64 MB (they raise it by at most a few MB).  A value refused while
 the config is loaded or its profile and mesh are built, which each
 subcommand does first, is fed once, through the key's first reader; a value
 equal to the key's default is the base run itself and is left out.
 
-Budget: about 530 cases in about 3 s on an idle 2-core box, half of it in
+Budget: about 480 cases in about 3 s on an idle 2-core box, half of it in
 the 3000-step evolution of ``verify``; the table must stay under 5 s.  No
 case may take more than 1 s (the slowest takes about 0.1 s): that catches a
 cost that grows with a value, as J0 and J1 once did with the grid's extent.
@@ -92,5 +93,6 @@ def test_hostile_values_end_in_an_exit_code(tmp_path, monkeypatch, key):
             case = f"{' '.join(argv)} --set {key}={value}"
             assert code in (0, 2, 3, 4), case
             assert "Traceback" not in err.getvalue(), case
+            assert code != 0 or "encountered in" not in err.getvalue(), case   # no raw numpy warning
             assert elapsed < 1.0, f"{case} took {elapsed:.2f} s"
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kb < 64 * 1024

@@ -43,15 +43,15 @@ def _heavy_loaded_after(statement):
 LATE = ("rtmodes.synthesis", "rtmodes.evolution", "rtmodes.verify", "_hashlib",
         "numpy.polynomial", "scipy.special")
 RAN = "type(sys.modules.get(m)) is types.ModuleType"
-# every public name of the package before synthesis and evolution were deferred
+# every public name of the package, whether its module is deferred or not
 EXPORTS = (
     "BumpProfile", "ConfigurationError", "DispersionCurve", "DomainError", "EigenResult",
     "FluidViscosity", "FormSet", "LatticeResult", "LayoutError", "Mesh", "ModeSolution",
-    "ModeTrajectory", "NonperiodicField", "NormalMode3D", "PeriodicField",
+    "ModeTrajectory", "NonperiodicField", "PeriodicField",
     "PeriodicStabilityReport", "PressureLaw", "RangeError", "RunConfig", "SlabGeometry",
     "SolverError", "Stable", "SteadyProfile", "VacuumError", "ViscosityLaw", "admissible",
     "assemble", "bottom_eig", "build_profile", "c2_diagnostic", "config", "dispersion", "eigen",
-    "energy_identity_check", "eos", "errors", "evolution", "extend_to_plane", "forms",
+    "energy_identity_check", "eos", "errors", "evolution", "forms",
     "generic_growth_envelope", "growth_bound_check", "growth_rate", "integrate",
     "lattice_modes", "load_config", "mesh", "mode_initial_data", "pencil_consistency",
     "periodic_stability_check", "profile", "residuals", "smallest_eig", "spectral_k_constants",

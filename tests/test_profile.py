@@ -93,8 +93,8 @@ def test_cutoff_monotone_in_sigma_and_jump():
 
 def test_eps0_prime_matches_finite_differences():
     visc = (
-        rt.FluidViscosity(rt.ViscosityLaw.power(0.2, 1.5), rt.ViscosityLaw.power(0.05, 1.0)),
-        rt.FluidViscosity(rt.ViscosityLaw.power(0.3, 0.5), rt.ViscosityLaw.constant(0.0)),
+        rt.FluidViscosity(rt.ViscosityLaw(0.2, p=1.5), rt.ViscosityLaw(0.05, p=1.0)),
+        rt.FluidViscosity(rt.ViscosityLaw(0.3, p=0.5), rt.ViscosityLaw(0.0)),
     )
     prof = rt.build_profile(
         rt.PressureLaw.polytropic(2, 1), rt.PressureLaw.polytropic(1, 1),
@@ -111,8 +111,8 @@ def test_eps0_prime_matches_finite_differences():
 
 def test_fields_match_pointwise_evaluators():
     visc = (
-        rt.FluidViscosity(rt.ViscosityLaw.power(0.2, 1.5), rt.ViscosityLaw.power(0.05, 1.0)),
-        rt.FluidViscosity(rt.ViscosityLaw.power(0.3, 0.5), rt.ViscosityLaw.constant(0.02)),
+        rt.FluidViscosity(rt.ViscosityLaw(0.2, p=1.5), rt.ViscosityLaw(0.05, p=1.0)),
+        rt.FluidViscosity(rt.ViscosityLaw(0.3, p=0.5), rt.ViscosityLaw(0.02)),
     )
     prof = rt.build_profile(
         rt.PressureLaw.polytropic(2, 1.4), rt.PressureLaw.polytropic(1, 1.2),
@@ -174,8 +174,8 @@ def test_by_side_splits_at_the_interface(profile):
 
 def _power_viscosity():
     return (
-        rt.FluidViscosity(rt.ViscosityLaw.power(0.2, 1.5), rt.ViscosityLaw.power(0.05, 1.0)),
-        rt.FluidViscosity(rt.ViscosityLaw.power(0.3, 0.5), rt.ViscosityLaw.constant(0.02)),
+        rt.FluidViscosity(rt.ViscosityLaw(0.2, p=1.5), rt.ViscosityLaw(0.05, p=1.0)),
+        rt.FluidViscosity(rt.ViscosityLaw(0.3, p=0.5), rt.ViscosityLaw(0.02)),
     )
 
 
@@ -226,8 +226,8 @@ def test_viscosity_law_exponent_zero_is_the_constant_law():
     assert np.array_equal(law(rho), np.full_like(rho, 0.1))
     assert np.array_equal(law.derivative(rho), np.zeros_like(rho))
     assert law(2.0) == 0.1 and isinstance(law(2.0), float)
-    assert repr(law) == "ViscosityLaw.constant(0.1)"
+    assert repr(law) == "ViscosityLaw(0.1, p=0.0)"
     power = rt.ViscosityLaw(0.1, p=2.0)
     assert power(rho) == pytest.approx(0.1 * rho**2, rel=1e-15)
     assert power.derivative(rho) == pytest.approx(0.2 * rho, rel=1e-15)
-    assert repr(power) == "ViscosityLaw.power(0.1, 2.0)"
+    assert repr(power) == "ViscosityLaw(0.1, p=2.0)"

@@ -9,31 +9,6 @@ from rtmodes.errors import ConfigurationError, DomainError
 from rtmodes import _kernels
 
 
-def test_extend_identity_rotation(mode_xi1):
-    m3 = rt.extend_to_plane(mode_xi1, np.array([1.0, 0.0]))
-    assert np.array_equal(m3.phi, mode_xi1.phi)
-    assert np.all(m3.theta == 0.0)
-    assert np.array_equal(m3.psi, mode_xi1.psi)
-
-
-def test_extend_quarter_rotation(mode_xi1):
-    m3 = rt.extend_to_plane(mode_xi1, np.array([0.0, 1.0]))
-    assert np.allclose(m3.phi, 0.0, atol=1e-15)
-    assert np.allclose(m3.theta, mode_xi1.phi, atol=1e-15)
-
-
-def test_extend_diagonal_rotation(mode_xi1):
-    v = np.array([1.0, 1.0]) / math.sqrt(2)
-    m3 = rt.extend_to_plane(mode_xi1, v)
-    assert np.allclose(m3.phi, mode_xi1.phi / math.sqrt(2), atol=1e-15)
-    assert np.allclose(m3.theta, mode_xi1.phi / math.sqrt(2), atol=1e-15)
-
-
-def test_extend_magnitude_mismatch(mode_xi1):
-    with pytest.raises(DomainError):
-        rt.extend_to_plane(mode_xi1, np.array([1.1, 0.0]))
-
-
 def test_bump_profile_support():
     f = rt.BumpProfile(1.0, 2.0)
     assert f(0.99) == 0.0 and f(2.01) == 0.0
@@ -58,7 +33,35 @@ def periodic_field(profile, mesh32):
     return rt.PeriodicField(profile, mesh32, 1.0)
 
 
+def _points(rng, n=12):
+    return np.column_stack([rng.uniform(-3, 3, n), rng.uniform(-3, 3, n), rng.uniform(-0.9, 0.9, n)])
+
+
+def _horizontal_displacement(field, pts, t):
+    """2 e^{Lambda t} phi(x3) sin(xi1 . x_h) xi1 / |xi1| from the reduced-frame phi."""
+    phase = pts[:, :2] @ field.xi1
+    phi = field.mesh.eval_nodal(field.mode.phi, pts[:, 2])
+    amp = 2 * math.exp(field.Lambda_L * t) * phi * np.sin(phase)
+    return amp[:, None] * field.xi1 / np.hypot(*field.xi1)
+
+
 class TestPeriodic:
+    def test_displacement_along_an_off_axis_frequency(self, profile, mesh32, rng):
+        field = rt.PeriodicField(profile, mesh32, 2.0)
+        assert np.array_equal(field.xi1 * 2.0, [3.0, 2.0])
+        pts = _points(rng)
+        expected = _horizontal_displacement(field, pts, 0.7)
+        assert np.allclose(field.eta(pts, 0.7)[:, :2], expected,
+                           rtol=1e-12, atol=1e-14 * np.abs(expected).max())
+
+    def test_displacement_along_an_axis_has_no_cross_component(self, periodic_field, rng):
+        assert periodic_field.xi1[1] == 0.0
+        pts = _points(rng)
+        eta = periodic_field.eta(pts, 0.3)
+        assert np.all(eta[:, 1] == 0.0)
+        expected = _horizontal_displacement(periodic_field, pts, 0.3)[:, 0]
+        assert np.allclose(eta[:, 0], expected, rtol=1e-12, atol=1e-14 * np.abs(expected).max())
+
     def test_interface_trace_formula(self, periodic_field):
         pts = np.array([[0.4, -0.7, 1e-12], [0.0, 0.0, 1e-12]])
         eta = periodic_field.eta(pts, 0.0)
