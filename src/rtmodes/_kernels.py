@@ -1,9 +1,9 @@
 """scipy's compiled band-LAPACK, band mat-vec and Bessel kernels, loaded without scipy's packages.
 
-The package calls seven compiled routines: ``dpbtrf``, ``dpbtrs``, ``dgbtrf``
-and ``dgbtrs`` from the extension module ``scipy.linalg._flapack``,
-``dia_matvec`` from ``scipy.sparse._sparsetools``, and the Bessel functions
-``j0`` and ``j1`` from ``scipy.special._special_ufuncs``.  Importing
+The package calls five compiled routines: ``dpbtrf`` and ``dpbtrs`` from the
+extension module ``scipy.linalg._flapack``, ``dia_matvec`` from
+``scipy.sparse._sparsetools``, and the Bessel functions ``j0`` and ``j1``
+from ``scipy.special._special_ufuncs``.  Importing
 ``scipy.linalg``, ``scipy.sparse`` and ``scipy.special`` to reach them costs
 about 0.3 s per process; loading the extensions from their files next to
 scipy's ``__init__`` takes a few milliseconds, and the ``__init__`` of
@@ -51,7 +51,7 @@ def _extension(name):
 
 
 _flapack = _extension("linalg._flapack")
-dpbtrf, dpbtrs, dgbtrf, dgbtrs = _flapack.dpbtrf, _flapack.dpbtrs, _flapack.dgbtrf, _flapack.dgbtrs
+dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
 dia_matvec = _extension("sparse._sparsetools").dia_matvec
 
 

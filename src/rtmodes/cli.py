@@ -259,7 +259,7 @@ def _cmd_evolve(config, args):
     print(f"integrated mode at |xi| = {xi} for T = {T}; wrote {out}")
     return 0, {
         "xi": xi, "lambda": lam, "dt": dt, "T": T,
-        "final_norm1": float(np.sqrt(traj.norm1_sq[-1])), "step_factor": traj.step_factor,
+        "final_norm1": float(np.sqrt(traj.norm1_sq[-1])),
     }
 
 

@@ -62,7 +62,8 @@ KEYS = {
     "synthesis.grid.extent": (float, None, "horizontal half-width (default pi / f.a; periodic: 2 pi L)"),
     "evolve.xi": (float, None, "frequency for evolution runs (evolve --xi; default min(1, xi_c / 2))"),
     "evolve.T": (float, None, "time horizon (evolve --T; default 5 / lambda)"),
-    "evolve.dt": (float, None, "time step (evolve --dt; default min(1e-2, 1e-2 / lambda))"),
+    "evolve.dt": (float, None, "time step, below 2 / lambda "
+                               "(evolve --dt; default min(1e-2, 1e-2 / lambda))"),
     "output.dir": (str, ".", "artifact output directory"),
 }
 

@@ -7,9 +7,11 @@ bottom eigenvalue, and a banded Cholesky factorization (LAPACK ``dpbtrf``)
 succeeds exactly then.  It reads the upper rows of a form's band array, the
 array the form's mat-vecs read (:class:`rtmodes.forms.Band`), and costs O(n)
 since the half-bandwidth is 2 * order + 1.  This module makes every banded
-LAPACK call of the package, the evolution step's included; the four routines
-(``dpbtrf``, ``dpbtrs``, ``dgbtrf``, ``dgbtrs``) are scipy's compiled ones,
-taken from :mod:`rtmodes._kernels` so that no process imports ``scipy.linalg``.
+LAPACK call of the package, the evolution step's included: ``dpbtrf``
+factors and ``dpbtrs`` solves, scipy's compiled routines taken from
+:mod:`rtmodes._kernels` so that no process imports ``scipy.linalg``.  The
+implicit-midpoint step matrix is (dt^2/2) (E0 + (2/dt) E1 + (2/dt)^2 J), a
+member of the growth-rate family, so it factors exactly when dt < 2/lambda.
 
 :func:`_refine` shrinks a bracket that is certified from both sides.  The
 definite end carries a factor; inverse iteration with it gives a vector x,
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import dgbtrf, dgbtrs, dpbtrf, dpbtrs
+from ._kernels import dpbtrf, dpbtrs
 from .errors import DomainError, SolverError
 
 DENSE_CUTOFF = 900  # read by the benchmark's tracer; no solver branches on it
@@ -70,23 +72,6 @@ def _solve(factor, b):
     return dpbtrs(factor, b, overwrite_b=1)[0]
 
 
-def _band_solver(M):
-    """(kind, solve) of the symmetric band M: Cholesky of its upper rows if they factor, else LU.
-
-    LU factors the whole band, which is LAPACK's general band layout
-    (kl = ku = kd) once kd rows of pivoting fill-in sit above it.  Each solve
-    overwrites its input.
-    """
-    chol = _factor(M.upper)
-    if chol is not None:
-        return "cholesky", lambda b: _solve(chol, b)
-    k = M.kd
-    lu, piv, info = dgbtrf(np.vstack([np.zeros((k, M.shape[1])), M.data]), k, k, overwrite_ab=1)
-    if info != 0:
-        raise SolverError("banded LU factorization failed: the matrix is singular", {"info": info})
-    return "lu", lambda b: dgbtrs(lu, k, k, b, piv, overwrite_b=1)[0]
-
-
 def _refine(forms, band_at, good, factor, bound, bound_of, x):
     """Shrink [bound, good] to the point where band_at(t) starts to factor.
 
@@ -119,21 +104,24 @@ def _refine(forms, band_at, good, factor, bound, bound_of, x):
 
 
 def bottom_eig(forms, a, b, c):
-    """Bottom eigenpair of (A, J), A = a E0 + b E1 + c J; each trial factors the upper rows of A - m J.
+    """Bottom eigenpair of (A, J), A = a E0 + b E1 + c J with a, b >= 0; each trial factors A - m J.
 
-    The lower bracket end doubles downward from -1 until A - m J factors;
-    the upper end is the Rayleigh quotient of the current iterate, which
-    :func:`_refine` lowers each round while inertia raises the lower end.
-    The eigenvalue is the Rayleigh quotient of the final iterate.
+    E0 + g |xi| J >= 0 and E1 >= 0 hold exactly, so at the lower bracket end
+    m = c - a g |xi| - 1, A - m J >= J is definite; a factorization that
+    fails there is a SolverError.  The upper end is the Rayleigh quotient of
+    the current iterate, which :func:`_refine` lowers each round while
+    inertia raises the lower end.  The eigenvalue is the Rayleigh quotient
+    of the final iterate.
     """
+    if a < 0 or b < 0:
+        raise DomainError("bottom_eig needs a >= 0 and b >= 0, not a = %g, b = %g" % (a, b))
     A = a * forms.E0 + b * forms.E1 + c * forms.J
     band_at = lambda m: A.upper - m * forms.J.upper
     rayleigh = lambda x: float(x @ (A @ x))      # x is J-normalized
-    lo = -1.0
-    while (factor := _factor(band_at(lo))) is None:
-        lo *= 2.0
-        if not np.isfinite(lo):
-            raise SolverError("no definite shift below the spectrum", {"n": forms.n})
+    lo = c - a * forms.g * forms.xi - 1.0
+    factor = _factor(band_at(lo))
+    if factor is None:
+        raise SolverError("no definite shift below the spectrum", {"n": forms.n, "shift": lo})
     x = _normalize(forms, np.ones(forms.n))
     _, _, x, _ = _refine(forms, band_at, lo, factor, rayleigh(x), rayleigh, x)
     mu = rayleigh(x)

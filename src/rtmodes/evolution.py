@@ -2,8 +2,8 @@
 
 The weak per-mode form of the second-order linearized system is integrated
 with the implicit midpoint rule: the step matrix is constant and factored
-once, the scheme is A-stable for the stiff viscous branch, and the quadratic
-energy identity
+once by banded Cholesky, which needs dt < 2/lambda, the scheme is A-stable
+for the stiff viscous branch, and the quadratic energy identity
 
     d/dt (kinetic + potential) + dissipation rate = 0
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import _band_solver, _factor, _solve, bottom_eig
+from .eigen import _factor, _solve, bottom_eig
 from .errors import ConfigurationError, DomainError, SolverError
 from .forms import Band, assemble
 
@@ -37,7 +37,6 @@ class ModeTrajectory:
 
     forms: object
     dt: float
-    step_factor: str              # "cholesky" (M definite) or "lu"
     times: np.ndarray
     kinetic: np.ndarray
     potential: np.ndarray
@@ -59,9 +58,11 @@ def integrate(forms, u0, v0, dt, T):
     """Implicit-midpoint trajectory of (u, u_dot) from (u0, v0) to time T.
 
     Each step solves M wm = 2 J w - dt E0 u for the midpoint velocity wm,
-    with M = 2J + dt E1 + (dt^2/2) E0 factored once
-    (banded Cholesky; banded LU when M is not definite, which E0 + g xi J >= 0
-    rules out whenever dt^2 g xi < 4), and advances u += dt wm, w = 2 wm - w.
+    with M = 2J + dt E1 + (dt^2/2) E0 = (dt^2/2) Q(2/dt) factored once by
+    banded Cholesky, and advances u += dt wm, w = 2 wm - w.  Q(s) = E0 + s E1
+    + s^2 J is definite exactly when s > lambda(|xi|), so M factors exactly
+    when dt < 2/lambda; past that the step flips the sign of the growing
+    mode every step, and a DomainError naming dt and |xi| is raised.
     One stacked mat-vec [J; E1; E0] wm per step carries the products J u,
     E1 u, E0 u, J w, E1 w through the same linear updates and gives the
     midpoint power; every other update is in place.
@@ -81,7 +82,10 @@ def integrate(forms, u0, v0, dt, T):
         raise DomainError("dt = %g and T = %g need %.6g steps, more than can be stored"
                           % (dt, T, steps)) from None
 
-    kind, solve = _band_solver(2.0 * forms.J + dt * forms.E1 + 0.5 * dt**2 * forms.E0)
+    factor = _factor((2.0 * forms.J + dt * forms.E1 + 0.5 * dt**2 * forms.E0).upper)
+    if factor is None:
+        raise DomainError("the midpoint step matrix is not definite at dt = %g for |xi| = %g: "
+                          "dt must be below 2 / lambda(|xi|)" % (dt, forms.xi))
     n = forms.n
     S = Band.stacked([forms.J, forms.E1, forms.E0])
     Pu = S(u).reshape(3, n)                 # J u, E1 u, E0 u
@@ -103,7 +107,7 @@ def integrate(forms, u0, v0, dt, T):
         np.multiply(E0u, -0.5 * dt, out=rhs)
         rhs += Jw
         rhs *= 2.0
-        wm = solve(rhs)                     # in place: wm is rhs
+        wm = _solve(factor, rhs)            # in place: wm is rhs
         p = S(wm).reshape(3, n)             # J wm, E1 wm, E0 wm
         power = wm @ p[1]
         np.multiply(wm, dt, out=du)
@@ -126,7 +130,7 @@ def integrate(forms, u0, v0, dt, T):
     np.cumsum(0.5 * dt * (n2d[:-1] + n2d[1:]) / 2.0, out=dtrap[1:])
     times = dt * np.arange(nt)
     return ModeTrajectory(
-        forms=forms, dt=dt, step_factor=kind, times=times,
+        forms=forms, dt=dt, times=times,
         kinetic=0.5 * ledger[:, 3], potential=0.5 * ledger[:, 2],
         dissipated_mid=dmid, dissipated_trap=dtrap,
         norm1_sq=2.0 * ledger[:, 0], norm2_sq=2.0 * ledger[:, 1],
@@ -248,6 +252,8 @@ def periodic_stability_check(profile, mesh, L, data, T, dt=0.025):
             "periodic stability requires L <= sqrt(sigma/(g [rho0])); "
             "use the lattice enumeration for larger periods"
         )
+    if not data:
+        raise ConfigurationError("periodic stability needs at least one (xi_mag, u0, v0) mode")
 
     # xi = 0 certificate: the energy degenerates to the pure compression
     # stiffness (1/2) int P' rho0 (psi')^2 >= 0.

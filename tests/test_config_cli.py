@@ -311,13 +311,19 @@ class TestCliRuns:
                      "--set", "geometry.sigma=0"]) == 2
         assert "overflow" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("dt, kind", [("5", "cholesky"), ("20", "lu")])
-    def test_evolve_records_step_factor(self, cfg_path, tmp_path, dt, kind):
-        # dt^2 g |xi| = 25 misses the sufficient condition (< 4) for a definite
-        # step matrix, yet M is definite; at dt = 20 it is not, and LU takes it
+    @pytest.mark.parametrize("dt, code", [("9", 0), ("20", 2)])
+    def test_evolve_step_must_be_below_two_over_lambda(self, cfg_path, tmp_path, capsys, dt, code):
+        # lambda(1) = 0.209, so 2 / lambda = 9.57: dt = 9 factors the step
+        # matrix by Cholesky (dt^2 g |xi| = 81, far past the sufficient bound
+        # of 4); dt = 20 does not, and is refused with one line naming dt and |xi|
         assert main(["evolve", "--config", str(cfg_path), "--xi", "1", "--dt", dt,
-                     "--T", "50"]) == 0
-        assert json.loads((tmp_path / "out" / "run.json").read_text())["step_factor"] == kind
+                     "--T", "50"]) == code
+        meta = json.loads((tmp_path / "out" / "run.json").read_text())
+        assert meta.get("exit_code", 0) == code and "step_factor" not in meta
+        err = capsys.readouterr().err
+        if code:
+            assert "dt = 20 for |xi| = 1" in err and "Traceback" not in err
+            assert len(err.strip().splitlines()) == 1
 
     def test_rate_solves_record_their_cost(self, cfg_path, tmp_path):
         out = tmp_path / "out"
@@ -350,10 +356,18 @@ class TestCliRuns:
         assert solves == []
 
     def test_lost_iterate_is_a_solver_error(self, cfg_path, capsys):
-        argv = ["verify", "--config", str(cfg_path), "--quick", "--set", "viscosity.upper.delta=1e300"]
+        argv = ["verify", "--config", str(cfg_path), "--quick", "--set", "fluid.lower.rho0=1e-300"]
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert "lost its iterate" in err and "encountered in" not in err
+
+    def test_no_definite_shift_is_a_solver_error(self, cfg_path, capsys):
+        # forms near 1e300 round E0 + g |xi| J off its exact semidefiniteness,
+        # so bottom_eig's certified lower end does not factor
+        argv = ["verify", "--config", str(cfg_path), "--quick", "--set", "fluid.lower.K=1e300"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "no definite shift below the spectrum" in err and "encountered in" not in err
 
     @pytest.mark.parametrize("override", [
         "geometry.m=1e300", "viscosity.lower.eps_power=1e300", "viscosity.upper.eps_power=1e300",

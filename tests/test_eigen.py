@@ -94,6 +94,13 @@ def test_negative_s_rejected(forms_xi1):
         rt.smallest_eig(forms_xi1, -0.1)
 
 
+@pytest.mark.parametrize("a, b", [(-1.0, 0.0), (1.0, -0.5)])
+def test_bottom_eig_rejects_negative_weights(forms_xi1, a, b):
+    # the certified lower end needs a E0 + b E1 >= -a g |xi| J
+    with pytest.raises(DomainError):
+        rt.bottom_eig(forms_xi1, a, b, 0.0)
+
+
 class TestC2Diagnostic:
     def test_positive(self, forms_xi1):
         assert rt.c2_diagnostic(forms_xi1) > 0
@@ -136,7 +143,7 @@ def test_minimizer_strong_form_convergence(profile):
 @pytest.mark.parametrize("order", [1, 2])
 def test_bands_match_packing_oracle(order, sigma, monkeypatch):
     # the upper rows of the bands, and the band bottom_eig factors first (A - m J
-    # at m = -1), equal the dense oracle's packing entry for entry
+    # at m = c - a g |xi| - 1), equal the dense oracle's packing entry for entry
     forms = rt.assemble(make_profile(sigma=sigma), rt.Mesh.uniform(1, 1, 6, order=order), 1.3)
     for M in (forms.E0, forms.E1, forms.J):
         assert np.array_equal(M.upper, pack_band(M.toarray(), order))
@@ -148,5 +155,6 @@ def test_bands_match_packing_oracle(order, sigma, monkeypatch):
         del first[:]
         rt.bottom_eig(forms, a, b, c)
         A = a * forms.E0 + b * forms.E1 + c * forms.J
+        m = c - a * forms.g * forms.xi - 1.0
         assert np.array_equal(first[0], pack_band(A.toarray(), order)
-                              - (-1.0) * pack_band(forms.J.toarray(), order))
+                              - m * pack_band(forms.J.toarray(), order))

@@ -153,18 +153,24 @@ def _dense_midpoint(forms, u0, v0, dt, n_steps):
     return {k: np.asarray(v) for k, v in out.items()}
 
 
-# dt^2 g |xi| = 0.0025 and 400: the step matrix is definite, then indefinite
-@pytest.mark.parametrize("dt, definite", [(0.05, True), (20.0, False)])
+# 2 / lambda = 9.57 on this mesh.  dt^2 g |xi| = 0.0025, then 74 at dt = 8.6
+# (0.9 * 2 / lambda, far past the old sufficient bound of 4): the step matrix
+# is definite.  At dt = 20 it is not, and integrate refuses it.
+@pytest.mark.parametrize("dt, definite", [(0.05, True), (8.6, True), (20.0, False)])
 def test_stepper_matches_dense_midpoint_oracle(profile, dt, definite):
-    forms = rt.assemble(profile, rt.Mesh.uniform(1, 1, 16, order=2), 1.0)
+    mode = rt.growth_rate(profile, rt.Mesh.uniform(1, 1, 16, order=2), 1.0)
+    forms = mode.forms
     E0, E1, J = forms.dense()
     M = 2.0 * J + dt * E1 + 0.5 * dt**2 * E0
-    assert (np.linalg.eigvalsh(M)[0] > 0) == definite
+    assert (np.linalg.eigvalsh(M)[0] > 0) == definite == (dt < 2.0 / mode.lam)
     r = np.random.default_rng(5)
     u0, v0 = r.standard_normal(forms.n), r.standard_normal(forms.n)
     n_steps = 40
+    if not definite:
+        with pytest.raises(DomainError, match=r"dt = 20 for \|xi\| = 1:"):
+            rt.integrate(forms, u0, v0, dt, n_steps * dt)
+        return
     traj = rt.integrate(forms, u0, v0, dt, n_steps * dt)
-    assert traj.step_factor == ("cholesky" if definite else "lu")
     ref = _dense_midpoint(forms, u0, v0, dt, n_steps)
     rel = lambda a, b: np.max(np.abs(a - b)) / np.max(np.abs(b))
     for name, expect in ref.items():
@@ -195,6 +201,18 @@ def test_integrate_validates_steps(forms_xi1):
     # 1e300 steps: refused before the ledger is allocated
     with pytest.raises(DomainError, match="dt = 1e-300 and T = 1 need 1e\\+300 steps"):
         rt.integrate(forms_xi1, z, z, 1e-300, 1.0)
+
+
+@pytest.mark.parametrize("xi", [0.3, 1.0, 2.5])
+def test_step_factors_exactly_below_two_over_lambda(profile, mesh32, xi):
+    # M = (dt^2/2) Q(2/dt), and Q(s) is definite exactly when s > lambda
+    mode = rt.growth_rate(profile, mesh32, xi)
+    u0, v0 = rt.mode_initial_data(mode)
+    dt = 0.999 * 2.0 / mode.lam
+    assert np.isfinite(rt.integrate(mode.forms, u0, v0, dt, 2 * dt).norm1_sq).all()
+    dt = 1.001 * 2.0 / mode.lam
+    with pytest.raises(DomainError, match="dt = %g for \\|xi\\| = %g" % (dt, xi)):
+        rt.integrate(mode.forms, u0, v0, dt, 2 * dt)
 
 
 def test_default_stores_first_and_last_state(forms_xi1, rng):
@@ -264,3 +282,7 @@ class TestPeriodicStability:
     def test_large_period_rejected(self, profile, mesh32):
         with pytest.raises(ConfigurationError):
             rt.periodic_stability_check(profile, mesh32, 1.0, [], T=1.0)
+
+    def test_empty_mode_list_rejected(self, profile, mesh32):
+        with pytest.raises(ConfigurationError, match="at least one"):
+            rt.periodic_stability_check(profile, mesh32, _L_SMALL, [], T=1.0)

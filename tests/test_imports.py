@@ -140,11 +140,13 @@ def test_verify_battery_loads_no_heavy_scipy_modules(tmp_path):
 
 
 def test_no_sparse_lu_in_the_package():
-    # every factorization is banded LAPACK; sparse LU would bring scipy.sparse.linalg back
+    # every factorization is one banded Cholesky, dpbtrf; sparse LU would bring
+    # scipy.sparse.linalg back, and a banded or dense LU would be a second path
     package = Path(rtmodes.__file__).resolve().parent
     for path in package.rglob("*.py"):
         text = path.read_text()
-        assert "splu" not in text and "spsolve" not in text, path.name
+        for name in ("splu", "spsolve", "dgbtrf", "dgbtrs", "lu_factor"):
+            assert name not in text, (path.name, name)
 
 
 def _absolute_imports(node):
@@ -186,8 +188,7 @@ def test_only_kernels_loads_scipy_extensions():
                 taken.append((path.name, node.attr))
     assert packages == []
     assert loaders == {"_kernels.py"}
-    assert sorted(taken) == [("eigen.py", "dgbtrf"), ("eigen.py", "dgbtrs"), ("eigen.py", "dpbtrf"),
-                             ("eigen.py", "dpbtrs"), ("forms.py", "dia_matvec"),
+    assert sorted(taken) == [("eigen.py", "dpbtrf"), ("eigen.py", "dpbtrs"), ("forms.py", "dia_matvec"),
                              ("synthesis.py", "j0"), ("synthesis.py", "j1")]
 
 
@@ -198,8 +199,7 @@ def test_scipy_imported_later_reuses_the_loaded_kernels():
     checks = [
         "from rtmodes import eigen, forms",
         "assert scipy.linalg.lapack.dpbtrf is eigen.dpbtrf",
-        "assert scipy.linalg.lapack.dgbtrs is eigen.dgbtrs",
-        "assert scipy.linalg._flapack.dgbtrf is eigen.dgbtrf",
+        "assert scipy.linalg._flapack.dpbtrs is eigen.dpbtrs",
         "assert scipy.sparse._sparsetools.dia_matvec is forms.dia_matvec",
         "from scipy.sparse import _sparsetools",
         "assert _sparsetools is scipy.sparse._sparsetools",

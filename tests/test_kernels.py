@@ -24,8 +24,6 @@ from rtmodes.config import load_config
 from rtmodes.errors import LayoutError
 from rtmodes.forms import Band, assemble
 
-DT_LU = 20.0        # evolve --xi 1 --dt 20: the step matrix is indefinite and takes banded LU
-
 
 def default_forms(*sets, xi=1.0):
     config = load_config(None, list(sets))
@@ -42,13 +40,8 @@ def kernel_results(lapack, product, forms):
         out[name + "_chol"], out[name + "_info"] = lapack.dpbtrf(M.upper, lower=0)
     out["J_solve"] = lapack.dpbtrs(out["J_chol"], b)[0]
     out["step5_solve"] = lapack.dpbtrs(out["step5_chol"], b)[0]
-    step = 2.0 * J + DT_LU * E1 + 0.5 * DT_LU**2 * E0
-    out["step_lu_chol_info"] = lapack.dpbtrf(step.upper, lower=0)[1]
-    k = step.kd         # LAPACK's general band layout, as eigen._band_solver lays it out
-    gb = np.zeros((3 * k + 1, forms.n))
-    gb[k:] = step.data
-    out["lu"], out["piv"], out["lu_info"] = lapack.dgbtrf(gb, k, k)
-    out["lu_solve"] = lapack.dgbtrs(out["lu"], k, k, b, out["piv"])[0]
+    # evolve --xi 1 --dt 20: past 2 / lambda the step matrix is indefinite
+    out["step20_info"] = lapack.dpbtrf((2.0 * J + 20.0 * E1 + 200.0 * E0).upper, lower=0)[1]
     x = np.cos(np.arange(forms.n))
     mats = {"E0": [E0], "E1": [E1], "J": [J], "C": [forms.compression()], "stack": [J, E1, E0]}
     for name, M in mats.items():
@@ -100,9 +93,9 @@ def test_file_loaded_kernels_match_scipy_bit_for_bit(loaded_results):
     assert sorted(loaded_results) == sorted(expected)
     for key, value in expected.items():
         assert np.array_equal(loaded_results[key], value), key
-    # the cases are the ones meant: definite, indefinite, and the LU step
+    # the cases are the ones meant: definite, indefinite, and the step integrate refuses
     assert expected["J_info"] == 0 and expected["step5_info"] == 0 and expected["E0_info"] > 0
-    assert expected["step_lu_chol_info"] > 0 and expected["lu_info"] == 0
+    assert expected["step20_info"] > 0
     # the stacked product is the three products one after another
     parts = [loaded_results[name + "_matvec"] for name in ("J", "E1", "E0")]
     assert np.array_equal(loaded_results["stack_matvec"], np.concatenate(parts))
