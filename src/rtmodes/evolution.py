@@ -82,7 +82,13 @@ def integrate(forms, u0, v0, dt, T):
         raise DomainError("dt = %g and T = %g need %.6g steps, more than can be stored"
                           % (dt, T, steps)) from None
 
-    factor = _factor((2.0 * forms.J + dt * forms.E1 + 0.5 * dt**2 * forms.E0).upper)
+    # a dt at which dt^2 or an entry overflows is far past 2 / lambda: a rate below 1e-8 is Stable
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = (2.0 * forms.J + dt * forms.E1 + 0.5 * dt**2 * forms.E0).upper
+    except OverflowError:
+        step = None
+    factor = _factor(step) if step is not None and np.isfinite(step).all() else None
     if factor is None:
         raise DomainError("the midpoint step matrix is not definite at dt = %g for |xi| = %g: "
                           "dt must be below 2 / lambda(|xi|)" % (dt, forms.xi))

@@ -18,13 +18,14 @@ psi' + xi phi, phi' - xi psi and psi' - xi phi gives
 
     E0 = A0 + xi A1 + xi^2 (A2 + (sigma/2) e e^T),    E1 = B0 + xi B1 + xi^2 B2,
 
-with e the unit vector of psi(0); J has no xi.  The compression square has
-the shape of E0 without the point mass; only the small-period stability
-constants read it, so :meth:`FormSet.compression` builds it on call.  The
-xi-free work (one profile evaluation at the Gauss points, the element
-integrals of every coefficient, their scatter into band slots) runs once per
-(profile, mesh) and is cached; ``assemble`` and ``compression`` evaluate the
-polynomials.
+with e the unit vector of psi(0); J has no xi.  The xi-free work (one profile
+evaluation at the Gauss points, the element integrals of every coefficient,
+their scatter into band slots) runs once per (profile, mesh), and the
+coefficients of E0, E1 and J are cached; ``assemble`` evaluates the
+polynomials.  The compression square has the shape of E0 without the point
+mass.  Only the small-period stability constants read it, so
+:meth:`FormSet.compression` builds its three coefficients on call, from the
+same xi-free prelude, and caches nothing.
 
 Each form is held once, as a :class:`Band` in diagonal (DIA) layout with
 half-bandwidth kd = 2 * order + 1.  :mod:`rtmodes.eigen` factors its top
@@ -176,7 +177,9 @@ class FormSet:
 
     def compression(self):
         """The compression square (1/2) int P'(rho0) rho0 (psi' + xi phi - g psi / P')^2, built on call."""
-        return _form(_mesh_forms(self.profile, self.mesh), "compression", self.xi)
+        f, hw, (P, S, _, dS), pattern, bands = _prelude(self.profile, self.mesh)
+        pr, U = hw * f["pr"], dS - f["gop"][:, :, None] * S     # U = psi' - (g / P') psi
+        return _form(pattern, bands(_acc(pr, U, U), _sym(_acc(pr, U, P)), _acc(pr, P, P)), self.xi)
 
 
 def _basis(mesh):
@@ -212,52 +215,63 @@ def _layout(mesh):
     return n, kd, upper, ((kd + rows - cols) * n + cols)[upper], pattern
 
 
+def _prelude(profile, mesh):
+    """The xi-free work every form shares: (f, hw, basis, pattern, bands).
+
+    ``f`` is one profile evaluation at the Gauss points, ``hw`` half the Gauss
+    weights, ``basis`` :func:`_basis`'s (P, S, dP, dS) and ``pattern`` :func:`_layout`'s.
+    ``bands(*terms)`` sums the element matrices of each of a form's xi^0, xi^1,
+    xi^2 terms into band slots and stacks their band data.
+    """
+    f = profile.fields(mesh.quad_x)      # Gauss points are interior, so x3 != 0
+    n, kd, upper, slots, pattern = _layout(mesh)
+
+    def bands(*terms):
+        data = np.array([np.bincount(slots, weights=term[upper], minlength=(2 * kd + 1) * n)
+                         for term in terms]).reshape(len(terms), -1, n)
+        for d in range(1, kd + 1):      # A[j + d, j] = A[j, j + d]
+            data[:, kd + d, :-d] = data[:, kd - d, d:]
+        return data
+
+    return f, 0.5 * mesh.quad_w, _basis(mesh), pattern, bands
+
+
+def _acc(c, v, w):
+    """Sum over Gauss points q of c[e, q] v[e, q, i] w[e, q, j], one batched product per element."""
+    return np.matmul((c[:, :, None] * v).swapaxes(1, 2), w)
+
+
+def _sym(m):
+    return m + np.swapaxes(m, 1, 2)
+
+
 @lru_cache(maxsize=8)
 def _mesh_forms(profile, mesh):
-    """Everything in the forms that does not depend on xi, once per (profile, mesh).
+    """Everything in E0, E1 and J that does not depend on xi, once per (profile, mesh).
 
     Returns (pattern, psi0_dof, coeffs): :func:`_layout`'s pattern, the
     interface dof, and per form the band data of its xi^0, xi^1, xi^2 terms.
     """
-    f = profile.fields(mesh.quad_x)      # Gauss points are interior, so x3 != 0
-    hw = 0.5 * mesh.quad_w
+    f, hw, (P, S, dP, dS), pattern, bands = _prelude(profile, mesh)
     pr, rho = hw * f["pr"], hw * f["rho"]
     bulk, shear = hw * (f["delta"] + f["eps"] / 3.0), hw * f["eps"]
     g = profile.geometry.g
-    P, S, dP, dS = _basis(mesh)
-    U = dS - f["gop"][:, :, None] * S    # psi' - (g / P') psi
-
-    # sum over Gauss points q of c[e, q] v[e, q, i] w[e, q, j], one batched product per element
-    acc = lambda c, v, w: np.matmul((c[:, :, None] * v).swapaxes(1, 2), w)
-    sym = lambda m: m + np.swapaxes(m, 1, 2)
     # expand psi' + xi phi, phi' - xi psi and psi' - xi phi in powers of xi
-    pr_PP = acc(pr, P, P)
-    blocks = {
-        "E0": (acc(pr, dS, dS), sym(acc(pr, dS, P) - g * acc(rho, P, S)), pr_PP),
-        "E1": (acc(bulk, dS, dS) + acc(shear, dP, dP) + acc(shear, dS, dS),
-               sym(acc(bulk - shear, dS, P) - acc(shear, dP, S)),
-               acc(bulk + shear, P, P) + acc(shear, S, S)),
-        "J": (acc(rho, P, P) + acc(rho, S, S),),
-        "compression": (acc(pr, U, U), sym(acc(pr, U, P)), pr_PP),
+    coeffs = {
+        "E0": bands(_acc(pr, dS, dS), _sym(_acc(pr, dS, P) - g * _acc(rho, P, S)), _acc(pr, P, P)),
+        "E1": bands(_acc(bulk, dS, dS) + _acc(shear, dP, dP) + _acc(shear, dS, dS),
+                    _sym(_acc(bulk - shear, dS, P) - _acc(shear, dP, S)),
+                    _acc(bulk + shear, P, P) + _acc(shear, S, S)),
+        "J": bands(_acc(rho, P, P) + _acc(rho, S, S)),
     }
-    n, kd, upper, slots, pattern = _layout(mesh)
-
-    def band(term):
-        data = np.bincount(slots, weights=term[upper], minlength=(2 * kd + 1) * n).reshape(-1, n)
-        for d in range(1, kd + 1):      # A[j + d, j] = A[j, j + d]
-            data[kd + d, :-d] = data[kd - d, d:]
-        return data
-
-    coeffs = {name: np.array([band(term) for term in terms]) for name, terms in blocks.items()}
     return pattern, 2 * (mesh.interface_node - 1) + 1, coeffs
 
 
-def _form(cache, name, xi):
-    """Form ``name`` of a :func:`_mesh_forms` cache at frequency xi, as a new Band."""
-    pattern, _, coeffs = cache
+def _form(pattern, coeffs, xi):
+    """The band with data ``sum_k xi^k coeffs[k]``, new."""
     powers = (1.0, xi, xi * xi)         # a float product overflows to inf, never raises
     with np.errstate(over="ignore", invalid="ignore"):
-        data = sum(p * c for p, c in zip(powers, coeffs[name]))
+        data = sum(p * c for p, c in zip(powers, coeffs))
     return Band(data, pattern)
 
 
@@ -272,9 +286,8 @@ def assemble(profile, mesh, xi, _allow_zero=False):
     if xi < 0 or (xi == 0 and not _allow_zero):
         raise DomainError("frequency magnitude xi must be > 0")
     xi = float(xi)
-    cache = _mesh_forms(profile, mesh)
-    psi0_dof = cache[1]
-    E0, E1, J = (_form(cache, name, xi) for name in ("E0", "E1", "J"))
+    pattern, psi0_dof, coeffs = _mesh_forms(profile, mesh)
+    E0, E1, J = (_form(pattern, coeffs[name], xi) for name in ("E0", "E1", "J"))
     with np.errstate(over="ignore", invalid="ignore"):
         E0.data[E0.kd, psi0_dof] += profile.geometry.sigma * (xi * xi) / 2.0
         total = sum(float(M.data.sum()) for M in (E0, E1, J))     # inf or nan if any entry is

@@ -4,7 +4,10 @@ Lagrange elements of order 1 or 2 on each side of x3 = 0; no element
 straddles the interface, so piecewise-smooth coefficients are smooth within
 every element.  Quadrature is Gauss-Legendre per element, shared by every
 form assembled on the mesh: three points, at least order + 1 for both
-orders, so the element mass form J is nonsingular.
+orders, so the element mass form J is nonsingular.  :func:`gauss_legendre`
+gives the rule of any size, for the radial integral of a synthesized field,
+from ``numpy.linalg`` alone: ``numpy.polynomial``'s import would cost every
+run that needs one.
 """
 
 import numpy as np
@@ -12,10 +15,28 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, storable
 
 # the 3-point Gauss-Legendre rule on [-1, 1], equal bit for bit to
-# numpy.polynomial.legendre.leggauss(3), whose import costs every run
+# numpy.polynomial.legendre.leggauss(3); gauss_legendre(3) differs in the last bits
 QUAD_NODES = np.array([-0.7745966692414834, 0.0, 0.7745966692414834])
 QUAD_WEIGHTS = np.array([0.5555555555555557, 0.8888888888888888, 0.5555555555555557])
 QUAD_POINTS = len(QUAD_NODES)
+
+
+def gauss_legendre(n):
+    """The n-point Gauss-Legendre rule (nodes, weights) on [-1, 1], by Golub-Welsch.
+
+    The nodes are the eigenvalues of the symmetric Jacobi matrix of the Legendre
+    recurrence, off-diagonal k / sqrt(4 k^2 - 1), and the weights 2 v_0^2 from each
+    unit eigenvector v (Golub & Welsch, Math. Comp. 23, 1969).  Nodes increase and,
+    like the weights, are made exactly symmetric about 0.  The n x n matrix, the
+    footprint of ``leggauss``'s companion matrix too, is allocated first, so an n
+    past numpy's limit raises its ValueError or MemoryError before any other work.
+    """
+    jacobi = np.zeros((n, n))
+    k = np.arange(1.0, n)
+    jacobi.flat[n::n + 1] = k / np.sqrt(4 * k * k - 1)     # the subdiagonal, which eigh reads
+    nodes, vectors = np.linalg.eigh(jacobi)
+    weights = 2 * vectors[0] ** 2
+    return (nodes - nodes[::-1]) / 2, (weights + weights[::-1]) / 2
 
 
 def shape_functions(order, t):

@@ -5,9 +5,11 @@ circle |xi| = r by rotation equivariance: (phi, theta)(xi) = R^{-1} (phi, 0)
 where R xi = (r, 0), with psi unchanged.  Periodic solutions are a single
 conjugate pair of lattice modes; non-periodic solutions superpose a radial
 bump f of frequencies over an annulus inside (0, xi_c).  Their radial
-integral is a Gauss-Legendre rule; the angular integral is exact, since f
-and lambda depend on |xi| only and it reduces to the Bessel functions J0
-and J1 of |xi| |x_h|, scipy's compiled ``j0`` and ``j1`` taken through
+integral is a Gauss-Legendre rule of any size, from the mesh module's
+Golub-Welsch :func:`rtmodes.mesh.gauss_legendre`, so no run imports
+``numpy.polynomial``.  The angular integral is exact, since f and lambda
+depend on |xi| only and it reduces to the Bessel functions J0 and J1 of
+|xi| |x_h|, scipy's compiled ``j0`` and ``j1`` taken through
 :mod:`rtmodes._kernels`.  Norms live in the piecewise Sobolev spaces: full
 regularity on each fluid domain, none across the interface.  Both fields
 share one height evaluator, :func:`_heights`, and the rest of their surface
@@ -25,6 +27,7 @@ import numpy as np
 from . import _kernels
 from .dispersion import Stable, growth_rate, lattice_modes
 from .errors import ConfigurationError, DomainError, storable
+from .mesh import gauss_legendre
 from .profile import by_side
 from .residuals import ode_second_derivatives
 
@@ -199,8 +202,9 @@ class PeriodicField(_Field):
 class NonperiodicField(_Field):
     """Fourier synthesis of growing modes against a radial bump f.
 
-    ``n_radial`` Gauss-Legendre nodes sample |xi| over the bump's support;
-    the angular integral at each node is evaluated exactly by J0 and J1.
+    ``n_radial`` Gauss-Legendre nodes (:func:`rtmodes.mesh.gauss_legendre`)
+    sample |xi| over the bump's support; the angular integral at each node is
+    evaluated exactly by J0 and J1.
     """
 
     def __init__(self, profile, mesh, f, n_radial=16, curve=None):
@@ -209,9 +213,11 @@ class NonperiodicField(_Field):
                 "bump support [%g, %g] must sit inside (0, xi_c = %g)"
                 % (f.a, f.b, profile.xi_c)
             )
+        if n_radial < 1:
+            raise ConfigurationError("a radial rule needs at least one node, not %d" % n_radial)
         self.profile, self.mesh, self.f = profile, mesh, f
         with storable("%d radial nodes" % n_radial):
-            tq, wq = np.polynomial.legendre.leggauss(n_radial)
+            tq, wq = gauss_legendre(n_radial)
         self.r = 0.5 * (f.a + f.b) + 0.5 * (f.b - f.a) * tq
         self.w = 0.5 * (f.b - f.a) * wq
         self.modes = []

@@ -325,6 +325,15 @@ class TestCliRuns:
             assert "dt = 20 for |xi| = 1" in err and "Traceback" not in err
             assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("dt", ["1e153", "1e200"])
+    def test_evolve_step_that_overflows_exits_2(self, cfg_path, capsys, dt):
+        # (dt^2/2) E0 overflows at 1e153 and dt^2 itself at 1e200, both far past
+        # 2 / lambda: refused as not definite, in one line
+        assert main(["evolve", "--config", str(cfg_path), "--xi", "1", "--dt", dt, "--T", dt]) == 2
+        err = capsys.readouterr().err
+        assert "not definite at dt = %g for |xi| = 1" % float(dt) in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_rate_solves_record_their_cost(self, cfg_path, tmp_path):
         out = tmp_path / "out"
         assert main(["mode", "--config", str(cfg_path)]) == 0

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import rtmodes as rt
+from rtmodes import forms as forms_module
 from rtmodes import mesh as mesh_module
 from rtmodes.errors import DomainError, LayoutError
 
@@ -228,6 +229,25 @@ def test_mesh_gauss_rule_is_leggauss(mesh32):
     mid = 0.5 * (mesh32.element_breaks[:-1] + mesh32.element_breaks[1:])
     assert np.array_equal(mesh32.quad_x, mid[:, None] + mesh32.jacobian[:, None] * tq[None, :])
     assert np.array_equal(mesh32.quad_w, mesh32.jacobian[:, None] * wq[None, :])
+
+
+def test_gauss_legendre_is_leggauss():
+    # Golub-Welsch against numpy's companion-matrix rule, which only tests import
+    for n in range(1, 65):
+        x, w = mesh_module.gauss_legendre(n)
+        tq, wq = np.polynomial.legendre.leggauss(n)
+        assert np.abs(x - tq).max() <= 1e-15 and np.abs(w - wq).max() <= 1e-14
+        assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert abs(w.sum() - 2.0) <= 1e-14
+    x, w = mesh_module.gauss_legendre(3)
+    assert np.abs(x - mesh_module.QUAD_NODES).max() <= 1e-15
+    assert np.abs(w - mesh_module.QUAD_WEIGHTS).max() <= 1e-15
+
+
+def test_mesh_cache_holds_only_the_pencil(profile, mesh32):
+    # the compression square is built on call, from no cached coefficient
+    rt.assemble(profile, mesh32, 1.0)
+    assert set(forms_module._mesh_forms(profile, mesh32)[2]) == {"E0", "E1", "J"}
 
 
 def test_mesh_eval_nodal_derivatives(mesh32):

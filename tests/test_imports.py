@@ -35,11 +35,12 @@ def _heavy_loaded_after(statement):
 
 
 # Modules a subcommand should run only if it needs them: rtmodes' own late
-# layers, hashlib's OpenSSL binding, numpy's polynomial package (behind the
-# configurable radial rule of NonperiodicField alone) and scipy's special
-# functions package (J0 and J1 come from its ufunc extension through _kernels,
-# which never runs the package).  A deferred module sits in sys.modules before
-# its code runs, so the test is that its code has run.
+# layers; and three that none needs: hashlib's OpenSSL binding, numpy's
+# polynomial package (every Gauss rule, the radial one of NonperiodicField
+# too, comes from rtmodes.mesh) and scipy's special functions package (J0 and
+# J1 come from its ufunc extension through _kernels, which never runs the
+# package).  A deferred module sits in sys.modules before its code runs, so
+# the test is that its code has run.
 LATE = ("rtmodes.synthesis", "rtmodes.evolution", "rtmodes.verify", "_hashlib",
         "numpy.polynomial", "scipy.special")
 RAN = "type(sys.modules.get(m)) is types.ModuleType"
@@ -65,11 +66,10 @@ EXPORTS = (
     (["mode"], ()),
     (["dispersion", "--n", "4"], ()),
     (["lattice", "--L", "1.5"], ()),
-    (["synthesize"], ("rtmodes.synthesis", "numpy.polynomial")),
+    (["synthesize"], ("rtmodes.synthesis",)),
     (["synthesize", "--periodic", "--set", "geometry.L=1.5"], ("rtmodes.synthesis",)),
     (["evolve", "--T", "1"], ("rtmodes.evolution",)),
-    (["verify"], ("rtmodes.synthesis", "rtmodes.evolution", "rtmodes.verify",
-                  "numpy.polynomial")),
+    (["verify"], ("rtmodes.synthesis", "rtmodes.evolution", "rtmodes.verify")),
 ], ids=["profile", "forms", "mode", "dispersion", "lattice", "synthesize", "synthesize-periodic",
         "evolve", "verify"])
 def test_each_subcommand_runs_only_the_modules_it_needs(tmp_path, argv, late_allowed):

@@ -223,6 +223,10 @@ class TestNonperiodic:
         bad = rt.BumpProfile(0.5 * profile.xi_c, 1.2 * profile.xi_c)
         with pytest.raises(ConfigurationError):
             rt.NonperiodicField(profile, mesh32, bad, n_radial=4)
+        good = rt.BumpProfile.default(profile.xi_c)
+        for n_radial in (0, -1):
+            with pytest.raises(ConfigurationError, match="at least one node"):
+                rt.NonperiodicField(profile, mesh32, good, n_radial=n_radial)
 
 
 def test_norms_evaluate_the_profile_once(mesh32, monkeypatch):
