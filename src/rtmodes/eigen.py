@@ -22,6 +22,7 @@ factorization per round, placed near that bound, then moves whichever end
 it proves.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,8 +126,8 @@ def bottom_eig(forms, a, b, c):
     x = _normalize(forms, np.ones(forms.n))
     _, _, x, _ = _refine(forms, band_at, lo, factor, rayleigh(x), rayleigh, x)
     mu = rayleigh(x)
-    residual = np.linalg.norm(A @ x - mu * (forms.J @ x)) / np.linalg.norm(x)
-    return EigenResult(mu, x, float(residual))
+    r = A @ x - mu * (forms.J @ x)
+    return EigenResult(mu, x, math.sqrt(r @ r) / math.sqrt(x @ x))
 
 
 def smallest_eig(forms, s):

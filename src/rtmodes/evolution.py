@@ -202,8 +202,8 @@ def pencil_consistency(forms, mode):
     lam = mode.lam
     r = lam**2 * (forms.J @ u) + lam * (forms.E1 @ u) + forms.E0 @ u
     nE0, nE1, nJ = forms.norms()
-    scale = (nE0 + lam * nE1 + lam**2 * nJ) * float(np.linalg.norm(u))
-    return float(np.linalg.norm(r)) / scale
+    scale = (nE0 + lam * nE1 + lam**2 * nJ) * math.sqrt(u @ u)
+    return math.sqrt(r @ r) / scale
 
 
 # -- periodic small-L stability ------------------------------------------

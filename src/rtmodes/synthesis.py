@@ -5,18 +5,20 @@ circle |xi| = r by rotation equivariance: (phi, theta)(xi) = R^{-1} (phi, 0)
 where R xi = (r, 0), with psi unchanged.  Periodic solutions are a single
 conjugate pair of lattice modes; non-periodic solutions superpose a radial
 bump f of frequencies over an annulus inside (0, xi_c).  Their radial
-integral is a Gauss-Legendre rule of any size, from the mesh module's
-Golub-Welsch :func:`rtmodes.mesh.gauss_legendre`, so no run imports
-``numpy.polynomial``.  The angular integral is exact, since f and lambda
-depend on |xi| only and it reduces to the Bessel functions J0 and J1 of
-|xi| |x_h|, scipy's compiled ``j0`` and ``j1`` taken through
-:mod:`rtmodes._kernels`.  Norms live in the piecewise Sobolev spaces: full
-regularity on each fluid domain, none across the interface.  Both fields
-share one height evaluator, :func:`_heights`, and the rest of their surface
-through :class:`_Field`: growth factor, point values, grid samples and one
-norm path, in which one ``profile.fields`` call per field gives five
-integrals per mode and e^{Lambda t} of the fastest mode is factored out of
-the sum, so a norm is finite wherever ``growth_factor(t)`` is.
+integral is a Gauss-Legendre rule of any size, by the mesh module's
+Newton iteration :func:`rtmodes.mesh.gauss_legendre`, so no run imports
+``numpy.polynomial`` or calls ``numpy.linalg``.  The angular integral is
+exact, since f and lambda depend on |xi| only and it reduces to the
+Bessel functions J0 and J1 of |xi| |x_h|, scipy's compiled ``j0`` and
+``j1`` taken through :mod:`rtmodes._kernels`.  Norms live in the piecewise
+Sobolev spaces: full regularity on each fluid domain, none across the
+interface.  Both fields share one height evaluator, :func:`_heights`, and
+the rest of their surface through :class:`_Field`: growth factor, point
+values, grid samples and one norm path, in which one ``profile.fields``
+call per field gives five integrals per mode and e^{Lambda t} of the
+fastest mode is factored out of the sum, so a norm is finite wherever
+``growth_factor(t)`` and the integrals it reads are, and a DomainError
+elsewhere.
 """
 
 import math
@@ -116,13 +118,16 @@ class _Field:
         return cols
 
     @cached_property
+    @np.errstate(over="ignore")
     def _norms(self):
         """Five piecewise integrals per mode, from one ``profile.fields`` call.
 
         Row k holds, for ``modes[k]``, int (d^j phi)^2 + (d^j psi)^2 for j = 0, 1, 2,
         then int (d^j q)^2 for j = 0, 1 with q = -rho0 (|xi| phi + psi'); the second
         derivatives come from the strong-form ODEs.  Gauss points never lie on an
-        element break, so side-free evaluations give each fluid's own values.
+        element break, so side-free evaluations give each fluid's own values.  A
+        column may overflow to inf (phi'' carries 1/eps); :meth:`sobolev_norm`
+        refuses a norm that reads one.
         """
         xq = self.mesh.quad_x.ravel()
         wq = self.mesh.quad_w.ravel()
@@ -146,7 +151,8 @@ class _Field:
         a = lambda for v and 1 otherwise.  eta and v have x3-derivatives up to
         order 2, q up to order 1.  The largest e^{lambda t} is factored out of
         the sum, so the norm overflows only where that factor does, with the
-        DomainError of :meth:`growth_factor`.
+        DomainError of :meth:`growth_factor`, or where one of the integrals it
+        reads does, with a DomainError of its own.
         """
         if which not in ("eta", "v", "q"):
             raise DomainError("which must be eta, v, or q")
@@ -159,6 +165,8 @@ class _Field:
         growth = _growth_factor(dominant, t)
         amp = np.exp((lam - dominant) * t) * (lam if which == "v" else 1.0)
         total = sum((1.0 + r**2) ** (k - j) * self._norms[:, first + j] for j in range(k + 1))
+        if not np.all(np.isfinite(total)):
+            raise DomainError("the H^%d norm of %s overflows" % (k, which))
         return growth * math.sqrt(float(np.sum(self._weights * amp**2 * total)))
 
 
@@ -217,6 +225,7 @@ class NonperiodicField(_Field):
             raise ConfigurationError("a radial rule needs at least one node, not %d" % n_radial)
         self.profile, self.mesh, self.f = profile, mesh, f
         with storable("%d radial nodes" % n_radial):
+            np.empty((n_radial, n_radial))  # refuse what leggauss's n x n matrix could not store
             tq, wq = gauss_legendre(n_radial)
         self.r = 0.5 * (f.a + f.b) + 0.5 * (f.b - f.a) * tq
         self.w = 0.5 * (f.b - f.a) * wq

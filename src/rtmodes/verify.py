@@ -118,10 +118,10 @@ def run_battery(config, quick=False):
 
     if swept:
         curve = sweep(profile, mesh, lo, hi, n=n)
-        out.append(_check("sweep endpoint rate / Lambda (low)",
-                          curve.lam[0] / curve.Lambda, 1 / 3))
-        out.append(_check("sweep endpoint rate / Lambda (high)",
-                          curve.lam[-1] / curve.Lambda, 1 / 3))
+        peak = float(curve.Lambda)      # 0 when every sample is Stable: both rows fail with nan
+        for end, rate in (("low", curve.lam[0]), ("high", curve.lam[-1])):
+            out.append(_check("sweep endpoint rate / Lambda (%s)" % end,
+                              float(rate) / peak if peak > 0 else math.nan, 1 / 3))
         lat = lattice_modes(profile, mesh, profile.L_c)
         out.append(_check("small-L certificate empty", lat.unstable_count, 0))
         lat1 = lattice_modes(profile, mesh, 1.0)

@@ -441,6 +441,20 @@ class TestCliRuns:
         # a grid that fails only at its first sample leaves no samples directory
         assert not (tmp_path / "out" / "fields").exists()
 
+    def test_radial_rule_leggauss_could_not_store_exits_2_before_solving(self, cfg_path, capsys,
+                                                                        monkeypatch):
+        # the Newton rule's arrays would fit, but leggauss's 100000 x 100000 matrix
+        # (80 GB) did not, and such a count stays refused, before any rate solve
+        import rtmodes.synthesis
+
+        solves = []
+        for module in (rt.dispersion, rtmodes.synthesis):
+            monkeypatch.setattr(module, "growth_rate", lambda *a, **k: solves.append(a))
+        argv = ["synthesize", "--config", str(cfg_path), "--set", "synthesis.radial_nodes=100000"]
+        assert main(argv) == 2
+        assert "100000 radial nodes: more than can be stored" in capsys.readouterr().err
+        assert solves == []
+
     @pytest.mark.parametrize("command", [["mode", "--xi", "1"], ["dispersion", "--n", "3"]])
     def test_order_one_mesh_runs(self, cfg_path, tmp_path, capsys, command):
         # the coarse sweep's sample at xi = 3.099, just below xi_c, resolves no

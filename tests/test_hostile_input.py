@@ -98,3 +98,20 @@ def test_hostile_values_end_in_an_exit_code(tmp_path, monkeypatch, key):
             assert "encountered in" not in err.getvalue(), case   # no raw numpy warning
             assert elapsed < 1.0, f"{case} took {elapsed:.2f} s"
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kb < 64 * 1024
+
+
+# verify's full battery, which the table runs only with --quick for the
+# profile's keys: an all-Stable sweep (Lambda = 0) for the first five, and an
+# overflowing second derivative (phi'' carries 1/eps) for the last two
+@pytest.mark.parametrize("override, expected", [
+    ("geometry.g=1e-300", 2), ("geometry.sigma=1e-300", 2), ("geometry.sigma=1e300", 2),
+    ("viscosity.lower.eps=1e300", 2), ("viscosity.upper.eps=1e300", 2),
+    ("viscosity.lower.eps=1e-300", 0), ("viscosity.upper.eps=1e-300", 0),
+])
+def test_full_verify_prints_no_raw_numpy_warning(tmp_path, override, expected):
+    sets = [f"{k}={v}" for k, v in {**BASE, "output.dir": str(tmp_path)}.items()] + [override]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", *(a for o in sets for a in ("--set", o))])
+    assert code == expected
+    assert "Traceback" not in err.getvalue() and "encountered in" not in err.getvalue()

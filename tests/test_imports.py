@@ -139,6 +139,29 @@ def test_verify_battery_loads_no_heavy_scipy_modules(tmp_path):
     assert _heavy_loaded_after(statement) == []
 
 
+def test_verify_and_radial_rule_call_no_numpy_linalg(monkeypatch):
+    # the radial Gauss rule is Newton's on numpy core and both vector norms are
+    # dot products, so numpy's LAPACK is never touched: not by the full battery,
+    # whose field has 8 radial nodes, nor by a field of 16
+    import numpy as np
+
+    from rtmodes.config import load_config
+    from rtmodes.synthesis import BumpProfile, NonperiodicField
+    from rtmodes.verify import run_battery
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):      # all but LinAlgError
+            monkeypatch.setattr(np.linalg, name, refuse)
+    config = load_config(None, ["mesh.elements_per_side=8"])
+    assert all(r.passed for r in run_battery(config))
+    profile, mesh = config.profile(), config.mesh()
+    field = NonperiodicField(profile, mesh, BumpProfile.default(profile.xi_c))
+    assert field.sobolev_norm("v", k=1) > 0
+
+
 def test_no_sparse_lu_in_the_package():
     # every factorization is one banded Cholesky, dpbtrf; sparse LU would bring
     # scipy.sparse.linalg back, and a banded or dense LU would be a second path

@@ -261,6 +261,18 @@ def test_norm_is_finite_wherever_the_growth_factor_is(kind, profile):
     assert math.isfinite(field.sobolev_norm("v", k=1, t=-3000.0))
 
 
+def test_overflowing_derivative_integral_is_refused_only_where_read():
+    # phi'' carries 1/eps, so at eps = 1e-300 the second-derivative integrals are
+    # inf, silently; H^1 never reads them, and H^2 is a DomainError, not inf
+    profile = make_profile(eps=1e-300)
+    mesh = rt.Mesh.uniform(1, 1, 8, order=2)
+    field = rt.NonperiodicField(profile, mesh, rt.BumpProfile.default(profile.xi_c), n_radial=2)
+    with np.errstate(all="raise"):
+        assert math.isfinite(field.sobolev_norm("v", k=1))
+    with pytest.raises(DomainError, match=r"the H\^2 norm of v overflows"):
+        field.sobolev_norm("v", k=2)
+
+
 @pytest.mark.parametrize("kind", ["periodic", "nonperiodic"])
 def test_sample_columns_match_pointwise_fields(kind, periodic_field, np_field):
     field = periodic_field if kind == "periodic" else np_field
