@@ -103,6 +103,11 @@ def _rayleigh_functional(forms, x):
     return -2.0 * c / (b + math.sqrt(max(b * b - 4.0 * c, 0.0)))
 
 
+def _q_band(forms, s):
+    """Upper band of Q(s) = E0 + s E1 + s^2 J, the rows :func:`eigen._factor` reads."""
+    return forms.E0.upper + s * forms.E1.upper + s**2 * forms.J.upper
+
+
 def growth_rate(profile, mesh, xi_mag):
     """Solve for the growing mode at one frequency, or certify stability.
 
@@ -118,7 +123,7 @@ def growth_rate(profile, mesh, xi_mag):
         return Stable(xi_mag, "sigma |xi|^2 >= g [rho0]: surface tension closes the window")
 
     forms = assemble(profile, mesh, xi_mag)
-    band_at = lambda s: forms.E0.upper + s * forms.E1.upper + s**2 * forms.J.upper
+    band_at = lambda s: _q_band(forms, s)
 
     if _factor(band_at(_S_LO)) is not None:
         warnings.warn(

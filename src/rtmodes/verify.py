@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import Stable, _check_sweep_range, growth_rate, lattice_modes, sweep
-from .eigen import c2_diagnostic, smallest_eig
+from .dispersion import (_S_LO, Stable, _check_sweep_range, _q_band, growth_rate, lattice_modes,
+                         sweep)
+from .eigen import _factor, c2_diagnostic, smallest_eig
 from .evolution import (
     energy_identity_check,
     growth_bound_check,
@@ -23,6 +24,10 @@ from .evolution import (
 from .forms import assemble
 from .profile import verify_hydrostatic
 from .synthesis import BumpProfile, NonperiodicField
+
+# the battery's own sweep size: sweep.n sizes the dispersion subcommand's curve,
+# and at 2 samples both endpoints would be the maximum, failing the endpoint rows
+SWEEP_SAMPLES = 24
 
 
 @dataclass
@@ -55,8 +60,7 @@ def run_battery(config, quick=False):
     swept = not quick and math.isfinite(xi_c)
     if swept:       # a range the sweep would refuse is refused before any check runs
         lo, hi = config.sweep_range(xi_c)
-        n = min(config["sweep.n"], 24)
-        _check_sweep_range(profile, lo, hi, n)
+        _check_sweep_range(profile, lo, hi, SWEEP_SAMPLES)
 
     out.append(_check("hydrostatic residual (h_fd=1e-4)", verify_hydrostatic(profile), 1e-6))
 
@@ -98,8 +102,13 @@ def run_battery(config, quick=False):
                           pencil_consistency(r.forms, r), 1e-8))
 
     if geom.sigma > 0:
-        r = growth_rate(profile, mesh, 1.5 * xi_c)
-        out.append(_check("stability beyond xi_c", 1.0 if isinstance(r, Stable) else 0.0, 1.0, ">="))
+        # the surface-tension mass closes the window at xi_c: Q(1e-8) must fail to
+        # factor just below it and factor just above; the value counts wrong verdicts
+        wrong = 0
+        for f, definite in ((1 - 1e-3, False), (1 + 1e-3, True)):
+            band = _q_band(assemble(profile, mesh, f * xi_c), _S_LO)
+            wrong += (_factor(band) is not None) != definite
+        out.append(_check("Q(1e-8) definite only past xi_c (+-1e-3)", wrong, 0))
 
     # evolution checks on the best available mode
     if lam_by_mag:
@@ -107,17 +116,25 @@ def run_battery(config, quick=False):
         lam = best.lam
         u0, v0 = mode_initial_data(best)
         best_forms = best.forms
-        traj = integrate(best_forms, u0, v0, 1e-3 / lam, 3.0 / lam)
+        traj = integrate(best_forms, u0, v0, 0.1 / lam, 3.0 / lam)
         growth = 0.5 * math.log(traj.norm1_sq[-1] / traj.norm1_sq[0])
-        out.append(_check("mode e^{lambda t} growth log-error",
-                          abs(growth - lam * traj.times[-1]) / (lam * traj.times[-1]), 0.01))
+        lam_T = lam * traj.times[-1]
+        out.append(_check("mode e^{lambda t} growth log-error", abs(growth - lam_T) / lam_T, 0.01))
+        # for data (x, lambda x) with Q(lambda) x = 0 each midpoint step multiplies the
+        # state by exactly R = (1 + lambda dt/2) / (1 - lambda dt/2), the (1,1) Pade
+        # approximant of e^{lambda dt} (Hairer, Lubich & Wanner, Geometric Numerical
+        # Integration, 2006): N steps grow by N log R = 2 N artanh(lambda dt/2) to
+        # roundoff, whatever dt, so a rate error of 1e-9 shows in 30 steps
+        log_R = 2.0 * math.atanh(0.5 * lam * traj.dt)
+        out.append(_check("mode growth vs midpoint amplification R^N",
+                          abs(growth - (len(traj.times) - 1) * log_R) / lam_T, 1e-9))
         out.append(_check("energy identity defect (midpoint ledger)",
                           energy_identity_check(traj, "midpoint"), 1e-6))
         ok, ev = growth_bound_check(best_forms, lam)
         out.append(_check("pencil PSD at Lambda=lambda", abs(ev), 1e-7))
 
     if swept:
-        curve = sweep(profile, mesh, lo, hi, n=n)
+        curve = sweep(profile, mesh, lo, hi, n=SWEEP_SAMPLES)
         peak = float(curve.Lambda)      # 0 when every sample is Stable: both rows fail with nan
         for end, rate in (("low", curve.lam[0]), ("high", curve.lam[-1])):
             out.append(_check("sweep endpoint rate / Lambda (%s)" % end,

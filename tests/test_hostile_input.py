@@ -12,8 +12,8 @@ the config is loaded or its profile and mesh are built, which each
 subcommand does first, is fed once, through the key's first reader; a value
 equal to the key's default is the base run itself and is left out.
 
-Budget: about 480 cases in about 3 s on an idle 2-core box, half of it in
-the 3000-step evolution of ``verify``; the table must stay under 5 s.  No
+Budget: about 480 cases in about 2 s on an idle 2-core box; the table must
+stay under 5 s.  No
 case may take more than 1 s (the slowest takes about 0.1 s): that catches a
 cost that grows with a value, as J0 and J1 once did with the grid's extent.
 """
