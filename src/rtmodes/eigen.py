@@ -8,10 +8,11 @@ succeeds exactly then.  It reads the upper rows of a form's band array, the
 array the form's mat-vecs read (:class:`rtmodes.forms.Band`), and costs O(n)
 since the half-bandwidth is 2 * order + 1.  This module makes every banded
 LAPACK call of the package, the evolution step's included: ``dpbtrf``
-factors and ``dpbtrs`` solves, scipy's compiled routines taken from
-:mod:`rtmodes._kernels` so that no process imports ``scipy.linalg``.  The
-implicit-midpoint step matrix is (dt^2/2) (E0 + (2/dt) E1 + (2/dt)^2 J), a
-member of the growth-rate family, so it factors exactly when dt < 2/lambda.
+factors and ``dpbtrs`` solves, the band routines of the OpenBLAS numpy
+already maps, bound by :mod:`rtmodes._kernels`, so that no process imports
+``scipy.linalg`` or maps a second OpenBLAS.  The implicit-midpoint step
+matrix is (dt^2/2) (E0 + (2/dt) E1 + (2/dt)^2 J), a member of the
+growth-rate family, so it factors exactly when dt < 2/lambda.
 
 :func:`_refine` shrinks a bracket that is certified from both sides.  The
 definite end carries a factor; inverse iteration with it gives a vector x,

@@ -29,10 +29,11 @@ same xi-free prelude, and caches nothing.
 
 Each form is held once, as a :class:`Band` in diagonal (DIA) layout with
 half-bandwidth kd = 2 * order + 1.  :mod:`rtmodes.eigen` factors its top
-kd + 1 rows, LAPACK's upper band storage, and ``@`` is scipy's compiled
-``dia_matvec`` (from :mod:`rtmodes._kernels`) over the whole array, so
-factorizations and mat-vecs read the same entries.  Only upper entries are
-integrated; the lower rows mirror them, so every form is exactly symmetric.
+kd + 1 rows, LAPACK's upper band storage, with the band Cholesky of numpy's
+OpenBLAS, and ``@`` is scipy's compiled ``dia_matvec`` over the whole array
+(both from :mod:`rtmodes._kernels`), so factorizations and mat-vecs read the
+same entries.  Only upper entries are integrated; the lower rows mirror
+them, so every form is exactly symmetric.
 """
 
 import math

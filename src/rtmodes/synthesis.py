@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .dispersion import Stable, growth_rate, lattice_modes
+from .dispersion import Stable, _rates_along, lattice_modes
 from .errors import ConfigurationError, DomainError, storable
 from .mesh import gauss_legendre
 from .profile import by_side
@@ -211,8 +211,9 @@ class NonperiodicField(_Field):
     """Fourier synthesis of growing modes against a radial bump f.
 
     ``n_radial`` Gauss-Legendre nodes (:func:`rtmodes.mesh.gauss_legendre`)
-    sample |xi| over the bump's support; the angular integral at each node is
-    evaluated exactly by J0 and J1.
+    sample |xi| over the bump's support, their rates solved in ascending order
+    by continuation; the angular integral at each node is evaluated exactly by
+    J0 and J1.
     """
 
     def __init__(self, profile, mesh, f, n_radial=16, curve=None):
@@ -229,14 +230,12 @@ class NonperiodicField(_Field):
             tq, wq = gauss_legendre(n_radial)
         self.r = 0.5 * (f.a + f.b) + 0.5 * (f.b - f.a) * tq
         self.w = 0.5 * (f.b - f.a) * wq
-        self.modes = []
-        for rk in self.r:
-            m = growth_rate(profile, mesh, float(rk))
+        self.modes = _rates_along(profile, mesh, self.r)
+        for rk, m in zip(self.r, self.modes):
             if isinstance(m, Stable):
                 raise ConfigurationError(
                     "no growing mode at |xi| = %g inside the bump support" % rk
                 )
-            self.modes.append(m)
         self.lam = np.array([m.lam for m in self.modes])
         self.lambda0 = float(self.lam.min())
         self.Lambda = float(self.lam.max())

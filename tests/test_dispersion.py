@@ -193,7 +193,8 @@ def test_coarse_mesh_warns_inside_window(profile, profile_sigma0, mesh32):
 
 
 def test_factorizations_per_rate(profile, monkeypatch):
-    # cold-start refinement: each rate starts from [1e-8, 2 sqrt(g |xi|)]
+    # the sweep's first rate and its refined argmax start cold, from [1e-8, 2 sqrt(g |xi|)];
+    # the others start warm from the rates before them
     calls = []
     real = eigen._factor
     monkeypatch.setattr(eigen, "_factor", lambda ab: calls.append(1) or real(ab))

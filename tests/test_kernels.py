@@ -2,11 +2,12 @@
 
 A fresh interpreter that imports only rtmodes (scipy's packages never
 initialised) computes band factors, solves and mat-vecs of the default forms
-at xi = 1 with the kernels loaded by file; this process recomputes them with
-``scipy.linalg.lapack`` and ``scipy.sparse.dia_matrix`` and asks for the same
-bits.  The band type's own operations are compared with dense copies, with
-``scipy.sparse.dia_matrix`` built from the same arrays, and with the CSR
-pattern the forms were once stored in.
+and of an order-1 mesh of 8 elements per side at xi = 1, with the band LAPACK
+of numpy's OpenBLAS and the mat-vec kernel loaded by file; this process
+recomputes them with ``scipy.linalg.lapack`` and ``scipy.sparse.dia_matrix``
+and asks for the same bits.  The band type's own operations are compared with
+dense copies, with ``scipy.sparse.dia_matrix`` built from the same arrays, and
+with the CSR pattern the forms were once stored in.
 """
 
 import importlib.metadata
@@ -28,6 +29,16 @@ from rtmodes.forms import Band, assemble
 def default_forms(*sets, xi=1.0):
     config = load_config(None, list(sets))
     return assemble(config.profile(), config.mesh(), xi)
+
+
+# the default mesh (kd = 5, 2046 dofs) and an order-1 mesh of 8 elements per side (kd = 3, 30 dofs)
+KERNEL_MESHES = {"default": (), "order1": ("mesh.order=1", "mesh.elements_per_side=8")}
+
+
+def all_kernel_results(lapack, product):
+    """kernel_results on every mesh of KERNEL_MESHES, the keys prefixed by the mesh's name."""
+    return {f"{mesh}.{key}": value for mesh, sets in KERNEL_MESHES.items()
+            for key, value in kernel_results(lapack, product, default_forms(*sets)).items()}
 
 
 def kernel_results(lapack, product, forms):
@@ -67,7 +78,7 @@ def dia_matrix(mats):
 
 def _write_loaded_results(path):
     """kernel_results with the file-loaded kernels and the band type's own products, saved to path."""
-    results = kernel_results(_kernels, band_product, default_forms())
+    results = all_kernel_results(_kernels, band_product)
     loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
     assert loaded == [], loaded
     np.savez(path, **results)
@@ -88,17 +99,18 @@ def loaded_results(tmp_path_factory):
 def test_file_loaded_kernels_match_scipy_bit_for_bit(loaded_results):
     import scipy.linalg.lapack
 
-    expected = kernel_results(scipy.linalg.lapack, lambda mats, x: dia_matrix(mats) @ x,
-                              default_forms())
+    expected = all_kernel_results(scipy.linalg.lapack, lambda mats, x: dia_matrix(mats) @ x)
     assert sorted(loaded_results) == sorted(expected)
     for key, value in expected.items():
         assert np.array_equal(loaded_results[key], value), key
-    # the cases are the ones meant: definite, indefinite, and the step integrate refuses
-    assert expected["J_info"] == 0 and expected["step5_info"] == 0 and expected["E0_info"] > 0
-    assert expected["step20_info"] > 0
-    # the stacked product is the three products one after another
-    parts = [loaded_results[name + "_matvec"] for name in ("J", "E1", "E0")]
-    assert np.array_equal(loaded_results["stack_matvec"], np.concatenate(parts))
+    for mesh in KERNEL_MESHES:
+        got, want = (lambda key: loaded_results[f"{mesh}.{key}"]), (lambda key: expected[f"{mesh}.{key}"])
+        # the cases are the ones meant: definite, indefinite, and the step integrate refuses
+        assert want("J_info") == 0 and want("step5_info") == 0 and want("E0_info") > 0
+        assert want("step20_info") > 0
+        # the stacked product is the three products one after another
+        parts = [got(name + "_matvec") for name in ("J", "E1", "E0")]
+        assert np.array_equal(got("stack_matvec"), np.concatenate(parts))
 
 
 def csr_pattern(mesh):
@@ -161,9 +173,19 @@ def test_weighted_sum_matches_scipy(a, b, c):
 def test_missing_extension_names_the_scipy_version(monkeypatch, tmp_path):
     # a scipy release that renames or drops a private extension fails loudly at import
     monkeypatch.setattr(_kernels, "_SCIPY", tmp_path)
-    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools", raising=False)
     with pytest.raises(ImportError) as info:
-        _kernels._extension("linalg._flapack")
+        _kernels._extension("sparse._sparsetools")
     message = str(info.value)
     assert f"scipy {importlib.metadata.version('scipy')} " in message
-    assert "scipy.linalg._flapack" in message
+    assert "scipy.sparse._sparsetools" in message
+
+
+def test_missing_lapack_symbol_names_the_numpy_version():
+    # a numpy whose OpenBLAS lacks a band routine fails loudly at import: there is
+    # no second path through scipy's LAPACK
+    with pytest.raises(ImportError) as info:
+        _kernels._lapack("dpbtrx")
+    message = str(info.value)
+    assert f"numpy {np.__version__} " in message and "scipy_dpbtrx_64_" in message
+    assert "BLAS: scipy-openblas" in message

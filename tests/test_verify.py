@@ -87,3 +87,14 @@ def test_two_sample_sweep_setting_does_not_size_the_battery(tmp_path, capsys):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert "33 checks, 0 failed" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("elements, code", [(32, 4), (64, 0)])
+def test_order_one_meshes_resolve_the_window_from_64_elements(tmp_path, capsys, elements, code):
+    # the discrete window of a coarse order-1 mesh closes before xi_c, and the
+    # window row says so; every other row passes
+    argv = ["verify", "--set", "mesh.order=1", "--set", f"mesh.elements_per_side={elements}",
+            "--set", f"output.dir={tmp_path}"]
+    assert cli.main(argv) == code
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.endswith("FAIL")]
+    assert [line.startswith(WINDOW) for line in failed] == [True] * (code == 4)
