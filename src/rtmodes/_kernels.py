@@ -2,9 +2,10 @@
 
 The package calls five compiled routines.  Two are LAPACK's band Cholesky
 routines from the OpenBLAS that numpy already maps: ``dpbtf2`` (bound here
-as :func:`dpbtrf`) and ``dpbtrs``.  Three come from scipy's extension
-modules: ``dia_matvec`` from ``scipy.sparse._sparsetools``, and the Bessel
-functions ``j0`` and ``j1`` from ``scipy.special._special_ufuncs``.
+as :func:`dpbtrf`) and ``dpbtrs``; :mod:`rtmodes.eigen` alone calls them, on
+lower band storage.  Three come from scipy's extension modules:
+``dia_matvec`` from ``scipy.sparse._sparsetools``, and the Bessel functions
+``j0`` and ``j1`` from ``scipy.special._special_ufuncs``.
 
 numpy's wheels link an ILP64 OpenBLAS whose symbols carry the prefix
 ``scipy_`` and the suffix ``64_``.  ``ctypes.PyDLL`` on numpy's own extension

@@ -3,9 +3,9 @@
 For each frequency magnitude mu(s) is strictly increasing, so the fixed
 point s = sqrt(-mu(s)) is unique and is the growth rate of a true growing
 mode.  mu(s) < -s^2 holds exactly when Q(s) = E0 + s E1 + s^2 J is not
-positive definite, so the rate is the point where a banded Cholesky
-factorization of Q(s) starts to succeed, with no eigensolver inside the
-loop.  A single rate starts cold at [1e-8, 2 sqrt(g |xi|)]; the upper end
+positive definite, so the rate is the point where :mod:`eigen`'s banded
+Cholesky factorization of Q(s) starts to succeed, with no eigensolver inside
+the loop.  A single rate starts cold at [1e-8, 2 sqrt(g |xi|)]; the upper end
 is always definite because E0 + g |xi| J >= 0 holds exactly at the matrix
 level.  Inverse iteration with the factor at the upper end gives a vector x,
 and the positive root p(x) of the scalar quadratic x^T Q(s) x = 0 (the
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import _factor, _normalize, _refine
+from .eigen import _band, _factor, _normalize, _refine
 from .errors import ConfigurationError, DomainError, SolverError, storable
 from .forms import assemble
 from .residuals import jump_residuals, strong_form_residual
@@ -112,11 +112,6 @@ def _rayleigh_functional(forms, x):
     return -2.0 * c / (b + math.sqrt(max(b * b - 4.0 * c, 0.0)))
 
 
-def _q_band(forms, s):
-    """Upper band of Q(s) = E0 + s E1 + s^2 J, the rows :func:`eigen._factor` reads."""
-    return forms.E0.upper + s * forms.E1.upper + s**2 * forms.J.upper
-
-
 def growth_rate(profile, mesh, xi_mag, start=None):
     """Solve for the growing mode at one frequency, or certify stability.
 
@@ -139,7 +134,7 @@ def growth_rate(profile, mesh, xi_mag, start=None):
         return Stable(xi_mag, "sigma |xi|^2 >= g [rho0]: surface tension closes the window")
 
     forms = assemble(profile, mesh, xi_mag)
-    band_at = lambda s: _q_band(forms, s)
+    band_at = lambda s: _band((1.0, forms.E0), (s, forms.E1), (s**2, forms.J))
     rayleigh = lambda x: _rayleigh_functional(forms, x)
     guess, x, s_lo = math.inf, np.ones(forms.n), _S_LO
     if start is not None:

@@ -3,16 +3,15 @@
 Every spectral question in the package is one question: where does a banded
 family of symmetric matrices stop being positive definite?  By Sylvester's
 law of inertia, A - m J is positive definite exactly when m lies below the
-bottom eigenvalue, and a banded Cholesky factorization (LAPACK ``dpbtrf``)
-succeeds exactly then.  It reads the upper rows of a form's band array, the
-array the form's mat-vecs read (:class:`rtmodes.forms.Band`), and costs O(n)
-since the half-bandwidth is 2 * order + 1.  This module makes every banded
-LAPACK call of the package, the evolution step's included: ``dpbtrf``
-factors and ``dpbtrs`` solves, the band routines of the OpenBLAS numpy
-already maps, bound by :mod:`rtmodes._kernels`, so that no process imports
-``scipy.linalg`` or maps a second OpenBLAS.  The implicit-midpoint step
-matrix is (dt^2/2) (E0 + (2/dt) E1 + (2/dt)^2 J), a member of the
-growth-rate family, so it factors exactly when dt < 2/lambda.
+bottom eigenvalue, and a banded Cholesky factorization succeeds exactly
+then, in O(n).  This module owns that test for the package: :func:`_band`
+sums every band it factors, in the caller's order, in LAPACK's lower band
+storage (the bottom rows of each :class:`rtmodes.forms.Band`), which
+``dpbtrf`` of numpy's OpenBLAS (:mod:`rtmodes._kernels`) factors at unit
+stride.  :func:`_factor` returns L^T, the bits of the upper factor, in upper
+storage for ``dpbtrs``: the lower solve sums in another order.  The
+implicit-midpoint step matrix is (dt^2/2) (E0 + (2/dt) E1 + (2/dt)^2 J), a
+member of the growth-rate family, so it factors exactly when dt < 2/lambda.
 
 :func:`_refine` shrinks a bracket that is certified from both sides.  The
 definite end carries a factor; inverse iteration with it gives a vector x,
@@ -30,6 +29,7 @@ import numpy as np
 
 from ._kernels import dpbtrf, dpbtrs
 from .errors import DomainError, SolverError
+from .forms import Band
 
 DENSE_CUTOFF = 900  # read by the benchmark's tracer; no solver branches on it
 # bracket stop: relative width plus an absolute floor, since near a zero
@@ -63,10 +63,24 @@ def _normalize(forms, x):
     return x if anchor > 0 else -x
 
 
+def _band(*terms):
+    """Lower band storage of c_1 M_1 + c_2 M_2 + ... for the terms (c_k, M_k), summed in order; new."""
+    (c, M), *rest = terms
+    ab = c * M.data[M.kd:]
+    for c, M in rest:
+        ab += c * M.data[M.kd:]
+    return ab
+
+
 def _factor(ab):
-    """Banded Cholesky factor of the upper band ab (left intact), or None if it is not definite."""
-    c, info = dpbtrf(ab, lower=0)
-    return c if info == 0 else None
+    """Cholesky factor of the lower band ab (left intact), in upper storage; None if not definite."""
+    c, info = dpbtrf(ab, lower=1)
+    if info != 0:
+        return None
+    upper = np.zeros_like(c)            # Fortran order, as c
+    for d, row in enumerate(c):         # U[j - d, j] = L[j, j - d]: row kd - d of upper storage
+        upper[-1 - d, d:] = row[:row.size - d]
+    return upper
 
 
 def _solve(factor, b):
@@ -117,8 +131,8 @@ def bottom_eig(forms, a, b, c):
     """
     if a < 0 or b < 0:
         raise DomainError("bottom_eig needs a >= 0 and b >= 0, not a = %g, b = %g" % (a, b))
-    A = a * forms.E0 + b * forms.E1 + c * forms.J
-    band_at = lambda m: A.upper - m * forms.J.upper
+    A = Band(a * forms.E0.data + b * forms.E1.data + c * forms.J.data, forms.J.pattern)
+    band_at = lambda m: _band((1.0, A), (-m, forms.J))
     rayleigh = lambda x: float(x @ (A @ x))      # x is J-normalized
     lo = c - a * forms.g * forms.xi - 1.0
     factor = _factor(band_at(lo))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import _factor, _solve, bottom_eig
+from .eigen import _band, _factor, _solve, bottom_eig
 from .errors import ConfigurationError, DomainError, SolverError
 from .forms import Band, assemble
 
@@ -85,7 +85,7 @@ def integrate(forms, u0, v0, dt, T):
     # a dt at which dt^2 or an entry overflows is far past 2 / lambda: a rate below 1e-8 is Stable
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            step = (2.0 * forms.J + dt * forms.E1 + 0.5 * dt**2 * forms.E0).upper
+            step = _band((2.0, forms.J), (dt, forms.E1), (0.5 * dt**2, forms.E0))
     except OverflowError:
         step = None
     factor = _factor(step) if step is not None and np.isfinite(step).all() else None
@@ -223,7 +223,7 @@ def spectral_k_constants(forms, u0, v0):
         psi0 = u[forms.psi0_dof]
         return float(ud @ (J @ ud)) + float(u @ (CP @ u)) + sig * psi0**2
 
-    a0 = -_solve(_factor(J.upper), E1 @ v0 + E0 @ u0)
+    a0 = -_solve(_factor(_band((1.0, J))), E1 @ v0 + E0 @ u0)
     return k_of(v0, u0), k_of(a0, v0)
 
 

@@ -28,12 +28,12 @@ mass.  Only the small-period stability constants read it, so
 same xi-free prelude, and caches nothing.
 
 Each form is held once, as a :class:`Band` in diagonal (DIA) layout with
-half-bandwidth kd = 2 * order + 1.  :mod:`rtmodes.eigen` factors its top
-kd + 1 rows, LAPACK's upper band storage, with the band Cholesky of numpy's
-OpenBLAS, and ``@`` is scipy's compiled ``dia_matvec`` over the whole array
-(both from :mod:`rtmodes._kernels`), so factorizations and mat-vecs read the
-same entries.  Only upper entries are integrated; the lower rows mirror
-them, so every form is exactly symmetric.
+half-bandwidth kd = 2 * order + 1.  Its bottom kd + 1 rows are LAPACK's
+lower band storage, from which :mod:`rtmodes.eigen` alone builds and factors
+bands, and ``@`` is scipy's compiled ``dia_matvec`` over the whole array
+(from :mod:`rtmodes._kernels`), so factorizations and mat-vecs read the same
+entries.  Only upper entries are integrated; the lower rows mirror them, so
+every form is exactly symmetric.
 """
 
 import math
@@ -56,30 +56,14 @@ class Band:
     every band of a mesh shares it, read-only.
     """
 
-    __array_ufunc__ = None      # a numpy scalar or array operand defers to the methods here
-
     def __init__(self, data, pattern):
         self.data, self.pattern, self.nnz = data, pattern, pattern.size
         self.kd, self.shape = data.shape[0] // 2, (data.shape[1],) * 2
-        self.upper = data[:self.kd + 1]     # LAPACK's upper band storage, the rows dpbtrf reads
 
     def __matmul__(self, x):
         if not (isinstance(x, np.ndarray) and x.shape == self.shape[1:]):
             raise LayoutError(f"cannot multiply a {self.shape} matrix by {np.shape(x)}")
         return _dia_product(self.data, _offsets(self.kd), x, x.size)
-
-    def __mul__(self, scalar):
-        return Band(self.data * scalar, self.pattern)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return Band(self.data + self._same(other).data, self.pattern)
-
-    def _same(self, other):
-        if not (isinstance(other, Band) and self.data.shape == other.data.shape):
-            raise LayoutError("bands of different layouts")
-        return other
 
     def toarray(self):
         rows, cols, values = self.triplets()
@@ -100,13 +84,19 @@ class Band:
         and the zeros outside each matrix keep its diagonals out of its neighbours' rows.
         """
         n, kd = mats[0].shape[0], mats[0].kd
-        data = np.concatenate([mats[0]._same(M).data for M in mats])
+        if not all(isinstance(M, Band) and M.data.shape == mats[0].data.shape for M in mats):
+            raise LayoutError("bands of different layouts")
+        data = np.concatenate([M.data for M in mats])
         offsets = np.concatenate([_offsets(kd) - b * n for b in range(len(mats))])
         return lambda x: _dia_product(data, offsets, x, len(mats) * n)
 
 
+@lru_cache(maxsize=None)
 def _offsets(kd):
-    return np.arange(kd, -kd - 1, -1, dtype=np.int32)     # int32, as scipy's dia_matrix keeps them
+    """The offsets kd, ..., -kd, int32 as scipy's dia_matrix keeps them: one read-only array per kd."""
+    offsets = np.arange(kd, -kd - 1, -1, dtype=np.int32)
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _dia_product(data, offsets, x, rows):

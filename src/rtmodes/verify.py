@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import (_S_LO, Stable, _check_sweep_range, _q_band, growth_rate, lattice_modes,
-                         sweep)
-from .eigen import _factor, c2_diagnostic, smallest_eig
+from .dispersion import _S_LO, Stable, _check_sweep_range, growth_rate, lattice_modes, sweep
+from .eigen import _band, _factor, c2_diagnostic, smallest_eig
 from .evolution import (
     energy_identity_check,
     growth_bound_check,
@@ -104,10 +103,9 @@ def run_battery(config, quick=False):
     if geom.sigma > 0:
         # the surface-tension mass closes the window at xi_c: Q(1e-8) must fail to
         # factor just below it and factor just above; the value counts wrong verdicts
-        wrong = 0
-        for f, definite in ((1 - 1e-3, False), (1 + 1e-3, True)):
-            band = _q_band(assemble(profile, mesh, f * xi_c), _S_LO)
-            wrong += (_factor(band) is not None) != definite
+        factors = lambda q: _factor(_band((1.0, q.E0), (_S_LO, q.E1), (_S_LO**2, q.J))) is not None
+        wrong = sum(factors(assemble(profile, mesh, f * xi_c)) != definite
+                    for f, definite in ((1 - 1e-3, False), (1 + 1e-3, True)))
         out.append(_check("Q(1e-8) definite only past xi_c (+-1e-3)", wrong, 0))
 
     # evolution checks on the best available mode

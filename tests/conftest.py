@@ -27,15 +27,15 @@ def dense_spectrum(forms, s):
 
 
 def pack_band(A, order):
-    """Upper band storage of a dense symmetric matrix, ab[u + i - j, j] = A[i, j] for
-    i <= j <= i + u with u = 2 * order + 1, packed entry by entry: an oracle for the
-    upper rows of the forms' bands."""
+    """Lower band storage of a dense symmetric matrix, ab[i - j, j] = A[i, j] for
+    j <= i <= j + u with u = 2 * order + 1, packed entry by entry: an oracle for the
+    bands eigen factors."""
     n = A.shape[0]
     u = 2 * order + 1
     ab = np.zeros((u + 1, n))
     for j in range(n):
-        for i in range(max(0, j - u), j + 1):
-            ab[u + i - j, j] = A[i, j]
+        for i in range(j, min(n, j + u + 1)):
+            ab[i - j, j] = A[i, j]
     return ab
 
 

@@ -243,9 +243,8 @@ def test_certified_bracket_on_random_configs(case, beyond):
     assume(not isinstance(m, rt.Stable))
     forms, x = m.forms, m.minimizer
     lo, hi = m.bracket
-    E0b, E1b, Jb = forms.E0.upper, forms.E1.upper, forms.J.upper
     assert lo <= hi == m.lam
-    assert eigen._factor(E0b + hi * E1b + hi**2 * Jb) is not None
+    assert eigen._factor(eigen._band((1.0, forms.E0), (hi, forms.E1), (hi**2, forms.J))) is not None
     # lo is the Rayleigh functional of some iterate or a failed factorization,
     # so at the final iterate x^T Q(lo) x is <= 0 up to the 1e-11 bracket width
     terms = [float(x @ (A @ x)) * c for A, c in ((forms.E0, 1.0), (forms.E1, lo), (forms.J, lo**2))]

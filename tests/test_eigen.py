@@ -83,8 +83,8 @@ def test_factorizations_per_bottom_eig(forms_xi1, monkeypatch):
     for a, b in ((1.0, 0.0), (0.0, 1.0), (1.0, 0.3), (1.0, 10.0)):
         del calls[:]
         mu = rt.bottom_eig(f, a, b, 0.0).mu
-        A = a * f.E0 + b * f.E1
-        assert mu == pytest.approx(sla.eigh(A.toarray(), f.J.toarray(), eigvals_only=True,
+        A = a * f.E0.toarray() + b * f.E1.toarray()
+        assert mu == pytest.approx(sla.eigh(A, f.J.toarray(), eigvals_only=True,
                                             subset_by_index=[0, 0])[0], abs=1e-10)
         assert len(calls) <= 15
 
@@ -142,11 +142,12 @@ def test_minimizer_strong_form_convergence(profile):
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
 @pytest.mark.parametrize("order", [1, 2])
 def test_bands_match_packing_oracle(order, sigma, monkeypatch):
-    # the upper rows of the bands, and the band bottom_eig factors first (A - m J
+    # eigen's lower bands of the forms, and the band bottom_eig factors first (A - m J
     # at m = c - a g |xi| - 1), equal the dense oracle's packing entry for entry
     forms = rt.assemble(make_profile(sigma=sigma), rt.Mesh.uniform(1, 1, 6, order=order), 1.3)
+    E0, E1, J = forms.dense()
     for M in (forms.E0, forms.E1, forms.J):
-        assert np.array_equal(M.upper, pack_band(M.toarray(), order))
+        assert np.array_equal(eigen._band((1.0, M)), pack_band(M.toarray(), order))
     first = []
     real = eigen._factor
     monkeypatch.setattr(eigen, "_factor", lambda ab: first.append(ab) or real(ab))
@@ -154,7 +155,6 @@ def test_bands_match_packing_oracle(order, sigma, monkeypatch):
     for a, b, c in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 0.4, 0.0), (1.0, lam, lam**2)):
         del first[:]
         rt.bottom_eig(forms, a, b, c)
-        A = a * forms.E0 + b * forms.E1 + c * forms.J
         m = c - a * forms.g * forms.xi - 1.0
-        assert np.array_equal(first[0], pack_band(A.toarray(), order)
-                              - m * pack_band(forms.J.toarray(), order))
+        assert np.array_equal(first[0], pack_band(a * E0 + b * E1 + c * J, order)
+                              - m * pack_band(J, order))

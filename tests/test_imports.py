@@ -172,6 +172,23 @@ def test_no_sparse_lu_in_the_package():
             assert name not in text, (path.name, name)
 
 
+def test_only_eigen_builds_and_factors_bands():
+    # eigen is the one owner of band factorization: no other module names the band
+    # LAPACK routines (_kernels binds them), and no module but forms and eigen reads
+    # the rows of a band's data, so no second builder of factorization bands exists
+    package = Path(rtmodes.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        if path.name not in ("eigen.py", "_kernels.py"):
+            for name in ("dpbtrf", "dpbtrs", "dpbtf2"):
+                assert name not in text, (path.name, name)
+        if path.name not in ("eigen.py", "forms.py"):
+            reads = [node.lineno for node in ast.walk(ast.parse(text))
+                     if isinstance(node, ast.Attribute) and node.attr == "data"
+                     and getattr(node.value, "attr", None) != "ctypes"]     # a ctypes pointer
+            assert reads == [], (path.name, reads)
+
+
 def _absolute_imports(node):
     """The modules an import statement reads, ``from m import a`` giving m and m.a."""
     if isinstance(node, ast.Import):

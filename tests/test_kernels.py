@@ -1,13 +1,18 @@
-"""rtmodes._kernels and the band type of the forms against scipy's public API and dense oracles.
+"""rtmodes._kernels, eigen's band factorization and the band type of the forms against
+scipy's public API and dense oracles.
 
 A fresh interpreter that imports only rtmodes (scipy's packages never
 initialised) computes band factors, solves and mat-vecs of the default forms
 and of an order-1 mesh of 8 elements per side at xi = 1, with the band LAPACK
-of numpy's OpenBLAS and the mat-vec kernel loaded by file; this process
-recomputes them with ``scipy.linalg.lapack`` and ``scipy.sparse.dia_matrix``
-and asks for the same bits.  The band type's own operations are compared with
-dense copies, with ``scipy.sparse.dia_matrix`` built from the same arrays, and
-with the CSR pattern the forms were once stored in.
+of numpy's OpenBLAS and the mat-vec kernel loaded by file, and eigen's own
+factors (lower storage, copied into upper) and solves; this process
+recomputes them with ``scipy.linalg.lapack`` on upper band storage and
+``scipy.sparse.dia_matrix`` and asks for the same bits.  The band type's own
+operations are compared with dense copies, with ``scipy.sparse.dia_matrix``
+built from the same arrays, and with the CSR pattern the forms were once
+stored in.  Last, every module's band builder, factor and solve are swapped
+for scipy's upper-storage LAPACK, and sweeps, lattices, bottom eigenpairs and
+trajectories must not move by a bit.
 """
 
 import importlib.metadata
@@ -20,7 +25,7 @@ import numpy as np
 import pytest
 
 import rtmodes
-from rtmodes import _kernels
+from rtmodes import _kernels, dispersion, eigen, evolution, verify
 from rtmodes.config import load_config
 from rtmodes.errors import LayoutError
 from rtmodes.forms import Band, assemble
@@ -35,28 +40,64 @@ def default_forms(*sets, xi=1.0):
 KERNEL_MESHES = {"default": (), "order1": ("mesh.order=1", "mesh.elements_per_side=8")}
 
 
-def all_kernel_results(lapack, product):
-    """kernel_results on every mesh of KERNEL_MESHES, the keys prefixed by the mesh's name."""
+def all_kernel_results(results):
+    """``results(forms)`` on every mesh of KERNEL_MESHES, the keys prefixed by the mesh's name."""
     return {f"{mesh}.{key}": value for mesh, sets in KERNEL_MESHES.items()
-            for key, value in kernel_results(lapack, product, default_forms(*sets)).items()}
+            for key, value in results(default_forms(*sets)).items()}
+
+
+def factor_cases(forms):
+    """The bands factored here, as terms (c, M) of c_1 M_1 + c_2 M_2 + ...: J; E0,
+    indefinite; the evolution step 2 J + dt E1 + (dt^2 / 2) E0 at dt = 5 and at dt = 20
+    (evolve --xi 1 --dt 20: past 2 / lambda it is indefinite); and Q(s) = E0 + s E1 +
+    s^2 J just below the rate, at lambda (1 - 1e-6), and at its definite end lambda."""
+    E0, E1, J = forms.E0, forms.E1, forms.J
+    hi = dispersion.growth_rate(forms.profile, forms.mesh, forms.xi).lam
+    lo = hi * (1 - 1e-6)
+    return {"J": [(1.0, J)], "E0": [(1.0, E0)],
+            "step5": [(2.0, J), (5.0, E1), (12.5, E0)], "step20": [(2.0, J), (20.0, E1), (200.0, E0)],
+            "Qlo": [(1.0, E0), (lo, E1), (lo**2, J)], "Qhi": [(1.0, E0), (hi, E1), (hi**2, J)]}
+
+
+def upper_band(*terms):
+    """LAPACK upper band storage of c_1 M_1 + c_2 M_2 + ..., summed in order from the top
+    kd + 1 rows of the bands: the arithmetic of factoring in upper storage."""
+    (c, M), *rest = terms
+    ab = c * M.data[:M.kd + 1]
+    for c, M in rest:
+        ab = ab + c * M.data[:M.kd + 1]
+    return ab
 
 
 def kernel_results(lapack, product, forms):
-    """Band factors and solves through ``lapack``'s routines and mat-vecs through
-    ``product(mats, x)``, the bands ``mats`` stacked by rows, keyed by name."""
+    """Band factors and solves of the upper bands of factor_cases through ``lapack``'s
+    routines and mat-vecs through ``product(mats, x)``, the bands ``mats`` stacked by
+    rows, keyed by name."""
     E0, E1, J = forms.E0, forms.E1, forms.J
     b = np.linspace(-1.0, 1.0, forms.n)
     out = {}
-    for name, M in (("J", J), ("E0", E0), ("step5", 2.0 * J + 5.0 * E1 + 12.5 * E0)):
-        out[name + "_chol"], out[name + "_info"] = lapack.dpbtrf(M.upper, lower=0)
-    out["J_solve"] = lapack.dpbtrs(out["J_chol"], b)[0]
-    out["step5_solve"] = lapack.dpbtrs(out["step5_chol"], b)[0]
-    # evolve --xi 1 --dt 20: past 2 / lambda the step matrix is indefinite
-    out["step20_info"] = lapack.dpbtrf((2.0 * J + 20.0 * E1 + 200.0 * E0).upper, lower=0)[1]
+    for name, terms in factor_cases(forms).items():
+        c, info = lapack.dpbtrf(upper_band(*terms), lower=0)
+        out[name + "_chol"], out[name + "_info"] = c, info
+        if info == 0:
+            out[name + "_solve"] = lapack.dpbtrs(c, b)[0]
     x = np.cos(np.arange(forms.n))
     mats = {"E0": [E0], "E1": [E1], "J": [J], "C": [forms.compression()], "stack": [J, E1, E0]}
     for name, M in mats.items():
         out[name + "_matvec"] = product(M, x)
+    return out
+
+
+def eigen_results(forms):
+    """eigen's factors (in upper storage) and solves of factor_cases, keyed as
+    kernel_results keys them, and the info of the lower dpbtrf each factor comes from."""
+    b = np.linspace(-1.0, 1.0, forms.n)
+    out = {}
+    for name, terms in factor_cases(forms).items():
+        ab = eigen._band(*terms)
+        c, out[name + "_info"] = eigen._factor(ab), _kernels.dpbtrf(ab, lower=1)[1]
+        if c is not None:
+            out[name + "_chol"], out[name + "_solve"] = c, eigen._solve(c, b.copy())
     return out
 
 
@@ -77,8 +118,10 @@ def dia_matrix(mats):
 
 
 def _write_loaded_results(path):
-    """kernel_results with the file-loaded kernels and the band type's own products, saved to path."""
-    results = all_kernel_results(_kernels, band_product)
+    """kernel_results with the file-loaded kernels and the band type's own products, and
+    eigen_results under the prefix ``eigen.``, saved to path."""
+    results = all_kernel_results(lambda forms: kernel_results(_kernels, band_product, forms))
+    results.update({"eigen." + key: value for key, value in all_kernel_results(eigen_results).items()})
     loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
     assert loaded == [], loaded
     np.savez(path, **results)
@@ -99,15 +142,26 @@ def loaded_results(tmp_path_factory):
 def test_file_loaded_kernels_match_scipy_bit_for_bit(loaded_results):
     import scipy.linalg.lapack
 
-    expected = all_kernel_results(scipy.linalg.lapack, lambda mats, x: dia_matrix(mats) @ x)
-    assert sorted(loaded_results) == sorted(expected)
+    expected = all_kernel_results(lambda forms: kernel_results(
+        scipy.linalg.lapack, lambda mats, x: dia_matrix(mats) @ x, forms))
+    assert sorted(k for k in loaded_results if not k.startswith("eigen.")) == sorted(expected)
     for key, value in expected.items():
         assert np.array_equal(loaded_results[key], value), key
+    cases = ("J", "E0", "step5", "step20", "Qlo", "Qhi")
     for mesh in KERNEL_MESHES:
         got, want = (lambda key: loaded_results[f"{mesh}.{key}"]), (lambda key: expected[f"{mesh}.{key}"])
-        # the cases are the ones meant: definite, indefinite, and the step integrate refuses
-        assert want("J_info") == 0 and want("step5_info") == 0 and want("E0_info") > 0
-        assert want("step20_info") > 0
+        # the cases are the ones meant: definite, indefinite, the step integrate refuses,
+        # and Q(s) failing just below the rate and factoring at it
+        assert [want(name + "_info") == 0 for name in cases] == [True, False, True, False, False, True]
+        # eigen's lower factorization fails at the same minor; where it succeeds, its factor
+        # copied into upper storage and its solves are scipy's upper ones
+        for name in cases:
+            eigen_key = f"eigen.{mesh}.{name}"
+            assert loaded_results[eigen_key + "_info"] == want(name + "_info"), eigen_key
+            for part in ("_chol", "_solve"):
+                assert (eigen_key + part in loaded_results) == (want(name + "_info") == 0)
+                if want(name + "_info") == 0:
+                    assert np.array_equal(loaded_results[eigen_key + part], want(name + part)), eigen_key
         # the stacked product is the three products one after another
         parts = [got(name + "_matvec") for name in ("J", "E1", "E0")]
         assert np.array_equal(got("stack_matvec"), np.concatenate(parts))
@@ -147,27 +201,24 @@ def test_band_type_against_oracles(order, sigma):
         assert np.array_equal(rows, pattern[0]) and np.array_equal(cols, pattern[1])
         assert np.array_equal(values, D[rows, cols])
         assert np.count_nonzero(D) <= M.nnz     # nothing outside the pattern
-        assert np.array_equal((2.5 * M).toarray(), 2.5 * D)
-        assert np.array_equal((M * np.float64(0.5)).toarray(), D * np.float64(0.5))
     norms = [np.abs(D).sum(axis=1).max() for D in forms.dense()]
     assert forms.norms() == pytest.approx(norms, rel=1e-15)
     with pytest.raises(LayoutError):
         forms.J @ x[:-1]
     with pytest.raises(LayoutError):
-        forms.J + on_mesh(3 - order).J
+        Band.stacked([forms.J, on_mesh(3 - order).J])
 
 
 @pytest.mark.parametrize("a, b, c", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 0.3, 0.09),
                                      (1.0, -2.0, 7.5)])
 def test_weighted_sum_matches_scipy(a, b, c):
-    # bottom_eig's A = a E0 + b E1 + c J, summed entry by entry as scipy sums
-    # dia_matrix copies of the three forms
+    # eigen's band of a E0 + b E1 + c J, summed entry by entry as scipy sums
+    # dia_matrix copies of the three forms, in lower band storage
     forms = default_forms()
     E0, E1, J = (dia_matrix([M]) for M in (forms.E0, forms.E1, forms.J))
-    A = a * forms.E0 + b * forms.E1 + c * forms.J
-    assert np.array_equal(A.toarray(), (a * E0 + b * E1 + c * J).toarray())
-    x = np.cos(np.arange(forms.n))
-    assert np.array_equal(A @ x, dia_matrix([A]) @ x)
+    D = (a * E0 + b * E1 + c * J).toarray()
+    lower = [np.concatenate([np.diagonal(D, -d), np.zeros(d)]) for d in range(forms.J.kd + 1)]
+    assert np.array_equal(eigen._band((a, forms.E0), (b, forms.E1), (c, forms.J)), np.array(lower))
 
 
 def test_missing_extension_names_the_scipy_version(monkeypatch, tmp_path):
@@ -189,3 +240,51 @@ def test_missing_lapack_symbol_names_the_numpy_version():
     message = str(info.value)
     assert f"numpy {np.__version__} " in message and "scipy_dpbtrx_64_" in message
     assert "BLAS: scipy-openblas" in message
+
+
+def pipeline_results():
+    """Rates, brackets, minimizers, factorization counts and trajectory ledgers of a
+    sweep(n=8), lattice_modes(L=1), smallest_eig(s=0.1) and a 30-step integrate at 32
+    elements per side, flattened to named arrays."""
+    config = load_config(None, ["mesh.elements_per_side=32"])
+    profile, mesh = config.profile(), config.mesh()
+    curve = dispersion.sweep(profile, mesh, *config.sweep_range(profile.xi_c), n=8)
+    lattice = dispersion.lattice_modes(profile, mesh, 1.0)
+    eig = eigen.smallest_eig(assemble(profile, mesh, 1.0), 0.1)
+    mode = curve.argmax_mode
+    traj = evolution.integrate(mode.forms, *evolution.mode_initial_data(mode),
+                               0.1 / mode.lam, 3.0 / mode.lam)
+    out = {"curve." + k: getattr(curve, k) for k in
+           ("lam", "psi0", "residual", "Lambda", "factorizations", "bracket_rel_max")}
+    modes = {"argmax": mode, **{f"lattice.{m!r}": r for m, r in lattice.modes.items()}}
+    for name, r in modes.items():
+        for k in ("lam", "bracket", "factorizations", "minimizer"):
+            out[f"{name}.{k}"] = getattr(r, k)
+    out["lattice.points"] = lattice.points
+    out.update({"eig.mu": eig.mu, "eig.minimizer": eig.minimizer, "eig.residual": eig.residual})
+    out.update({"traj." + k: getattr(traj, k) for k in (
+        "kinetic", "potential", "dissipated_mid", "dissipated_trap", "norm1_sq", "norm2_sq",
+        "norm1_dot_sq", "norm2_dot_sq", "states_u", "states_v")})
+    return {k: np.asarray(v) for k, v in out.items()}
+
+
+def test_upper_storage_lapack_reproduces_every_result(monkeypatch):
+    # the independent oracle: every module's band builder, factor and solve swapped for
+    # scipy's LAPACK (its own OpenBLAS) on upper band storage summed from the top rows,
+    # the arithmetic of factoring in upper storage throughout, moves no bit
+    from scipy.linalg import lapack
+
+    def factor(ab):
+        c, info = lapack.dpbtrf(ab, lower=0)
+        return c if info == 0 else None
+
+    package = pipeline_results()
+    swaps = {"_band": upper_band, "_factor": factor, "_solve": lambda c, b: lapack.dpbtrs(c, b)[0]}
+    for module in (eigen, dispersion, evolution, verify):
+        for name, oracle in swaps.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, oracle)
+    oracle = pipeline_results()
+    assert sorted(oracle) == sorted(package) and len(package) > 20
+    for key, value in oracle.items():
+        assert np.array_equal(package[key], value), key

@@ -13,6 +13,7 @@ import pytest
 from rtmodes import cli, verify
 from rtmodes.config import load_config
 from rtmodes.dispersion import Stable
+from rtmodes.forms import Band
 
 AMPLIFICATION = "mode growth vs midpoint amplification R^N"
 WINDOW = "Q(1e-8) definite only past xi_c (+-1e-3)"
@@ -44,7 +45,8 @@ def test_viscous_form_off_by_1e_6_in_the_step_fails_the_amplification_row(monkey
     step = verify.integrate
 
     def perturbed(forms, *args):
-        return step(dataclasses.replace(forms, E1=forms.E1 * (1 + 1e-6)), *args)
+        E1 = Band(forms.E1.data * (1 + 1e-6), forms.E1.pattern)
+        return step(dataclasses.replace(forms, E1=E1), *args)
 
     monkeypatch.setattr(verify, "integrate", perturbed)
     assert not battery()[AMPLIFICATION].passed
