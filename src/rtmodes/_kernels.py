@@ -2,8 +2,10 @@
 
 The package calls five compiled routines.  Two are LAPACK's band Cholesky
 routines from the OpenBLAS that numpy already maps: ``dpbtf2`` (bound here
-as :func:`dpbtrf`) and ``dpbtrs``; :mod:`rtmodes.eigen` alone calls them, on
-lower band storage.  Three come from scipy's extension modules:
+as :func:`dpbtrf`) and ``dpbtrs``, each bound in the one form that
+:mod:`rtmodes.eigen`, their one caller, runs: a factorization of lower band
+storage and an in-place solve with an upper factor (Anderson et al., *LAPACK
+Users' Guide*, 1999).  Three come from scipy's extension modules:
 ``dia_matvec`` from ``scipy.sparse._sparsetools``, and the Bessel functions
 ``j0`` and ``j1`` from ``scipy.special._special_ufuncs``.
 
@@ -12,9 +14,8 @@ numpy's wheels link an ILP64 OpenBLAS whose symbols carry the prefix
 ``_multiarray_umath`` gives a handle whose symbol lookup searches that
 extension's dependencies, so the band routines resolve without a path and
 without mapping a second library: ``scipy.linalg._flapack`` would map
-scipy's own OpenBLAS, about 2.6 MB of peak memory per process.  The wrappers
-keep the signatures of ``scipy.linalg.lapack``'s ``dpbtrf`` and ``dpbtrs``.
-LAPACK's ``dpbtrf`` runs ``dpbtf2`` whenever the half-bandwidth is below its
+scipy's own OpenBLAS, about 2.6 MB of peak memory per process.  LAPACK's
+``dpbtrf`` runs ``dpbtf2`` whenever the half-bandwidth is below its
 block size of 32, and every band here has kd = 3 or 5, so both give the same
 bits.  A numpy without those symbols raises an ImportError naming its version
 and BLAS.
@@ -91,33 +92,31 @@ _dpbtf2 = _lapack("dpbtf2", _PINT, _PINT, _PTR, _PINT, _PINT)
 _dpbtrs = _lapack("dpbtrs", _PINT, _PINT, _PINT, _PTR, _PINT, _PTR, _PINT, _PINT)
 
 
-def dpbtrf(ab, lower=0):
-    """``scipy.linalg.lapack.dpbtrf``: (c, info), c the Cholesky factor of the band ``ab`` in a new
-    Fortran array, info > 0 the order of the first leading minor that is not positive definite."""
+def dpbtrf(ab):
+    """(c, info): c the Cholesky factor L of the lower band ``ab`` in a new Fortran array, info > 0
+    the order of the first leading minor that is not positive definite."""
     c = np.array(ab, dtype=np.float64, order="F")
     if c.ndim != 2 or c.shape[0] < 1:
         raise ValueError(f"dpbtrf needs a band of kd + 1 >= 1 rows, not an array of shape {c.shape}")
     kd1, n = c.shape
     info = _INT()
-    _dpbtf2(b"L" if lower else b"U", _INT(n), _INT(kd1 - 1), c.ctypes.data, _INT(kd1), info, 1)
+    _dpbtf2(b"L", _INT(n), _INT(kd1 - 1), c.ctypes.data, _INT(kd1), info, 1)
     return c, info.value
 
 
-def dpbtrs(c, b, overwrite_b=0):
-    """``scipy.linalg.lapack.dpbtrs`` for one right-hand side: (x, info), x solving A x = b for
-    A factored into ``c`` by :func:`dpbtrf` (upper); with ``overwrite_b`` a contiguous float64
-    vector ``b`` is solved in place, and x is b."""
+def dpbtrs(c, b):
+    """(b, info): the vector ``b`` overwritten by x solving A x = b, A = U^T U factored into the
+    upper band ``c``; ``b`` must be a contiguous, writeable float64 vector."""
     c = np.asarray(c, dtype=np.float64, order="F")
-    x = b if overwrite_b and isinstance(b, np.ndarray) and b.dtype == np.float64 and \
-        b.flags.contiguous else np.array(b, dtype=np.float64)
-    if c.ndim != 2 or c.shape[0] < 1 or x.shape != c.shape[1:]:
-        raise ValueError(f"dpbtrs needs a band of kd + 1 >= 1 rows and a vector as long as the "
-                         f"band has columns, not arrays of shapes {c.shape} and {x.shape}")
+    if not (isinstance(b, np.ndarray) and b.dtype == np.float64 and b.flags.contiguous
+            and b.flags.writeable) or c.ndim != 2 or c.shape[0] < 1 or b.shape != c.shape[1:]:
+        raise ValueError(f"dpbtrs solves a contiguous, writeable float64 vector as long as the band "
+                         f"of shape {c.shape}, not {getattr(b, 'dtype', type(b))} {np.shape(b)}")
     kd1, n = c.shape
     info = _INT()
-    _dpbtrs(b"U", _INT(n), _INT(kd1 - 1), _INT(1), c.ctypes.data, _INT(kd1), x.ctypes.data,
+    _dpbtrs(b"U", _INT(n), _INT(kd1 - 1), _INT(1), c.ctypes.data, _INT(kd1), b.ctypes.data,
             _INT(max(n, 1)), info, 1)
-    return x, info.value
+    return b, info.value
 
 
 dia_matvec = _extension("sparse._sparsetools").dia_matvec

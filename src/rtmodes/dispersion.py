@@ -4,14 +4,14 @@ For each frequency magnitude mu(s) is strictly increasing, so the fixed
 point s = sqrt(-mu(s)) is unique and is the growth rate of a true growing
 mode.  mu(s) < -s^2 holds exactly when Q(s) = E0 + s E1 + s^2 J is not
 positive definite, so the rate is the point where :mod:`eigen`'s banded
-Cholesky factorization of Q(s) starts to succeed, with no eigensolver inside
-the loop.  A single rate starts cold at [1e-8, 2 sqrt(g |xi|)]; the upper end
-is always definite because E0 + g |xi| J >= 0 holds exactly at the matrix
-level.  Inverse iteration with the factor at the upper end gives a vector x,
-and the positive root p(x) of the scalar quadratic x^T Q(s) x = 0 (the
-Rayleigh functional) raises the lower end with no factorization: Q(p(x))
-cannot be definite.  :func:`eigen._refine` stops at a relative width of
-about 1e-11 and returns the definite end as the rate.
+Cholesky factorization of Q(s) (:func:`_q_factor`) starts to succeed, with
+no eigensolver inside the loop.  A single rate starts cold at [1e-8,
+2 sqrt(g |xi|)]; the upper end is always definite because E0 + g |xi| J >= 0
+holds exactly at the matrix level.  Inverse iteration with the factor at the
+upper end gives a vector x, and the positive root p(x) of the scalar
+quadratic x^T Q(s) x = 0 (the Rayleigh functional) raises the lower end with
+no factorization: Q(p(x)) cannot be definite.  :func:`eigen._refine` stops
+at a relative width of about 1e-11 and returns the definite end as the rate.
 
 Sweeps, lattices and the radial nodes of a synthesized field solve ascending
 magnitudes by continuation (Allgower & Georg 1990): each rate starts warm
@@ -100,6 +100,11 @@ class ModeSolution:
                               self.xi_mag, self.lam)
 
 
+def _q_factor(forms, s):
+    """:func:`eigen._factor` of Q(s) = E0 + s E1 + s^2 J, summed in that order; None if not definite."""
+    return _factor(_band((1.0, forms.E0), (s, forms.E1), (s**2, forms.J)))
+
+
 def _rayleigh_functional(forms, x):
     """Positive root p(x) of x^T Q(s) x = 0 for a J-normalized x.
 
@@ -134,18 +139,16 @@ def growth_rate(profile, mesh, xi_mag, start=None):
         return Stable(xi_mag, "sigma |xi|^2 >= g [rho0]: surface tension closes the window")
 
     forms = assemble(profile, mesh, xi_mag)
-    band_at = lambda s: _band((1.0, forms.E0), (s, forms.E1), (s**2, forms.J))
     rayleigh = lambda x: _rayleigh_functional(forms, x)
     guess, x, s_lo = math.inf, np.ones(forms.n), _S_LO
     if start is not None:
-        guess, x = start
-        x = _normalize(forms, x)
+        guess, x = start[0], _normalize(forms, start[1])
         s_lo = max(s_lo, rayleigh(x))
 
     count = 0
     if s_lo == _S_LO:       # nothing proves lambda > 1e-8 yet
         count += 1
-        if _factor(band_at(_S_LO)) is not None:
+        if _q_factor(forms, _S_LO) is not None:
             warnings.warn(
                 "Q(%g) is positive definite at xi = %g: either the growth rate is below %g "
                 "or the mesh is too coarse to resolve the mode" % (_S_LO, xi_mag, _S_LO),
@@ -159,14 +162,14 @@ def growth_rate(profile, mesh, xi_mag, start=None):
     while True:
         trial += step
         trial = trial if trial < s_hi else s_hi     # a cold start's inf and a nan guess too
-        factor = _factor(band_at(trial))
+        factor = _q_factor(forms, trial)
         count += 1
         if factor is not None:
             break
         if trial == s_hi:
             raise SolverError("Q(s) is not definite at s = 2 sqrt(g |xi|)", {"xi": xi_mag})
         s_lo, step = trial, 4.0 * step      # a failed trial is a certified lower end
-    lam, s_lo, x, refined = _refine(forms, band_at, trial, factor, s_lo, rayleigh, x)
+    lam, s_lo, x, refined = _refine(forms, lambda s: _q_factor(forms, s), trial, factor, s_lo, rayleigh, x)
     mu = float(x @ (forms.E0 @ x)) + lam * float(x @ (forms.E1 @ x))
     phi, psi = forms.to_nodal(x)
     return ModeSolution(

@@ -10,8 +10,8 @@ storage (the bottom rows of each :class:`rtmodes.forms.Band`), which
 ``dpbtrf`` of numpy's OpenBLAS (:mod:`rtmodes._kernels`) factors at unit
 stride.  :func:`_factor` returns L^T, the bits of the upper factor, in upper
 storage for ``dpbtrs``: the lower solve sums in another order.  The
-implicit-midpoint step matrix is (dt^2/2) (E0 + (2/dt) E1 + (2/dt)^2 J), a
-member of the growth-rate family, so it factors exactly when dt < 2/lambda.
+family Q(s) = E0 + s E1 + s^2 J is :mod:`dispersion`'s; :mod:`evolution`'s
+step matrix (dt^2/2) Q(2/dt) factors exactly when dt < 2/lambda.
 
 :func:`_refine` shrinks a bracket that is certified from both sides.  The
 definite end carries a factor; inverse iteration with it gives a vector x,
@@ -74,7 +74,7 @@ def _band(*terms):
 
 def _factor(ab):
     """Cholesky factor of the lower band ab (left intact), in upper storage; None if not definite."""
-    c, info = dpbtrf(ab, lower=1)
+    c, info = dpbtrf(ab)
     if info != 0:
         return None
     upper = np.zeros_like(c)            # Fortran order, as c
@@ -85,16 +85,16 @@ def _factor(ab):
 
 def _solve(factor, b):
     """Solve with a :func:`_factor` result; b (a float vector) is overwritten by the solution."""
-    return dpbtrs(factor, b, overwrite_b=1)[0]
+    return dpbtrs(factor, b)[0]
 
 
-def _refine(forms, band_at, good, factor, bound, bound_of, x):
-    """Shrink [bound, good] to the point where band_at(t) starts to factor.
+def _refine(forms, factor_at, good, factor, bound, bound_of, x):
+    """Shrink [bound, good] to where the family starts to factor: ``factor_at(t)`` is not None.
 
-    band_at(good) factors (``factor``); ``bound`` is certified to lie on the
-    other side of that point, and either end may be the larger.  Each round
-    takes one inverse-iteration solve with the factor at ``good``, moves
-    ``bound`` to ``bound_of(x)`` when that is closer, and tries one
+    ``factor`` is factor_at(good), a :func:`_factor` result; ``bound`` is
+    certified to lie on the other side of that point, and either end may be
+    the larger.  Each round takes one inverse-iteration solve with ``factor``,
+    moves ``bound`` to ``bound_of(x)`` when that is closer, and tries one
     factorization a fraction theta of the width past ``bound``: success
     moves ``good`` there and shrinks theta, failure moves ``bound`` there and
     grows it (to at most 1/2).  Returns (good, bound, x, factorizations), x
@@ -111,7 +111,7 @@ def _refine(forms, band_at, good, factor, bound, bound_of, x):
         if abs(good - bound) <= _WIDTH_RTOL * (abs(good) + abs(bound)) + _WIDTH_ATOL:
             return good, bound, x, count
         t = bound + theta * (good - bound)
-        f = _factor(band_at(t))
+        f = factor_at(t)
         count += 1
         if f is None:
             bound, theta = t, min(0.5, theta * _THETA_STEP)
@@ -132,14 +132,14 @@ def bottom_eig(forms, a, b, c):
     if a < 0 or b < 0:
         raise DomainError("bottom_eig needs a >= 0 and b >= 0, not a = %g, b = %g" % (a, b))
     A = Band(a * forms.E0.data + b * forms.E1.data + c * forms.J.data, forms.J.pattern)
-    band_at = lambda m: _band((1.0, A), (-m, forms.J))
+    factor_at = lambda m: _factor(_band((1.0, A), (-m, forms.J)))
     rayleigh = lambda x: float(x @ (A @ x))      # x is J-normalized
     lo = c - a * forms.g * forms.xi - 1.0
-    factor = _factor(band_at(lo))
+    factor = factor_at(lo)
     if factor is None:
         raise SolverError("no definite shift below the spectrum", {"n": forms.n, "shift": lo})
     x = _normalize(forms, np.ones(forms.n))
-    _, _, x, _ = _refine(forms, band_at, lo, factor, rayleigh(x), rayleigh, x)
+    _, _, x, _ = _refine(forms, factor_at, lo, factor, rayleigh(x), rayleigh, x)
     mu = rayleigh(x)
     r = A @ x - mu * (forms.J @ x)
     return EigenResult(mu, x, math.sqrt(r @ r) / math.sqrt(x @ x))

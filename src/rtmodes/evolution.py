@@ -22,6 +22,8 @@ from .eigen import _band, _factor, _solve, bottom_eig
 from .errors import ConfigurationError, DomainError, SolverError
 from .forms import Band, assemble
 
+_PSD_TOL = 1e-8             # growth_bound_check: smallest eigenvalue allowed below zero
+_ENVELOPE_MARGIN = 1.05     # generic_growth_envelope: slack on the fitted envelope
 
 @dataclass
 class ModeTrajectory:
@@ -165,29 +167,29 @@ def energy_identity_check(traj, quadrature="trapezoid"):
     return float(np.max(np.abs(defect) / scale))
 
 
-def growth_bound_check(forms, Lambda, tol=1e-8):
+def growth_bound_check(forms, Lambda):
     """Positive semidefiniteness of E0 + Lambda E1 + Lambda^2 J against J.
 
     The discrete statement that the rate Lambda dominates this frequency:
-    returns (ok, smallest generalized eigenvalue).
+    returns (ok, smallest generalized eigenvalue), ok meaning >= -1e-8.
     """
     ev = bottom_eig(forms, 1.0, Lambda, Lambda**2).mu
-    return ev >= -tol, ev
+    return ev >= -_PSD_TOL, ev
 
 
-def generic_growth_envelope(traj, Lambda, margin=1.05):
+def generic_growth_envelope(traj, Lambda):
     """Exponential envelope check for an arbitrary trajectory.
 
     The growth theorem bounds lhs(t) = |u_dot(t)|_1^2 + |u(t)|_1^2 +
     |u(t)|_2^2 by C e^{2 Lambda t} B0, with B0 the initial-data combination.
     With C fitted at t = 0, C B0 = lhs(0): B0 cancels, and the check is
-    lhs(t) <= margin * lhs(0) * e^{2 Lambda t}.  Zero data (lhs(0) = 0) must
+    lhs(t) <= 1.05 lhs(0) e^{2 Lambda t}.  Zero data (lhs(0) = 0) must
     stay zero.  Returns (ok, worst ratio against the envelope).
     """
     lhs = traj.norm1_dot_sq + traj.norm1_sq + traj.norm2_sq
     if lhs[0] == 0.0:
         return bool(np.all(lhs == 0.0)), 0.0
-    ratio = float(np.max(lhs / (margin * lhs[0] * np.exp(2.0 * Lambda * traj.times))))
+    ratio = float(np.max(lhs / (_ENVELOPE_MARGIN * lhs[0] * np.exp(2.0 * Lambda * traj.times))))
     return ratio <= 1.0, ratio
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from .eos import PressureLaw, admissible
 from .errors import ConfigurationError, DomainError, RangeError, VacuumError
 
+_HYDROSTATIC_POINTS = 64    # check points per side in verify_hydrostatic
 
 @dataclass(frozen=True)
 class SlabGeometry:
@@ -238,8 +239,8 @@ def build_profile(lower, upper, rho_minus, geometry, viscosity=None):
     return profile
 
 
-def verify_hydrostatic(profile, n_check=64, h_fd=1e-4):
-    """Max residual of d(P(rho0))/dx3 + g rho0 over interior check points.
+def verify_hydrostatic(profile, h_fd=1e-4):
+    """Max residual of d(P(rho0))/dx3 + g rho0 over 64 interior check points per side.
 
     Uses centered differences of step ``h_fd``; the residual is O(h_fd^2)
     for smooth pressure laws.
@@ -248,7 +249,7 @@ def verify_hydrostatic(profile, n_check=64, h_fd=1e-4):
     out = 0.0
     for s, a, b in ((-1, -geom.m, 0.0), (+1, 0.0, geom.ell)):
         pad = max(2 * h_fd, 1e-3 * (b - a))
-        x = np.linspace(a + pad, b - pad, n_check)
+        x = np.linspace(a + pad, b - pad, _HYDROSTATIC_POINTS)
         dP = (profile.fields(x + h_fd, side=s)["P"] - profile.fields(x - h_fd, side=s)["P"]) / (2 * h_fd)
         resid = np.abs(dP + geom.g * profile.density(x, side=s))
         out = max(out, float(np.max(resid)))

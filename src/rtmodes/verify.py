@@ -3,7 +3,8 @@
 Each check measures a quantity the theory pins down (a bound, an identity,
 a residual) at the configured resolution and compares it against its
 threshold.  The battery is deliberately a superset of smoke checks and a
-subset of the full acceptance suite.
+subset of the full acceptance suite.  It factors no band itself, and drops
+each pencil as soon as its rows are read.
 """
 
 import math
@@ -11,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import _S_LO, Stable, _check_sweep_range, growth_rate, lattice_modes, sweep
-from .eigen import _band, _factor, c2_diagnostic, smallest_eig
+from .dispersion import _S_LO, Stable, _check_sweep_range, _q_factor, growth_rate, lattice_modes, sweep
+from .eigen import c2_diagnostic, smallest_eig
 from .evolution import (
     energy_identity_check,
     growth_bound_check,
@@ -66,17 +67,13 @@ def run_battery(config, quick=False):
     # variational lower bound and monotonicity at a reference frequency
     xi_ref = profile.xi_ref
     forms = assemble(profile, mesh, xi_ref)
-    mus = []
-    for s in (0.01, 0.1, 1.0, 10.0):
-        r = smallest_eig(forms, s)
-        mus.append(r.mu)
-        out.append(_check(
-            "mu(s=%g) + g|xi| at |xi|=%g" % (s, xi_ref),
-            r.mu + geom.g * xi_ref, -1e-9, ">=",
-        ))
-    out.append(_check("mu monotone increase over s grid",
-                      min(np.diff(mus)), 0.0, ">="))
+    s_grid = (0.01, 0.1, 1.0, 10.0)
+    mus = [smallest_eig(forms, s).mu for s in s_grid]
     c2 = c2_diagnostic(forms)
+    del forms
+    for s, mu in zip(s_grid, mus):
+        out.append(_check("mu(s=%g) + g|xi| at |xi|=%g" % (s, xi_ref), mu + geom.g * xi_ref, -1e-9, ">="))
+    out.append(_check("mu monotone increase over s grid", min(np.diff(mus)), 0.0, ">="))
     out.append(_check("viscous form coercivity C2", c2, 0.0, ">="))
 
     # fixed point and rate bounds
@@ -103,8 +100,7 @@ def run_battery(config, quick=False):
     if geom.sigma > 0:
         # the surface-tension mass closes the window at xi_c: Q(1e-8) must fail to
         # factor just below it and factor just above; the value counts wrong verdicts
-        factors = lambda q: _factor(_band((1.0, q.E0), (_S_LO, q.E1), (_S_LO**2, q.J))) is not None
-        wrong = sum(factors(assemble(profile, mesh, f * xi_c)) != definite
+        wrong = sum((_q_factor(assemble(profile, mesh, f * xi_c), _S_LO) is not None) != definite
                     for f, definite in ((1 - 1e-3, False), (1 + 1e-3, True)))
         out.append(_check("Q(1e-8) definite only past xi_c (+-1e-3)", wrong, 0))
 
@@ -112,9 +108,7 @@ def run_battery(config, quick=False):
     if lam_by_mag:
         best = max(lam_by_mag.values(), key=lambda r: r.lam)
         lam = best.lam
-        u0, v0 = mode_initial_data(best)
-        best_forms = best.forms
-        traj = integrate(best_forms, u0, v0, 0.1 / lam, 3.0 / lam)
+        traj = integrate(best.forms, *mode_initial_data(best), 0.1 / lam, 3.0 / lam)
         growth = 0.5 * math.log(traj.norm1_sq[-1] / traj.norm1_sq[0])
         lam_T = lam * traj.times[-1]
         out.append(_check("mode e^{lambda t} growth log-error", abs(growth - lam_T) / lam_T, 0.01))
@@ -128,8 +122,9 @@ def run_battery(config, quick=False):
                           abs(growth - (len(traj.times) - 1) * log_R) / lam_T, 1e-9))
         out.append(_check("energy identity defect (midpoint ledger)",
                           energy_identity_check(traj, "midpoint"), 1e-6))
-        ok, ev = growth_bound_check(best_forms, lam)
+        ok, ev = growth_bound_check(traj.forms, lam)
         out.append(_check("pencil PSD at Lambda=lambda", abs(ev), 1e-7))
+        del traj        # and with it its pencil, traj.forms
 
     if swept:
         curve = sweep(profile, mesh, lo, hi, n=SWEEP_SAMPLES)

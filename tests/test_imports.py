@@ -189,6 +189,23 @@ def test_only_eigen_builds_and_factors_bands():
             assert reads == [], (path.name, reads)
 
 
+def test_q_family_is_summed_in_one_place():
+    # a band is summed only by the module that owns its family: eigen (bottom_eig's
+    # A - m J), evolution (the step matrix, J) and dispersion, whose one _band call
+    # writes Q(s) = E0 + s E1 + s^2 J for the rate solver and verify's window row
+    package = Path(rtmodes.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+        if path.name not in ("eigen.py", "dispersion.py", "evolution.py"):
+            assert not names & {"_band", "_factor"}, path.name
+    tree = ast.parse((package / "dispersion.py").read_text())
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_band"]
+    assert len(calls) == 1
+
+
 def _absolute_imports(node):
     """The modules an import statement reads, ``from m import a`` giving m and m.a."""
     if isinstance(node, ast.Import):

@@ -3,11 +3,13 @@ scipy's public API and dense oracles.
 
 A fresh interpreter that imports only rtmodes (scipy's packages never
 initialised) computes band factors, solves and mat-vecs of the default forms
-and of an order-1 mesh of 8 elements per side at xi = 1, with the band LAPACK
-of numpy's OpenBLAS and the mat-vec kernel loaded by file, and eigen's own
-factors (lower storage, copied into upper) and solves; this process
-recomputes them with ``scipy.linalg.lapack`` on upper band storage and
-``scipy.sparse.dia_matrix`` and asks for the same bits.  The band type's own
+and of an order-1 mesh of 8 elements per side at xi = 1: ``_kernels.dpbtrf``
+(the band LAPACK of numpy's OpenBLAS) on lower band storage, eigen's own
+factors (lower storage, copied into upper) and solves, and the mat-vec
+kernel loaded by file.  This process recomputes them with
+``scipy.linalg.lapack``, the lower factors on the same lower bands and
+eigen's factors and solves on upper band storage, and with
+``scipy.sparse.dia_matrix``, and asks for the same bits.  The band type's own
 operations are compared with dense copies, with ``scipy.sparse.dia_matrix``
 built from the same arrays, and with the CSR pattern the forms were once
 stored in.  Last, every module's band builder, factor and solve are swapped
@@ -25,7 +27,7 @@ import numpy as np
 import pytest
 
 import rtmodes
-from rtmodes import _kernels, dispersion, eigen, evolution, verify
+from rtmodes import _kernels, dispersion, eigen, evolution
 from rtmodes.config import load_config
 from rtmodes.errors import LayoutError
 from rtmodes.forms import Band, assemble
@@ -69,18 +71,19 @@ def upper_band(*terms):
     return ab
 
 
-def kernel_results(lapack, product, forms):
-    """Band factors and solves of the upper bands of factor_cases through ``lapack``'s
-    routines and mat-vecs through ``product(mats, x)``, the bands ``mats`` stacked by
-    rows, keyed by name."""
+def kernel_results(lower, factor, solve, product, forms):
+    """For each band of factor_cases, ``lower(terms)``, the (factor, info) of its lower
+    storage, and, where ``factor(terms)`` gives an upper factor c, c and ``solve(c, b)``;
+    and mat-vecs through ``product(mats, x)``, the bands ``mats`` stacked by rows; keyed
+    by name."""
     E0, E1, J = forms.E0, forms.E1, forms.J
     b = np.linspace(-1.0, 1.0, forms.n)
     out = {}
     for name, terms in factor_cases(forms).items():
-        c, info = lapack.dpbtrf(upper_band(*terms), lower=0)
-        out[name + "_chol"], out[name + "_info"] = c, info
-        if info == 0:
-            out[name + "_solve"] = lapack.dpbtrs(c, b)[0]
+        out[name + "_lower"], out[name + "_info"] = lower(terms)
+        c = factor(terms)
+        if c is not None:
+            out[name + "_chol"], out[name + "_solve"] = c, solve(c, b.copy())
     x = np.cos(np.arange(forms.n))
     mats = {"E0": [E0], "E1": [E1], "J": [J], "C": [forms.compression()], "stack": [J, E1, E0]}
     for name, M in mats.items():
@@ -88,17 +91,26 @@ def kernel_results(lapack, product, forms):
     return out
 
 
-def eigen_results(forms):
-    """eigen's factors (in upper storage) and solves of factor_cases, keyed as
-    kernel_results keys them, and the info of the lower dpbtrf each factor comes from."""
-    b = np.linspace(-1.0, 1.0, forms.n)
-    out = {}
-    for name, terms in factor_cases(forms).items():
-        ab = eigen._band(*terms)
-        c, out[name + "_info"] = eigen._factor(ab), _kernels.dpbtrf(ab, lower=1)[1]
-        if c is not None:
-            out[name + "_chol"], out[name + "_solve"] = c, eigen._solve(c, b.copy())
-    return out
+def package_results(forms):
+    """kernel_results of the package: ``_kernels.dpbtrf`` and eigen's factor and solve on
+    eigen's lower bands, and the band type's own products."""
+    return kernel_results(lambda terms: _kernels.dpbtrf(eigen._band(*terms)),
+                          lambda terms: eigen._factor(eigen._band(*terms)), eigen._solve,
+                          band_product, forms)
+
+
+def scipy_results(forms):
+    """kernel_results of scipy: ``scipy.linalg.lapack.dpbtrf(lower=1)`` on eigen's lower
+    bands, its upper dpbtrf and dpbtrs on upper_band, and ``dia_matrix`` products."""
+    from scipy.linalg import lapack
+
+    def factor(terms):
+        c, info = lapack.dpbtrf(upper_band(*terms), lower=0)
+        return c if info == 0 else None
+
+    return kernel_results(lambda terms: lapack.dpbtrf(eigen._band(*terms), lower=1), factor,
+                          lambda c, b: lapack.dpbtrs(c, b)[0],
+                          lambda mats, x: dia_matrix(mats) @ x, forms)
 
 
 def band_product(mats, x):
@@ -118,10 +130,8 @@ def dia_matrix(mats):
 
 
 def _write_loaded_results(path):
-    """kernel_results with the file-loaded kernels and the band type's own products, and
-    eigen_results under the prefix ``eigen.``, saved to path."""
-    results = all_kernel_results(lambda forms: kernel_results(_kernels, band_product, forms))
-    results.update({"eigen." + key: value for key, value in all_kernel_results(eigen_results).items()})
+    """package_results on every mesh of KERNEL_MESHES, saved to path."""
+    results = all_kernel_results(package_results)
     loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
     assert loaded == [], loaded
     np.savez(path, **results)
@@ -140,28 +150,22 @@ def loaded_results(tmp_path_factory):
 
 
 def test_file_loaded_kernels_match_scipy_bit_for_bit(loaded_results):
-    import scipy.linalg.lapack
-
-    expected = all_kernel_results(lambda forms: kernel_results(
-        scipy.linalg.lapack, lambda mats, x: dia_matrix(mats) @ x, forms))
-    assert sorted(k for k in loaded_results if not k.startswith("eigen.")) == sorted(expected)
+    # _kernels.dpbtrf's lower factors and infos are scipy's lower ones, failed
+    # factorizations included; where scipy's upper factorization succeeds, and only
+    # there, eigen's factor copied into upper storage and its solve are scipy's
+    # upper ones; and the mat-vecs are dia_matrix's
+    expected = all_kernel_results(scipy_results)
+    assert sorted(loaded_results) == sorted(expected)
     for key, value in expected.items():
         assert np.array_equal(loaded_results[key], value), key
     cases = ("J", "E0", "step5", "step20", "Qlo", "Qhi")
     for mesh in KERNEL_MESHES:
-        got, want = (lambda key: loaded_results[f"{mesh}.{key}"]), (lambda key: expected[f"{mesh}.{key}"])
+        got = lambda key: loaded_results[f"{mesh}.{key}"]
         # the cases are the ones meant: definite, indefinite, the step integrate refuses,
         # and Q(s) failing just below the rate and factoring at it
-        assert [want(name + "_info") == 0 for name in cases] == [True, False, True, False, False, True]
-        # eigen's lower factorization fails at the same minor; where it succeeds, its factor
-        # copied into upper storage and its solves are scipy's upper ones
-        for name in cases:
-            eigen_key = f"eigen.{mesh}.{name}"
-            assert loaded_results[eigen_key + "_info"] == want(name + "_info"), eigen_key
-            for part in ("_chol", "_solve"):
-                assert (eigen_key + part in loaded_results) == (want(name + "_info") == 0)
-                if want(name + "_info") == 0:
-                    assert np.array_equal(loaded_results[eigen_key + part], want(name + part)), eigen_key
+        assert [got(name + "_info") == 0 for name in cases] == [True, False, True, False, False, True]
+        assert [f"{mesh}.{name}_chol" in expected for name in cases] == [
+            got(name + "_info") == 0 for name in cases]
         # the stacked product is the three products one after another
         parts = [got(name + "_matvec") for name in ("J", "E1", "E0")]
         assert np.array_equal(got("stack_matvec"), np.concatenate(parts))
@@ -221,6 +225,21 @@ def test_weighted_sum_matches_scipy(a, b, c):
     assert np.array_equal(eigen._band((a, forms.E0), (b, forms.E1), (c, forms.J)), np.array(lower))
 
 
+def test_band_solve_runs_in_place_on_float64_vectors_only():
+    # dpbtrs has one form: it overwrites a contiguous, writeable float64 vector, and
+    # anything it would have to copy or could not write is a ValueError
+    forms = default_forms(*KERNEL_MESHES["order1"])
+    c = eigen._factor(eigen._band((1.0, forms.J)))
+    b = np.linspace(-1.0, 1.0, forms.n)
+    x, info = _kernels.dpbtrs(c, b)
+    assert x is b and info == 0 and np.abs(forms.J @ x - np.linspace(-1.0, 1.0, forms.n)).max() < 1e-12
+    frozen = b.copy()
+    frozen.flags.writeable = False
+    for bad in (list(b), b.astype(np.float32), np.repeat(b, 2)[::2], frozen, b[:-1], b[None]):
+        with pytest.raises(ValueError):
+            _kernels.dpbtrs(c, bad)
+
+
 def test_missing_extension_names_the_scipy_version(monkeypatch, tmp_path):
     # a scipy release that renames or drops a private extension fails loudly at import
     monkeypatch.setattr(_kernels, "_SCIPY", tmp_path)
@@ -271,20 +290,29 @@ def pipeline_results():
 def test_upper_storage_lapack_reproduces_every_result(monkeypatch):
     # the independent oracle: every module's band builder, factor and solve swapped for
     # scipy's LAPACK (its own OpenBLAS) on upper band storage summed from the top rows,
-    # the arithmetic of factoring in upper storage throughout, moves no bit
+    # the arithmetic of factoring in upper storage throughout, moves no bit; the
+    # families (dispersion._q_factor, bottom_eig's factor_at) read the swapped names
+    # at call time, so each module's own swap is the one that factors
     from scipy.linalg import lapack
 
-    def factor(ab):
-        c, info = lapack.dpbtrf(ab, lower=0)
-        return c if info == 0 else None
+    factored_in = set()
+
+    def factor_in(module):
+        def factor(ab):
+            factored_in.add(module.__name__)
+            c, info = lapack.dpbtrf(ab, lower=0)
+            return c if info == 0 else None
+        return factor
 
     package = pipeline_results()
-    swaps = {"_band": upper_band, "_factor": factor, "_solve": lambda c, b: lapack.dpbtrs(c, b)[0]}
-    for module in (eigen, dispersion, evolution, verify):
+    for module in (eigen, dispersion, evolution):
+        swaps = {"_band": upper_band, "_factor": factor_in(module),
+                 "_solve": lambda c, b: lapack.dpbtrs(c, b)[0]}
         for name, oracle in swaps.items():
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, oracle)
     oracle = pipeline_results()
+    assert factored_in == {"rtmodes.eigen", "rtmodes.dispersion", "rtmodes.evolution"}
     assert sorted(oracle) == sorted(package) and len(package) > 20
     for key, value in oracle.items():
         assert np.array_equal(package[key], value), key

@@ -7,10 +7,12 @@ battery at 16 elements per side and requires that row to read FAIL
 """
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
-from rtmodes import cli, verify
+from rtmodes import cli, dispersion, verify
 from rtmodes.config import load_config
 from rtmodes.dispersion import Stable
 from rtmodes.forms import Band
@@ -79,6 +81,31 @@ def test_battery_integrates_at_most_30_steps(monkeypatch):
     monkeypatch.setattr(verify, "integrate", counted)
     battery()
     assert 0 < sum(steps) <= 30
+
+
+def test_battery_holds_no_finished_pencil_through_its_sweep(monkeypatch):
+    # every FormSet the battery assembles itself (verify.assemble) or through a
+    # mode's forms (dispersion.assemble) is dead by the time the sweep starts
+    made, swept = [], []
+
+    def recording(build):
+        def assemble(*args, **kwargs):
+            forms = build(*args, **kwargs)
+            made.append(weakref.ref(forms))
+            return forms
+        return assemble
+
+    def checked(*args, **kwargs):
+        gc.collect()
+        swept.append(sum(ref() is not None for ref in made))     # pencils still alive
+        return sweep(*args, **kwargs)
+
+    sweep = verify.sweep
+    monkeypatch.setattr(verify, "assemble", recording(verify.assemble))
+    monkeypatch.setattr(dispersion, "assemble", recording(dispersion.assemble))
+    monkeypatch.setattr(verify, "sweep", checked)
+    battery()
+    assert len(made) > 10 and swept == [0]
 
 
 def test_two_sample_sweep_setting_does_not_size_the_battery(tmp_path, capsys):
