@@ -1,9 +1,11 @@
 """Command-line interface: one config file drives every subcommand.
 
 Each handler returns ``(exit_code, headline)``; :func:`main` writes every
-subcommand's ``run.json`` from the config and that headline.  A run that
-fails with exit code 2 or 3 once ``output.dir`` exists writes one too, with
-its ``exit_code`` and the error's class and message in place of the headline.
+subcommand's ``run.json`` from the config and that headline, to which it adds
+``factorizations``: the banded Cholesky factorizations the handler made, as
+counted by :data:`rtmodes.eigen.counters`.  A run that fails with exit code
+2 or 3 once ``output.dir`` exists writes one too, with its ``exit_code`` and
+the error's class and message in place of the headline.
 Each warning raised during a run is printed as one ``warning: <message>``
 line and listed under ``warnings`` in ``run.json`` (absent when none is).
 
@@ -28,6 +30,7 @@ import numpy as np
 from . import __version__
 from .config import key_help, load_config
 from .dispersion import Stable, growth_rate, lattice_modes, sweep
+from .eigen import counters
 from .errors import ConfigurationError, DomainError, LayoutError, RangeError, SolverError, storable
 from .forms import assemble
 from .profile import by_side, verify_hydrostatic
@@ -145,8 +148,7 @@ def _cmd_mode(config, args):
     r = growth_rate(profile, mesh, xi)
     if isinstance(r, Stable):
         print(f"stable at |xi| = {xi}: {r.reason}")
-        return 0, {"xi": xi, "stable": 1, "stable_reason": r.reason,
-                   "factorizations": r.factorizations}
+        return 0, {"xi": xi, "stable": 1, "stable_reason": r.reason}
     out = Path(config["output.dir"]) / (args.out or "mode.csv")
     _write_rows(out, "x3,phi,psi", zip(mesh.nodes, r.phi, r.psi))
     ode_residual = r.ode_residual     # computed on each read
@@ -155,7 +157,7 @@ def _cmd_mode(config, args):
         "xi": xi, "lambda": r.lam, "s_star": r.lam, "psi0": r.psi0,
         "fixed_point_residual": r.fixed_point_residual,
         "ode_residual": ode_residual if math.isfinite(ode_residual) else None,
-        "factorizations": r.factorizations, "bracket_rel_max": r.bracket_rel,
+        "bracket_rel_max": r.bracket_rel,
     }
 
 
@@ -172,8 +174,7 @@ def _cmd_dispersion(config, args):
         "Lambda": curve.Lambda, "argmax_xi": curve.argmax_xi,
         "fit_correction": curve.fit_correction,
         "endpoint_lambda_lo": curve.lam[0], "endpoint_lambda_hi": curve.lam[-1],
-        "factorizations": curve.factorizations, "bracket_rel_max": curve.bracket_rel_max,
-        "stable_count": curve.stable_count,
+        "bracket_rel_max": curve.bracket_rel_max, "stable_count": curve.stable_count,
     }
 
 
@@ -365,7 +366,9 @@ def main(argv=None):
             loaded = load_config(args.config, args.set + flags)
             _make_dir(loaded["output.dir"], "output.dir")
             config = loaded
+            counters.clear()
             code, headline = _HANDLERS[args.command](config, args)
+            headline["factorizations"] = counters["factorizations"]
         except (ConfigurationError, DomainError, RangeError, LayoutError, SolverError) as exc:
             code = _report(exc)
             headline = {"exit_code": code, "error": type(exc).__name__, "message": str(exc)}

@@ -1,11 +1,12 @@
 """Flat `section.key = value` run configuration.
 
 One file drives every subcommand.  Unknown keys are errors (no silent
-typos); values are typed per the registry below.  `#` starts a comment,
-blank lines are ignored.  :meth:`RunConfig.config_hash` is a 16-hex-digit
-id of the values, from ``zlib``'s CRC-32 and Adler-32 (``zlib`` is loaded
-with the interpreter; ``hashlib`` would map OpenSSL's libcrypto into every
-run).
+typos); values are typed per the registry :data:`KEYS`, which states each
+key's rule once: validation checks it and ``--help`` prints it.  `#` starts
+a comment, blank lines are ignored.  :meth:`RunConfig.config_hash` is a
+16-hex-digit id of the values, from ``zlib``'s CRC-32 and Adler-32 (``zlib``
+is loaded with the interpreter; ``hashlib`` would map OpenSSL's libcrypto
+into every run).
 """
 
 import math
@@ -15,56 +16,70 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eos import PressureLaw
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .mesh import Mesh
 from .profile import FluidViscosity, SlabGeometry, ViscosityLaw, build_profile
 
-# key -> (type, default, help); defaults of None mean "derived or required"
+# key -> (type, default, rule, help); a default of None means "derived or
+# required", and a rule is what _validate checks and key_help prints
+_RULES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
+          ">= 2": lambda v: v >= 2, "1 or 2": lambda v: v in (1, 2)}
 KEYS = {
-    "geometry.m": (float, 1.0, "lower slab depth m > 0"),
-    "geometry.ell": (float, 1.0, "upper slab depth ell > 0"),
-    "geometry.g": (float, 1.0, "gravitational acceleration > 0"),
-    "geometry.sigma": (float, 0.1, "surface tension coefficient >= 0"),
-    "geometry.L": (float, None, "horizontal period scale (period 2*pi*L) of lattices and "
-                               "periodic synthesis; optional (lattice --L)"),
-    "fluid.lower.law": (str, "polytropic", "pressure law kind: polytropic | tabulated"),
-    "fluid.lower.K": (float, 2.0, "polytropic pressure scale K > 0"),
-    "fluid.lower.gamma": (float, 1.0, "polytropic adiabatic exponent >= 1"),
-    "fluid.lower.table": (str, None, "CSV path (header rho,P) for tabulated law"),
-    "fluid.lower.rho0": (float, 1.0, "lower-fluid density at the interface"),
-    "fluid.upper.law": (str, "polytropic", "pressure law kind: polytropic | tabulated"),
-    "fluid.upper.K": (float, 1.0, "polytropic pressure scale K > 0"),
-    "fluid.upper.gamma": (float, 1.0, "polytropic adiabatic exponent >= 1"),
-    "fluid.upper.table": (str, None, "CSV path (header rho,P) for tabulated law"),
-    "viscosity.lower.eps": (float, 0.1, "shear viscosity eps = c rho^p: coefficient c > 0"),
-    "viscosity.lower.eps_power": (float, 0.0, "shear viscosity exponent p (0: constant eps = c)"),
-    "viscosity.lower.delta": (float, 0.0, "bulk viscosity delta = c rho^p: coefficient c >= 0"),
-    "viscosity.lower.delta_power": (float, 0.0, "bulk viscosity exponent p (0: constant delta = c)"),
-    "viscosity.upper.eps": (float, 0.1, "shear viscosity eps = c rho^p: coefficient c > 0"),
-    "viscosity.upper.eps_power": (float, 0.0, "shear viscosity exponent p (0: constant eps = c)"),
-    "viscosity.upper.delta": (float, 0.0, "bulk viscosity delta = c rho^p: coefficient c >= 0"),
-    "viscosity.upper.delta_power": (float, 0.0, "bulk viscosity exponent p (0: constant delta = c)"),
-    "mesh.elements_per_side": (int, 256, "uniform elements on each side of the interface"),
-    "mesh.order": (int, 2, "element order: 1 or 2"),
-    "sweep.n": (int, 48, "log-spaced frequency samples in a dispersion sweep (dispersion --n)"),
-    "sweep.xi_min": (float, None, "lowest frequency (default 0.02 xi_c)"),
-    "sweep.xi_max": (float, None, "highest frequency (default 0.98 xi_c)"),
-    "lattice.xi_max": (float, None, "frequency cap > 0: lattices keep |xi| < min(xi_c, xi_max); "
-                                    "required by sigma = 0"),
-    "mode.xi": (float, 1.0, "frequency magnitude for single-mode solves (mode --xi)"),
-    "synthesis.f.a": (float, None, "bump support lower edge (default 0.3 xi_c)"),
-    "synthesis.f.b": (float, None, "bump support upper edge (default 0.7 xi_c)"),
-    "synthesis.radial_nodes": (int, 16, "Gauss-Legendre radial quadrature nodes "
-                                        "(the angular integral is exact: Bessel J0, J1)"),
-    "synthesis.grid.nx": (int, 8, "sample grid points along x1"),
-    "synthesis.grid.ny": (int, 8, "sample grid points along x2"),
-    "synthesis.grid.nz": (int, 9, "sample grid points along x3"),
-    "synthesis.grid.extent": (float, None, "horizontal half-width (default pi / f.a; periodic: 2 pi L)"),
-    "evolve.xi": (float, None, "frequency for evolution runs (evolve --xi; default min(1, xi_c / 2))"),
-    "evolve.T": (float, None, "time horizon (evolve --T; default 5 / lambda)"),
-    "evolve.dt": (float, None, "time step, below 2 / lambda "
-                               "(evolve --dt; default min(1e-2, 1e-2 / lambda))"),
-    "output.dir": (str, ".", "artifact output directory"),
+    "geometry.m": (float, 1.0, "> 0", "lower slab depth m"),
+    "geometry.ell": (float, 1.0, "> 0", "upper slab depth ell"),
+    "geometry.g": (float, 1.0, "> 0", "gravitational acceleration"),
+    "geometry.sigma": (float, 0.1, ">= 0", "surface tension coefficient"),
+    "geometry.L": (float, None, "> 0", "horizontal period scale (period 2*pi*L) of lattices and "
+                                      "periodic synthesis; optional (lattice --L)"),
+    "fluid.lower.law": (str, "polytropic", None, "pressure law kind: polytropic | tabulated"),
+    "fluid.lower.K": (float, 2.0, None, "polytropic pressure scale K > 0"),
+    "fluid.lower.gamma": (float, 1.0, None, "polytropic adiabatic exponent >= 1"),
+    "fluid.lower.table": (str, None, None, "CSV path (header rho,P) for tabulated law"),
+    "fluid.lower.rho0": (float, 1.0, "> 0", "lower-fluid density at the interface"),
+    "fluid.upper.law": (str, "polytropic", None, "pressure law kind: polytropic | tabulated"),
+    "fluid.upper.K": (float, 1.0, None, "polytropic pressure scale K > 0"),
+    "fluid.upper.gamma": (float, 1.0, None, "polytropic adiabatic exponent >= 1"),
+    "fluid.upper.table": (str, None, None, "CSV path (header rho,P) for tabulated law"),
+    "viscosity.lower.eps": (float, 0.1, "> 0", "shear viscosity eps = c rho^p: coefficient c"),
+    "viscosity.lower.eps_power": (float, 0.0, None,
+                                  "shear viscosity exponent p (0: constant eps = c)"),
+    "viscosity.lower.delta": (float, 0.0, ">= 0", "bulk viscosity delta = c rho^p: coefficient c"),
+    "viscosity.lower.delta_power": (float, 0.0, None,
+                                    "bulk viscosity exponent p (0: constant delta = c)"),
+    "viscosity.upper.eps": (float, 0.1, "> 0", "shear viscosity eps = c rho^p: coefficient c"),
+    "viscosity.upper.eps_power": (float, 0.0, None,
+                                  "shear viscosity exponent p (0: constant eps = c)"),
+    "viscosity.upper.delta": (float, 0.0, ">= 0", "bulk viscosity delta = c rho^p: coefficient c"),
+    "viscosity.upper.delta_power": (float, 0.0, None,
+                                    "bulk viscosity exponent p (0: constant delta = c)"),
+    "mesh.elements_per_side": (int, 256, ">= 2", "uniform elements on each side of the interface"),
+    "mesh.order": (int, 2, "1 or 2", "element order"),
+    "sweep.n": (int, 48, ">= 1", "log-spaced frequency samples in a dispersion sweep "
+                                 "(dispersion --n)"),
+    "sweep.xi_min": (float, None, None, "lowest frequency "
+                                        "(default 0.02 xi_c; 0.02 when sigma = 0)"),
+    "sweep.xi_max": (float, None, None, "highest frequency "
+                                        "(default 0.98 xi_c; 50 when sigma = 0)"),
+    "lattice.xi_max": (float, None, "> 0", "frequency cap: lattices keep |xi| < min(xi_c, xi_max); "
+                                           "required by sigma = 0"),
+    "mode.xi": (float, 1.0, None, "frequency magnitude for single-mode solves (mode --xi)"),
+    "synthesis.f.a": (float, None, None, "bump support lower edge (default 0.3 xi_c; "
+                                         "required when sigma = 0)"),
+    "synthesis.f.b": (float, None, None, "bump support upper edge (default 0.7 xi_c; "
+                                         "required when sigma = 0)"),
+    "synthesis.radial_nodes": (int, 16, ">= 1", "Gauss-Legendre radial quadrature nodes "
+                                               "(the angular integral is exact: Bessel J0, J1)"),
+    "synthesis.grid.nx": (int, 8, ">= 1", "sample grid points along x1"),
+    "synthesis.grid.ny": (int, 8, ">= 1", "sample grid points along x2"),
+    "synthesis.grid.nz": (int, 9, ">= 1", "sample grid points along x3"),
+    "synthesis.grid.extent": (float, None, "> 0", "horizontal half-width "
+                                                 "(default pi / f.a; periodic: 2 pi L)"),
+    "evolve.xi": (float, None, None, "frequency for evolution runs "
+                                     "(evolve --xi; default min(1, xi_c / 2))"),
+    "evolve.T": (float, None, None, "time horizon (evolve --T; default 5 / lambda)"),
+    "evolve.dt": (float, None, None, "time step, below 2 / lambda "
+                                     "(evolve --dt; default min(1e-2, 1e-2 / lambda))"),
+    "output.dir": (str, ".", None, "artifact output directory"),
 }
 
 
@@ -94,7 +109,10 @@ class RunConfig:
     def _law(self, side):
         kind = self[f"fluid.{side}.law"]
         if kind == "polytropic":
-            return PressureLaw.polytropic(self[f"fluid.{side}.K"], self[f"fluid.{side}.gamma"])
+            try:
+                return PressureLaw.polytropic(self[f"fluid.{side}.K"], self[f"fluid.{side}.gamma"])
+            except DomainError as exc:
+                raise ConfigurationError(f"fluid.{side}: {exc}") from exc
         if kind == "tabulated":
             path = self.values.get(f"fluid.{side}.table")
             if not path:
@@ -149,29 +167,9 @@ def _parse_value(key, raw):
 
 
 def _validate(values):
-    if values["geometry.sigma"] < 0:
-        raise ConfigurationError("geometry.sigma must be >= 0")
-    for key in ("geometry.m", "geometry.ell", "geometry.g"):
-        if values[key] <= 0:
-            raise ConfigurationError(f"{key} must be > 0")
-    for key in ("geometry.L", "lattice.xi_max", "synthesis.grid.extent"):
-        if values.get(key) is not None and values[key] <= 0:
-            raise ConfigurationError(f"{key} must be > 0")
-    if values["mesh.order"] not in (1, 2):
-        raise ConfigurationError("mesh.order must be 1 or 2")
-    if values["mesh.elements_per_side"] < 2:
-        raise ConfigurationError("mesh.elements_per_side must be >= 2")
-    for key in ("sweep.n", "synthesis.radial_nodes",
-                "synthesis.grid.nx", "synthesis.grid.ny", "synthesis.grid.nz"):
-        if values[key] < 1:
-            raise ConfigurationError(f"{key} must be >= 1")
-    for side in ("lower", "upper"):
-        if values[f"viscosity.{side}.eps"] <= 0:
-            raise ConfigurationError(f"viscosity.{side}.eps must be > 0")
-        if values[f"viscosity.{side}.delta"] < 0:
-            raise ConfigurationError(f"viscosity.{side}.delta must be >= 0")
-    if values["fluid.lower.rho0"] <= 0:
-        raise ConfigurationError("fluid.lower.rho0 must be > 0")
+    for key, (_, _, rule, _) in KEYS.items():
+        if rule is not None and values[key] is not None and not _RULES[rule](values[key]):
+            raise ConfigurationError(f"{key} must be {rule}")
 
 
 def load_config(path=None, overrides=()):
@@ -179,7 +177,7 @@ def load_config(path=None, overrides=()):
 
     ``overrides`` are `key=value` strings applied after the file.
     """
-    values = {k: d for k, (_, d, _) in KEYS.items()}
+    values = {k: d for k, (_, d, _, _) in KEYS.items()}
     text = ""
     if path is not None:
         try:
@@ -211,7 +209,8 @@ def load_config(path=None, overrides=()):
 def key_help():
     """One line per configuration key, for --help output."""
     lines = []
-    for key, (typ, default, doc) in KEYS.items():
+    for key, (typ, default, rule, doc) in KEYS.items():
+        r = "" if rule is None else f"; must be {rule}"
         d = "" if default is None else f" (default {default})"
-        lines.append(f"  {key} <{typ.__name__}>: {doc}{d}")
+        lines.append(f"  {key} <{typ.__name__}>: {doc}{r}{d}")
     return "\n".join(lines)

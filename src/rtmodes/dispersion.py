@@ -19,7 +19,8 @@ from the last ones (:func:`_rates_along`), its lower end p(x) of the last
 minimizer and its first trial just above an interpolated guess.  Every end
 of a warm bracket is certified as a cold one is, so the rates agree with
 cold solves to the resolution of the inertia test, with about 40% fewer
-factorizations.
+factorizations.  No result here counts them: :mod:`eigen` counts every
+factorization where it is made.
 """
 
 import math
@@ -43,7 +44,6 @@ class Stable:
 
     xi: float
     reason: str
-    factorizations: int = 0
     bracket_rel = 0.0           # no bracket: no rate was refined
 
 
@@ -66,7 +66,6 @@ class ModeSolution:
     psi0: float
     fixed_point_residual: float
     bracket: tuple                # certified (lo, hi) around lambda; lam = hi factors
-    factorizations: int           # banded Cholesky factorizations of Q(s)
     minimizer: np.ndarray = field(repr=False)
     profile: object = field(repr=False)
     mesh: object = field(repr=False)
@@ -145,16 +144,14 @@ def growth_rate(profile, mesh, xi_mag, start=None):
         guess, x = start[0], _normalize(forms, start[1])
         s_lo = max(s_lo, rayleigh(x))
 
-    count = 0
     if s_lo == _S_LO:       # nothing proves lambda > 1e-8 yet
-        count += 1
         if _q_factor(forms, _S_LO) is not None:
             warnings.warn(
                 "Q(%g) is positive definite at xi = %g: either the growth rate is below %g "
                 "or the mesh is too coarse to resolve the mode" % (_S_LO, xi_mag, _S_LO),
                 RuntimeWarning,
             )
-            return Stable(xi_mag, "modified energy nonnegative as s -> 0", factorizations=count)
+            return Stable(xi_mag, "modified energy nonnegative as s -> 0")
 
     s_hi = 2.0 * math.sqrt(forms.g * xi_mag)
     trial = max(guess, s_lo)
@@ -163,13 +160,12 @@ def growth_rate(profile, mesh, xi_mag, start=None):
         trial += step
         trial = trial if trial < s_hi else s_hi     # a cold start's inf and a nan guess too
         factor = _q_factor(forms, trial)
-        count += 1
         if factor is not None:
             break
         if trial == s_hi:
             raise SolverError("Q(s) is not definite at s = 2 sqrt(g |xi|)", {"xi": xi_mag})
         s_lo, step = trial, 4.0 * step      # a failed trial is a certified lower end
-    lam, s_lo, x, refined = _refine(forms, lambda s: _q_factor(forms, s), trial, factor, s_lo, rayleigh, x)
+    lam, s_lo, x = _refine(forms, lambda s: _q_factor(forms, s), trial, factor, s_lo, rayleigh, x)
     mu = float(x @ (forms.E0 @ x)) + lam * float(x @ (forms.E1 @ x))
     phi, psi = forms.to_nodal(x)
     return ModeSolution(
@@ -180,7 +176,6 @@ def growth_rate(profile, mesh, xi_mag, start=None):
         psi0=forms.psi_trace(x),
         fixed_point_residual=abs(lam - math.sqrt(max(-mu, 0.0))),
         bracket=(s_lo, lam),
-        factorizations=count + refined,
         minimizer=x,
         profile=profile,
         mesh=mesh,
@@ -233,7 +228,6 @@ class DispersionCurve:
     Lambda: float
     argmax_xi: float
     fit_correction: float      # Lambda minus the best sampled rate
-    factorizations: int        # banded Cholesky factorizations over every solved rate
     bracket_rel_max: float     # widest certified rate bracket, relative to its rate
     stable_count: int          # samples found Stable, recorded as 0.0 rows
     argmax_mode: ModeSolution | None = field(repr=False, default=None)
@@ -288,7 +282,6 @@ def sweep(profile, mesh, xi_min, xi_max, n=48):
     return DispersionCurve(
         xi=xi_s, lam=lam_s, psi0=psi0_s, residual=res_s,
         Lambda=Lambda, argmax_xi=argmax_xi, fit_correction=fit_correction,
-        factorizations=sum(r.factorizations for r in solved),
         bracket_rel_max=max(r.bracket_rel for r in solved),
         stable_count=stable_count,
         argmax_mode=argmax_mode,

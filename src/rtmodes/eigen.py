@@ -9,7 +9,10 @@ sums every band it factors, in the caller's order, in LAPACK's lower band
 storage (the bottom rows of each :class:`rtmodes.forms.Band`), which
 ``dpbtrf`` of numpy's OpenBLAS (:mod:`rtmodes._kernels`) factors at unit
 stride.  :func:`_factor` returns L^T, the bits of the upper factor, in upper
-storage for ``dpbtrs``: the lower solve sums in another order.  The
+storage for ``dpbtrs``: the lower solve sums in another order.  It is also
+where a factorization is counted: each call, definite or not, adds one to
+``counters["factorizations"]``, which :func:`rtmodes.cli.main` clears before
+a run and writes to its ``run.json``, so no result carries a count.  The
 family Q(s) = E0 + s E1 + s^2 J is :mod:`dispersion`'s; :mod:`evolution`'s
 step matrix (dt^2/2) Q(2/dt) factors exactly when dt < 2/lambda.
 
@@ -22,6 +25,7 @@ factorization per round, placed near that bound, then moves whichever end
 it proves.
 """
 
+import collections
 import math
 from dataclasses import dataclass
 
@@ -31,6 +35,7 @@ from ._kernels import dpbtrf, dpbtrs
 from .errors import DomainError, SolverError
 from .forms import Band
 
+counters = collections.Counter()    # "factorizations": every _factor call
 DENSE_CUTOFF = 900  # read by the benchmark's tracer; no solver branches on it
 # bracket stop: relative width plus an absolute floor, since near a zero
 # eigenvalue a pure relative stop drives the ends into denormals
@@ -58,8 +63,7 @@ def _normalize(forms, x):
     x = x / np.sqrt(norm_sq)
     anchor = x[forms.psi0_dof]
     if anchor == 0.0:
-        nz = np.flatnonzero(x)
-        anchor = x[nz[0]] if nz.size else 1.0
+        anchor = x[np.flatnonzero(x)[0]]    # x != 0, since x^T J x > 0
     return x if anchor > 0 else -x
 
 
@@ -74,6 +78,7 @@ def _band(*terms):
 
 def _factor(ab):
     """Cholesky factor of the lower band ab (left intact), in upper storage; None if not definite."""
+    counters["factorizations"] += 1
     c, info = dpbtrf(ab)
     if info != 0:
         return None
@@ -97,11 +102,10 @@ def _refine(forms, factor_at, good, factor, bound, bound_of, x):
     moves ``bound`` to ``bound_of(x)`` when that is closer, and tries one
     factorization a fraction theta of the width past ``bound``: success
     moves ``good`` there and shrinks theta, failure moves ``bound`` there and
-    grows it (to at most 1/2).  Returns (good, bound, x, factorizations), x
-    being the J-normalized iterate of the last factor.
+    grows it (to at most 1/2).  Returns (good, bound, x), x being the
+    J-normalized iterate of the last factor.
     """
     theta = _THETA_START
-    count = 0
     while True:
         x = _normalize(forms, _solve(factor, forms.J @ x))
         t = bound_of(x)
@@ -109,10 +113,9 @@ def _refine(forms, factor_at, good, factor, bound, bound_of, x):
             # a bound past the definite end is roundoff at the threshold
             bound = t if (good - t) * (good - bound) > 0 else good
         if abs(good - bound) <= _WIDTH_RTOL * (abs(good) + abs(bound)) + _WIDTH_ATOL:
-            return good, bound, x, count
+            return good, bound, x
         t = bound + theta * (good - bound)
         f = factor_at(t)
-        count += 1
         if f is None:
             bound, theta = t, min(0.5, theta * _THETA_STEP)
         else:
@@ -139,7 +142,7 @@ def bottom_eig(forms, a, b, c):
     if factor is None:
         raise SolverError("no definite shift below the spectrum", {"n": forms.n, "shift": lo})
     x = _normalize(forms, np.ones(forms.n))
-    _, _, x, _ = _refine(forms, factor_at, lo, factor, rayleigh(x), rayleigh, x)
+    _, _, x = _refine(forms, factor_at, lo, factor, rayleigh(x), rayleigh, x)
     mu = rayleigh(x)
     r = A @ x - mu * (forms.J @ x)
     return EigenResult(mu, x, math.sqrt(r @ r) / math.sqrt(x @ x))

@@ -85,6 +85,40 @@ def test_invalid_values_name_keys(cfg_path):
             load_config(cfg_path, overrides=[f"geometry.g={raw}"])
 
 
+# every rule _validate checks, broken at its boundary, with the message it has
+# always given; the boundary value itself passes
+@pytest.mark.parametrize("bad, good, message", [
+    ("geometry.m=0", "geometry.m=1e-300", "geometry.m must be > 0"),
+    ("geometry.ell=0", "geometry.ell=1e-300", "geometry.ell must be > 0"),
+    ("geometry.g=0", "geometry.g=1e-300", "geometry.g must be > 0"),
+    ("geometry.sigma=-1e-300", "geometry.sigma=0", "geometry.sigma must be >= 0"),
+    ("geometry.L=0", "geometry.L=1e-300", "geometry.L must be > 0"),
+    ("fluid.lower.rho0=0", "fluid.lower.rho0=1e-300", "fluid.lower.rho0 must be > 0"),
+    ("viscosity.lower.eps=0", "viscosity.lower.eps=1e-300", "viscosity.lower.eps must be > 0"),
+    ("viscosity.lower.delta=-1e-300", "viscosity.lower.delta=0",
+     "viscosity.lower.delta must be >= 0"),
+    ("viscosity.upper.eps=0", "viscosity.upper.eps=1e-300", "viscosity.upper.eps must be > 0"),
+    ("viscosity.upper.delta=-1e-300", "viscosity.upper.delta=0",
+     "viscosity.upper.delta must be >= 0"),
+    ("mesh.elements_per_side=1", "mesh.elements_per_side=2",
+     "mesh.elements_per_side must be >= 2"),
+    ("mesh.order=3", "mesh.order=1", "mesh.order must be 1 or 2"),
+    ("sweep.n=0", "sweep.n=1", "sweep.n must be >= 1"),
+    ("lattice.xi_max=0", "lattice.xi_max=1e-300", "lattice.xi_max must be > 0"),
+    ("synthesis.radial_nodes=0", "synthesis.radial_nodes=1", "synthesis.radial_nodes must be >= 1"),
+    ("synthesis.grid.nx=0", "synthesis.grid.nx=1", "synthesis.grid.nx must be >= 1"),
+    ("synthesis.grid.ny=0", "synthesis.grid.ny=1", "synthesis.grid.ny must be >= 1"),
+    ("synthesis.grid.nz=0", "synthesis.grid.nz=1", "synthesis.grid.nz must be >= 1"),
+    ("synthesis.grid.extent=0", "synthesis.grid.extent=1e-300",
+     "synthesis.grid.extent must be > 0"),
+], ids=lambda v: v.split("=")[0] if "=" in v else "")
+def test_each_rule_keeps_its_message(bad, good, message):
+    with pytest.raises(ConfigurationError) as info:
+        load_config(None, [bad])
+    assert str(info.value) == message
+    load_config(None, [good])
+
+
 def test_viscosity_exponent_alone_selects_the_power_law(cfg_path):
     prof = load_config(cfg_path, overrides=["viscosity.lower.eps_power=2"]).profile()
     f = prof.fields(np.array([-0.5, 0.5]))
@@ -110,6 +144,34 @@ def test_key_help_covers_registry():
     text = key_help()
     for key in KEYS:
         assert key in text
+
+
+def _help_lines():
+    """key -> the rest of its key_help line."""
+    return dict(line.strip().split(" ", 1) for line in key_help().splitlines())
+
+
+def test_key_help_prints_each_rule_from_keys():
+    # the rule is stated once, in KEYS: --help prints it and no help text repeats it
+    lines = _help_lines()
+    for key, (_, _, rule, doc) in KEYS.items():
+        assert ("must be" in lines[key]) == (rule is not None), key
+        if rule is not None:
+            assert f"; must be {rule}" in lines[key] and rule not in doc, key
+
+
+def test_key_help_states_the_sigma_zero_defaults():
+    # at sigma = 0, xi_c is inf: the sweep falls back to [0.02, 50] and the bump
+    # needs both edges, and --help says so
+    lines = _help_lines()
+    assert "0.02 when sigma = 0" in lines["sweep.xi_min"]
+    assert "50 when sigma = 0" in lines["sweep.xi_max"]
+    assert all("required when sigma = 0" in lines[f"synthesis.f.{e}"] for e in "ab")
+    config = load_config(None, ["geometry.sigma=0", "mesh.elements_per_side=2"])
+    xi_c = config.profile().xi_c
+    assert config.sweep_range(xi_c) == (0.02, 50.0)
+    with pytest.raises(ConfigurationError, match="pass a, b"):
+        rt.BumpProfile.default(xi_c, 1.0)
 
 
 def test_cli_help_documents_keys(capsys):
@@ -138,9 +200,17 @@ def _table(name):
       "--set", "synthesis.radial_nodes=2"], "cannot write {tmp}/o2/fields: [Errno 17] File exists"),
     (["profile", "--set", "output.dir={tmp}/o3"],
      "cannot write {tmp}/o3/run.json: [Errno 21] Is a directory"),
+    (["mode", "--set", "fluid.lower.law=tabulated"],
+     "fluid.lower.table is required for tabulated laws"),
+    (["mode", "--set", "fluid.upper.law=ideal"],
+     "fluid.upper.law must be polytropic or tabulated, got 'ideal'"),
+    (["mode", "--config", "{tmp}/noeq.cfg"], "line 2: expected key = value, got 'geometry.m 2'"),
+    (["mode", "--set", "geometry.m"], "override 'geometry.m' is not key=value"),
 ], ids=["missing config", "missing table", "table is a directory", "table without P",
         "empty table", "non-numeric table cell", "output.dir is a file",
-        "--out is a directory", "fields is a file", "run.json is a directory"])
+        "--out is a directory", "fields is a file", "run.json is a directory",
+        "tabulated law without a table", "unknown law", "config line without =",
+        "override without ="])
 def test_bad_file_input_exits_2_without_traceback(cfg_path, tmp_path, capsys, argv, message):
     (tmp_path / "adir").mkdir()
     (tmp_path / "noP.csv").write_text("rho,Q\n0.5,1.0\n1.0,2.0\n")
@@ -151,6 +221,7 @@ def test_bad_file_input_exits_2_without_traceback(cfg_path, tmp_path, capsys, ar
     (tmp_path / "o2").mkdir()
     (tmp_path / "o2" / "fields").write_text("")
     (tmp_path / "o3" / "run.json").mkdir(parents=True)
+    (tmp_path / "noeq.cfg").write_text("geometry.g = 1\ngeometry.m 2\n")
     # main records numpy's "Empty input file" warning; it does not reach pytest
     code = main([argv[0], "--config", str(cfg_path), *(a.format(tmp=tmp_path) for a in argv[1:])])
     err = capsys.readouterr().err
@@ -409,6 +480,13 @@ class TestCliRuns:
     def test_inadmissible_gamma_exits_2(self, cfg_path, capsys):
         assert main(["mode", "--config", str(cfg_path), "--set", "fluid.lower.gamma=0.5"]) == 2
         assert "gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_polytropic_law_errors_name_their_fluid(self, cfg_path, capsys, side):
+        for item, message in ((f"fluid.{side}.K=-1", "polytropic pressure scale K must be > 0"),
+                              (f"fluid.{side}.gamma=0.5", "adiabatic exponent gamma must be >= 1")):
+            assert main(["mode", "--config", str(cfg_path), "--set", item]) == 2
+            assert capsys.readouterr().err == f"configuration error: fluid.{side}: {message}\n"
 
     def test_removed_keys_exit_2(self, cfg_path, capsys):
         # the Gauss rule has three points and the bump a unit amplitude: neither is a key

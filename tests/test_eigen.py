@@ -89,6 +89,17 @@ def test_factorizations_per_bottom_eig(forms_xi1, monkeypatch):
         assert len(calls) <= 15
 
 
+def test_normalize_signs_by_the_first_nonzero_entry_where_psi0_vanishes(forms_xi1):
+    # the sign convention is psi(0) > 0; an iterate with psi(0) = 0 takes its sign
+    # from its first nonzero entry instead
+    x = -np.arange(1.0, forms_xi1.n + 1)
+    x[forms_xi1.psi0_dof] = 0.0
+    y = eigen._normalize(forms_xi1, x)
+    assert y[forms_xi1.psi0_dof] == 0.0 and y[np.flatnonzero(y)[0]] > 0
+    assert np.array_equal(np.sign(y), -np.sign(x))
+    assert float(y @ (forms_xi1.J @ y)) == pytest.approx(1.0, rel=1e-14)
+
+
 def test_negative_s_rejected(forms_xi1):
     with pytest.raises(DomainError):
         rt.smallest_eig(forms_xi1, -0.1)

@@ -81,6 +81,21 @@ def test_admissible_isothermal():
     assert not rt.admissible(k1, k2, 1.0)
 
 
+def test_admissible_needs_the_lower_pressure_in_the_upper_image():
+    # the upper table spans P in [0.5, 1.5]: P_-(1) = 2 lies outside it, so no rho+
+    # matches the interface pressure, while P_-(1) = 1.2 > P_+(1) = 1 does
+    rho = np.linspace(0.5, 1.5, 6)
+    upper = rt.PressureLaw.tabulated(rho, rho)
+    assert not rt.admissible(rt.PressureLaw.polytropic(2, 1), upper, 1.0)
+    assert rt.admissible(rt.PressureLaw.polytropic(1.2, 1), upper, 1.0)
+
+
+def test_laws_print_their_parameters():
+    assert repr(rt.PressureLaw.polytropic(2, 1.4)) == "PressureLaw.polytropic(K=2.0, gamma=1.4)"
+    law = rt.PressureLaw.tabulated([0.5, 1.0, 2.0], [1.0, 2.0, 4.0])
+    assert repr(law) == "PressureLaw.tabulated(<0.5..2.0>)"
+
+
 def test_admissible_unequal_gamma():
     # gamma- = 2 > gamma+ = 1, K = 1 both: admissible iff rho > (K+/K-)^{1/(g- - g+)} = 1
     lower = rt.PressureLaw.polytropic(1, 2)
@@ -231,6 +246,12 @@ class TestTabulated:
         samples[column][-1] = bad
         with pytest.raises(DomainError, match="finite"):
             rt.PressureLaw.tabulated(samples["rho"], samples["P"])
+
+    def test_rejects_a_vanishing_slope(self):
+        # strictly increasing samples whose PCHIP slope collapses at the middle knot
+        # (a rise of 1e-14 beside one of 1) fall below the derivative floor
+        with pytest.raises(DomainError, match="vanishing dP/drho"):
+            rt.PressureLaw.tabulated([1.0, 2.0, 3.0], [1.0, 1.0 + 1e-14, 2.0])
 
     def test_law_does_not_alias_its_samples(self):
         rho = np.linspace(0.5, 4.0, 8)

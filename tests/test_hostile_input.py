@@ -55,7 +55,7 @@ READERS = {
 }
 # the profile's keys (geometry, fluid and viscosity) are read by every subcommand
 ERRORS = (ConfigurationError, DomainError, LayoutError, RangeError, SolverError)  # exit 2 or 3
-NUMERIC = [key for key, (typ, _, _) in KEYS.items() if typ in (int, float)]
+NUMERIC = [key for key, (typ, *_) in KEYS.items() if typ in (int, float)]
 
 
 def _readers(key):

@@ -311,3 +311,75 @@ def test_bench_selftest_passes():
     out = subprocess.run([sys.executable, "bench/selftest.py"], capture_output=True, text=True,
                          cwd=root)
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+def _functions(path):
+    """(name, node) of every function defined in the module at ``path``."""
+    tree = ast.parse(path.read_text())
+    return [(node.name, node) for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+
+def test_factorizations_are_counted_only_where_they_are_made():
+    # one owner per reported fact: eigen._factor counts every factorization and
+    # cli.main reports the count; no result class, CLI handler or second tally
+    # carries one
+    package = Path(rtmodes.__file__).resolve().parent
+    touches, declared = set(), []
+    for path in sorted(package.glob("*.py")):
+        for name, func in _functions(path):
+            for node in ast.walk(func):
+                if getattr(node, "id", getattr(node, "attr", None)) == "counters":
+                    touches.add((path.name, name))
+                if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Subscript):
+                    assert getattr(node.target.value, "id", None) != "counters" or (
+                        (path.name, name) == ("eigen.py", "_factor")), (path.name, name)
+        for node in ast.walk(ast.parse(path.read_text())):
+            targets = ([node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else
+                       node.targets if isinstance(node, ast.Assign) else [])
+            declared += [(path.name, node.lineno) for t in targets
+                         if getattr(t, "id", getattr(t, "attr", None)) == "factorizations"]
+            if isinstance(node, ast.keyword) and node.arg == "factorizations":
+                declared.append((path.name, node.value.lineno))
+    assert touches == {("eigen.py", "_factor"), ("cli.py", "main")}
+    assert declared == []
+    for name, func in _functions(package / "cli.py"):
+        if name.startswith("_cmd_"):
+            named = [node for node in ast.walk(func)
+                     if getattr(node, "attr", None) == "factorizations"
+                     or getattr(node, "value", None) == "factorizations"]
+            assert named == [], name
+
+
+def test_validation_names_no_key():
+    # each key's rule is stated once, in KEYS: _validate reads it from there, so
+    # it holds no key (or section) literal of its own
+    from rtmodes.config import KEYS
+
+    sections = {key.split(".")[0] for key in KEYS}
+    package = Path(rtmodes.__file__).resolve().parent
+    (func,) = [f for name, f in _functions(package / "config.py") if name == "_validate"]
+    literals = [node.value for node in ast.walk(func)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert not [s for s in literals if s in KEYS or s.split(".")[0] in sections]
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--resolution", "16"], ["forms", "--xi", "1"], ["mode"], ["dispersion", "--n", "6"],
+    ["lattice", "--L", "1.3"], ["synthesize"], ["evolve", "--T", "1"], ["verify"],
+], ids=lambda argv: argv[0])
+def test_run_json_counts_every_band_factorization(tmp_path, monkeypatch, argv):
+    # the count each run.json reports is the number of dpbtrf calls the run made,
+    # failed factorizations included; only profile and forms factor nothing
+    import json
+
+    from rtmodes import eigen
+    from rtmodes.cli import main
+
+    calls = []
+    real = eigen.dpbtrf
+    monkeypatch.setattr(eigen, "dpbtrf", lambda ab: calls.append(1) or real(ab))
+    argv = [*argv, "--set", "mesh.elements_per_side=16", "--set", f"output.dir={tmp_path}"]
+    assert main(argv) == 0
+    meta = json.loads((tmp_path / "run.json").read_text())
+    assert meta["factorizations"] == len(calls)
+    assert (len(calls) > 0) == (argv[0] not in ("profile", "forms"))

@@ -39,6 +39,19 @@ def test_vacuum_error_on_upper_side():
     assert err.value.side == "upper"
 
 
+def test_vacuum_error_on_lower_side():
+    # a tabulated lower law ends at its last sample: K = 2 gives h = 2 ln rho, so
+    # h(rho-) + g m = m must stay below h(4) = 2 ln 4, and a depth m = 10 leaves the table
+    rho = np.linspace(0.5, 4.0, 8)
+    lower = rt.PressureLaw.tabulated(rho, 2.0 * rho)
+    upper = rt.PressureLaw.polytropic(1, 1)
+    ok = rt.build_profile(lower, upper, 1.0, rt.SlabGeometry(m=1, ell=1, g=1))
+    assert ok.rho_plus == pytest.approx(2.0, rel=1e-13)
+    with pytest.raises(VacuumError) as err:
+        rt.build_profile(lower, upper, 1.0, rt.SlabGeometry(m=10, ell=1, g=1))
+    assert err.value.side == "lower" and "lower enthalpy range" in str(err.value)
+
+
 def test_inadmissible_density_rejected():
     k1 = rt.PressureLaw.polytropic(1, 1)
     k2 = rt.PressureLaw.polytropic(2, 1)
