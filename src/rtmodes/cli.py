@@ -1,13 +1,16 @@
 """Command-line interface: one config file drives every subcommand.
 
 Each handler returns ``(exit_code, headline)``; :func:`main` writes every
-subcommand's ``run.json`` from the config and that headline, to which it adds
-``factorizations``: the banded Cholesky factorizations the handler made, as
-counted by :data:`rtmodes.eigen.counters`.  A run that fails with exit code
-2 or 3 once ``output.dir`` exists writes one too, with its ``exit_code`` and
-the error's class and message in place of the headline.
+subcommand's ``run.json`` from the config and that headline or, for a run
+that fails with exit code 2 or 3 once ``output.dir`` exists, its
+``exit_code`` and the error's class and message.  Either way it adds the
+``factorizations`` and ``solves`` counted by :data:`rtmodes.eigen.counters`.
 Each warning raised during a run is printed as one ``warning: <message>``
 line and listed under ``warnings`` in ``run.json`` (absent when none is).
+
+No value is parsed here: a flag that mirrors a configuration key hands its
+text to :func:`rtmodes.config.load_config` as an override after ``--set``,
+and the other numeric flags call :func:`rtmodes.config.parse_value`.
 
 Importing this module loads the layers up to the dispersion sweep; the
 synthesize, evolve and verify handlers import ``synthesis``, ``evolution``
@@ -28,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import key_help, load_config
+from .config import RULES, key_help, load_config, parse_value
 from .dispersion import Stable, growth_rate, lattice_modes, sweep
 from .eigen import counters
 from .errors import ConfigurationError, DomainError, LayoutError, RangeError, SolverError, storable
@@ -38,40 +41,26 @@ from .profile import by_side, verify_hydrostatic
 _FMT = "%.17g"
 
 
-def _finite_float(text):
-    """argparse type: a finite float (nan and inf exit 2 like any bad value)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _value_type(name, typ, rule=None, sep=None):
+    """argparse type of a flag that names no key: parse_value's value held to RULES[rule] (a list
+    of them, split at ``sep``); a bad one is argparse's exit 2."""
+    def parse(text):
+        try:
+            values = [parse_value(name, typ, part) for part in (text.split(sep) if sep else [text])]
+        except ConfigurationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if rule is not None and not all(RULES[rule](v) for v in values):
+            raise argparse.ArgumentTypeError(f"{name} must be {rule}")
+        return values if sep else values[0]
+    return parse
 
 
-def _positive_int(text):
-    """argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
-
-
-def _finite_floats(text):
-    """argparse type: comma-separated finite floats."""
-    return [_finite_float(v) for v in text.split(",")]
-
-
-def _grid_sizes(text):
-    """argparse type: nx,ny,nz as the three synthesis.grid keys (the config checks each >= 1)."""
-    try:
-        nx, ny, nz = (int(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected three integers nx,ny,nz, got {text!r}") from None
-    return {"synthesis.grid.nx": nx, "synthesis.grid.ny": ny, "synthesis.grid.nz": nz}
+def _grid_texts(text):
+    """argparse type: nx,ny,nz split into the texts of the three synthesis.grid keys."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected three sizes nx,ny,nz, got {text!r}")
+    return {f"synthesis.grid.{axis}": part for axis, part in zip(("nx", "ny", "nz"), parts)}
 
 
 # _make_dir and _write_rows are the CLI's only directory and file writes; each
@@ -294,38 +283,39 @@ def build_parser():
 
     p = sub.add_parser("profile", help="emit the hydrostatic profile as CSV")
     common(p)
-    p.add_argument("--resolution", type=_positive_int, default=512)
+    p.add_argument("--resolution", type=_value_type("resolution", int, ">= 1"), default=512)
 
     p = sub.add_parser("forms", help="assemble the quadratic forms at one frequency")
     common(p)
-    p.add_argument("--xi", type=_finite_float, required=True)
+    p.add_argument("--xi", type=_value_type("xi", float), required=True)
     p.add_argument("--dump", action="store_true", help="write (row, col, value) matrices")
 
-    # a flag whose dest is a configuration key overrides that key after --set;
-    # a dict value overrides each of its keys
+    # a flag whose dest is a configuration key has no type: main hands its text
+    # (a dict, for each of its keys) to load_config as an override after --set
     p = sub.add_parser("mode", help="solve the growing mode at one frequency")
     common(p)
-    p.add_argument("--xi", type=_finite_float, dest="mode.xi")
+    p.add_argument("--xi", dest="mode.xi")
 
     p = sub.add_parser("dispersion", help="sweep lambda(|xi|) and report Lambda")
     common(p)
-    p.add_argument("--n", type=_positive_int, dest="sweep.n")
+    p.add_argument("--n", dest="sweep.n")
 
     p = sub.add_parser("lattice", help="enumerate lattice modes or certify stability")
     common(p)
-    p.add_argument("--L", type=_finite_float, dest="geometry.L")
+    p.add_argument("--L", dest="geometry.L")
 
     p = sub.add_parser("synthesize", help="sample synthesized 3D growing fields")
     common(p)
-    p.add_argument("--t", type=_finite_floats, help="comma-separated sample times (default 0)")
-    p.add_argument("--grid", type=_grid_sizes, dest="synthesis.grid", help="nx,ny,nz sample grid")
+    p.add_argument("--t", type=_value_type("t", float, sep=","),
+                   help="comma-separated sample times (default 0)")
+    p.add_argument("--grid", type=_grid_texts, dest="synthesis.grid", help="nx,ny,nz sample grid")
     p.add_argument("--periodic", action="store_true")
 
     p = sub.add_parser("evolve", help="integrate a mode's second-order system")
     common(p)
-    p.add_argument("--xi", type=_finite_float, dest="evolve.xi")
-    p.add_argument("--T", type=_finite_float, dest="evolve.T")
-    p.add_argument("--dt", type=_finite_float, dest="evolve.dt")
+    p.add_argument("--xi", dest="evolve.xi")
+    p.add_argument("--T", dest="evolve.T")
+    p.add_argument("--dt", dest="evolve.dt")
 
     p = sub.add_parser("verify", help="run the invariant battery")
     common(p)
@@ -360,7 +350,7 @@ def main(argv=None):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
         try:
-            flags = [f"{k}={v!r}" for key, value in vars(args).items()
+            flags = [f"{k}={v}" for key, value in vars(args).items()
                      if "." in key and value is not None
                      for k, v in (value.items() if isinstance(value, dict) else [(key, value)])]
             loaded = load_config(args.config, args.set + flags)
@@ -368,7 +358,6 @@ def main(argv=None):
             config = loaded
             counters.clear()
             code, headline = _HANDLERS[args.command](config, args)
-            headline["factorizations"] = counters["factorizations"]
         except (ConfigurationError, DomainError, RangeError, LayoutError, SolverError) as exc:
             code = _report(exc)
             headline = {"exit_code": code, "error": type(exc).__name__, "message": str(exc)}
@@ -377,6 +366,8 @@ def main(argv=None):
         print(f"warning: {message}", file=sys.stderr)
     if config is None:
         return code
+    for key in ("factorizations", "solves"):   # what the run did, failed or not
+        headline[key] = counters[key]
     if warned:
         headline["warnings"] = warned
     try:

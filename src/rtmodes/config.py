@@ -2,11 +2,12 @@
 
 One file drives every subcommand.  Unknown keys are errors (no silent
 typos); values are typed per the registry :data:`KEYS`, which states each
-key's rule once: validation checks it and ``--help`` prints it.  `#` starts
-a comment, blank lines are ignored.  :meth:`RunConfig.config_hash` is a
-16-hex-digit id of the values, from ``zlib``'s CRC-32 and Adler-32 (``zlib``
-is loaded with the interpreter; ``hashlib`` would map OpenSSL's libcrypto
-into every run).
+key's rule once: validation checks it and ``--help`` prints it.  File lines
+(`#` starts a comment) and ``key=value`` overrides share one loop, and
+:func:`parse_value` parses every value from outside the program, the CLI's
+flags included.  :meth:`RunConfig.config_hash` is a 16-hex-digit id of the
+values, from ``zlib``'s CRC-32 and Adler-32 (``zlib`` is loaded with the
+interpreter; ``hashlib`` would map OpenSSL's libcrypto into every run).
 """
 
 import math
@@ -22,8 +23,8 @@ from .profile import FluidViscosity, SlabGeometry, ViscosityLaw, build_profile
 
 # key -> (type, default, rule, help); a default of None means "derived or
 # required", and a rule is what _validate checks and key_help prints
-_RULES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
-          ">= 2": lambda v: v >= 2, "1 or 2": lambda v: v in (1, 2)}
+RULES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
+         ">= 2": lambda v: v >= 2, "1 or 2": lambda v: v in (1, 2)}
 KEYS = {
     "geometry.m": (float, 1.0, "> 0", "lower slab depth m"),
     "geometry.ell": (float, 1.0, "> 0", "upper slab depth ell"),
@@ -149,59 +150,48 @@ class RunConfig:
         return float(lo), float(hi)
 
 
-def _parse_value(key, raw):
-    typ = KEYS[key][0]
+def parse_value(name, typ, raw):
+    """``raw`` stripped and parsed as ``typ``; a float must be finite.  Errors name ``name``."""
     raw = raw.strip()
     try:
-        if typ is int:
-            v = int(raw)
-        elif typ is float:
-            v = float(raw)
-        else:
-            v = raw
+        v = typ(raw)
     except ValueError as exc:
-        raise ConfigurationError(f"{key}: cannot parse {raw!r} as {typ.__name__}") from exc
+        raise ConfigurationError(f"{name}: cannot parse {raw!r} as {typ.__name__}") from exc
     if typ is float and not math.isfinite(v):
-        raise ConfigurationError(f"{key}: {raw!r} is not a finite number")
+        raise ConfigurationError(f"{name}: {raw!r} is not a finite number")
     return v
 
 
 def _validate(values):
     for key, (_, _, rule, _) in KEYS.items():
-        if rule is not None and values[key] is not None and not _RULES[rule](values[key]):
+        if rule is not None and values[key] is not None and not RULES[rule](values[key]):
             raise ConfigurationError(f"{key} must be {rule}")
 
 
 def load_config(path=None, overrides=()):
     """Parse, override, and validate a run configuration.
 
-    ``overrides`` are `key=value` strings applied after the file.
+    ``overrides`` are `key=value` strings applied after the file's lines, by
+    the same loop; the rules are checked once, on the final values.
     """
     values = {k: d for k, (_, d, _, _) in KEYS.items()}
-    text = ""
+    items = []
     if path is not None:
         try:
             with open(path) as fh:
                 text = fh.read()
         except (OSError, ValueError) as exc:
             raise ConfigurationError(f"cannot read the config file: {exc}") from exc
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"line {lineno}: expected key = value, got {line!r}")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in KEYS:
-                raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
-            values[key] = _parse_value(key, raw)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigurationError(f"override {item!r} is not key=value")
-        key, raw = (part.strip() for part in item.split("=", 1))
+        lines = enumerate((line.split("#", 1)[0].strip() for line in text.splitlines()), 1)
+        items = [(f"line {n}: ", line) for n, line in lines if line]
+    for where, item in items + [("override: ", item) for item in overrides]:
+        key, eq, raw = item.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ConfigurationError(f"{where}expected key = value, got {item!r}")
         if key not in KEYS:
-            raise ConfigurationError(f"unknown key {key!r}")
-        values[key] = _parse_value(key, raw)
+            raise ConfigurationError(f"{where}unknown key {key!r}")
+        values[key] = parse_value(key, KEYS[key][0], raw)
     _validate(values)
     return RunConfig(values=values)
 

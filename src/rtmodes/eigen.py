@@ -11,8 +11,9 @@ storage (the bottom rows of each :class:`rtmodes.forms.Band`), which
 stride.  :func:`_factor` returns L^T, the bits of the upper factor, in upper
 storage for ``dpbtrs``: the lower solve sums in another order.  It is also
 where a factorization is counted: each call, definite or not, adds one to
-``counters["factorizations"]``, which :func:`rtmodes.cli.main` clears before
-a run and writes to its ``run.json``, so no result carries a count.  The
+``counters["factorizations"]``, as each :func:`_solve` adds one to
+``counters["solves"]``; :func:`rtmodes.cli.main` clears both before a run and
+writes them to its ``run.json``, so no result carries a count.  The
 family Q(s) = E0 + s E1 + s^2 J is :mod:`dispersion`'s; :mod:`evolution`'s
 step matrix (dt^2/2) Q(2/dt) factors exactly when dt < 2/lambda.
 
@@ -35,7 +36,7 @@ from ._kernels import dpbtrf, dpbtrs
 from .errors import DomainError, SolverError
 from .forms import Band
 
-counters = collections.Counter()    # "factorizations": every _factor call
+counters = collections.Counter()    # "factorizations": _factor calls; "solves": _solve calls
 DENSE_CUTOFF = 900  # read by the benchmark's tracer; no solver branches on it
 # bracket stop: relative width plus an absolute floor, since near a zero
 # eigenvalue a pure relative stop drives the ends into denormals
@@ -90,6 +91,7 @@ def _factor(ab):
 
 def _solve(factor, b):
     """Solve with a :func:`_factor` result; b (a float vector) is overwritten by the solution."""
+    counters["solves"] += 1
     return dpbtrs(factor, b)[0]
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import shutil
 import time
 from pathlib import Path
 
@@ -205,7 +206,7 @@ def _table(name):
     (["mode", "--set", "fluid.upper.law=ideal"],
      "fluid.upper.law must be polytropic or tabulated, got 'ideal'"),
     (["mode", "--config", "{tmp}/noeq.cfg"], "line 2: expected key = value, got 'geometry.m 2'"),
-    (["mode", "--set", "geometry.m"], "override 'geometry.m' is not key=value"),
+    (["mode", "--set", "geometry.m"], "override: expected key = value, got 'geometry.m'"),
 ], ids=["missing config", "missing table", "table is a directory", "table without P",
         "empty table", "non-numeric table cell", "output.dir is a file",
         "--out is a directory", "fields is a file", "run.json is a directory",
@@ -622,18 +623,20 @@ class TestCliRuns:
         assert main(["mode", "--config", str(cfg_path), "--set", "geometry.sigma=nan"]) == 2
         assert "geometry.sigma" in capsys.readouterr().err
 
+    # flags that name no configuration key, and --grid's shape, are argparse's to
+    # refuse; a flag that mirrors a key fails in config (test_alias_flag_fails_like_its_set)
     @pytest.mark.parametrize("argv", [
         ["profile", "--resolution", "-5"],
         ["synthesize", "--t", "a"],
         ["synthesize", "--t", "0,inf"],
-        ["lattice", "--L", "nan"],
-        ["evolve", "--dt", "nan"],
-        ["evolve", "--T", "inf"],
-        ["mode", "--xi", "nan"],
+        ["profile", "--resolution", "0"],
+        ["profile", "--resolution", "x"],
+        ["forms", "--xi", "nan"],
+        ["forms", "--xi", "x"],
         ["forms", "--xi", "inf"],
-        ["dispersion", "--n", "0"],
+        ["synthesize", "--t", "nan"],
         ["synthesize", "--grid", "2,2"],
-        ["synthesize", "--grid", "2,2,x"],
+        ["synthesize", "--grid", "1,2,3,4"],
     ])
     def test_bad_numeric_flag_exits_2(self, cfg_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -671,3 +674,59 @@ class TestCliRuns:
         assert main(["synthesize", "--config", str(cfg_path), *small, "--set", "geometry.sigma=0",
                      "--set", f"synthesis.f.{edge}={given}"]) == 2
         assert "xi_c" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["profile", "--resolution", "0"], "argument --resolution: resolution must be >= 1"),
+        (["profile", "--resolution", "1.5"],
+         "argument --resolution: resolution: cannot parse '1.5' as int"),
+        (["forms", "--xi", "nan"], "argument --xi: xi: 'nan' is not a finite number"),
+        (["synthesize", "--t", "0,x"], "argument --t: t: cannot parse 'x' as float"),
+        (["synthesize", "--grid", "2,2"], "argument --grid: expected three sizes nx,ny,nz, got '2,2'"),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+    def test_flag_that_names_no_key_is_parsed_by_config(self, cfg_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(cfg_path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"rtmodes {argv[0]}: error: {message}"
+
+
+# each flag that mirrors a configuration key: its text (with {v} the value under
+# test), the --set items it stands for, and a valid value
+ALIASES = {
+    "mode --xi": ("{v}", ["mode.xi={v}"], "1.7"),
+    "dispersion --n": ("{v}", ["sweep.n={v}"], "3"),
+    "lattice --L": ("{v}", ["geometry.L={v}"], "1.3"),
+    "synthesize --grid": ("2,{v},2", ["synthesis.grid.nx=2", "synthesis.grid.ny={v}",
+                                      "synthesis.grid.nz=2"], "3"),
+    "evolve --xi": ("{v}", ["evolve.xi={v}"], "0.8"),
+    "evolve --T": ("{v}", ["evolve.T={v}"], "3"),
+    "evolve --dt": ("{v}", ["evolve.dt={v}"], "0.05"),
+}
+
+
+@pytest.mark.parametrize("value", ["valid", "nan", "0", "-1", "x"])
+@pytest.mark.parametrize("alias", ALIASES)
+def test_alias_flag_fails_like_its_set(cfg_path, tmp_path, capsys, alias, value):
+    # config parses and checks a mirrored flag as the --set it stands for: the
+    # same exit code, the same stdout and stderr, and the same output files
+    command, flag = alias.split()
+    text, items, valid = ALIASES[alias]
+    value = valid if value == "valid" else value
+    out = tmp_path / "out"
+    base = [command, "--config", str(cfg_path), "--set", "synthesis.radial_nodes=2"]
+
+    def run(argv):
+        code = main(base + argv)
+        printed = capsys.readouterr()
+        files = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        shutil.rmtree(out, ignore_errors=True)
+        return code, printed.out, printed.err, files
+
+    by_flag = run([flag, text.format(v=value)])
+    by_set = run([arg for item in items for arg in ("--set", item.format(v=value))])
+    assert by_flag == by_set
+    code, _, err, files = by_flag
+    if value == valid:
+        assert code == 0 and files
+    else:
+        assert code == 2 and err.startswith("configuration error: ")

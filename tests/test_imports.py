@@ -1,4 +1,6 @@
 import ast
+import collections
+import json
 import os
 import re
 import subprocess
@@ -320,10 +322,11 @@ def _functions(path):
 
 
 def test_factorizations_are_counted_only_where_they_are_made():
-    # one owner per reported fact: eigen._factor counts every factorization and
-    # cli.main reports the count; no result class, CLI handler or second tally
-    # carries one
+    # one owner per reported fact: eigen._factor counts every factorization,
+    # eigen._solve every triangular solve, and cli.main reports the counts; no
+    # result class, CLI handler or second tally carries one
     package = Path(rtmodes.__file__).resolve().parent
+    counting = {("eigen.py", "_factor"), ("eigen.py", "_solve")}
     touches, declared = set(), []
     for path in sorted(package.glob("*.py")):
         for name, func in _functions(path):
@@ -332,7 +335,7 @@ def test_factorizations_are_counted_only_where_they_are_made():
                     touches.add((path.name, name))
                 if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Subscript):
                     assert getattr(node.target.value, "id", None) != "counters" or (
-                        (path.name, name) == ("eigen.py", "_factor")), (path.name, name)
+                        (path.name, name) in counting), (path.name, name)
         for node in ast.walk(ast.parse(path.read_text())):
             targets = ([node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else
                        node.targets if isinstance(node, ast.Assign) else [])
@@ -340,7 +343,7 @@ def test_factorizations_are_counted_only_where_they_are_made():
                          if getattr(t, "id", getattr(t, "attr", None)) == "factorizations"]
             if isinstance(node, ast.keyword) and node.arg == "factorizations":
                 declared.append((path.name, node.value.lineno))
-    assert touches == {("eigen.py", "_factor"), ("cli.py", "main")}
+    assert touches == counting | {("cli.py", "main")}
     assert declared == []
     for name, func in _functions(package / "cli.py"):
         if name.startswith("_cmd_"):
@@ -368,18 +371,67 @@ def test_validation_names_no_key():
     ["lattice", "--L", "1.3"], ["synthesize"], ["evolve", "--T", "1"], ["verify"],
 ], ids=lambda argv: argv[0])
 def test_run_json_counts_every_band_factorization(tmp_path, monkeypatch, argv):
-    # the count each run.json reports is the number of dpbtrf calls the run made,
-    # failed factorizations included; only profile and forms factor nothing
-    import json
-
-    from rtmodes import eigen
+    # the counts each run.json reports are the numbers of dpbtrf and dpbtrs calls
+    # the run made, failed factorizations included; only profile and forms factor
+    # or solve nothing
     from rtmodes.cli import main
 
-    calls = []
-    real = eigen.dpbtrf
-    monkeypatch.setattr(eigen, "dpbtrf", lambda ab: calls.append(1) or real(ab))
+    calls = _count_kernel_calls(monkeypatch)
     argv = [*argv, "--set", "mesh.elements_per_side=16", "--set", f"output.dir={tmp_path}"]
     assert main(argv) == 0
     meta = json.loads((tmp_path / "run.json").read_text())
-    assert meta["factorizations"] == len(calls)
-    assert (len(calls) > 0) == (argv[0] not in ("profile", "forms"))
+    assert (meta["factorizations"], meta["solves"]) == (calls["dpbtrf"], calls["dpbtrs"])
+    assert (calls["dpbtrf"] > 0) == (calls["dpbtrs"] > 0) == (argv[0] not in ("profile", "forms"))
+
+
+def test_failed_run_json_counts_what_the_run_did(tmp_path, monkeypatch, capsys):
+    # evolve solves its rate, then refuses dt = 10 >= 2 / lambda with exit 2:
+    # its run.json records the error and the factorizations and solves made
+    from rtmodes.cli import main
+
+    calls = _count_kernel_calls(monkeypatch)
+    assert main(["evolve", "--dt", "10", "--T", "100", "--set", "mesh.elements_per_side=16",
+                 "--set", f"output.dir={tmp_path}"]) == 2
+    meta = json.loads((tmp_path / "run.json").read_text())
+    assert meta["exit_code"] == 2 and "dt = 10" in capsys.readouterr().err
+    assert (meta["factorizations"], meta["solves"]) == (calls["dpbtrf"], calls["dpbtrs"])
+    assert meta["factorizations"] > 0 and meta["solves"] > 0
+
+
+def _count_kernel_calls(monkeypatch):
+    """A Counter of the dpbtrf and dpbtrs calls eigen makes from now on."""
+    from rtmodes import eigen
+
+    calls = collections.Counter()
+    for name in ("dpbtrf", "dpbtrs"):
+        real = getattr(eigen, name)
+        monkeypatch.setattr(eigen, name, lambda *a, name=name, real=real:
+                            calls.update([name]) or real(*a))
+    return calls
+
+
+def test_one_parser_for_every_command_line_value():
+    # config parses every value from outside the program: build_parser's only
+    # argparse types are the parse_value-based helper and the --grid splitter, a
+    # flag that mirrors a key (a dotted dest) carries text, and load_config
+    # assigns file lines and overrides in one loop
+    package = Path(rtmodes.__file__).resolve().parent
+    cli = dict(_functions(package / "cli.py"))
+    calls = [node for node in ast.walk(cli["build_parser"]) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "add_argument"]
+    types = []
+    for call in calls:
+        kw = {k.arg: k.value for k in call.keywords}
+        if "type" in kw:
+            types.append(getattr(kw["type"], "func", kw["type"]).id)
+            if "." in getattr(kw.get("dest"), "value", ""):
+                assert types[-1] == "_grid_texts", ast.unparse(call)
+    assert set(types) == {"_value_type", "_grid_texts"}
+    for name in ("_value_type", "_grid_texts"):
+        called = {getattr(n.func, "id", None) for n in ast.walk(cli[name]) if isinstance(n, ast.Call)}
+        assert ("parse_value" in called) == (name == "_value_type") and not {"int", "float"} & called
+    (load,) = [f for name, f in _functions(package / "config.py") if name == "load_config"]
+    loops = [node for node in ast.walk(load) if isinstance(node, (ast.For, ast.While))]
+    assigns = [node for node in ast.walk(load) if isinstance(node, ast.Assign)
+               and any(isinstance(t, ast.Subscript) for t in node.targets)]
+    assert len(loops) == 1 and len(assigns) == 1 and assigns[0] in ast.walk(loops[0])
