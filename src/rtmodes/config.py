@@ -63,7 +63,7 @@ KEYS = {
                                         "(default 0.98 xi_c; 50 when sigma = 0)"),
     "lattice.xi_max": (float, None, "> 0", "frequency cap: lattices keep |xi| < min(xi_c, xi_max); "
                                            "required by sigma = 0"),
-    "mode.xi": (float, 1.0, None, "frequency magnitude for single-mode solves (mode --xi)"),
+    "mode.xi": (float, 1.0, "> 0", "frequency magnitude for single-mode solves (mode --xi)"),
     "synthesis.f.a": (float, None, None, "bump support lower edge (default 0.3 xi_c; "
                                          "required when sigma = 0)"),
     "synthesis.f.b": (float, None, None, "bump support upper edge (default 0.7 xi_c; "
@@ -75,11 +75,11 @@ KEYS = {
     "synthesis.grid.nz": (int, 9, ">= 1", "sample grid points along x3"),
     "synthesis.grid.extent": (float, None, "> 0", "horizontal half-width "
                                                  "(default pi / f.a; periodic: 2 pi L)"),
-    "evolve.xi": (float, None, None, "frequency for evolution runs "
-                                     "(evolve --xi; default min(1, xi_c / 2))"),
-    "evolve.T": (float, None, None, "time horizon (evolve --T; default 5 / lambda)"),
-    "evolve.dt": (float, None, None, "time step, below 2 / lambda "
-                                     "(evolve --dt; default min(1e-2, 1e-2 / lambda))"),
+    "evolve.xi": (float, None, "> 0", "frequency for evolution runs "
+                                      "(evolve --xi; default min(1, xi_c / 2))"),
+    "evolve.T": (float, None, "> 0", "time horizon (evolve --T; default 5 / lambda)"),
+    "evolve.dt": (float, None, "> 0", "time step, below 2 / lambda "
+                                      "(evolve --dt; default min(1e-2, 1e-2 / lambda))"),
     "output.dir": (str, ".", None, "artifact output directory"),
 }
 

@@ -66,46 +66,42 @@ def _pchip_coefficients(x, y):
 class PressureLaw:
     """A barotropic pressure law P(rho) with derivatives and enthalpy.
 
-    Use the constructors :meth:`polytropic` or :meth:`tabulated`.
+    :meth:`polytropic` and :meth:`tabulated` are the only constructors.
     """
-
-    def __init__(self, kind, **params):
-        self.kind = kind
-        if kind == "polytropic":
-            K, gamma = params["K"], params["gamma"]
-            if K <= 0:
-                raise DomainError("polytropic pressure scale K must be > 0")
-            if gamma < 1:
-                raise DomainError("adiabatic exponent gamma must be >= 1")
-            self.K, self.gamma = float(K), float(gamma)
-            self.rho_min, self.rho_max = 0.0, math.inf
-        elif kind == "tabulated":
-            rho = np.array(params["rho"], dtype=float)   # a copy: the law keeps it
-            P = np.asarray(params["P"], dtype=float)
-            if rho.ndim != 1 or rho.shape != P.shape or rho.size < 2:
-                raise DomainError("tabulated law needs matching 1D (rho, P) samples")
-            if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(P))):
-                raise DomainError("tabulated (rho, P) samples must be finite numbers")
-            if np.any(np.diff(rho) <= 0) or np.any(np.diff(P) <= 0):
-                raise DomainError("tabulated (rho, P) samples must be strictly increasing")
-            if rho[0] <= 0 or P[0] <= 0:
-                raise DomainError("tabulated samples must have rho > 0 and P > 0")
-            # Shape-preserving cubic keeps P' >= 0 structurally; on strictly
-            # increasing data the interior derivative is positive.
-            self._x, self._c = rho, _pchip_coefficients(rho, P)
-            self.rho_min, self.rho_max = float(rho[0]), float(rho[-1])
-            self._check_derivative_floor(rho)
-            self._build_enthalpy()
-        else:
-            raise DomainError(f"unknown pressure law kind {kind!r}")
 
     @classmethod
     def polytropic(cls, K, gamma):
-        return cls("polytropic", K=K, gamma=gamma)
+        if K <= 0:
+            raise DomainError("polytropic pressure scale K must be > 0")
+        if gamma < 1:
+            raise DomainError("adiabatic exponent gamma must be >= 1")
+        law = cls.__new__(cls)
+        law.kind = "polytropic"
+        law.K, law.gamma = float(K), float(gamma)
+        law.rho_min, law.rho_max = 0.0, math.inf
+        return law
 
     @classmethod
     def tabulated(cls, rho, P):
-        return cls("tabulated", rho=rho, P=P)
+        rho = np.array(rho, dtype=float)   # a copy: the law keeps it
+        P = np.asarray(P, dtype=float)
+        if rho.ndim != 1 or rho.shape != P.shape or rho.size < 2:
+            raise DomainError("tabulated law needs matching 1D (rho, P) samples")
+        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(P))):
+            raise DomainError("tabulated (rho, P) samples must be finite numbers")
+        if np.any(np.diff(rho) <= 0) or np.any(np.diff(P) <= 0):
+            raise DomainError("tabulated (rho, P) samples must be strictly increasing")
+        if rho[0] <= 0 or P[0] <= 0:
+            raise DomainError("tabulated samples must have rho > 0 and P > 0")
+        law = cls.__new__(cls)
+        law.kind = "tabulated"
+        # Shape-preserving cubic keeps P' >= 0 structurally; on strictly
+        # increasing data the interior derivative is positive.
+        law._x, law._c = rho, _pchip_coefficients(rho, P)
+        law.rho_min, law.rho_max = float(rho[0]), float(rho[-1])
+        law._check_derivative_floor(rho)
+        law._build_enthalpy()
+        return law
 
     def _cubic(self, rho, nu):
         """The PCHIP cubic's nu-th derivative (nu = 0, 1, 2) at rho.

@@ -73,56 +73,53 @@ def shape_functions(order, t):
 
 
 class Mesh:
-    """Node coordinates, element connectivity, and quadrature data."""
+    """Node coordinates, element connectivity, and quadrature data.
 
-    def __init__(self, lower_breaks, upper_breaks, order=2):
-        lower_breaks = np.asarray(lower_breaks, dtype=float)
-        upper_breaks = np.asarray(upper_breaks, dtype=float)
-        if lower_breaks[-1] != 0.0 or upper_breaks[0] != 0.0:
-            raise ConfigurationError("breakpoints must meet at the interface x3 = 0")
-        if np.any(np.diff(lower_breaks) <= 0) or np.any(np.diff(upper_breaks) <= 0):
-            raise ConfigurationError("breakpoints must be strictly increasing")
-        if order not in (1, 2):
-            raise ConfigurationError("element order must be 1 or 2")
-        self.order = order
-        self.quad_points = QUAD_POINTS
-
-        breaks = np.concatenate([lower_breaks, upper_breaks[1:]])
-        n_el = len(breaks) - 1
-        if order == 1:
-            nodes = breaks
-            conn = np.stack([np.arange(n_el), np.arange(1, n_el + 1)], axis=1)
-        else:
-            nodes = np.empty(2 * n_el + 1)
-            nodes[0::2] = breaks
-            nodes[1::2] = 0.5 * (breaks[:-1] + breaks[1:])
-            base = 2 * np.arange(n_el)
-            conn = np.stack([base, base + 1, base + 2], axis=1)
-
-        self.nodes = nodes
-        self.conn = conn
-        self.n_elements = n_el
-        self.element_breaks = breaks
-        self.element_side = np.where(0.5 * (breaks[:-1] + breaks[1:]) < 0, -1, +1)
-        self.interface_node = int(np.flatnonzero(nodes == 0.0)[0])
-
-        tq, wq = QUAD_NODES, QUAD_WEIGHTS
-        self.shape_q, self.dshape_q = shape_functions(order, tq)  # (nq, nd)
-        h = np.diff(breaks)
-        self.jacobian = h / 2.0                                   # (n_el,)
-        # global quadrature coordinates/weights, shape (n_el, nq)
-        mid = 0.5 * (breaks[:-1] + breaks[1:])
-        self.quad_x = mid[:, None] + self.jacobian[:, None] * tq[None, :]
-        self.quad_w = self.jacobian[:, None] * wq[None, :]
+    :meth:`uniform` is the only constructor.
+    """
 
     @classmethod
     def uniform(cls, m, ell, n_per_side=256, order=2):
         """Uniform mesh with ``n_per_side`` elements on each side of 0."""
         if m <= 0 or ell <= 0:
             raise ConfigurationError("slab depths must be > 0")
+        if n_per_side < 1:
+            raise ConfigurationError("n_per_side must be >= 1")
+        mesh = cls.__new__(cls)
+        mesh.shape_q, mesh.dshape_q = shape_functions(order, QUAD_NODES)  # (nq, nd)
+        mesh.order = order
+        mesh.quad_points = QUAD_POINTS
         with storable("%d elements per side" % n_per_side):
-            breaks = np.linspace(-m, 0.0, n_per_side + 1), np.linspace(0.0, ell, n_per_side + 1)
-        return cls(*breaks, order=order)
+            lower, upper = np.linspace(-m, 0.0, n_per_side + 1), np.linspace(0.0, ell, n_per_side + 1)
+        breaks = np.concatenate([lower, upper[1:]])
+        jacobian = np.diff(breaks) / 2.0                          # (n_el,)
+        # a subnormal depth split n_per_side ways rounds some half-widths to 0
+        if np.any(jacobian <= 0):
+            raise ConfigurationError("slab depths m = %g, ell = %g are too thin for %d elements "
+                                     "per side" % (m, ell, n_per_side))
+        n_el = 2 * n_per_side
+        mid = 0.5 * (breaks[:-1] + breaks[1:])
+        if order == 1:
+            nodes = breaks
+            conn = np.stack([np.arange(n_el), np.arange(1, n_el + 1)], axis=1)
+        else:
+            nodes = np.empty(2 * n_el + 1)
+            nodes[0::2] = breaks
+            nodes[1::2] = mid
+            base = 2 * np.arange(n_el)
+            conn = np.stack([base, base + 1, base + 2], axis=1)
+
+        mesh.nodes = nodes
+        mesh.conn = conn
+        mesh.n_elements = n_el
+        mesh.element_breaks = breaks
+        mesh.element_side = np.where(mid < 0, -1, +1)
+        mesh.interface_node = n_per_side * order
+        mesh.jacobian = jacobian
+        # global quadrature coordinates/weights, shape (n_el, nq)
+        mesh.quad_x = mid[:, None] + jacobian[:, None] * QUAD_NODES[None, :]
+        mesh.quad_w = jacobian[:, None] * QUAD_WEIGHTS[None, :]
+        return mesh
 
     @property
     def n_nodes(self):

@@ -184,6 +184,8 @@ def build_profile(lower, upper, rho_minus, geometry, viscosity=None):
 
     Raises
     ------
+    DomainError
+        If rho_minus <= 0, from :func:`rtmodes.eos.admissible`.
     ConfigurationError
         If rho_minus is not admissible (no heavy-over-light interface), or
         rho0, eps0 or delta0 is not finite (or eps0 <= 0, delta0 < 0) in the slab.
@@ -192,8 +194,6 @@ def build_profile(lower, upper, rho_minus, geometry, viscosity=None):
     """
     if viscosity is None:
         viscosity = (FluidViscosity(), FluidViscosity())
-    if rho_minus <= 0:
-        raise ConfigurationError("interface density rho_minus must be > 0")
     if not admissible(lower, upper, rho_minus):
         raise ConfigurationError(
             "rho_minus = %g is not admissible: need P_-(rho) > P_+(rho) with "

@@ -112,6 +112,10 @@ def test_invalid_values_name_keys(cfg_path):
     ("synthesis.grid.nz=0", "synthesis.grid.nz=1", "synthesis.grid.nz must be >= 1"),
     ("synthesis.grid.extent=0", "synthesis.grid.extent=1e-300",
      "synthesis.grid.extent must be > 0"),
+    ("mode.xi=0", "mode.xi=1e-300", "mode.xi must be > 0"),
+    ("evolve.xi=0", "evolve.xi=1e-300", "evolve.xi must be > 0"),
+    ("evolve.T=0", "evolve.T=1e-300", "evolve.T must be > 0"),
+    ("evolve.dt=0", "evolve.dt=1e-300", "evolve.dt must be > 0"),
 ], ids=lambda v: v.split("=")[0] if "=" in v else "")
 def test_each_rule_keeps_its_message(bad, good, message):
     with pytest.raises(ConfigurationError) as info:
@@ -228,6 +232,26 @@ def test_bad_file_input_exits_2_without_traceback(cfg_path, tmp_path, capsys, ar
     err = capsys.readouterr().err
     assert code == 2 and "Traceback" not in err
     assert "configuration error" in err and message.format(tmp=tmp_path) in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mode", *_table("one_row.csv")], "fluid.lower.table '{tmp}/one_row.csv': "
+                                       "tabulated law needs matching 1D (rho, P) samples"),
+    (["mode", *_table("negative.csv")], "fluid.lower.table '{tmp}/negative.csv': "
+                                        "tabulated samples must have rho > 0 and P > 0"),
+    (["lattice"], "lattice needs --L or geometry.L"),
+    (["synthesize", "--periodic"], "periodic synthesis needs geometry.L"),
+    (["mode", "--set", "geometry.m=1e-323"],
+     "slab depths m = 9.88131e-324, ell = 1 are too thin for 16 elements per side"),
+], ids=["one-row table", "table from rho <= 0", "lattice without L", "periodic synthesis without L",
+        "subnormal slab depth"])
+def test_refused_input_prints_one_line(cfg_path, tmp_path, capsys, argv, message):
+    (tmp_path / "one_row.csv").write_text("rho,P\n1.0,2.0\n")
+    (tmp_path / "negative.csv").write_text("rho,P\n-1.0,0.5\n1.0,2.0\n2.0,3.0\n")
+    code = main([argv[0], "--config", str(cfg_path), *(a.format(tmp=tmp_path) for a in argv[1:])])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error: " + message.format(tmp=tmp_path)]
 
 
 def test_failed_run_records_itself(cfg_path, tmp_path, capsys):
@@ -476,7 +500,7 @@ class TestCliRuns:
 
     def test_negative_frequency_exits_2(self, cfg_path, capsys):
         assert main(["mode", "--config", str(cfg_path), "--xi", "-1"]) == 2
-        assert "frequency" in capsys.readouterr().err
+        assert capsys.readouterr().err == "configuration error: mode.xi must be > 0\n"
 
     def test_inadmissible_gamma_exits_2(self, cfg_path, capsys):
         assert main(["mode", "--config", str(cfg_path), "--set", "fluid.lower.gamma=0.5"]) == 2
@@ -708,7 +732,8 @@ ALIASES = {
 @pytest.mark.parametrize("alias", ALIASES)
 def test_alias_flag_fails_like_its_set(cfg_path, tmp_path, capsys, alias, value):
     # config parses and checks a mirrored flag as the --set it stands for: the
-    # same exit code, the same stdout and stderr, and the same output files
+    # same exit code, the same stdout and stderr, and the same output files; a
+    # bad value is refused before output.dir is made
     command, flag = alias.split()
     text, items, valid = ALIASES[alias]
     value = valid if value == "valid" else value
@@ -719,14 +744,15 @@ def test_alias_flag_fails_like_its_set(cfg_path, tmp_path, capsys, alias, value)
         code = main(base + argv)
         printed = capsys.readouterr()
         files = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        made = out.exists()
         shutil.rmtree(out, ignore_errors=True)
-        return code, printed.out, printed.err, files
+        return code, printed.out, printed.err, files, made
 
     by_flag = run([flag, text.format(v=value)])
     by_set = run([arg for item in items for arg in ("--set", item.format(v=value))])
     assert by_flag == by_set
-    code, _, err, files = by_flag
+    code, _, err, files, made = by_flag
     if value == valid:
         assert code == 0 and files
     else:
-        assert code == 2 and err.startswith("configuration error: ")
+        assert code == 2 and err.startswith("configuration error: ") and not made
