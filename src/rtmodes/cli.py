@@ -24,6 +24,7 @@ error, 4 verification failure (verify only).
 import argparse
 import json
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -39,6 +40,7 @@ from .forms import assemble
 from .profile import by_side, verify_hydrostatic
 
 _FMT = "%.17g"
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
 def _value_type(name, typ, rule=None, sep=None):
@@ -275,50 +277,47 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help):
+        p = sub.add_parser(name, help=help)
+        # argparse reads "-1e-3" as an option unless it takes every "-<digit>..." for a value
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("--config", help="flat key = value configuration file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a configuration key")
-        p.add_argument("--out", help="output file name (inside output.dir)")
+        if name not in ("forms", "verify"):     # the handlers that write a named file
+            p.add_argument("--out", help="output file name (inside output.dir)")
+        return p
 
-    p = sub.add_parser("profile", help="emit the hydrostatic profile as CSV")
-    common(p)
+    p = command("profile", "emit the hydrostatic profile as CSV")
     p.add_argument("--resolution", type=_value_type("resolution", int, ">= 1"), default=512)
 
-    p = sub.add_parser("forms", help="assemble the quadratic forms at one frequency")
-    common(p)
+    p = command("forms", "assemble the quadratic forms at one frequency")
     p.add_argument("--xi", type=_value_type("xi", float), required=True)
     p.add_argument("--dump", action="store_true", help="write (row, col, value) matrices")
 
     # a flag whose dest is a configuration key has no type: main hands its text
     # (a dict, for each of its keys) to load_config as an override after --set
-    p = sub.add_parser("mode", help="solve the growing mode at one frequency")
-    common(p)
+    p = command("mode", "solve the growing mode at one frequency")
     p.add_argument("--xi", dest="mode.xi")
 
-    p = sub.add_parser("dispersion", help="sweep lambda(|xi|) and report Lambda")
-    common(p)
+    p = command("dispersion", "sweep lambda(|xi|) and report Lambda")
     p.add_argument("--n", dest="sweep.n")
 
-    p = sub.add_parser("lattice", help="enumerate lattice modes or certify stability")
-    common(p)
+    p = command("lattice", "enumerate lattice modes or certify stability")
     p.add_argument("--L", dest="geometry.L")
 
-    p = sub.add_parser("synthesize", help="sample synthesized 3D growing fields")
-    common(p)
+    p = command("synthesize", "sample synthesized 3D growing fields")
     p.add_argument("--t", type=_value_type("t", float, sep=","),
                    help="comma-separated sample times (default 0)")
     p.add_argument("--grid", type=_grid_texts, dest="synthesis.grid", help="nx,ny,nz sample grid")
     p.add_argument("--periodic", action="store_true")
 
-    p = sub.add_parser("evolve", help="integrate a mode's second-order system")
-    common(p)
+    p = command("evolve", "integrate a mode's second-order system")
     p.add_argument("--xi", dest="evolve.xi")
     p.add_argument("--T", dest="evolve.T")
     p.add_argument("--dt", dest="evolve.dt")
 
-    p = sub.add_parser("verify", help="run the invariant battery")
-    common(p)
+    p = command("verify", "run the invariant battery")
     p.add_argument("--quick", action="store_true", help="skip sweep-scale checks")
     return parser
 

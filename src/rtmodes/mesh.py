@@ -136,13 +136,15 @@ class Mesh:
         return np.clip(idx, 0, self.n_elements - 1)
 
     def eval_nodal(self, values, x, side=None, deriv=0):
-        """Evaluate a nodal field (or its 1st/2nd derivative) at points x.
+        """Evaluate nodal fields (or their 1st/2nd derivatives) at points x.
 
+        ``values`` is one field or a stack of them along leading axes; the
+        result has those axes followed by x's shape, from one element search.
         ``side`` resolves x = 0 (and element boundaries adjacent to it):
         side=-1 evaluates in the element left of the point where possible.
         """
         values = np.asarray(values, dtype=float)
-        if values.shape != (self.n_nodes,):
+        if values.shape[-1:] != (self.n_nodes,):
             raise DomainError("nodal value array has wrong length")
         x = np.atleast_1d(np.asarray(x, dtype=float))
         idx = self.locate(x)
@@ -154,17 +156,19 @@ class Mesh:
         mid = 0.5 * (self.element_breaks[idx] + self.element_breaks[idx + 1])
         t = (x - mid) / self.jacobian[idx]
         N, dN = shape_functions(self.order, t)
-        el_vals = values[self.conn[idx]]
-        if deriv == 0:
-            out = np.sum(N * el_vals, axis=-1)
-        elif deriv == 1:
-            out = np.sum(dN * el_vals, axis=-1) / self.jacobian[idx]
-        elif deriv == 2:
-            if self.order < 2:
-                out = np.zeros_like(x)
-            else:
-                # constant second derivative per quadratic element
-                out = (el_vals[:, 0] - 2 * el_vals[:, 1] + el_vals[:, 2]) / self.jacobian[idx] ** 2
-        else:
+        if deriv not in (0, 1, 2):
             raise DomainError("deriv must be 0, 1, or 2")
+        out = np.zeros(values.shape[:-1] + x.shape)     # the second derivative on order 1
+        if deriv < 2:
+            # node by node, so that a stack of fields never holds every element
+            # node's values at once
+            weights = (N, dN)[deriv]
+            for j in range(self.order + 1):
+                out += weights[..., j] * values[..., self.conn[idx, j]]
+            if deriv == 1:
+                out /= self.jacobian[idx]
+        elif self.order == 2:
+            # constant second derivative per quadratic element
+            v0, v1, v2 = (values[..., self.conn[idx, j]] for j in range(3))
+            out = (v0 - 2 * v1 + v2) / self.jacobian[idx] ** 2
         return out

@@ -9,6 +9,7 @@ meaningful pointwise second derivative, so order >= 2 is required.
 Midpoints and Gauss points never lie on an element break, so one
 ``profile.fields`` call and side-free nodal evaluations cover both fluids;
 only the interface conditions evaluate each side separately, at x3 = 0.
+Each nodal evaluation takes phi and psi as one stack.
 """
 
 import numpy as np
@@ -35,10 +36,9 @@ def _ode_terms(fields, g, mesh, phi, psi, xi, s, mu, x):
     equation.
     """
     rho, pr, pr_p, eps, eps_p, dlt, dlt_p = coefficient_fields(fields, s)
-    f = mesh.eval_nodal(phi, x)
-    fp = mesh.eval_nodal(phi, x, deriv=1)
-    p = mesh.eval_nodal(psi, x)
-    pp = mesh.eval_nodal(psi, x, deriv=1)
+    nodal = np.stack([phi, psi])
+    f, p = mesh.eval_nodal(nodal, x)
+    fp, pp = mesh.eval_nodal(nodal, x, deriv=1)
 
     big = 4 * eps / 3 + dlt + pr
     big_p = 4 * eps_p / 3 + dlt_p + pr_p
@@ -79,8 +79,9 @@ def strong_form_residual(profile, mesh, phi, psi, xi, s, mu):
     xs = 0.5 * (mesh.element_breaks[:-1] + mesh.element_breaks[1:])
     (eps, eps_p, big, big_p), (_, fp, _, pp), t_phi, t_psi = _ode_terms(
         profile.fields(xs), profile.geometry.g, mesh, phi, psi, xi, s, mu, xs)
-    t_phi = [-(eps_p * fp + eps * mesh.eval_nodal(phi, xs, deriv=2)), *t_phi]
-    t_psi = [-(big_p * pp + big * mesh.eval_nodal(psi, xs, deriv=2)), *t_psi]
+    fpp, ppp = mesh.eval_nodal(np.stack([phi, psi]), xs, deriv=2)
+    t_phi = [-(eps_p * fp + eps * fpp), *t_phi]
+    t_psi = [-(big_p * pp + big * ppp), *t_psi]
     num = np.mean(sum(t_phi) ** 2 + sum(t_psi) ** 2)
     den = np.mean(sum(np.abs(t) for t in t_phi) ** 2 + sum(np.abs(t) for t in t_psi) ** 2)
     return np.sqrt(num) / max(np.sqrt(den), _FLOOR)
@@ -94,30 +95,21 @@ def jump_residuals(profile, mesh, phi, psi, xi, s):
     structurally (shared interface node).
     """
     sigma = profile.geometry.sigma
-    vals = {}
-    for side in (-1, +1):
-        rho, pr, pr_p, eps, eps_p, dlt, dlt_p = coefficient_fields(
-            profile.fields(np.array([0.0]), side), s
-        )
-        vals[side] = dict(
-            pr=pr[0], eps=eps[0], dlt=dlt[0],
-            f=mesh.eval_nodal(phi, [0.0], side=side)[0],
-            fp=mesh.eval_nodal(phi, [0.0], side=side, deriv=1)[0],
-            p=mesh.eval_nodal(psi, [0.0], side=side)[0],
-            pp=mesh.eval_nodal(psi, [0.0], side=side, deriv=1)[0],
-        )
-    lo, hi = vals[-1], vals[+1]
+    nodal, at0 = np.stack([phi, psi]), np.array([0.0])
+    # every name below holds the lower fluid's value at x3 = 0, then the upper's
+    (f, p), (fp, pp) = (
+        np.hstack([mesh.eval_nodal(nodal, at0, side=-1), mesh.eval_nodal(nodal, at0, side=+1)]),
+        np.hstack([mesh.eval_nodal(nodal, at0, side=-1, deriv=1),
+                   mesh.eval_nodal(nodal, at0, side=+1, deriv=1)]))
+    coefficients = [coefficient_fields(profile.fields(at0, side), s) for side in (-1, +1)]
+    _, pr, _, eps, _, dlt, _ = (np.concatenate(c) for c in zip(*coefficients))
+    shear = eps * (fp - xi * p)
+    stress = (dlt + eps / 3 + pr) * (pp + xi * f) + eps * (pp - xi * f)
 
     def rel(jump_terms):
         total = sum(jump_terms)
         scale = sum(abs(t) for t in jump_terms)
         return abs(total) / max(scale, _FLOOR)
 
-    j1 = rel([hi["f"], -lo["f"]])
-    j2 = rel([hi["p"], -lo["p"]])
-    j3 = rel([hi["eps"] * (hi["fp"] - xi * hi["p"]), -lo["eps"] * (lo["fp"] - xi * lo["p"])])
-    stress = lambda v: (v["dlt"] + v["eps"] / 3 + v["pr"]) * (v["pp"] + xi * v["f"]) + v["eps"] * (
-        v["pp"] - xi * v["f"]
-    )
-    j4 = rel([stress(hi), -stress(lo), -sigma * xi**2 * hi["p"]])
-    return np.array([j1, j2, j3, j4])
+    return np.array([rel([f[1], -f[0]]), rel([p[1], -p[0]]), rel([shear[1], -shear[0]]),
+                     rel([stress[1], -stress[0], -sigma * xi**2 * p[1]])])

@@ -75,14 +75,14 @@ def _as_points(x):
 
 
 def _heights(profile, mesh, x3, values, slopes):
-    """rho0, each nodal field of ``values``, and the x3-derivative of each of
-    ``slopes`` at heights x3.  One :func:`by_side` pass takes rho0 and the
-    slopes from each point's own fluid; the values are continuous across it.
+    """rho0, each nodal field of the stack ``values``, and the x3-derivative of
+    each of the stack ``slopes`` at heights x3, from three nodal evaluations.
+    One :func:`by_side` pass takes rho0 and the slopes from each point's own
+    fluid; the values are continuous across it.
     """
-    sided = by_side(x3, lambda xs, s: np.stack(
-        [profile.density(xs, side=s)] + [mesh.eval_nodal(a, xs, side=s, deriv=1) for a in slopes],
-        axis=-1))
-    return sided[:, 0], [mesh.eval_nodal(a, x3) for a in values], sided[:, 1:].T
+    sided = by_side(x3, lambda xs, s: np.column_stack(
+        [profile.density(xs, side=s), mesh.eval_nodal(slopes, xs, side=s, deriv=1).T]))
+    return sided[:, 0], mesh.eval_nodal(values, x3), sided[:, 1:].T
 
 
 class _Field:

@@ -728,7 +728,7 @@ ALIASES = {
 }
 
 
-@pytest.mark.parametrize("value", ["valid", "nan", "0", "-1", "x"])
+@pytest.mark.parametrize("value", ["valid", "nan", "0", "-1", "x", "-1e-3"])
 @pytest.mark.parametrize("alias", ALIASES)
 def test_alias_flag_fails_like_its_set(cfg_path, tmp_path, capsys, alias, value):
     # config parses and checks a mirrored flag as the --set it stands for: the
@@ -756,3 +756,30 @@ def test_alias_flag_fails_like_its_set(cfg_path, tmp_path, capsys, alias, value)
         assert code == 0 and files
     else:
         assert code == 2 and err.startswith("configuration error: ") and not made
+
+
+def test_negative_time_in_exponent_form_is_a_value(cfg_path, tmp_path, capsys):
+    # argparse alone takes "-1e3" after a flag for an option; the CLI reads it as --t=-1e3
+    out = tmp_path / "out"
+    base = ["synthesize", "--config", str(cfg_path), "--grid", "2,1,2",
+            "--set", "synthesis.radial_nodes=2"]
+
+    def run(flags):
+        code = main(base + flags)
+        files = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        shutil.rmtree(out)
+        return code, capsys.readouterr(), files
+
+    spaced = run(["--t", "-1e3"])
+    assert spaced == run(["--t=-1e3"])
+    assert spaced[0] == 0 and Path("fields/t-1000.csv") in spaced[2]
+
+
+@pytest.mark.parametrize("argv", [["verify", "--quick"], ["forms", "--xi", "1"]])
+def test_out_is_refused_where_no_file_is_named(cfg_path, capsys, argv):
+    # only the subcommands that write a named file take --out
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(cfg_path), "--out", "named.csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out named.csv" in capsys.readouterr().err
+    assert not (cfg_path.parent / "out").exists()

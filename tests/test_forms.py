@@ -264,6 +264,22 @@ def test_mesh_eval_nodal_derivatives(mesh32):
     assert mesh32.eval_nodal(vals, xs, deriv=2) == pytest.approx(-np.sin(xs), abs=5e-2)
 
 
+@pytest.mark.parametrize("deriv", [0, 1, 2])
+@pytest.mark.parametrize("side", [None, -1, +1])
+@pytest.mark.parametrize("order", [1, 2])
+def test_stacked_eval_nodal_is_each_field_bit_for_bit(order, side, deriv):
+    # one element search for a stack of fields gives every field's own evaluation
+    mesh = rt.Mesh.uniform(1.0, 1.5, 6, order=order)
+    stack = np.random.default_rng(order).standard_normal((2, 3, mesh.n_nodes))
+    breaks = mesh.element_breaks
+    for x in (breaks, np.array([0.0]), np.array([[-0.7, 0.0], [breaks[3], 1.2]])):
+        got = mesh.eval_nodal(stack, x, side=side, deriv=deriv)
+        assert got.shape == stack.shape[:-1] + x.shape
+        for index in np.ndindex(stack.shape[:-1]):
+            one = mesh.eval_nodal(stack[index], x, side=side, deriv=deriv)
+            assert got[index].tobytes() == one.tobytes()
+
+
 def test_mesh_eval_boundaries_and_sides(mesh32):
     vals = np.cos(mesh32.nodes)
     ends = np.array([-1.0, 1.0])

@@ -71,6 +71,8 @@ GUARDS = {
                                "outside the slab"),
     "nodal array length": (lambda c: _eval_at_half(c, np.zeros(3)), DomainError,
                            "wrong length"),
+    "stacked nodal array length": (lambda c: _eval_at_half(c, np.zeros((2, 3))), DomainError,
+                                   "wrong length"),
     "third derivative": (lambda c: _eval_at_half(c, np.zeros(c["mesh"].n_nodes), deriv=3),
                          DomainError, "deriv must be 0, 1, or 2"),
     "bootstrap at s = 0": (lambda c: _bootstrap(c, 0.0), DomainError,
@@ -98,6 +100,13 @@ def test_second_derivative_on_order_one_mesh_is_zero():
     x = np.array([-0.3, 0.0, 0.6])
     out = mesh.eval_nodal(mesh.nodes**2, x, deriv=2)
     assert out.shape == x.shape and np.all(out == 0.0)
+
+
+def test_second_derivative_of_a_stack_on_order_one_mesh_is_zeros_of_its_shape():
+    mesh = rt.Mesh.uniform(1.0, 1.0, 4, order=1)
+    x = np.array([[-0.3, 0.0, 0.6]])
+    out = mesh.eval_nodal(np.stack([mesh.nodes, mesh.nodes**2]), x, deriv=2)
+    assert out.shape == (2, 1, 3) and np.all(out == 0.0)
 
 
 def test_by_side_of_no_points_keeps_trailing_axes():

@@ -306,6 +306,25 @@ def test_cli_writes_only_through_its_writers():
     assert metas == ["main"]
 
 
+def _eval_nodal_lines(tree):
+    """The lines of every call of ``eval_nodal`` in ``tree``."""
+    return {call.lineno for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "eval_nodal"}
+
+
+def test_no_nodal_evaluation_sits_in_a_loop():
+    # Mesh.eval_nodal evaluates a stack of fields from one element search, so
+    # each caller makes one call per point set and derivative order
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    called, looped = [], []
+    for path in sorted(Path(rtmodes.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        called += [(path.name, line) for line in _eval_nodal_lines(tree)]
+        looped += [(path.name, line) for node in ast.walk(tree) if isinstance(node, loops)
+                   for line in sorted(_eval_nodal_lines(node))]
+    assert called and not looped
+
+
 def test_bench_selftest_passes():
     # the benchmark's tracer wraps every layer module and traced class; a refactor
     # that breaks its contract fails here, not only in a traced benchmark run
