@@ -4,8 +4,8 @@ The package calls five compiled routines.  Two are LAPACK's band Cholesky
 routines from the OpenBLAS that numpy already maps: ``dpbtf2`` (bound here
 as :func:`dpbtrf`) and ``dpbtrs``, each bound in the one form that
 :mod:`rtmodes.eigen`, their one caller, runs: a factorization of lower band
-storage and an in-place solve with an upper factor (Anderson et al., *LAPACK
-Users' Guide*, 1999).  Three come from scipy's extension modules:
+storage and an in-place solve with the lower factor it writes (Anderson et
+al., *LAPACK Users' Guide*, 1999).  Three come from scipy's extension modules:
 ``dia_matvec`` from ``scipy.sparse._sparsetools``, and the Bessel functions
 ``j0`` and ``j1`` from ``scipy.special._special_ufuncs``.
 
@@ -39,6 +39,7 @@ is still this module's ``dia_matvec``.  A scipy that lacks one of the files
 raises an ImportError naming its version.
 """
 
+import collections
 import ctypes
 import importlib.machinery
 import importlib.util
@@ -47,6 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
+counters = collections.Counter()    # calls of dpbtrf, dpbtrs, dia_matvec, counted where made
 _SCIPY = Path(importlib.util.find_spec("scipy").origin).parent
 _NUMPY_LIBS = ctypes.PyDLL(np._core._multiarray_umath.__file__)
 
@@ -105,8 +107,8 @@ def dpbtrf(ab):
 
 
 def dpbtrs(c, b):
-    """(b, info): the vector ``b`` overwritten by x solving A x = b, A = U^T U factored into the
-    upper band ``c``; ``b`` must be a contiguous, writeable float64 vector."""
+    """(b, info): the vector ``b`` overwritten by x solving A x = b, A = L L^T factored into the
+    lower band ``c`` by :func:`dpbtrf`; ``b`` must be a contiguous, writeable float64 vector."""
     c = np.asarray(c, dtype=np.float64, order="F")
     if not (isinstance(b, np.ndarray) and b.dtype == np.float64 and b.flags.contiguous
             and b.flags.writeable) or c.ndim != 2 or c.shape[0] < 1 or b.shape != c.shape[1:]:
@@ -114,7 +116,7 @@ def dpbtrs(c, b):
                          f"of shape {c.shape}, not {getattr(b, 'dtype', type(b))} {np.shape(b)}")
     kd1, n = c.shape
     info = _INT()
-    _dpbtrs(b"U", _INT(n), _INT(kd1 - 1), _INT(1), c.ctypes.data, _INT(kd1), b.ctypes.data,
+    _dpbtrs(b"L", _INT(n), _INT(kd1 - 1), _INT(1), c.ctypes.data, _INT(kd1), b.ctypes.data,
             _INT(max(n, 1)), info, 1)
     return b, info.value
 

@@ -4,7 +4,8 @@ Each handler returns ``(exit_code, headline)``; :func:`main` writes every
 subcommand's ``run.json`` from the config and that headline or, for a run
 that fails with exit code 2 or 3 once ``output.dir`` exists, its
 ``exit_code`` and the error's class and message.  Either way it adds the
-``factorizations`` and ``solves`` counted by :data:`rtmodes.eigen.counters`.
+``factorizations``, ``solves`` and ``matvecs`` counted by
+:data:`rtmodes.eigen.counters`.
 Each warning raised during a run is printed as one ``warning: <message>``
 line and listed under ``warnings`` in ``run.json`` (absent when none is).
 
@@ -292,7 +293,7 @@ def build_parser():
     p.add_argument("--resolution", type=_value_type("resolution", int, ">= 1"), default=512)
 
     p = command("forms", "assemble the quadratic forms at one frequency")
-    p.add_argument("--xi", type=_value_type("xi", float), required=True)
+    p.add_argument("--xi", type=_value_type("xi", float, "> 0"), required=True)
     p.add_argument("--dump", action="store_true", help="write (row, col, value) matrices")
 
     # a flag whose dest is a configuration key has no type: main hands its text
@@ -365,7 +366,7 @@ def main(argv=None):
         print(f"warning: {message}", file=sys.stderr)
     if config is None:
         return code
-    for key in ("factorizations", "solves"):   # what the run did, failed or not
+    for key in ("factorizations", "solves", "matvecs"):     # what the run did, failed or not
         headline[key] = counters[key]
     if warned:
         headline["warnings"] = warned

@@ -8,44 +8,37 @@ then, in O(n).  This module owns that test for the package: :func:`_band`
 sums every band it factors, in the caller's order, in LAPACK's lower band
 storage (the bottom rows of each :class:`rtmodes.forms.Band`), which
 ``dpbtrf`` of numpy's OpenBLAS (:mod:`rtmodes._kernels`) factors at unit
-stride.  :func:`_factor` returns L^T, the bits of the upper factor, in upper
-storage for ``dpbtrs``: the lower solve sums in another order.  It is also
-where a factorization is counted: each call, definite or not, adds one to
-``counters["factorizations"]``, as each :func:`_solve` adds one to
-``counters["solves"]``; :func:`rtmodes.cli.main` clears both before a run and
-writes them to its ``run.json``, so no result carries a count.  The
-family Q(s) = E0 + s E1 + s^2 J is :mod:`dispersion`'s; :mod:`evolution`'s
-step matrix (dt^2/2) Q(2/dt) factors exactly when dt < 2/lambda.
+stride; ``dpbtrs`` solves with the factor as LAPACK writes it.  Each
+:func:`_factor` call, definite or not, adds one to
+``counters["factorizations"]`` (:data:`rtmodes._kernels.counters`), as each
+:func:`_solve` adds one to ``counters["solves"]``.  The family Q(s) = E0 +
+s E1 + s^2 J is :mod:`dispersion`'s; :mod:`evolution`'s step matrix
+(dt^2/2) Q(2/dt) factors exactly when dt < 2/lambda.
 
 :func:`_refine` shrinks a bracket that is certified from both sides.  The
 definite end carries a factor; inverse iteration with it gives a vector x,
 and a scalar bound read off x moves the other end at no factorization: the
 Rayleigh quotient for a linear pencil, the Rayleigh functional of the
-growth-rate family in :mod:`dispersion` (Voss & Werner 1982).  One trial
-factorization per round, placed near that bound, then moves whichever end
-it proves.
+growth-rate family in :mod:`dispersion` (Voss & Werner 1982).  Both are
+stationary at an eigenvector, so the bound errs by about w^2 / |good| for a
+bracket of width w (Schwetlick & Schreiber 2012), and one trial
+factorization per round, placed that far past it, moves the end it proves.
 """
 
-import collections
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import dpbtrf, dpbtrs
+from ._kernels import counters, dpbtrf, dpbtrs
 from .errors import DomainError, SolverError
 from .forms import Band
 
-counters = collections.Counter()    # "factorizations": _factor calls; "solves": _solve calls
 DENSE_CUTOFF = 900  # read by the benchmark's tracer; no solver branches on it
 # bracket stop: relative width plus an absolute floor, since near a zero
 # eigenvalue a pure relative stop drives the ends into denormals
 _WIDTH_RTOL = 1e-11
 _WIDTH_ATOL = 1e-13
-# the trial point sits this fraction of the width past the bound; a trial
-# that factors divides it by _THETA_STEP, one that fails multiplies it
-_THETA_START = 0.25
-_THETA_STEP = 8.0
 
 
 @dataclass
@@ -58,14 +51,16 @@ class EigenResult:
 
 
 def _normalize(forms, x):
-    norm_sq = float(x @ (forms.J @ x))
+    """(x, J x) for x scaled to x^T J x = 1 and signed to psi(0) > 0 (else its first nonzero entry > 0)."""
+    Jx = forms.J @ x
+    norm_sq = float(x @ Jx)
     if not 0.0 < norm_sq < np.inf:      # x under- or overflowed in the solve
         raise SolverError("inverse iteration lost its iterate: x^T J x = %g" % norm_sq, {"n": forms.n})
-    x = x / np.sqrt(norm_sq)
     anchor = x[forms.psi0_dof]
     if anchor == 0.0:
         anchor = x[np.flatnonzero(x)[0]]    # x != 0, since x^T J x > 0
-    return x if anchor > 0 else -x
+    norm = math.copysign(math.sqrt(norm_sq), anchor)
+    return x / norm, Jx / norm
 
 
 def _band(*terms):
@@ -78,15 +73,10 @@ def _band(*terms):
 
 
 def _factor(ab):
-    """Cholesky factor of the lower band ab (left intact), in upper storage; None if not definite."""
+    """Cholesky factor L of the lower band ab (left intact), in lower storage; None if not definite."""
     counters["factorizations"] += 1
     c, info = dpbtrf(ab)
-    if info != 0:
-        return None
-    upper = np.zeros_like(c)            # Fortran order, as c
-    for d, row in enumerate(c):         # U[j - d, j] = L[j, j - d]: row kd - d of upper storage
-        upper[-1 - d, d:] = row[:row.size - d]
-    return upper
+    return c if info == 0 else None
 
 
 def _solve(factor, b):
@@ -95,33 +85,39 @@ def _solve(factor, b):
     return dpbtrs(factor, b)[0]
 
 
-def _refine(forms, factor_at, good, factor, bound, bound_of, x):
+def _refine(forms, factor_at, good, factor, bound, bound_of, Jx):
     """Shrink [bound, good] to where the family starts to factor: ``factor_at(t)`` is not None.
 
     ``factor`` is factor_at(good), a :func:`_factor` result; ``bound`` is
     certified to lie on the other side of that point, and either end may be
-    the larger.  Each round takes one inverse-iteration solve with ``factor``,
-    moves ``bound`` to ``bound_of(x)`` when that is closer, and tries one
-    factorization a fraction theta of the width past ``bound``: success
-    moves ``good`` there and shrinks theta, failure moves ``bound`` there and
-    grows it (to at most 1/2).  Returns (good, bound, x), x being the
-    J-normalized iterate of the last factor.
+    the larger; ``Jx`` is J x for the starting vector x.  Each round solves
+    with ``factor``, moves ``bound`` to ``bound_of(x)`` when that is closer,
+    and tries one factorization k w^2 / max(|good|, |bound|) past ``bound``,
+    at most w / 2 for the width w; a step whose success would end the loop is
+    half the stop width's relative part instead.  A failure moves ``bound``
+    there and multiplies k by 8, a success moves ``good`` there and divides k
+    by 8, to no less than its starting 1/4.  Returns (good, bound, x), x
+    being the J-normalized iterate of the last factor.
     """
-    theta = _THETA_START
+    k = 0.25
     while True:
-        x = _normalize(forms, _solve(factor, forms.J @ x))
+        x, Jx = _normalize(forms, _solve(factor, Jx))
         t = bound_of(x)
         if (t - bound) * (good - bound) > 0:
             # a bound past the definite end is roundoff at the threshold
             bound = t if (good - t) * (good - bound) > 0 else good
-        if abs(good - bound) <= _WIDTH_RTOL * (abs(good) + abs(bound)) + _WIDTH_ATOL:
+        w, scale = abs(good - bound), max(abs(good), abs(bound))
+        rel = _WIDTH_RTOL * (abs(good) + abs(bound))      # the relative part of the stop width
+        if w <= rel + _WIDTH_ATOL:
             return good, bound, x
-        t = bound + theta * (good - bound)
+        step = k * w * w / scale         # about the bound's error, quadratic in w
+        step = min(w / 2, step if step > rel + _WIDTH_ATOL else rel / 2)
+        t = bound + math.copysign(step, good - bound)
         f = factor_at(t)
         if f is None:
-            bound, theta = t, min(0.5, theta * _THETA_STEP)
+            bound, k = t, 8 * k
         else:
-            good, factor, theta = t, f, theta / _THETA_STEP
+            good, factor, k = t, f, max(0.25, k / 8)
 
 
 def bottom_eig(forms, a, b, c):
@@ -131,8 +127,8 @@ def bottom_eig(forms, a, b, c):
     m = c - a g |xi| - 1, A - m J >= J is definite; a factorization that
     fails there is a SolverError.  The upper end is the Rayleigh quotient of
     the current iterate, which :func:`_refine` lowers each round while
-    inertia raises the lower end.  The eigenvalue is the Rayleigh quotient
-    of the final iterate.
+    inertia raises the lower end.  The eigenvalue is that upper end at the
+    close: the least Rayleigh quotient seen, or a failed trial below it.
     """
     if a < 0 or b < 0:
         raise DomainError("bottom_eig needs a >= 0 and b >= 0, not a = %g, b = %g" % (a, b))
@@ -143,9 +139,8 @@ def bottom_eig(forms, a, b, c):
     factor = factor_at(lo)
     if factor is None:
         raise SolverError("no definite shift below the spectrum", {"n": forms.n, "shift": lo})
-    x = _normalize(forms, np.ones(forms.n))
-    _, _, x = _refine(forms, factor_at, lo, factor, rayleigh(x), rayleigh, x)
-    mu = rayleigh(x)
+    x, Jx = _normalize(forms, np.ones(forms.n))
+    _, mu, x = _refine(forms, factor_at, lo, factor, rayleigh(x), rayleigh, Jx)
     r = A @ x - mu * (forms.J @ x)
     return EigenResult(mu, x, math.sqrt(r @ r) / math.sqrt(x @ x))
 

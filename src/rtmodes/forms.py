@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import dia_matvec
+from ._kernels import counters, dia_matvec
 from .errors import DomainError, LayoutError
 from .mesh import Mesh
 
@@ -100,6 +100,7 @@ def _offsets(kd):
 
 
 def _dia_product(data, offsets, x, rows):
+    counters["matvecs"] += 1
     out = np.zeros(rows)            # dia_matvec adds into it, as scipy.sparse does
     dia_matvec(rows, x.size, offsets.size, x.size, offsets, data, x, out)
     return out

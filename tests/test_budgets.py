@@ -1,4 +1,4 @@
-"""Work budgets: the exact band factorizations and solves of each reference run.
+"""Work budgets: the exact band factorizations, solves and mat-vecs of each reference run.
 
 Wall times on a shared box drift by about 20%, and interpreter start-up is most
 of a short run, so a change that doubles solver work can hide in them.  The
@@ -23,19 +23,19 @@ from rtmodes.cli import main
 
 BENCH = Path(rtmodes.__file__).resolve().parents[2] / "bench" / "workloads.py"
 
-# run -> (argv without output.dir, factorizations, solves); a "workload NAME" run is
-# the command of that benchmark workload at seed 3
+# run -> (argv without output.dir, factorizations, solves, mat-vecs); a "workload NAME"
+# run is the command of that benchmark workload at seed 3
 BUDGETS = {
-    "dispersion": (["dispersion"], 333, 328),
-    "verify": (["verify"], 374, 381),
-    "mode": (["mode"], 10, 9),
-    "evolve": (["evolve"], 11, 2402),
-    "synthesize": (["synthesize"], 120, 118),
-    "lattice --L 1.3": (["lattice", "--L", "1.3"], 73, 67),
-    "profile": (["profile"], 0, 0),
-    "forms --xi 1.0": (["forms", "--xi", "1.0"], 0, 0),
-    "workload verify": (None, 379, 386),
-    "workload tabulated": (None, 25, 16),
+    "dispersion": (["dispersion"], 197, 192, 817),
+    "verify": (["verify"], 294, 301, 1017),
+    "mode": (["mode"], 9, 8, 27),
+    "evolve": (["evolve"], 10, 2401, 2422),
+    "synthesize": (["synthesize"], 65, 63, 267),
+    "lattice --L 1.3": (["lattice", "--L", "1.3"], 58, 52, 199),
+    "profile": (["profile"], 0, 0, 0),
+    "forms --xi 1.0": (["forms", "--xi", "1.0"], 0, 0, 0),
+    "workload verify": (None, 269, 276, 943),
+    "workload tabulated": (None, 24, 15, 53),
 }
 
 
@@ -51,7 +51,7 @@ def _workload_argv(name, workdir, out):
 
 @pytest.mark.parametrize("run", BUDGETS)
 def test_run_takes_exactly_its_work_budget(tmp_path, capsys, run):
-    argv, factorizations, solves = BUDGETS[run]
+    argv, *budget = BUDGETS[run]
     out = tmp_path / "out"
     if argv is None:
         argv = _workload_argv(run.split()[1], tmp_path / "inputs", out)
@@ -60,4 +60,4 @@ def test_run_takes_exactly_its_work_budget(tmp_path, capsys, run):
     assert main(argv) == 0
     capsys.readouterr()
     meta = json.loads((out / "run.json").read_text())
-    assert (meta["factorizations"], meta["solves"]) == (factorizations, solves)
+    assert [meta["factorizations"], meta["solves"], meta["matvecs"]] == budget

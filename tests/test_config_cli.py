@@ -661,6 +661,8 @@ class TestCliRuns:
         ["synthesize", "--t", "nan"],
         ["synthesize", "--grid", "2,2"],
         ["synthesize", "--grid", "1,2,3,4"],
+        ["forms", "--xi", "-1"],
+        ["forms", "--xi", "0"],
     ])
     def test_bad_numeric_flag_exits_2(self, cfg_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -64,7 +64,7 @@ def test_default_sweep_matches_cold_rates(default_sweep):
 
 
 def test_default_sweep_factorizations_per_rate(default_sweep):
-    # cold starts took 10.8 factorizations per rate here (531 over 49 solves)
+    # cold starts take 9.9 factorizations per rate here (484 over 49 solves)
     _, _, curve, factorizations = default_sweep
     solves = len(curve.xi) + (curve.fit_correction > 0)
     assert factorizations / solves <= 7.5

@@ -89,15 +89,51 @@ def test_factorizations_per_bottom_eig(forms_xi1, monkeypatch):
         assert len(calls) <= 15
 
 
+def test_refine_places_each_trial_from_the_bracket(profile):
+    # _refine on a family that factors exactly from a threshold up: each trial sits
+    # k w^2 / |good| past the bound, capped at w / 2; k starts at 1/4, grows eightfold
+    # after a failure and shrinks eightfold, to no less than 1/4, after a success
+    forms = rt.assemble(profile, rt.Mesh.uniform(1.0, 1.0, 8, order=1), 1.0)
+    factor = eigen._factor(eigen._band((1.0, forms.J)))
+
+    def refine(threshold, bound_of):
+        trials = []
+        factor_at = lambda t: trials.append(t) or (factor if t >= threshold else None)
+        good, bound, _ = eigen._refine(forms, factor_at, 1.0, factor, 0.0, bound_of,
+                                       forms.J @ np.ones(forms.n))
+        assert bound < threshold <= good
+        assert good - bound <= 1e-11 * (good + bound) + 1e-13
+        return good, bound, trials
+
+    # a bound_of that proves nothing: [0, 1] around 0.3
+    good, bound, trials = refine(0.3, lambda x: 0.0)
+    t1 = 0.25                               # k = 1/4 fails
+    t2 = t1 + (1.0 - t1) / 2                # k = 2: 2 w^2 > w / 2, so w / 2; factors
+    t3 = t1 + 0.25 * (t2 - t1) ** 2 / t2    # k back to 1/4; factors
+    t4 = t1 + 0.25 * (t3 - t1) ** 2 / t3    # fails
+    t5 = t4 + 2.0 * (t3 - t4) ** 2 / t3     # k = 2 fails
+    t6 = t5 + (t3 - t5) / 2                 # k = 16: w / 2 fails, as does k = 128
+    t7 = t6 + (t3 - t6) / 2
+    t8 = t7 + (t3 - t7) / 2                 # k = 1024: factors, and k is 128
+    assert trials[:8] == pytest.approx([t1, t2, t3, t4, t5, t6, t7, t8], rel=1e-15)
+    # a bound_of within 1e-15 of the threshold 1e-3: the steps close quadratically,
+    # and the closing trial sits half the relative stop width 1e-11 (good + bound)
+    # past the bound, well inside the absolute floor 1e-13 of the stop width
+    good, bound, trials = refine(1e-3, lambda x: 1e-3 * (1 - 1e-15))
+    assert len(trials) == 9 and trials[-1] == good
+    assert good - bound == pytest.approx(1e-11 * (good + bound) / 2, rel=1e-3)
+
+
 def test_normalize_signs_by_the_first_nonzero_entry_where_psi0_vanishes(forms_xi1):
     # the sign convention is psi(0) > 0; an iterate with psi(0) = 0 takes its sign
-    # from its first nonzero entry instead
+    # from its first nonzero entry instead; J y comes with it
     x = -np.arange(1.0, forms_xi1.n + 1)
     x[forms_xi1.psi0_dof] = 0.0
-    y = eigen._normalize(forms_xi1, x)
+    y, Jy = eigen._normalize(forms_xi1, x)
     assert y[forms_xi1.psi0_dof] == 0.0 and y[np.flatnonzero(y)[0]] > 0
     assert np.array_equal(np.sign(y), -np.sign(x))
     assert float(y @ (forms_xi1.J @ y)) == pytest.approx(1.0, rel=1e-14)
+    assert np.abs(Jy - forms_xi1.J @ y).max() <= 1e-15 * np.abs(Jy).max()
 
 
 def test_negative_s_rejected(forms_xi1):

@@ -222,8 +222,9 @@ def test_only_kernels_loads_scipy_extensions():
     # extension or uses importlib's file loading to load one (the package's
     # __init__ uses importlib only to defer two of its own modules), only eigen
     # takes the band-LAPACK routines from it, only forms the band mat-vec
-    # dia_matvec and only synthesis the Bessel functions j0 and j1 (read as
-    # attributes, so that importing synthesis does not load them), no module
+    # dia_matvec, only eigen and forms the counters of that work, and only
+    # synthesis the Bessel functions j0 and j1 (read as attributes, so that
+    # importing synthesis does not load them), no module
     # names the CSR kernel csr_matvec, and no module imports scipy.linalg,
     # scipy.sparse or scipy.special (their import was most of start-up)
     package = Path(rtmodes.__file__).resolve().parent
@@ -247,7 +248,8 @@ def test_only_kernels_loads_scipy_extensions():
                 taken.append((path.name, node.attr))
     assert packages == []
     assert loaders == {"_kernels.py"}
-    assert sorted(taken) == [("eigen.py", "dpbtrf"), ("eigen.py", "dpbtrs"), ("forms.py", "dia_matvec"),
+    assert sorted(taken) == [("eigen.py", "counters"), ("eigen.py", "dpbtrf"), ("eigen.py", "dpbtrs"),
+                             ("forms.py", "counters"), ("forms.py", "dia_matvec"),
                              ("synthesis.py", "j0"), ("synthesis.py", "j1")]
 
 
@@ -342,10 +344,11 @@ def _functions(path):
 
 def test_factorizations_are_counted_only_where_they_are_made():
     # one owner per reported fact: eigen._factor counts every factorization,
-    # eigen._solve every triangular solve, and cli.main reports the counts; no
-    # result class, CLI handler or second tally carries one
+    # eigen._solve every triangular solve, forms._dia_product every mat-vec, and
+    # cli.main reports the counts; no result class, CLI handler or second tally
+    # carries one
     package = Path(rtmodes.__file__).resolve().parent
-    counting = {("eigen.py", "_factor"), ("eigen.py", "_solve")}
+    counting = {("eigen.py", "_factor"), ("eigen.py", "_solve"), ("forms.py", "_dia_product")}
     touches, declared = set(), []
     for path in sorted(package.glob("*.py")):
         for name, func in _functions(path):
@@ -385,27 +388,32 @@ def test_validation_names_no_key():
     assert not [s for s in literals if s in KEYS or s.split(".")[0] in sections]
 
 
+# run.json key -> the kernel whose calls it counts
+COUNTED = {"factorizations": "dpbtrf", "solves": "dpbtrs", "matvecs": "dia_matvec"}
+
+
 @pytest.mark.parametrize("argv", [
     ["profile", "--resolution", "16"], ["forms", "--xi", "1"], ["mode"], ["dispersion", "--n", "6"],
     ["lattice", "--L", "1.3"], ["synthesize"], ["evolve", "--T", "1"], ["verify"],
 ], ids=lambda argv: argv[0])
 def test_run_json_counts_every_band_factorization(tmp_path, monkeypatch, argv):
-    # the counts each run.json reports are the numbers of dpbtrf and dpbtrs calls
-    # the run made, failed factorizations included; only profile and forms factor
-    # or solve nothing
+    # the counts each run.json reports are the numbers of dpbtrf, dpbtrs and
+    # dia_matvec calls the run made, failed factorizations included; only profile
+    # and forms factor, solve or multiply nothing
     from rtmodes.cli import main
 
     calls = _count_kernel_calls(monkeypatch)
     argv = [*argv, "--set", "mesh.elements_per_side=16", "--set", f"output.dir={tmp_path}"]
     assert main(argv) == 0
     meta = json.loads((tmp_path / "run.json").read_text())
-    assert (meta["factorizations"], meta["solves"]) == (calls["dpbtrf"], calls["dpbtrs"])
-    assert (calls["dpbtrf"] > 0) == (calls["dpbtrs"] > 0) == (argv[0] not in ("profile", "forms"))
+    assert [meta[key] for key in COUNTED] == [calls[name] for name in COUNTED.values()]
+    assert ((calls["dpbtrf"] > 0) == (calls["dpbtrs"] > 0) == (calls["dia_matvec"] > 0)
+            == (argv[0] not in ("profile", "forms")))
 
 
 def test_failed_run_json_counts_what_the_run_did(tmp_path, monkeypatch, capsys):
     # evolve solves its rate, then refuses dt = 10 >= 2 / lambda with exit 2:
-    # its run.json records the error and the factorizations and solves made
+    # its run.json records the error and the factorizations, solves and mat-vecs made
     from rtmodes.cli import main
 
     calls = _count_kernel_calls(monkeypatch)
@@ -413,18 +421,19 @@ def test_failed_run_json_counts_what_the_run_did(tmp_path, monkeypatch, capsys):
                  "--set", f"output.dir={tmp_path}"]) == 2
     meta = json.loads((tmp_path / "run.json").read_text())
     assert meta["exit_code"] == 2 and "dt = 10" in capsys.readouterr().err
-    assert (meta["factorizations"], meta["solves"]) == (calls["dpbtrf"], calls["dpbtrs"])
-    assert meta["factorizations"] > 0 and meta["solves"] > 0
+    assert [meta[key] for key in COUNTED] == [calls[name] for name in COUNTED.values()]
+    assert all(meta[key] > 0 for key in COUNTED)
 
 
 def _count_kernel_calls(monkeypatch):
-    """A Counter of the dpbtrf and dpbtrs calls eigen makes from now on."""
-    from rtmodes import eigen
+    """A Counter of the dpbtrf and dpbtrs calls eigen makes, and the dia_matvec calls forms
+    makes, from now on."""
+    from rtmodes import eigen, forms
 
     calls = collections.Counter()
-    for name in ("dpbtrf", "dpbtrs"):
-        real = getattr(eigen, name)
-        monkeypatch.setattr(eigen, name, lambda *a, name=name, real=real:
+    for module, name in ((eigen, "dpbtrf"), (eigen, "dpbtrs"), (forms, "dia_matvec")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, name=name, real=real:
                             calls.update([name]) or real(*a))
     return calls
 

@@ -5,16 +5,16 @@ A fresh interpreter that imports only rtmodes (scipy's packages never
 initialised) computes band factors, solves and mat-vecs of the default forms
 and of an order-1 mesh of 8 elements per side at xi = 1: ``_kernels.dpbtrf``
 (the band LAPACK of numpy's OpenBLAS) on lower band storage, eigen's own
-factors (lower storage, copied into upper) and solves, and the mat-vec
-kernel loaded by file.  This process recomputes them with
-``scipy.linalg.lapack``, the lower factors on the same lower bands and
-eigen's factors and solves on upper band storage, and with
-``scipy.sparse.dia_matrix``, and asks for the same bits.  The band type's own
+factors and solves, and the mat-vec kernel loaded by file.  This process
+recomputes them with ``scipy.linalg.lapack``, the lower factors on the same
+lower bands and eigen's factors and solves on lower bands summed from the
+top rows of the forms, and with ``scipy.sparse.dia_matrix``, and asks for
+the same bits.  The band type's own
 operations are compared with dense copies, with ``scipy.sparse.dia_matrix``
 built from the same arrays, and with the CSR pattern the forms were once
 stored in.  Last, every module's band builder, factor and solve are swapped
-for scipy's upper-storage LAPACK, and sweeps, lattices, bottom eigenpairs and
-trajectories must not move by a bit.
+for scipy's lower-storage LAPACK on those bands, and sweeps, lattices, bottom
+eigenpairs and trajectories must not move by a bit.
 """
 
 import importlib.metadata
@@ -61,19 +61,24 @@ def factor_cases(forms):
             "Qlo": [(1.0, E0), (lo, E1), (lo**2, J)], "Qhi": [(1.0, E0), (hi, E1), (hi**2, J)]}
 
 
-def upper_band(*terms):
-    """LAPACK upper band storage of c_1 M_1 + c_2 M_2 + ..., summed in order from the top
-    kd + 1 rows of the bands: the arithmetic of factoring in upper storage."""
+def lower_band(*terms):
+    """LAPACK lower band storage of c_1 M_1 + c_2 M_2 + ..., summed in order from the top
+    kd + 1 rows of the bands (upper storage) and moved row by row, A[j + d, j] = A[j, j + d],
+    into a new array: no code shared with eigen._band, which reads the bottom rows."""
     (c, M), *rest = terms
-    ab = c * M.data[:M.kd + 1]
+    upper = c * M.data[:M.kd + 1]
     for c, M in rest:
-        ab = ab + c * M.data[:M.kd + 1]
-    return ab
+        upper = upper + c * M.data[:M.kd + 1]
+    kd, n = M.kd, upper.shape[1]
+    lower = np.zeros_like(upper)
+    for d in range(kd + 1):
+        lower[d, :n - d] = upper[kd - d, d:]
+    return lower
 
 
 def kernel_results(lower, factor, solve, product, forms):
     """For each band of factor_cases, ``lower(terms)``, the (factor, info) of its lower
-    storage, and, where ``factor(terms)`` gives an upper factor c, c and ``solve(c, b)``;
+    storage, and, where ``factor(terms)`` gives a factor c, c and ``solve(c, b)``;
     and mat-vecs through ``product(mats, x)``, the bands ``mats`` stacked by rows; keyed
     by name."""
     E0, E1, J = forms.E0, forms.E1, forms.J
@@ -101,15 +106,15 @@ def package_results(forms):
 
 def scipy_results(forms):
     """kernel_results of scipy: ``scipy.linalg.lapack.dpbtrf(lower=1)`` on eigen's lower
-    bands, its upper dpbtrf and dpbtrs on upper_band, and ``dia_matrix`` products."""
+    bands, its lower dpbtrf and dpbtrs on lower_band, and ``dia_matrix`` products."""
     from scipy.linalg import lapack
 
     def factor(terms):
-        c, info = lapack.dpbtrf(upper_band(*terms), lower=0)
+        c, info = lapack.dpbtrf(lower_band(*terms), lower=1)
         return c if info == 0 else None
 
     return kernel_results(lambda terms: lapack.dpbtrf(eigen._band(*terms), lower=1), factor,
-                          lambda c, b: lapack.dpbtrs(c, b)[0],
+                          lambda c, b: lapack.dpbtrs(c, b, lower=1)[0],
                           lambda mats, x: dia_matrix(mats) @ x, forms)
 
 
@@ -151,9 +156,9 @@ def loaded_results(tmp_path_factory):
 
 def test_file_loaded_kernels_match_scipy_bit_for_bit(loaded_results):
     # _kernels.dpbtrf's lower factors and infos are scipy's lower ones, failed
-    # factorizations included; where scipy's upper factorization succeeds, and only
-    # there, eigen's factor copied into upper storage and its solve are scipy's
-    # upper ones; and the mat-vecs are dia_matrix's
+    # factorizations included; where scipy's factorization of lower_band succeeds,
+    # and only there, eigen's factor and its solve are scipy's lower ones; and the
+    # mat-vecs are dia_matrix's
     expected = all_kernel_results(scipy_results)
     assert sorted(loaded_results) == sorted(expected)
     for key, value in expected.items():
@@ -288,11 +293,10 @@ def pipeline_results():
     return {k: np.asarray(v) for k, v in out.items()}
 
 
-def test_upper_storage_lapack_reproduces_every_result(monkeypatch):
+def test_lower_storage_lapack_reproduces_every_result(monkeypatch):
     # the independent oracle: every module's band builder, factor and solve swapped for
-    # scipy's LAPACK (its own OpenBLAS) on upper band storage summed from the top rows,
-    # the arithmetic of factoring in upper storage throughout, moves no bit; the
-    # families (dispersion._q_factor, bottom_eig's factor_at) read the swapped names
+    # scipy's LAPACK (its own OpenBLAS) on lower band storage moved from sums of the
+    # top rows (lower_band) moves no bit; the families (dispersion._q_factor, bottom_eig's factor_at) read the swapped names
     # at call time, so each module's own swap is the one that factors
     from scipy.linalg import lapack
 
@@ -301,14 +305,14 @@ def test_upper_storage_lapack_reproduces_every_result(monkeypatch):
     def factor_in(module):
         def factor(ab):
             factored_in.add(module.__name__)
-            c, info = lapack.dpbtrf(ab, lower=0)
+            c, info = lapack.dpbtrf(ab, lower=1)
             return c if info == 0 else None
         return factor
 
     package = pipeline_results()
     for module in (eigen, dispersion, evolution):
-        swaps = {"_band": upper_band, "_factor": factor_in(module),
-                 "_solve": lambda c, b: lapack.dpbtrs(c, b)[0]}
+        swaps = {"_band": lower_band, "_factor": factor_in(module),
+                 "_solve": lambda c, b: lapack.dpbtrs(c, b, lower=1)[0]}
         for name, oracle in swaps.items():
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, oracle)
